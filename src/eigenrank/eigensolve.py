@@ -41,7 +41,9 @@ class SpectralBasis:
     vectors[:, k] is the k-th eigenfunction (ascending eigenvalues),
     orthonormal under the grid inner product, i.e. Euclidean norm
     quadrature_weight^(-1/2).  residuals[k] is the scaled certificate
-    ||M phi - lambda phi|| / (||phi|| (1 + |lambda|)).
+    ||M phi - lambda phi|| / (||phi|| (1 + |lambda|)).  ortho_defect is the
+    orthonormality certificate gram_defect(), computed once when the basis
+    is built unless a copy of the same vectors passes it through.
     """
 
     grid: Grid
@@ -49,6 +51,11 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
+    ortho_defect: float | None = None
+
+    def __post_init__(self):
+        if self.ortho_defect is None:
+            object.__setattr__(self, "ortho_defect", self.gram_defect())
 
     @property
     def count(self) -> int:
@@ -61,8 +68,11 @@ class SpectralBasis:
 
     def gram_defect(self) -> float:
         """max |<phi_i, phi_j> - delta_ij| over the stored pairs."""
-        gram = self.grid.quadrature_weight * (self.vectors.T @ self.vectors)
-        return float(np.max(np.abs(gram - np.eye(self.count))))
+        gram = self.vectors.T @ self.vectors
+        gram *= self.grid.quadrature_weight
+        diag = np.arange(self.count)
+        gram[diag, diag] -= 1.0
+        return float(np.max(np.abs(gram, out=gram)))
 
 
 def lowest_eigenpairs(
@@ -79,8 +89,9 @@ def lowest_eigenpairs(
         raise ValueError(f"tol must be positive, got {tol}")
 
     if G <= DENSE_CAP:
-        dense = op.matrix.toarray()
-        lam, vec = sla.eigh(dense)
+        dense = op.matrix.toarray(order="F")
+        lam, vec = sla.eigh(dense, overwrite_a=True)
+        del dense   # destroyed by eigh; free it before the copies below
         lam = lam[:m]
         vec = np.ascontiguousarray(vec[:, :m])
     else:
@@ -105,9 +116,8 @@ def lowest_eigenpairs(
         vectors=vec,
         residuals=resid,
     )
-    defect = basis.gram_defect()
-    if defect > ORTHO_TOL:
-        raise EigensolveError(f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}")
+    if basis.ortho_defect > ORTHO_TOL:
+        raise EigensolveError(f"orthonormality defect {basis.ortho_defect:.3e} exceeds {ORTHO_TOL}")
     return basis
 
 
@@ -169,11 +179,11 @@ def _reorthonormalize_clusters(lam, vec, w):
 
 
 def _fix_signs(vec):
-    for k in range(vec.shape[1]):
-        col = vec[:, k]
-        idx = np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if col[idx] < 0:
-            vec[:, k] = -col
+    """Flip each column whose first significant entry is negative, in place."""
+    mag = np.abs(vec)
+    first = np.argmax(mag > 1e-12 * np.max(mag, axis=0), axis=0)
+    flip = vec[first, np.arange(vec.shape[1])] < 0
+    np.negative(vec, out=vec, where=flip)
 
 
 def rotate_cluster(basis: SpectralBasis, indices, rotation=None, seed=0) -> SpectralBasis:

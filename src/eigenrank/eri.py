@@ -8,8 +8,11 @@ of -Delta (the direct analogue of 1/|x-y|, and exactly the H^-1 pairing), so
 The Green operator has two independent realizations - spectral synthesis
 through the Laplacian eigenbasis and a direct sparse factorization - and the
 two must agree; the spectral route drives the benchmark, the solver route is
-its cross-check.  Truncating the spectral synthesis at rank r gives the
-separable surrogate
+its cross-check.  The benchmark synthesizes all product densities at once:
+with P the (G, pairs) matrix of product node values and U = (-Delta)^{-1} P,
+every exact integral is an entry of the pair Gram matrix E = w P^T U, so
+(ij|kl) = E[row(ij), row(kl)].  Truncating the spectral synthesis at rank r
+gives the separable surrogate
 
     fitted(ij|kl) = sum_{t <= r} c[i,j,t] c[k,l,t] / mu_t,
 
@@ -29,7 +32,7 @@ import scipy.sparse.linalg as spla
 from .grid import PERIODIC, GridFunction, inner
 from .eigensolve import SpectralBasis, sup_norms
 from .operator import DiscreteOperator
-from .products import ProductCoefficients, pair_list, pair_row, product_function
+from .products import ProductCoefficients, pair_list, pair_row, product_function, product_matrix
 from .lowrank import NULL_MODE_REL_TOL, cutoff_hm1, hm1_weights, null_mode_mask, tail_table
 
 
@@ -66,31 +69,39 @@ class GreenSolver:
         return GridFunction(self.grid, u)
 
 
+def green_synthesis(basis: SpectralBasis, densities: np.ndarray) -> np.ndarray:
+    """Spectral synthesis of (-Delta)^{-1} on each column of a (G, c) block.
+
+    Each column rho maps to sum_k <rho, psi_k> psi_k / mu_k over the stored
+    modes of the Laplacian basis; on periodic grids the densities are
+    mean-subtracted first and the constant mode gets weight 0.
+    """
+    if not isinstance(basis, SpectralBasis) or basis.tag != "laplacian":
+        raise ValueError("resolver must be a laplacian SpectralBasis or a GreenSolver")
+    null = null_mode_mask(basis)
+    mu = basis.eigenvalues[~null]
+    if np.any(mu <= 0):
+        raise ValueError("nonpositive Laplacian eigenvalue outside the constant mode")
+    inv_mu = np.zeros(basis.count)
+    inv_mu[~null] = 1.0 / mu
+    if basis.grid.boundary == PERIODIC:
+        densities = densities - np.mean(densities, axis=0)
+    proj = basis.grid.quadrature_weight * (basis.vectors.T @ densities)
+    proj *= inv_mu[:, None]
+    return basis.vectors @ proj
+
+
 def green_apply(rho: GridFunction, resolver) -> GridFunction:
     """Solve -Delta u = rho (mean-subtracted first on periodic grids).
 
-    `resolver` is either a complete Laplacian SpectralBasis (spectral
-    synthesis sum_k <rho, psi_k> psi_k / mu_k over the nonzero modes) or a
-    GreenSolver (direct sparse solve).
+    `resolver` is either a complete Laplacian SpectralBasis (one column of
+    green_synthesis) or a GreenSolver (direct sparse solve).
     """
     if isinstance(resolver, GreenSolver):
         return resolver.apply(rho)
-    basis = resolver
-    if not isinstance(basis, SpectralBasis) or basis.tag != "laplacian":
-        raise ValueError("resolver must be a laplacian SpectralBasis or a GreenSolver")
-    if rho.grid != basis.grid:
+    if isinstance(resolver, SpectralBasis) and rho.grid != resolver.grid:
         raise ValueError("density lives on a different grid")
-    values = rho.values
-    if basis.grid.boundary == PERIODIC:
-        values = values - np.mean(values)
-    w = basis.grid.quadrature_weight
-    keep = ~null_mode_mask(basis)
-    mu = basis.eigenvalues[keep]
-    if np.any(mu <= 0):
-        raise ValueError("nonpositive Laplacian eigenvalue outside the constant mode")
-    V = basis.vectors[:, keep]
-    proj = w * (V.T @ values)
-    return GridFunction(basis.grid, V @ (proj / mu))
+    return GridFunction(rho.grid, green_synthesis(resolver, rho.values[:, None])[:, 0])
 
 
 def exact_eri(i: int, j: int, k: int, l: int, basis_L: SpectralBasis, green) -> float:
@@ -207,15 +218,10 @@ def eri_benchmark(
     n_pairs = sub.coeffs.shape[0]
 
     t0 = time.perf_counter()
-    green_fields = {}
-    for (k, l) in pair_list(n):
-        green_fields[(k, l)] = green_apply(product_function(k, l, basis_L), basis_lap)
-    exact = np.array(
-        [
-            inner(product_function(i, j, basis_L), green_fields[(k, l)])
-            for (i, j, k, l) in quads
-        ]
-    )
+    prods = product_matrix(basis_L, n)                      # (G, pairs)
+    pair_gram = basis_L.grid.quadrature_weight * (prods.T @ green_synthesis(basis_lap, prods))
+    rows = np.array([(pair_row(i, j, n), pair_row(k, l, n)) for (i, j, k, l) in quads])
+    exact = pair_gram[rows[:, 0], rows[:, 1]]
     exact_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -100,6 +100,7 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
             eigenvalues=basis_L.eigenvalues.copy(),
             vectors=basis_L.vectors.copy(),
             residuals=basis_L.residuals.copy(),
+            ortho_defect=basis_L.ortho_defect,
         )
     else:
         basis_lap = lowest_eigenpairs(op_lap, m_solve, config.solver_tol)
@@ -341,7 +342,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = max(float(np.max(pipe.basis_L.residuals)), float(np.max(pipe.basis_lap.residuals)))
     record("residuals", worst <= cfg.solver_tol, f"max scaled residual {worst:.3e}")
 
-    defect = max(pipe.basis_L.gram_defect(), pipe.basis_lap.gram_defect())
+    defect = max(pipe.basis_L.ortho_defect, pipe.basis_lap.ortho_defect)
     record("orthonormality", defect <= 1e-10, f"max gram defect {defect:.3e}")
 
     chain = quadratic_chain_report(pipe.coeffs_l2, pipe.basis_L, pipe.field_, pipe.n_max)

@@ -8,8 +8,12 @@ from eigenrank.operator import (
     assemble_schrodinger,
     sample_coefficients,
 )
+from eigenrank import eigensolve
+from eigenrank.config import parse_config
+from eigenrank.pipeline import build_pipeline
 from eigenrank.eigensolve import (
     EigensolveError,
+    _fix_signs,
     cluster_projector,
     comparability_check,
     degenerate_clusters,
@@ -209,3 +213,75 @@ def test_export_csv_roundtrip(tmp_path):
     data = np.loadtxt(path, delimiter=",")
     np.testing.assert_allclose(data[0], basis.eigenvalues, rtol=1e-15)
     np.testing.assert_allclose(data[1:], basis.vectors, rtol=1e-15)
+
+
+def _fix_signs_loop(vec):
+    # column-by-column reference for the vectorised _fix_signs
+    for k in range(vec.shape[1]):
+        col = vec[:, k]
+        idx = np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+        if col[idx] < 0:
+            vec[:, k] = -col
+
+
+def test_fix_signs_matches_column_loop():
+    rng = np.random.default_rng(17)
+    vec = rng.standard_normal((40, 12))
+    vec[:5, 0] = 1e-14 * rng.standard_normal(5)   # leading entries below the threshold
+    vec[5, 0] = -0.5                               # first significant entry negative
+    vec[:3, 1] = -1e-13
+    vec[3, 1] = 2.0
+    vec[:, 2] = 0.0                                # all-zero column stays as it is
+    vec[:20, 3] = 0.0
+    vec[20, 3] = -3.0
+    expected = vec.copy()
+    _fix_signs_loop(expected)
+    _fix_signs(vec)
+    assert np.array_equal(vec, expected)
+    assert vec[5, 0] > 0 and vec[3, 1] > 0 and vec[20, 3] > 0
+
+
+def _small_config(**coefficients):
+    return parse_config(
+        {
+            "grid": {"dimension": 1, "lengths": [np.pi], "points": [64], "boundary": "dirichlet"},
+            "coefficients": coefficients,
+            "solver": {"m": 16, "tol": 1e-9},
+            "sweep": {"n": [4], "eps": [0.01], "norms": ["l2", "hm1"]},
+            "eri": {"enabled": False},
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        {"kind": "constant", "a0": 1.0, "v0": 0.0},
+        {"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5},
+    ],
+)
+def test_stored_gram_defect_matches_fresh(coefficients):
+    pipe = build_pipeline(_small_config(**coefficients))
+    for basis in (pipe.basis_L, pipe.basis_lap):
+        assert isinstance(basis.ortho_defect, float)
+        assert basis.ortho_defect == basis.gram_defect()
+
+
+def test_rotated_basis_gets_its_own_defect(flat2d_small):
+    _, _, _, basis = flat2d_small
+    rotated = rotate_cluster(basis, [1, 2], seed=5)
+    assert rotated.ortho_defect == rotated.gram_defect()
+
+
+def test_orthonormality_defect_raises(monkeypatch):
+    # mixing two vectors of one degenerate cluster keeps every residual tiny
+    # but breaks orthonormality, so only the Gram certificate can catch it
+    def mix_cluster(vec):
+        _fix_signs(vec)
+        vec[:, 2] += 1e-6 * vec[:, 1]
+
+    monkeypatch.setattr(eigensolve, "_fix_signs", mix_cluster)
+    g = make_grid(2, (np.pi, np.pi), (8, 8), "dirichlet")
+    with pytest.raises(EigensolveError, match="orthonormality defect") as info:
+        lowest_eigenpairs(assemble_laplacian(g), 8, 1e-9)
+    assert info.value.best_residual is None

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from eigenrank.grid import GridFunction, make_grid
-from eigenrank.operator import assemble_laplacian
+from eigenrank.operator import (
+    CoefficientSpec,
+    assemble_laplacian,
+    assemble_schrodinger,
+    sample_coefficients,
+)
 from eigenrank.eigensolve import lowest_eigenpairs
 from eigenrank.products import expansion_coefficients, pair_list, pair_row
 from eigenrank.lowrank import tail_hm1
@@ -15,6 +20,7 @@ from eigenrank.eri import (
     exact_eri,
     fitted_eri,
     green_apply,
+    green_synthesis,
     sample_quadruples,
 )
 
@@ -186,3 +192,47 @@ class TestBenchmark:
         for mat in (M, F):
             ev = np.linalg.eigvalsh(mat)
             assert ev.min() >= -1e-8 * np.abs(ev).max()
+
+
+def _assert_exact_matches_solver(res, src, solver):
+    # the batched spectral pairing against one sparse solve per quadruple;
+    # the absolute floor covers integrals that vanish by symmetry
+    solved = np.array([exact_eri(*q, src, solver) for q in res.quadruples])
+    np.testing.assert_allclose(
+        res.exact, solved, rtol=1e-8, atol=1e-8 * float(np.max(np.abs(solved)))
+    )
+
+
+class TestBatchedExact:
+    def test_dirichlet_matches_sparse_solver(self, eri_setup):
+        grid, op, src, lap, co, solver = eri_setup
+        res = eri_benchmark(8, 1e-2, src, lap, co, calib_hm1=1.0)
+        _assert_exact_matches_solver(res, src, solver)
+
+    def test_periodic_matches_sparse_solver(self):
+        # products phi_i^2 have nonzero mean and the Laplacian a zero mode,
+        # so this exercises the mean subtraction and the null-mode weight
+        g = make_grid(2, (2 * np.pi, 2 * np.pi), (12, 12), "periodic")
+        spec = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
+        src = lowest_eigenpairs(assemble_schrodinger(sample_coefficients(spec, g), g), g.node_count, 1e-9)
+        op = assemble_laplacian(g)
+        lap = lowest_eigenpairs(op, g.node_count, 1e-9)
+        co = expansion_coefficients(src, lap, 6, g.node_count)
+        res = eri_benchmark(6, 1e-2, src, lap, co, calib_hm1=1.0)
+        _assert_exact_matches_solver(res, src, GreenSolver(op))
+        for (i, j, k, l), e, f in zip(res.quadruples, res.exact, res.fitted):
+            assert abs(e - f) <= res.quadruple_certificate(i, j, k, l) + 1e-12
+
+    def test_block_synthesis_matches_single_columns(self, eri_setup):
+        grid, op, src, lap, co, solver = eri_setup
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((grid.node_count, 3))
+        batched = green_synthesis(lap, block)
+        for c in range(3):
+            single = green_apply(GridFunction(grid, block[:, c]), lap).values
+            np.testing.assert_allclose(batched[:, c], single, rtol=1e-12, atol=1e-14)
+
+    def test_rejects_non_laplacian_basis(self, eri_setup):
+        grid, op, src, lap, co, solver = eri_setup
+        with pytest.raises(ValueError):
+            green_synthesis(src, np.ones((grid.node_count, 1)))
