@@ -329,24 +329,37 @@ def gradient_energy(f: GridFunction, field: CoefficientField | None = None) -> f
     return grid.quadrature_weight * total
 
 
-def flat_dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
-    """Sorted closed-form spectrum of the flat (-Delta) Dirichlet stencil.
+def _axis_modes(points: int, boundary: str):
+    """Angles theta_k and sine flags of the flat 1-D stencil's modes.
 
-    Per axis the 1-D tridiagonal (-1, 2, -1)/h^2 has eigenvalues
-    (4/h^2) sin^2(k pi h / (2 L)), k = 1..p; tensor sums give the rest.
+    Mode k is sin(j theta_k) or cos(j theta_k) at node j.  Dirichlet: the
+    sines theta_k = k pi/(p+1), k = 1..p.  Periodic: the constant mode, then
+    cos/sin pairs with theta = 2 pi k/p, then the Nyquist mode cos(j pi)
+    when p is even.  Both orders are ascending in eigenvalue.
     """
-    if grid.boundary != DIRICHLET:
-        raise ValueError("closed form implemented for Dirichlet grids only")
-    per_axis = []
-    for a in range(grid.dimension):
-        p = grid.points_per_axis[a]
-        h = grid.spacing[a]
-        k = np.arange(1, p + 1)
-        per_axis.append((4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * grid.lengths[a])) ** 2)
-    total = per_axis[0]
-    for nxt in per_axis[1:]:
-        total = (total[:, None] + nxt[None, :]).ravel()
-    return np.sort(total)
+    if boundary == DIRICHLET:
+        return np.arange(1, points + 1) * np.pi / (points + 1), np.ones(points, dtype=bool)
+    k = np.arange(points)
+    return 2.0 * np.pi * ((k + 1) // 2) / points, (k % 2 == 0) & (k > 0)
+
+
+def axis_eigenvalues(points: int, spacing: float, boundary: str) -> np.ndarray:
+    """Eigenvalues (4/h^2) sin^2(theta_k/2) of the flat 1-D stencil
+    (-1, 2, -1)/h^2 on one axis, in the mode order of axis_eigenvectors."""
+    theta, _ = _axis_modes(points, boundary)
+    return (4.0 / spacing**2) * np.sin(theta / 2.0) ** 2
+
+
+def axis_eigenvectors(points: int, spacing: float, boundary: str) -> np.ndarray:
+    """(p, p) eigenvectors of the flat 1-D stencil on one axis, one mode per
+    column in the order of axis_eigenvalues, normalized so that
+    spacing * sum(v^2) = 1 (the axis factor of the grid inner product)."""
+    theta, sine = _axis_modes(points, boundary)
+    nodes = np.arange(1, points + 1) if boundary == DIRICHLET else np.arange(points)
+    phase = np.outer(nodes, theta)
+    vec = np.where(sine, np.sin(phase), np.cos(phase))
+    vec /= np.sqrt(spacing * np.sum(vec * vec, axis=0))
+    return vec
 
 
 def weyl_regime_cap(grid: Grid) -> int:
@@ -367,12 +380,10 @@ def weyl_regime_cap(grid: Grid) -> int:
         return count
     lam = []
     bad = np.inf
-    per_axis = []
-    for a in range(grid.dimension):
-        p = grid.points_per_axis[a]
-        h = grid.spacing[a]
-        k = np.arange(1, p + 1)
-        per_axis.append((4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * grid.lengths[a])) ** 2)
+    per_axis = [
+        axis_eigenvalues(p, h, DIRICHLET)
+        for p, h in zip(grid.points_per_axis, grid.spacing)
+    ]
     caps = [p // 4 for p in grid.points_per_axis]
     for mode in np.ndindex(*[min(p, 2 * c + 2) for p, c in zip(grid.points_per_axis, caps)]):
         lam_mode = sum(per_axis[a][mode[a]] for a in range(grid.dimension))

@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .grid import Grid
 from .operator import (
+    LAPLACIAN,
     CoefficientField,
     DiscreteOperator,
     assemble_laplacian,
@@ -32,6 +33,7 @@ from .operator import (
 from .eigensolve import (
     SpectralBasis,
     comparability_check,
+    laplacian_eigenpairs,
     lowest_eigenpairs,
     sup_norms,
     supnorm_growth_fit,
@@ -93,17 +95,11 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
 
     basis_L = lowest_eigenpairs(op_L, m_solve, config.solver_tol)
     if (op_L.matrix - op_lap.matrix).nnz == 0:
-        # flat configurations: one solve serves both operators
-        basis_lap = SpectralBasis(
-            grid=grid,
-            tag="laplacian",
-            eigenvalues=basis_L.eigenvalues.copy(),
-            vectors=basis_L.vectors.copy(),
-            residuals=basis_L.residuals.copy(),
-            ortho_defect=basis_L.ortho_defect,
-        )
+        # flat configurations: one solve serves both operators, sharing its
+        # arrays and certificates
+        basis_lap = replace(basis_L, tag=LAPLACIAN)
     else:
-        basis_lap = lowest_eigenpairs(op_lap, m_solve, config.solver_tol)
+        basis_lap = laplacian_eigenpairs(op_lap, m_solve, config.solver_tol)
 
     n_max = max(config.sweep_n)
     if config.eri_enabled:

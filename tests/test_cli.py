@@ -148,3 +148,21 @@ class TestCommands:
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert all(summary["checks"].values())
+
+    def test_periodic_random_2d_verify_all(self, tmp_path):
+        # non-flat periodic: the Laplacian basis comes from the closed form
+        path = small_config(
+            tmp_path,
+            grid={
+                "dimension": 2,
+                "lengths": [6.283185307179586, 6.283185307179586],
+                "points": [16, 16],
+                "boundary": "periodic",
+            },
+            coefficients={"kind": "random_fourier", "seed": 11, "a_amplitude": 0.3, "v_amplitude": 0.5},
+        )
+        out = tmp_path / "per2d"
+        assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"] and all(summary["checks"].values())
+        assert summary["eri"]["enabled"]

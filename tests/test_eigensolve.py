@@ -14,10 +14,12 @@ from eigenrank.pipeline import build_pipeline
 from eigenrank.eigensolve import (
     EigensolveError,
     _fix_signs,
+    _scaled_residuals,
     cluster_projector,
     comparability_check,
     degenerate_clusters,
     export_basis_csv,
+    laplacian_eigenpairs,
     lowest_eigenpairs,
     rotate_cluster,
     sup_norms,
@@ -285,3 +287,101 @@ def test_orthonormality_defect_raises(monkeypatch):
     with pytest.raises(EigensolveError, match="orthonormality defect") as info:
         lowest_eigenpairs(assemble_laplacian(g), 8, 1e-9)
     assert info.value.best_residual is None
+
+
+@pytest.mark.parametrize(
+    "dimension, points, boundary",
+    [
+        (1, 24, "dirichlet"),
+        (2, (10, 12), "dirichlet"),
+        (2, (12, 12), "dirichlet"),
+        (3, (8, 8, 9), "dirichlet"),
+        (1, 15, "periodic"),
+        (1, 16, "periodic"),
+        (2, (9, 9), "periodic"),
+        (2, (10, 12), "periodic"),
+    ],
+)
+def test_laplacian_closed_form_matches_dense(dimension, points, boundary):
+    g = make_grid(dimension, np.pi, points, boundary)
+    op = assemble_laplacian(g)
+    closed = laplacian_eigenpairs(op, g.node_count, 1e-9)
+    dense = lowest_eigenpairs(op, g.node_count, 1e-9)
+    scale = float(np.max(dense.eigenvalues))
+    np.testing.assert_allclose(closed.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=1e-12 * scale)
+    assert np.max(closed.residuals) <= 1e-9
+    assert closed.ortho_defect <= 1e-10
+    assert closed.tag == "laplacian"
+    # vectors may differ inside degenerate clusters; their spans may not
+    clusters = degenerate_clusters(dense.eigenvalues)
+    assert clusters == degenerate_clusters(closed.eigenvalues)
+    w = g.quadrature_weight
+    for cluster in clusters:
+        a, b = closed.vectors[:, cluster], dense.vectors[:, cluster]
+        assert np.max(np.abs(w * (a @ a.T - b @ b.T))) <= 1e-10
+
+
+def test_laplacian_closed_form_partial_and_validated():
+    g = make_grid(2, (np.pi, np.pi), (8, 8), "dirichlet")
+    full = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
+    part = laplacian_eigenpairs(assemble_laplacian(g), 10, 1e-9)
+    assert np.array_equal(part.eigenvalues, full.eigenvalues[:10])
+    assert np.array_equal(part.vectors, full.vectors[:, :10])
+    f = sample_coefficients(CoefficientSpec.constant(1.0, 0.5), g)
+    with pytest.raises(ValueError):
+        laplacian_eigenpairs(assemble_schrodinger(f, g), 10, 1e-9)
+    with pytest.raises(ValueError):
+        laplacian_eigenpairs(assemble_laplacian(g), 65, 1e-9)
+
+
+def _tamper(monkeypatch, edit):
+    original = eigensolve.axis_eigenvectors
+
+    def tampered(points, spacing, boundary):
+        vec = original(points, spacing, boundary)
+        edit(vec)
+        return vec
+
+    monkeypatch.setattr(eigensolve, "axis_eigenvectors", tampered)
+
+
+def test_laplacian_closed_form_residual_catches_tampering(monkeypatch):
+    def mix_modes(vec):
+        vec[:, 0] += 1e-6 * vec[:, 3]
+
+    _tamper(monkeypatch, mix_modes)
+    g = make_grid(1, np.pi, 32, "dirichlet")
+    with pytest.raises(EigensolveError, match="residual") as info:
+        laplacian_eigenpairs(assemble_laplacian(g), 32, 1e-9)
+    assert info.value.best_residual > 1e-9
+
+
+def test_laplacian_closed_form_gram_catches_tampering(monkeypatch):
+    # a rescaled eigenvector still has a tiny scaled residual, so only the
+    # Gram certificate can catch it
+    def rescale(vec):
+        vec[:, 2] *= 1.0 + 1e-6
+
+    _tamper(monkeypatch, rescale)
+    g = make_grid(2, (np.pi, np.pi), (8, 8), "periodic")
+    with pytest.raises(EigensolveError, match="orthonormality defect"):
+        laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
+
+
+def test_scaled_residuals_blocks_match_one_pass():
+    g = make_grid(1, np.pi, 600, "dirichlet")
+    op = assemble_laplacian(g)
+    basis = laplacian_eigenpairs(op, 600, 1e-9)
+    lam, vec = basis.eigenvalues, basis.vectors
+    R = op.matrix @ vec - vec * lam[None, :]
+    one_pass = np.sqrt(np.sum(R * R, axis=0)) / (
+        np.sqrt(np.sum(vec * vec, axis=0)) * (1.0 + np.abs(lam))
+    )
+    assert np.array_equal(_scaled_residuals(op, lam, vec), one_pass)
+
+
+def test_flat_pipeline_shares_the_laplacian_basis():
+    pipe = build_pipeline(_small_config(kind="constant", a0=1.0, v0=0.0))
+    assert pipe.basis_lap.tag == "laplacian"
+    assert np.shares_memory(pipe.basis_L.vectors, pipe.basis_lap.vectors)
+    assert pipe.basis_lap.ortho_defect == pipe.basis_L.ortho_defect
