@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PERIODIC
-from .eigensolve import SpectralBasis
+from .eigensolve import SpectralBasis, sup_norms
 from .products import ProductCoefficients, pair_list, pair_row, product_matrix
 
 L2 = "l2"
@@ -165,71 +165,62 @@ def calibrate_cutoff(
 def oracle_rank(
     basis_src: SpectralBasis,
     n: int,
-    eps: float,
+    eps_list,
     norm: str = L2,
     basis_lap: SpectralBasis | None = None,
     coeffs: ProductCoefficients | None = None,
     entry_cap: int = ORACLE_ENTRY_CAP,
-) -> int:
-    """Smallest subspace dimension leaving every product residual <= eps.
+) -> list[int]:
+    """Smallest subspace dimension leaving every product residual <= eps,
+    for each eps in `eps_list`, all read off one SVD.
 
     The candidate subspaces are spans of left singular vectors of the
     product family; the per-column acceptance criterion mirrors the
-    "for all i, j <= n" quantifier of the rank bounds.  Columns enumerate
-    ordered pairs (duplicating i != j), which makes the singular values
-    invariant under rotations inside degenerate clusters.
+    "for all i, j <= n" quantifier of the rank bounds.  Columns are the
+    n(n+1)/2 distinct pairs with the off-diagonal ones scaled by sqrt(2), so
+    A A^T is the Gram matrix of the ordered family (each i != j twice): the
+    singular values and left singular vectors are the ordered family's,
+    invariant under rotations inside degenerate clusters.  A column's
+    squared residual is divided by its multiplicity (2 off the diagonal) to
+    give the product's own.
 
     L2: columns are sqrt(weight)-scaled node values of phi_i phi_j.
-    H^-1: columns are Laplacian-basis coefficient vectors scaled 1/sqrt(mu).
+    H^-1: columns are the rows of `coeffs` (laplacian target, pairs of n)
+    scaled 1/sqrt(mu).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError(f"every eps must be positive, got {list(eps_list)}")
     if norm == L2:
-        G = basis_src.grid.node_count
-        if G * n * n > entry_cap:
-            raise MemoryError(
-                f"oracle matrix would hold {G * n * n} entries (cap {entry_cap})"
-            )
-        A = math.sqrt(basis_src.grid.quadrature_weight) * product_matrix(
-            basis_src, n, ordered=True
-        )
+        rows = basis_src.grid.node_count
     elif norm == HM1:
-        if basis_lap is None:
-            raise ValueError("H^-1 oracle needs the Laplacian basis")
-        if coeffs is None:
-            from .products import expansion_coefficients
-
-            coeffs = expansion_coefficients(basis_src, basis_lap, n, basis_lap.count)
-        if coeffs.m * n * n > entry_cap:
-            raise MemoryError(
-                f"oracle matrix would hold {coeffs.m * n * n} entries (cap {entry_cap})"
-            )
-        sub = coeffs if coeffs.n == n else coeffs.restrict(n)
-        scale = np.sqrt(hm1_weights(sub, basis_lap))
-        rows = [pair_row(i, j, n) for i in range(n) for j in range(n)]
-        A = (sub.coeffs[rows] * scale[None, :]).T
+        if basis_lap is None or coeffs is None:
+            raise ValueError("H^-1 oracle needs the Laplacian basis and its coefficients")
+        if coeffs.n != n:
+            raise ValueError(f"coefficients hold the pairs of n={coeffs.n}, expected n={n}")
+        rows = coeffs.m
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    return _rank_from_svd(A, eps)
+    pairs = pair_list(n)
+    if rows * len(pairs) > entry_cap:
+        raise MemoryError(
+            f"oracle matrix would hold {rows * len(pairs)} entries (cap {entry_cap})"
+        )
+    mult = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+    if norm == L2:
+        A = product_matrix(basis_src, n)
+        A *= math.sqrt(basis_src.grid.quadrature_weight) * np.sqrt(mult)
+    else:
+        A = coeffs.coeffs.T * np.sqrt(hm1_weights(coeffs, basis_lap))[:, None]
+        A *= np.sqrt(mult)
 
-
-def _rank_from_svd(A: np.ndarray, eps: float) -> int:
-    """Residual of column j after keeping k singular directions is
-    sqrt(sum_{i>=k} (s_i Vh[i,j])^2); returns the smallest adequate k."""
+    # the squared residual of column j after keeping k singular directions is
+    # sum_{i>=k} (s_i Vh[i,j])^2; the appended zero row (k = all) meets every eps
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    T = (s[:, None] * Vh) ** 2
-    resid_sq = np.vstack([np.cumsum(T[::-1], axis=0)[::-1], np.zeros(T.shape[1])])
+    T = (s[:, None] * Vh) ** 2 / mult
+    resid_sq = np.zeros((len(s) + 1, len(pairs)))
+    resid_sq[:-1] = np.cumsum(T[::-1], axis=0)[::-1]
     worst = np.sqrt(np.max(resid_sq, axis=1))
-    hits = np.nonzero(worst <= eps)[0]
-    return int(hits[0]) if hits.size else int(len(s))
-
-
-def numerical_rank(A: np.ndarray, rel_tol: float = 1e-10) -> int:
-    """Rank by singular value threshold rel_tol * s_max."""
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return [int(np.argmax(worst <= eps)) for eps in eps_list]
 
 
 def geometric_r_samples(m: int, extra=()) -> list[int]:
@@ -307,8 +298,6 @@ def scaling_report(
     curve_r_max: int | None = None,
 ) -> ScalingReport:
     """Sweep (n, eps, norm) cells; emit rank reports, tail curves and slopes."""
-    from .eigensolve import sup_norms
-
     reports: list[RankReport] = []
     curves: list[TailCurve] = []
     slopes: dict[str, float] = {}
@@ -329,8 +318,11 @@ def scaling_report(
             _, S = sup_norms(basis_src, n)
             rows = basis_src.grid.node_count if norm == L2 else coeffs.m
             cell_flops = 4.0 * rows * (n * n) ** 2 + sub.coeffs.size
+            r_oracles = oracle_rank(
+                basis_src, n, eps_list, norm, basis_lap=basis_lap, coeffs=sub
+            )
             cutoffs = []
-            for eps in eps_list:
+            for eps, r_orc in zip(eps_list, r_oracles):
                 if norm == L2:
                     r_pred = cutoff_l2(eps, n, S, d, calib)
                     base = (S / eps) ** d * n
@@ -338,9 +330,6 @@ def scaling_report(
                     r_pred = cutoff_hm1(eps, n, S, d, calib)
                     base = (S / eps) ** (d / 2.0) * math.sqrt(n)
                 r_emp = empirical_rank(max_tails, eps)
-                r_orc = oracle_rank(
-                    basis_src, n, eps, norm, basis_lap=basis_lap, coeffs=coeffs
-                )
                 ms = cell_flops / 1e6
                 reports.append(
                     RankReport(

@@ -71,21 +71,13 @@ def product_function(i: int, j: int, basis: SpectralBasis) -> GridFunction:
     return GridFunction(basis.grid, basis.vectors[:, i] * basis.vectors[:, j])
 
 
-def product_matrix(basis: SpectralBasis, n: int, ordered: bool = False) -> np.ndarray:
-    """Stack of product node values, one product per column.
-
-    ordered=False gives the n(n+1)/2 distinct pairs i <= j; ordered=True
-    duplicates off-diagonal pairs so the column family transforms
-    orthogonally under rotations inside degenerate clusters.
-    """
+def product_matrix(basis: SpectralBasis, n: int) -> np.ndarray:
+    """Node values of the n(n+1)/2 distinct products, one pair (i <= j) per
+    column in pair_list(n) order."""
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
     V = basis.vectors[:, :n]
-    if ordered:
-        cols = [V[:, i] * V[:, j] for i in range(n) for j in range(n)]
-    else:
-        cols = [V[:, i] * V[:, j] for i, j in pair_list(n)]
-    return np.column_stack(cols)
+    return np.column_stack([V[:, i] * V[:, j] for i, j in pair_list(n)])
 
 
 def expansion_coefficients(

@@ -103,7 +103,7 @@ def test_criterion_04_oracle_linear_growth_d1(flat1d_pipeline):
     ranks = {}
     ok = True
     for n in (8, 16, 32):
-        r = oracle_rank(src, n, 1e-6, "l2")
+        (r,) = oracle_rank(src, n, [1e-6], "l2")
         ranks[n] = r
         ok = ok and r <= 2 * n - 1
     slope = float(np.polyfit(list(ranks), list(ranks.values()), 1)[0])
@@ -228,8 +228,8 @@ def test_criterion_09_degeneracy_invariance(flat2d_pipeline):
         a0 = ordered_aggregate(co, r)
         a1 = ordered_aggregate(co_rot, r)
         worst = max(worst, abs(a0 - a1) / max(a0, 1e-30))
-    r_orc0 = oracle_rank(src, n, 1e-3, "l2")
-    r_orc1 = oracle_rank(rot, n, 1e-3, "l2")
+    (r_orc0,) = oracle_rank(src, n, [1e-3], "l2")
+    (r_orc1,) = oracle_rank(rot, n, [1e-3], "l2")
     ok = worst <= 1e-8 and r_orc0 == r_orc1
     announce(
         9,

@@ -6,8 +6,17 @@ import pytest
 from eigenrank.grid import inner, make_grid
 from eigenrank.operator import assemble_laplacian
 from eigenrank.eigensolve import SpectralBasis, lowest_eigenpairs, rotate_cluster
-from eigenrank.products import expansion_coefficients, pair_row, product_function, product_matrix
+from eigenrank.products import (
+    expansion_coefficients,
+    pair_list,
+    pair_row,
+    product_function,
+    product_matrix,
+)
 from eigenrank.eri import GreenSolver
+from eigenrank import lowrank
+from eigenrank.config import parse_config
+from eigenrank.pipeline import build_pipeline
 from eigenrank.lowrank import (
     calibrate_cutoff,
     cutoff_hm1,
@@ -16,7 +25,6 @@ from eigenrank.lowrank import (
     geometric_r_samples,
     hm1_weights,
     max_tail_curve,
-    numerical_rank,
     oracle_rank,
     scaling_report,
     tail_hm1,
@@ -115,48 +123,185 @@ class TestCutoffs:
             assert curve[r] <= eps
 
 
+def _ordered_family(basis, n):
+    """Node values of phi_i phi_j for all n^2 ordered pairs (i, j)."""
+    V = basis.vectors[:, :n]
+    return (V[:, :, None] * V[:, None, :]).reshape(V.shape[0], n * n)
+
+
+def _ordered_hm1_family(coeffs, basis_lap):
+    rows = [pair_row(i, j, coeffs.n) for i in range(coeffs.n) for j in range(coeffs.n)]
+    return (coeffs.coeffs[rows] * np.sqrt(hm1_weights(coeffs, basis_lap))[None, :]).T
+
+
+def _reference_worst(A):
+    """Worst-column residual of A after keeping k singular directions, k = 0..len(s)."""
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    T = (s[:, None] * Vh) ** 2
+    resid_sq = np.vstack([np.cumsum(T[::-1], axis=0)[::-1], np.zeros(T.shape[1])])
+    return np.sqrt(np.max(resid_sq, axis=1))
+
+
+def _reference_rank(A, eps):
+    """Per-eps oracle on the ordered family: one SVD per call."""
+    worst = _reference_worst(A)
+    hits = np.nonzero(worst <= eps)[0]
+    return int(hits[0]) if hits.size else int(len(worst) - 1)
+
+
+def _eps_inside_steps(A, rel_gap=1e-6):
+    """One eps inside each clear drop of the reference curve, so the rank
+    is checked at every k the curve resolves above roundoff."""
+    worst = _reference_worst(A)
+    hi, lo = worst[:-1], worst[1:]
+    keep = (lo > 1e-10 * worst[0]) & (hi > lo * (1 + rel_gap))
+    return sorted(np.sqrt(hi[keep] * lo[keep]), reverse=True)
+
+
+def _weighted_family(A_distinct, n):
+    scale = np.array([1.0 if i == j else np.sqrt(2.0) for i, j in pair_list(n)])
+    return A_distinct * scale[None, :]
+
+
+ORACLE_EPS = [1e-2, 1e-3, 1e-6]
+
+
+@pytest.fixture(scope="module")
+def random_pipeline():
+    return build_pipeline(
+        parse_config(
+            {
+                "grid": {"dimension": 2, "lengths": [np.pi, np.pi], "points": [12, 12],
+                         "boundary": "dirichlet"},
+                "coefficients": {"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3,
+                                 "v_amplitude": 0.5},
+                "solver": {"m": 8, "tol": 1e-9},
+                "sweep": {"n": [4, 8], "eps": ORACLE_EPS, "norms": ["l2", "hm1"]},
+                "eri": {"enabled": False},
+            }
+        )
+    )
+
+
 class TestOracle:
     def test_single_column(self, flat1d_coeffs):
         grid, _, src, *_ = flat1d_coeffs
         norm0 = np.sqrt(grid.quadrature_weight) * np.linalg.norm(
             src.vectors[:, 0] ** 2
         )
-        assert oracle_rank(src, 1, 1e-6) == 1
-        assert oracle_rank(src, 1, norm0 * 1.01) == 0
+        assert oracle_rank(src, 1, [1e-6, norm0 * 1.01]) == [1, 0]
 
     def test_trig_identity_bound(self, flat1d_coeffs):
         grid, _, src, *_ = flat1d_coeffs
         for n in (4, 8, 16):
-            assert oracle_rank(src, n, 1e-6) <= 2 * n - 1
+            (r,) = oracle_rank(src, n, [1e-6])
+            assert r <= 2 * n - 1
+            # the product family spans exactly 2n-1 dimensions
             A = np.sqrt(grid.quadrature_weight) * product_matrix(src, n)
-            assert numerical_rank(A) == 2 * n - 1
+            s = np.linalg.svd(A, compute_uv=False)
+            assert int(np.sum(s > 1e-10 * s[0])) == 2 * n - 1
 
     def test_dominated_by_empirical(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         curve = max_tail_curve(co)
         curve_h = max_tail_curve(co_h, hm1_weights(co_h, lap))
-        for eps in (1e-2, 1e-4):
-            assert oracle_rank(src, 16, eps) <= empirical_rank(curve, eps)
-            assert oracle_rank(
-                src, 16, eps, "hm1", basis_lap=lap, coeffs=co_h
-            ) <= empirical_rank(curve_h, eps)
+        eps_list = [1e-2, 1e-4]
+        for eps, r in zip(eps_list, oracle_rank(src, 16, eps_list)):
+            assert r <= empirical_rank(curve, eps)
+        for eps, r in zip(
+            eps_list, oracle_rank(src, 16, eps_list, "hm1", basis_lap=lap, coeffs=co_h)
+        ):
+            assert r <= empirical_rank(curve_h, eps)
 
     def test_memory_guard(self, flat1d_coeffs):
-        grid, _, src, *_ = flat1d_coeffs
+        grid, _, src, lap, co, co_h = flat1d_coeffs
         with pytest.raises(MemoryError):
-            oracle_rank(src, 16, 1e-6, entry_cap=1000)
+            oracle_rank(src, 16, [1e-6], entry_cap=1000)
+        # the cap counts the matrix actually formed: rows x n(n+1)/2
+        n = 16
+        formed = grid.node_count * n * (n + 1) // 2
+        for norm, kwargs in (("l2", {}), ("hm1", {"basis_lap": lap, "coeffs": co_h})):
+            with pytest.raises(MemoryError):
+                oracle_rank(src, n, [1e-6], norm, entry_cap=formed - 1, **kwargs)
+            oracle_rank(src, n, [1e-6], norm, entry_cap=formed, **kwargs)
+
+    def test_rejects_bad_inputs(self, flat1d_coeffs):
+        grid, _, src, lap, co, co_h = flat1d_coeffs
+        with pytest.raises(ValueError):
+            oracle_rank(src, 16, [1e-3], "hm1", basis_lap=lap)
+        with pytest.raises(ValueError):
+            oracle_rank(src, 16, [1e-3], "hm1", coeffs=co_h)
+        with pytest.raises(ValueError):
+            oracle_rank(src, 8, [1e-3], "hm1", basis_lap=lap, coeffs=co_h)
+        with pytest.raises(ValueError):
+            oracle_rank(src, 8, [1e-3, 0.0])
 
     def test_rotation_invariance(self, flat2d_small):
         grid, _, src, lap = flat2d_small
         n = 4
         co = expansion_coefficients(src, lap, n, grid.node_count)
-        r0_l2 = oracle_rank(src, n, 1e-3)
-        r0_h = oracle_rank(src, n, 1e-3, "hm1", basis_lap=lap, coeffs=co)
+        r0_l2 = oracle_rank(src, n, [1e-3])
+        r0_h = oracle_rank(src, n, [1e-3], "hm1", basis_lap=lap, coeffs=co)
         rot = rotate_cluster(src, [1, 2], seed=5)
         lap_rot = rotate_cluster(lap, [1, 2], seed=5)
         co_rot = expansion_coefficients(rot, lap_rot, n, grid.node_count)
-        assert oracle_rank(rot, n, 1e-3) == r0_l2
-        assert oracle_rank(rot, n, 1e-3, "hm1", basis_lap=lap_rot, coeffs=co_rot) == r0_h
+        assert oracle_rank(rot, n, [1e-3]) == r0_l2
+        assert oracle_rank(rot, n, [1e-3], "hm1", basis_lap=lap_rot, coeffs=co_rot) == r0_h
+
+    def test_matches_per_eps_ordered_reference_flat1d(self, flat1d_coeffs):
+        grid, _, src, lap, co, co_h = flat1d_coeffs
+        sqrt_w = np.sqrt(grid.quadrature_weight)
+        for n in (4, 8, 16):
+            sub = co_h.restrict(n)
+            A_l2 = sqrt_w * _ordered_family(src, n)
+            A_h = _ordered_hm1_family(sub, lap)
+            assert oracle_rank(src, n, ORACLE_EPS) == [
+                _reference_rank(A_l2, eps) for eps in ORACLE_EPS
+            ]
+            assert oracle_rank(src, n, ORACLE_EPS, "hm1", basis_lap=lap, coeffs=sub) == [
+                _reference_rank(A_h, eps) for eps in ORACLE_EPS
+            ]
+
+    def test_matches_per_eps_ordered_reference_random(self, random_pipeline):
+        pipe = random_pipeline
+        src, lap = pipe.basis_L, pipe.basis_lap
+        sqrt_w = np.sqrt(pipe.grid.quadrature_weight)
+        for n in pipe.config.sweep_n:
+            sub = pipe.coeffs_hm1.restrict(n)
+            A_l2 = sqrt_w * _ordered_family(src, n)
+            A_h = _ordered_hm1_family(sub, lap)
+            eps_l2 = ORACLE_EPS + _eps_inside_steps(A_l2)
+            eps_h = ORACLE_EPS + _eps_inside_steps(A_h)
+            assert len(eps_l2) > len(ORACLE_EPS) + n and len(eps_h) > len(ORACLE_EPS) + n
+            assert oracle_rank(src, n, eps_l2) == [_reference_rank(A_l2, eps) for eps in eps_l2]
+            assert oracle_rank(src, n, eps_h, "hm1", basis_lap=lap, coeffs=sub) == [
+                _reference_rank(A_h, eps) for eps in eps_h
+            ]
+
+    def test_weighted_family_keeps_ordered_singular_values(self, flat1d_coeffs, random_pipeline):
+        grid, _, src, lap, co, co_h = flat1d_coeffs
+        pipe = random_pipeline
+        sqrt_w = np.sqrt(grid.quadrature_weight)
+        cases = [
+            (sqrt_w * _ordered_family(src, 16), sqrt_w * product_matrix(src, 16), 16),
+            (
+                _ordered_hm1_family(co_h, lap),
+                (co_h.coeffs * np.sqrt(hm1_weights(co_h, lap))[None, :]).T,
+                16,
+            ),
+            (
+                np.sqrt(pipe.grid.quadrature_weight) * _ordered_family(pipe.basis_L, 8),
+                np.sqrt(pipe.grid.quadrature_weight) * product_matrix(pipe.basis_L, 8),
+                8,
+            ),
+        ]
+        for ordered, distinct, n in cases:
+            s_o = np.linalg.svd(ordered, compute_uv=False)
+            s_w = np.linalg.svd(_weighted_family(distinct, n), compute_uv=False)
+            # the ordered family has rank <= n(n+1)/2: its extra values are roundoff
+            floor = 1e-13 * s_o[0]
+            np.testing.assert_allclose(s_w, s_o[: s_w.size], rtol=1e-12, atol=floor)
+            assert np.all(s_o[s_w.size :] <= floor)
 
 
 class TestRankMonotonicity:
@@ -226,6 +371,24 @@ def test_scaling_report_flat1d(flat1d_coeffs):
     rocs = np.array([rep.r_oracle for rep in l2_16])
     slope = np.polyfit(ns, rocs, 1)[0]
     assert slope <= 2.1
+
+
+def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatch):
+    grid, _, src, lap, co, co_h = flat1d_coeffs
+    calls = []
+    real = lowrank.oracle_rank
+
+    def counting(basis_src, n, eps_list, norm="l2", **kwargs):
+        calls.append((n, norm))
+        return real(basis_src, n, eps_list, norm, **kwargs)
+
+    monkeypatch.setattr(lowrank, "oracle_rank", counting)
+    n_list, norms = [4, 8, 16], ["l2", "hm1"]
+    report = scaling_report(
+        src, lap, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms, d=1
+    )
+    assert sorted(calls) == sorted((n, norm) for n in n_list for norm in norms)
+    assert len(report.rank_reports) == len(n_list) * len(norms) * len(ORACLE_EPS)
 
 
 def test_periodic_hm1_excludes_constant_mode():
