@@ -1,14 +1,16 @@
 """Lowest eigenpairs of the stencil operators, with certificates.
 
-Dense symmetric eigendecomposition below DENSE_CAP unknowns (deterministic,
-used by every acceptance-scale run); shift-inverted Lanczos above it, with
-full reorthogonalization and residual verification against the same
-tolerance.  Eigenvectors are normalized in the grid inner product, signs are
-fixed (first significant component positive) and near-degenerate clusters
-are re-orthonormalized so downstream tensors are reproducible.  The flat
-Laplacian separates over the axes, so laplacian_eigenpairs builds its
-eigenpairs in closed form (tensor products of sines or real Fourier modes)
-and certifies them the same way.
+The flat Laplacian separates over the axes, so laplacian_eigenpairs builds
+its eigenpairs in closed form (tensor products of sines or real Fourier
+modes); the pipeline uses it for -Delta on every config and for L on flat
+ones, where L is the same stencil.  Any other operator goes through
+lowest_eigenpairs: a dense symmetric eigendecomposition below DENSE_CAP
+unknowns (deterministic for a fixed BLAS thread count), shift-inverted
+Lanczos above it, with full reorthogonalization and residual verification
+against the same tolerance.  Eigenvectors are normalized in the grid inner
+product, signs are fixed (first significant component positive) and
+near-degenerate clusters are re-orthonormalized so downstream tensors are
+reproducible.  Both routes certify residuals and orthonormality the same way.
 """
 
 from __future__ import annotations

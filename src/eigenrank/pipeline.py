@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from . import __version__
 from .config import ExperimentConfig
 from .grid import Grid
 from .operator import (
-    LAPLACIAN,
     CoefficientField,
     DiscreteOperator,
     assemble_laplacian,
@@ -72,40 +72,44 @@ class Pipeline:
     coeffs_l2: ProductCoefficients
     coeffs_hm1: ProductCoefficients
     n_max: int
-    complete: bool
     build_seconds: float
-    timings: dict = field(default_factory=dict)
+    timings: dict   # wall seconds of the build stages, by stage name
 
 
 def build_pipeline(config: ExperimentConfig) -> Pipeline:
     t0 = time.perf_counter()
     grid = config.make_grid()
     G = grid.node_count
-    fld = sample_coefficients(config.coefficients, grid)
-    op_L = assemble_schrodinger(fld, grid)
-    op_lap = assemble_laplacian(grid)
-
-    complete = G <= config.dense_cap
-    m_solve = G if complete else max(config.solver_m, max(config.sweep_n))
-    if not complete:
+    if G > config.dense_cap:
         raise ValueError(
             f"grid has {G} nodes > dense_cap {config.dense_cap}; tail and rank "
             "commands need the complete spectrum, shrink the grid or raise the cap"
         )
+    fld = sample_coefficients(config.coefficients, grid)
+    op_L = assemble_schrodinger(fld, grid)
+    op_lap = assemble_laplacian(grid)
+    timings = {}
 
-    basis_L = lowest_eigenpairs(op_L, m_solve, config.solver_tol)
+    t = time.perf_counter()
+    basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol)
+    timings["basis_lap"] = time.perf_counter() - t
+
+    t = time.perf_counter()
     if (op_L.matrix - op_lap.matrix).nnz == 0:
-        # flat configurations: one solve serves both operators, sharing its
-        # arrays and certificates
-        basis_lap = replace(basis_L, tag=LAPLACIAN)
+        # flat configurations: L is the Laplacian stencil, so the closed form
+        # serves both operators, sharing its arrays and certificates
+        basis_L = replace(basis_lap, tag=op_L.kind)
     else:
-        basis_lap = laplacian_eigenpairs(op_lap, m_solve, config.solver_tol)
+        basis_L = lowest_eigenpairs(op_L, G, config.solver_tol)
+    timings["basis_L"] = time.perf_counter() - t
 
     n_max = max(config.sweep_n)
     if config.eri_enabled:
         n_max = max(n_max, config.eri_n)
-    coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, m_solve)
-    coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, m_solve)
+    t = time.perf_counter()
+    coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, G)
+    coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
+    timings["coefficients"] = time.perf_counter() - t
 
     return Pipeline(
         config=config,
@@ -118,8 +122,8 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
         coeffs_l2=coeffs_l2,
         coeffs_hm1=coeffs_hm1,
         n_max=n_max,
-        complete=complete,
         build_seconds=time.perf_counter() - t0,
+        timings=timings,
     )
 
 
@@ -393,11 +397,10 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = float(np.max(excess))
     record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
-    if pipe.complete:
-        sums = np.sum(pipe.coeffs_l2.coeffs**2, axis=1)
-        norms_sq = pipe.coeffs_l2.product_l2_norms**2
-        rel = float(np.max(np.abs(sums - norms_sq) / np.maximum(norms_sq, 1e-300)))
-        record("parseval", rel <= 1e-8, f"worst relative Parseval defect {rel:.3e}")
+    sums = np.sum(pipe.coeffs_l2.coeffs**2, axis=1)
+    norms_sq = pipe.coeffs_l2.product_l2_norms**2
+    rel = float(np.max(np.abs(sums - norms_sq) / np.maximum(norms_sq, 1e-300)))
+    record("parseval", rel <= 1e-8, f"worst relative Parseval defect {rel:.3e}")
 
     k_cmp = min(cfg.solver_m, pipe.basis_L.count, pipe.basis_lap.count)
     comp = comparability_check(pipe.basis_L, pipe.basis_lap, pipe.field_, k_cmp)
@@ -477,6 +480,9 @@ def run(config: ExperimentConfig, command: str, out_dir: str | None = None) -> i
 
     summary["seconds"] = time.perf_counter() - t0
     summary["build_seconds"] = pipe.build_seconds
+    summary["timings"] = pipe.timings
+    # ru_maxrss is in KiB on Linux
+    summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_atomic(
         os.path.join(out, "summary.json"),
         json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n",

@@ -1,8 +1,14 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenrank
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config, load_preset
 
@@ -166,3 +172,47 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["checks"] and all(summary["checks"].values())
         assert summary["eri"]["enabled"]
+
+
+def test_flat_2d_ranks_do_not_depend_on_threads(tmp_path):
+    # n = 5 and n = 12 split the (1,3)/(3,1) and (2,4)/(4,2) clusters, where a
+    # dense solver's choice of basis could follow the BLAS thread count
+    path = small_config(
+        tmp_path,
+        grid={
+            "dimension": 2,
+            "lengths": [3.141592653589793, 3.141592653589793],
+            "points": [24, 24],
+            "boundary": "dirichlet",
+        },
+        solver={"m": 16, "tol": 1e-9},
+        sweep={"n": [5, 12], "eps": [0.01, 0.001], "norms": ["l2", "hm1"]},
+        eri={"enabled": False},
+    )
+    # the thread cap must be set before numpy loads, so each run is a child
+    src = str(Path(eigenrank.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    columns = ("r_paper", "r_empirical", "r_oracle", "max_sup")
+    tables = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "eigenrank.cli", "rank-scan", "--config", str(path),
+             "--out", str(out), "--threads", str(threads)],
+            env=env, check=True,
+        )
+        with open(out / "ranks.csv", newline="") as fh:
+            tables.append([tuple(row[c] for c in columns) for row in csv.DictReader(fh)])
+    assert len(tables[0]) == 8
+    assert tables[0] == tables[1]
+
+
+def test_summary_reports_stage_timings_and_peak_rss(tmp_path):
+    path = small_config(tmp_path)
+    out = tmp_path / "timed"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary["timings"]) == {"basis_lap", "basis_L", "coefficients"}
+    assert all(t >= 0.0 for t in summary["timings"].values())
+    assert summary["peak_rss_mb"] > 0.0

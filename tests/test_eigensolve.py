@@ -8,7 +8,7 @@ from eigenrank.operator import (
     assemble_schrodinger,
     sample_coefficients,
 )
-from eigenrank import eigensolve
+from eigenrank import eigensolve, pipeline
 from eigenrank.config import parse_config
 from eigenrank.pipeline import build_pipeline
 from eigenrank.eigensolve import (
@@ -385,3 +385,55 @@ def test_flat_pipeline_shares_the_laplacian_basis():
     assert pipe.basis_lap.tag == "laplacian"
     assert np.shares_memory(pipe.basis_L.vectors, pipe.basis_lap.vectors)
     assert pipe.basis_lap.ortho_defect == pipe.basis_L.ortho_defect
+
+
+def _2d_config(boundary, points, m, **coefficients):
+    length = np.pi if boundary == "dirichlet" else 2.0 * np.pi
+    return parse_config(
+        {
+            "grid": {
+                "dimension": 2,
+                "lengths": [length, length],
+                "points": [points, points],
+                "boundary": boundary,
+            },
+            "coefficients": coefficients or {"kind": "constant", "a0": 1.0, "v0": 0.0},
+            "solver": {"m": m, "tol": 1e-9},
+            "sweep": {"n": [m], "eps": [0.01], "norms": ["l2", "hm1"]},
+            "eri": {"enabled": False},
+        }
+    )
+
+
+@pytest.mark.parametrize("boundary, points, m", [("dirichlet", 12, 4), ("periodic", 12, 8)])
+def test_flat_2d_pipeline_takes_both_bases_from_the_closed_form(monkeypatch, boundary, points, m):
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("flat configurations must not call lowest_eigenpairs")
+
+    monkeypatch.setattr(pipeline, "lowest_eigenpairs", no_dense_solve)
+    pipe = build_pipeline(_2d_config(boundary, points, m))
+    closed = laplacian_eigenpairs(pipe.op_lap, pipe.grid.node_count, 1e-9)
+    assert np.array_equal(pipe.basis_L.vectors, closed.vectors)
+    assert np.array_equal(pipe.basis_L.eigenvalues, closed.eigenvalues)
+    assert pipe.basis_L.tag == "schrodinger"
+    assert pipe.basis_lap.tag == "laplacian"
+    for name in ("vectors", "eigenvalues", "residuals"):
+        assert getattr(pipe.basis_L, name) is getattr(pipe.basis_lap, name)
+    assert pipe.basis_L.ortho_defect == pipe.basis_lap.ortho_defect
+
+
+def test_non_flat_pipeline_solves_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].kind)
+        return lowest_eigenpairs(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "lowest_eigenpairs", counted)
+    cfg = _2d_config(
+        "dirichlet", 12, 4, kind="random_fourier", seed=3, a_amplitude=0.3, v_amplitude=0.5
+    )
+    pipe = build_pipeline(cfg)
+    assert calls == ["schrodinger"]
+    assert pipe.basis_L.tag == "schrodinger"
+    assert not np.shares_memory(pipe.basis_L.vectors, pipe.basis_lap.vectors)
