@@ -3,30 +3,37 @@
 The flat Laplacian separates over the axes, so laplacian_eigenpairs builds
 its eigenpairs in closed form (tensor products of sines or real Fourier
 modes); the pipeline uses it for -Delta on every config and for L on flat
-ones, where L is the same stencil.  Any other operator goes through
-lowest_eigenpairs: a dense symmetric eigendecomposition below DENSE_CAP
-unknowns (deterministic for a fixed BLAS thread count), shift-inverted
-Lanczos above it, with full reorthogonalization and residual verification
-against the same tolerance.  Eigenvectors are normalized in the grid inner
-product, signs are fixed (first significant component positive) and
-near-degenerate clusters are re-orthonormalized so downstream tensors are
-reproducible.  Both routes certify residuals and orthonormality the same way.
+ones, where L is the same stencil.  The closed form keeps every eigenvalue
+and the per-axis eigenvector matrices, but writes out only the leading
+columns that callers read node by node; the expansion coefficients
+contract with the axis factors instead (products.expansion_coefficients).
+Its certificates are per-axis bounds that cover every tensor mode plus
+measured residual and Gram checks of the written columns against the
+assembled operator.
+
+Any other operator goes through lowest_eigenpairs: a dense symmetric
+eigendecomposition up to DENSE_CAP unknowns (deterministic for a fixed BLAS
+thread count), shift-inverted Lanczos above it, with full
+reorthogonalization and residual verification against the same tolerance.
+Eigenvectors are normalized in the grid inner product, signs are fixed
+(first significant component positive) and near-degenerate clusters are
+re-orthonormalized so downstream tensors are reproducible.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, make_grid
 from .operator import (
     LAPLACIAN,
     CoefficientField,
     DiscreteOperator,
+    assemble_laplacian,
     axis_eigenvalues,
     axis_eigenvectors,
 )
@@ -50,12 +57,19 @@ class EigensolveError(RuntimeError):
 class SpectralBasis:
     """Ordered eigenpairs of a discrete operator.
 
-    vectors[:, k] is the k-th eigenfunction (ascending eigenvalues),
-    orthonormal under the grid inner product, i.e. Euclidean norm
-    quadrature_weight^(-1/2).  residuals[k] is the scaled certificate
-    ||M phi - lambda phi|| / (||phi|| (1 + |lambda|)).  ortho_defect is the
-    orthonormality certificate gram_defect(), computed once when the basis
-    is built unless a copy of the same vectors passes it through.
+    eigenvalues holds `count` values in ascending order; vectors holds the
+    first `materialized` eigenfunctions as columns, orthonormal under the
+    grid inner product, i.e. Euclidean norm quadrature_weight^(-1/2).
+    residuals[k] is the scaled certificate
+    ||M phi - lambda phi|| / (||phi|| (1 + |lambda|)) for all `count` pairs.
+    ortho_defect is the orthonormality certificate, computed once when the
+    basis is built (gram_defect() unless the builder supplies it).
+
+    Closed-form bases also carry their tensor structure: axis_vectors[a] is
+    the (p_a, p_a) eigenvector matrix of axis a, and modes[a][k] the axis-a
+    mode index of eigenpair k, so eigenfunction k is the product of the
+    columns axis_vectors[a][:, modes[a][k]].  Both are None for bases from
+    a dense or iterative solve, which store every vector they hold.
     """
 
     grid: Grid
@@ -64,6 +78,8 @@ class SpectralBasis:
     vectors: np.ndarray
     residuals: np.ndarray
     ortho_defect: float | None = None
+    axis_vectors: tuple | None = None
+    modes: tuple | None = None
 
     def __post_init__(self):
         if self.ortho_defect is None:
@@ -71,20 +87,31 @@ class SpectralBasis:
 
     @property
     def count(self) -> int:
+        """Number of eigenpairs (eigenvalues and residuals)."""
         return int(self.eigenvalues.shape[0])
+
+    @property
+    def materialized(self) -> int:
+        """Number of eigenfunctions stored as columns of `vectors`."""
+        return int(self.vectors.shape[1])
+
+    def require_columns(self, k: int) -> None:
+        """Raise unless the first k eigenfunctions are stored as columns."""
+        if k > self.materialized:
+            raise IndexError(
+                f"{k} eigenfunctions requested, but the basis stores "
+                f"{self.materialized} of its {self.count} as vectors"
+            )
 
     def function(self, k: int) -> GridFunction:
         if not 0 <= k < self.count:
             raise IndexError(f"eigenfunction index {k} out of range [0, {self.count})")
+        self.require_columns(k + 1)
         return GridFunction(self.grid, self.vectors[:, k])
 
     def gram_defect(self) -> float:
-        """max |<phi_i, phi_j> - delta_ij| over the stored pairs."""
-        gram = self.vectors.T @ self.vectors
-        gram *= self.grid.quadrature_weight
-        diag = np.arange(self.count)
-        gram[diag, diag] -= 1.0
-        return float(np.max(np.abs(gram, out=gram)))
+        """max |<phi_i, phi_j> - delta_ij| over the stored vectors."""
+        return _gram_defect(self.vectors, self.grid.quadrature_weight)
 
 
 def lowest_eigenpairs(
@@ -107,44 +134,109 @@ def lowest_eigenpairs(
     w = op.grid.quadrature_weight
     vec /= np.sqrt(w * np.sum(vec * vec, axis=0))
     _reorthonormalize_clusters(lam, vec, w)
-    return _certified_basis(op, lam, vec, tol)
+    _fix_signs(vec)
+    return _certified_basis(op, lam, vec, _scaled_residuals(op, lam, vec), tol)
 
 
-def laplacian_eigenpairs(op: DiscreteOperator, m: int, tol: float = DEFAULT_TOL) -> SpectralBasis:
+def laplacian_eigenpairs(
+    op: DiscreteOperator,
+    m: int,
+    tol: float = DEFAULT_TOL,
+    materialize: int | None = None,
+) -> SpectralBasis:
     """The m lowest eigenpairs of the flat Laplacian stencil, in closed form.
 
     Each eigenvector is a tensor product of per-axis modes
     (operator.axis_eigenvectors) and its eigenvalue the sum of theirs.  The
     tensor sums, with axis 0 fastest, are ordered by a stable argsort, so
-    exact ties keep that mode order, and the vectors are written straight
-    into one (G, m) array in that order.  Certified like lowest_eigenpairs.
+    exact ties keep that mode order.  All m eigenvalues are kept, but only
+    the first `materialize` (default m) eigenvectors are written out as
+    columns; the basis carries the axis factors and mode indices for the rest.
+
+    Signs are fixed per axis by _fix_signs.  An axis mode's first
+    significant entry (the first node of a sine, the first entry of a
+    cosine) is at least 2/(p+1) of its largest, so the first significant
+    entry of a tensor mode is the product of the axes' first significant
+    entries, and positive: the written columns need no flips.
+
+    Certificates, each computed once:
+
+    - per axis a, the residuals r_a[k] = ||A_a v - lambda v|| of the (p, p)
+      factor against the assembled 1-D stencil A_a and its Gram defect
+      delta_a.  Since -Delta is the Kronecker sum of the A_a, a tensor mode
+      of eigenvalue lambda has scaled residual at most
+      sum_a (||r_a|| / ||v_a||) / (1 + |lambda|), and the grid Gram matrix
+      of all tensor modes deviates from the identity by at most
+      prod_a (1 + delta_a) - 1.
+    - the measured residual and Gram defect of the written columns against
+      `op` itself, which ties the closed form to the assembly.
+
+    residuals[k] is the measured value for the written columns and the
+    tensor bound beyond them; ortho_defect is the larger of the measured
+    defect and the tensor bound.
     """
     if op.kind != LAPLACIAN:
         raise ValueError(f"closed form holds for the {LAPLACIAN} only, got {op.kind!r}")
     _check_request(op, m, tol)
+    materialize = m if materialize is None else materialize
+    if not 1 <= materialize <= m:
+        raise ValueError(f"materialize must satisfy 1 <= materialize <= {m}, got {materialize}")
     grid = op.grid
     points = grid.points_per_axis
-    axes = list(zip(points, grid.spacing))
     total = np.zeros(1)
-    for p, h in axes:
-        total = (axis_eigenvalues(p, h, grid.boundary)[:, None] + total[None, :]).ravel()
+    axis_vectors, axis_resid, axis_defect = [], [], []
+    for p, h, length in zip(points, grid.spacing, grid.lengths):
+        lam_a = axis_eigenvalues(p, h, grid.boundary)
+        vec_a = axis_eigenvectors(p, h, grid.boundary)
+        _fix_signs(vec_a)
+        axis_op = assemble_laplacian(make_grid(1, length, p, grid.boundary))
+        # unscaled ||r_a|| / ||v_a|| and the Gram defect delta_a of this axis
+        axis_resid.append(_scaled_residuals(axis_op, lam_a, vec_a) * (1.0 + lam_a))
+        axis_defect.append(_gram_defect(vec_a, h))
+        axis_vectors.append(vec_a)
+        total = (lam_a[:, None] + total[None, :]).ravel()
     order = np.argsort(total, kind="stable")[:m]
     lam = total[order]
     modes = np.unravel_index(order, points, order="F")
 
+    bound = sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam))
+    worst = float(np.max(bound))
+    if worst > tol:
+        raise EigensolveError(
+            f"per-axis residual bound {worst:.3e} exceeds tolerance {tol:.3e}",
+            best_residual=worst,
+        )
+    gram_bound = float(np.prod([1.0 + delta for delta in axis_defect]) - 1.0)
+    if gram_bound > ORTHO_TOL:
+        raise EigensolveError(
+            f"per-axis orthonormality defect bound {gram_bound:.3e} exceeds {ORTHO_TOL}"
+        )
+
+    vec = _tensor_columns(axis_vectors, [k[:materialize] for k in modes], points)
+    resid = bound.copy()
+    resid[:materialize] = _scaled_residuals(op, lam[:materialize], vec)
+    return _certified_basis(
+        op, lam, vec, resid, tol,
+        gram_bound=gram_bound, axis_vectors=tuple(axis_vectors), modes=modes,
+    )
+
+
+def _tensor_columns(axis_vectors, modes, points):
+    """(G, k) node values of the tensor modes whose axis indices are `modes`."""
     # node (i0, i1, ...) is row i0 + p0*i1 + ..., i.e. index [..., i1, i0]
-    d = grid.dimension
-    vec = np.empty((op.size, m))
-    view = vec.reshape(points[::-1] + (m,))
+    d = len(points)
+    k = len(modes[0])
+    vec = np.empty((int(np.prod(points)), k))
+    view = vec.reshape(points[::-1] + (k,))
     factors = []
-    for a, (p, h) in enumerate(axes):
-        shape = [1] * d + [m]
+    for a, p in enumerate(points):
+        shape = [1] * d + [k]
         shape[d - 1 - a] = p
-        factors.append(axis_eigenvectors(p, h, grid.boundary)[:, modes[a]].reshape(shape))
+        factors.append(axis_vectors[a][:, modes[a]].reshape(shape))
     np.copyto(view, factors[0])
     for factor in factors[1:]:
         view *= factor
-    return _certified_basis(op, lam, vec, tol)
+    return vec
 
 
 def _check_request(op, m, tol):
@@ -154,27 +246,38 @@ def _check_request(op, m, tol):
         raise ValueError(f"tol must be positive, got {tol}")
 
 
-def _certified_basis(op, lam, vec, tol) -> SpectralBasis:
-    """Fix signs, then certify residuals and orthonormality of normalized pairs."""
-    _fix_signs(vec)
+def _certified_basis(op, lam, vec, resid, tol, gram_bound=0.0, **structure) -> SpectralBasis:
+    """Check the residual certificates, then measure orthonormality.
 
-    resid = _scaled_residuals(op, lam, vec)
+    The measured Gram defect of the stored vectors is combined with
+    `gram_bound`, a bound that also covers the pairs not stored as vectors.
+    """
     if np.max(resid) > tol:
         raise EigensolveError(
             f"residual {np.max(resid):.3e} exceeds tolerance {tol:.3e}",
             best_residual=float(np.max(resid)),
         )
-
-    basis = SpectralBasis(
+    basis = SpectralBasis(   # measures the Gram defect of the stored vectors
         grid=op.grid,
         tag=op.kind,
         eigenvalues=np.asarray(lam, dtype=np.float64),
         vectors=vec,
         residuals=resid,
+        **structure,
     )
-    if basis.ortho_defect > ORTHO_TOL:
-        raise EigensolveError(f"orthonormality defect {basis.ortho_defect:.3e} exceeds {ORTHO_TOL}")
-    return basis
+    defect = max(basis.ortho_defect, gram_bound)
+    if defect > ORTHO_TOL:
+        raise EigensolveError(f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}")
+    return replace(basis, ortho_defect=defect)
+
+
+def _gram_defect(vec, w) -> float:
+    """max |w v_i . v_j - delta_ij| over the columns of vec."""
+    gram = vec.T @ vec
+    gram *= w
+    diag = np.arange(vec.shape[1])
+    gram[diag, diag] -= 1.0
+    return float(np.max(np.abs(gram, out=gram)))
 
 
 def _iterative_lowest(op, m, tol, maxiter):
@@ -322,6 +425,7 @@ def sup_norms(basis: SpectralBasis, n: int):
     """Nodewise sup norm of each of the first n eigenfunctions, plus the max."""
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
+    basis.require_columns(n)
     per_k = np.max(np.abs(basis.vectors[:, :n]), axis=0)
     return per_k, float(np.max(per_k))
 
@@ -368,12 +472,3 @@ def comparability_check(
     ok = bool(np.all(lower >= tol) and np.all(upper >= tol))
     worst = float(min(np.min(lower), np.min(upper)))
     return ComparabilityReport(lower_margins=lower, upper_margins=upper, ok=ok, worst=worst)
-
-
-def export_basis_csv(basis: SpectralBasis, path) -> None:
-    """Portable CSV dump: header row of eigenvalues, one eigenvector per column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{v:.17g}" for v in basis.eigenvalues])
-        for row in basis.vectors:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .grid import Grid
 from .operator import (
     CoefficientField,
@@ -80,32 +80,37 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     t0 = time.perf_counter()
     grid = config.make_grid()
     G = grid.node_count
-    if G > config.dense_cap:
-        raise ValueError(
-            f"grid has {G} nodes > dense_cap {config.dense_cap}; tail and rank "
-            "commands need the complete spectrum, shrink the grid or raise the cap"
-        )
     fld = sample_coefficients(config.coefficients, grid)
     op_L = assemble_schrodinger(fld, grid)
     op_lap = assemble_laplacian(grid)
+    # flat configurations: L is the Laplacian stencil, so the closed form
+    # serves both operators, sharing its arrays and certificates
+    flat = (op_L.matrix - op_lap.matrix).nnz == 0
+    if not flat and G > config.dense_cap:
+        raise ConfigError(
+            "solver.dense_cap",
+            f"grid has {G} nodes > dense_cap {config.dense_cap}; the dense "
+            "eigensolve of L needs the complete spectrum, shrink the grid or raise the cap",
+        )
+    n_max = max(config.sweep_n)
+    if config.eri_enabled:
+        n_max = max(n_max, config.eri_n)
+    # eigenfunctions read node by node: the spectrum rows, the sweep and ERI
+    # products, and the sup-norm fit up to the resolved cap
+    columns = max(config.solver_m, n_max, min(weyl_regime_cap(grid), G))
     timings = {}
 
     t = time.perf_counter()
-    basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol)
+    basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol, materialize=columns)
     timings["basis_lap"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    if (op_L.matrix - op_lap.matrix).nnz == 0:
-        # flat configurations: L is the Laplacian stencil, so the closed form
-        # serves both operators, sharing its arrays and certificates
+    if flat:
         basis_L = replace(basis_lap, tag=op_L.kind)
     else:
         basis_L = lowest_eigenpairs(op_L, G, config.solver_tol)
     timings["basis_L"] = time.perf_counter() - t
 
-    n_max = max(config.sweep_n)
-    if config.eri_enabled:
-        n_max = max(n_max, config.eri_n)
     t = time.perf_counter()
     coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, G)
     coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
@@ -222,12 +227,7 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
     )
 
 
-def cmd_tail_curves(
-    pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport | None = None
-) -> ScalingReport:
-    curve_n = max(pipe.config.sweep_n)
-    if report is None:
-        report = _scaling(pipe, curve_n=curve_n)
+def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
     rows = []
     for curve in report.tail_curves:
         i = 0 if curve.i is None else curve.i + 1
@@ -242,15 +242,10 @@ def cmd_tail_curves(
     summary["tail_slopes"] = {
         norm: slope for norm, slope in report.slopes.items()
     }
-    summary["tail_curve_n"] = curve_n
-    return report
+    summary["tail_curve_n"] = max(pipe.config.sweep_n)
 
 
-def cmd_rank_scan(
-    pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport | None = None
-) -> ScalingReport:
-    if report is None:
-        report = _scaling(pipe)
+def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
     rows = [
         (
             rep.n,
@@ -273,7 +268,6 @@ def cmd_rank_scan(
         rows,
     )
     summary["rank_cells"] = len(rows)
-    return report
 
 
 def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | None:
@@ -286,6 +280,7 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
         cfg.eri_eps,
         pipe.basis_L,
         pipe.basis_lap,
+        pipe.op_lap,
         pipe.coeffs_hm1,
         calib_hm1=cfg.calib_hm1,
         sample_seed=cfg.eri_sample_seed,
@@ -343,7 +338,14 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     record("residuals", worst <= cfg.solver_tol, f"max scaled residual {worst:.3e}")
 
     defect = max(pipe.basis_L.ortho_defect, pipe.basis_lap.ortho_defect)
-    record("orthonormality", defect <= 1e-10, f"max gram defect {defect:.3e}")
+    record(
+        "orthonormality",
+        defect <= 1e-10,
+        f"max gram defect {defect:.3e}; L basis {pipe.basis_L.ortho_defect:.3e}, "
+        f"Laplacian basis {pipe.basis_lap.ortho_defect:.3e} (the larger of the "
+        f"measured Gram of its {pipe.basis_lap.materialized} stored vectors and "
+        f"the per-axis bound over all {pipe.basis_lap.count} modes)",
+    )
 
     chain = quadratic_chain_report(pipe.coeffs_l2, pipe.basis_L, pipe.field_, pipe.n_max)
     margin = chain.bound - float(np.max(chain.values))
@@ -397,10 +399,20 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = float(np.max(excess))
     record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
-    sums = np.sum(pipe.coeffs_l2.coeffs**2, axis=1)
-    norms_sq = pipe.coeffs_l2.product_l2_norms**2
-    rel = float(np.max(np.abs(sums - norms_sq) / np.maximum(norms_sq, 1e-300)))
-    record("parseval", rel <= 1e-8, f"worst relative Parseval defect {rel:.3e}")
+    # complete expansions in both targets: L's basis and the Laplacian's
+    defects = {}
+    for name, coeffs in (("L", pipe.coeffs_l2), ("Laplacian", pipe.coeffs_hm1)):
+        sums = np.sum(coeffs.coeffs**2, axis=1)
+        norms_sq = coeffs.product_l2_norms**2
+        defects[name] = float(np.max(np.abs(sums - norms_sq) / np.maximum(norms_sq, 1e-300)))
+    rel = max(defects.values())
+    record(
+        "parseval",
+        rel <= 1e-8,
+        f"worst relative Parseval defect {rel:.3e} ("
+        + ", ".join(f"{name} target {value:.3e}" for name, value in defects.items())
+        + ")",
+    )
 
     k_cmp = min(cfg.solver_m, pipe.basis_L.count, pipe.basis_lap.count)
     comp = comparability_check(pipe.basis_L, pipe.basis_lap, pipe.field_, k_cmp)
@@ -457,22 +469,32 @@ def run(config: ExperimentConfig, command: str, out_dir: str | None = None) -> i
         "v_sup": pipe.field_.v_sup,
     }
 
+    timings = dict(pipe.timings)
+
+    def timed(stage, fn, *args, **kwargs):
+        t = time.perf_counter()
+        result = fn(*args, **kwargs)
+        timings[stage] = time.perf_counter() - t
+        return result
+
     status = 0
     if command == "spectrum":
         cmd_spectrum(pipe, out, summary)
     elif command == "tail-curves":
-        cmd_tail_curves(pipe, out, summary)
+        report = timed("scaling", _scaling, pipe, curve_n=max(config.sweep_n))
+        cmd_tail_curves(pipe, out, summary, report)
     elif command == "rank-scan":
-        cmd_rank_scan(pipe, out, summary)
+        report = timed("scaling", _scaling, pipe)
+        cmd_rank_scan(pipe, out, summary, report)
     elif command == "eri-bench":
-        cmd_eri_bench(pipe, out, summary)
+        timed("eri", cmd_eri_bench, pipe, out, summary)
     else:  # verify-all
         cmd_spectrum(pipe, out, summary)
-        report = _scaling(pipe, curve_n=max(config.sweep_n))
-        cmd_tail_curves(pipe, out, summary, report=report)
-        cmd_rank_scan(pipe, out, summary, report=report)
-        eri = cmd_eri_bench(pipe, out, summary)
-        checks = run_checks(pipe, report, eri)
+        report = timed("scaling", _scaling, pipe, curve_n=max(config.sweep_n))
+        cmd_tail_curves(pipe, out, summary, report)
+        cmd_rank_scan(pipe, out, summary, report)
+        eri = timed("eri", cmd_eri_bench, pipe, out, summary)
+        checks = timed("checks", run_checks, pipe, report, eri)
         summary["checks"] = {name: entry["ok"] for name, entry in checks.items()}
         summary["check_details"] = checks
         if not all(entry["ok"] for entry in checks.values()):
@@ -480,7 +502,7 @@ def run(config: ExperimentConfig, command: str, out_dir: str | None = None) -> i
 
     summary["seconds"] = time.perf_counter() - t0
     summary["build_seconds"] = pipe.build_seconds
-    summary["timings"] = pipe.timings
+    summary["timings"] = timings
     # ru_maxrss is in KiB on Linux
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_atomic(

@@ -4,8 +4,11 @@ The central object is the tensor c[i,j,k] = <phi_i phi_j, psi_k> with
 (phi) a source basis and (psi) a target basis (same operator for the L2
 theory, the plain Laplacian for the H^-1 theory).  Pairs are stored once
 (i <= j); the tensor is dense because generic potentials leave it without
-exploitable sparsity.  All contractions go through GEMM so the reduction
-order per coefficient is fixed regardless of thread count.
+exploitable sparsity.  A closed-form target is applied axis by axis, one
+contraction of the product block with each (p, p) axis factor, so no (G, G)
+basis is ever formed; any other target takes one GEMM with its stored
+vectors.  Either way the reduction order per coefficient is fixed for a
+given thread count.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ def product_function(i: int, j: int, basis: SpectralBasis) -> GridFunction:
     """Nodewise product phi_i * phi_j."""
     if not (0 <= i < basis.count and 0 <= j < basis.count):
         raise IndexError(f"indices ({i}, {j}) out of range for basis of size {basis.count}")
+    basis.require_columns(max(i, j) + 1)
     return GridFunction(basis.grid, basis.vectors[:, i] * basis.vectors[:, j])
 
 
@@ -76,6 +80,7 @@ def product_matrix(basis: SpectralBasis, n: int) -> np.ndarray:
     column in pair_list(n) order."""
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
+    basis.require_columns(n)
     V = basis.vectors[:, :n]
     return np.column_stack([V[:, i] * V[:, j] for i, j in pair_list(n)])
 
@@ -95,7 +100,11 @@ def expansion_coefficients(
         raise ValueError(f"m must satisfy 1 <= m <= {basis_target.count}, got {m}")
     w = basis_src.grid.quadrature_weight
     prods = product_matrix(basis_src, n)                    # (G, pairs)
-    coeffs = w * (prods.T @ basis_target.vectors[:, :m])    # (pairs, m)
+    if basis_target.axis_vectors is None:
+        basis_target.require_columns(m)
+        coeffs = w * (prods.T @ basis_target.vectors[:, :m])    # (pairs, m)
+    else:
+        coeffs = w * _tensor_coefficients(prods, basis_target, m)
     norms = np.sqrt(w * np.sum(prods * prods, axis=0))
     return ProductCoefficients(
         n=n,
@@ -104,6 +113,20 @@ def expansion_coefficients(
         coeffs=coeffs,
         product_l2_norms=norms,
     )
+
+
+def _tensor_coefficients(prods: np.ndarray, basis: SpectralBasis, m: int) -> np.ndarray:
+    """sum over nodes of prods[:, p] * psi_k for the first m modes of a
+    closed-form basis, contracting one axis factor at a time."""
+    points = basis.grid.points_per_axis
+    # node (i0, i1, ...) is row i0 + p0*i1 + ..., so the C-order node axes
+    # run i_{d-1}, ..., i0; contracting the leading one each time appends
+    # k_{d-1}, ..., k0 and leaves mode (k0, k1, ...) at k0 + p0*k1 + ...
+    block = prods.T.reshape((prods.shape[1],) + points[::-1])
+    for vec in reversed(basis.axis_vectors):
+        block = np.tensordot(block, vec, axes=([1], [0]))
+    flat = np.ravel_multi_index(tuple(k[:m] for k in basis.modes), points, order="F")
+    return block.reshape(prods.shape[1], -1)[:, flat]
 
 
 def quadratic_form_value(
@@ -166,14 +189,3 @@ def quadratic_chain_report(
     values = (sub.coeffs**2) @ lam
     ok = bool(np.all(values <= bound * (1.0 + 1e-12) + 1e-12))
     return QuadraticChainReport(n=n, values=values, bound=float(bound), max_sup=S, ok=ok)
-
-
-def export_coefficients_csv(coeffs: ProductCoefficients, path) -> None:
-    """Tensor dump as rows (i, j, k, c) with 1-based indices."""
-    n = coeffs.n
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,k,c\n")
-        for (i, j) in pair_list(n):
-            row = coeffs.coeffs[pair_row(i, j, n)]
-            for k in range(coeffs.m):
-                fh.write(f"{i + 1},{j + 1},{k + 1},{row[k]:.17g}\n")

@@ -90,6 +90,26 @@ class TestConfigParsing:
             load_config(str(path))
         assert "solver.m" in str(err.value)
 
+    @pytest.mark.parametrize("cap", [-3, 0, 5001, 6000])
+    def test_dense_cap_range(self, tmp_path, capsys, cap):
+        # above eigensolve.DENSE_CAP the solver would switch to Lanczos,
+        # which cannot return the complete spectrum
+        path = small_config(tmp_path, **{"solver.dense_cap": cap})
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert "solver.dense_cap" in str(err.value)
+        assert main(["spectrum", "--config", str(path)]) == 2
+        assert "solver.dense_cap" in capsys.readouterr().err
+
+
+def _2d_grid(points):
+    return {
+        "dimension": 2,
+        "lengths": [3.141592653589793, 3.141592653589793],
+        "points": [points, points],
+        "boundary": "dirichlet",
+    }
+
 
 class TestCommands:
     def test_spectrum_files(self, tmp_path):
@@ -134,6 +154,32 @@ class TestCommands:
         path = small_config(tmp_path, **{"sweep.eps": [0.0]})
         assert main(["spectrum", "--config", str(path)]) == 2
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_flat_2d_runs_past_dense_cap(self, tmp_path):
+        # flat configs run no dense eigensolve, so dense_cap does not bind them
+        path = small_config(
+            tmp_path,
+            grid=_2d_grid(24),
+            solver={"m": 16, "tol": 1e-9, "dense_cap": 100},
+            sweep={"n": [4, 8], "eps": [0.01, 0.001], "norms": ["l2", "hm1"]},
+        )
+        out = tmp_path / "past-cap"
+        assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grid_nodes"] == 576
+        assert summary["checks"] and all(summary["checks"].values())
+        assert summary["eri"]["enabled"]
+
+    def test_non_flat_past_dense_cap_exit_2(self, tmp_path, capsys):
+        path = small_config(
+            tmp_path,
+            grid=_2d_grid(24),
+            coefficients={"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5},
+            solver={"m": 16, "tol": 1e-9, "dense_cap": 100},
+            sweep={"n": [4], "eps": [0.01], "norms": ["l2"]},
+        )
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "solver.dense_cap" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate", "--config", "x"]) == 2
@@ -216,3 +262,13 @@ def test_summary_reports_stage_timings_and_peak_rss(tmp_path):
     assert set(summary["timings"]) == {"basis_lap", "basis_L", "coefficients"}
     assert all(t >= 0.0 for t in summary["timings"].values())
     assert summary["peak_rss_mb"] > 0.0
+
+
+def test_verify_all_reports_stage_timings(tmp_path):
+    path = small_config(tmp_path)
+    out = tmp_path / "timed"
+    assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    stages = {"basis_lap", "basis_L", "coefficients", "scaling", "eri", "checks"}
+    assert set(summary["timings"]) == stages
+    assert all(t >= 0.0 for t in summary["timings"].values())

@@ -11,14 +11,15 @@ from eigenrank.operator import (
 from eigenrank import eigensolve, pipeline
 from eigenrank.config import parse_config
 from eigenrank.pipeline import build_pipeline
+from eigenrank.products import expansion_coefficients, product_function, product_matrix
 from eigenrank.eigensolve import (
     EigensolveError,
     _fix_signs,
     _scaled_residuals,
     cluster_projector,
     comparability_check,
+    SpectralBasis,
     degenerate_clusters,
-    export_basis_csv,
     laplacian_eigenpairs,
     lowest_eigenpairs,
     rotate_cluster,
@@ -207,16 +208,6 @@ class TestComparability:
         assert rep.ok
 
 
-def test_export_csv_roundtrip(tmp_path):
-    g = make_grid(1, np.pi, 32, "dirichlet")
-    basis = lowest_eigenpairs(assemble_laplacian(g), 8, 1e-9)
-    path = tmp_path / "basis.csv"
-    export_basis_csv(basis, path)
-    data = np.loadtxt(path, delimiter=",")
-    np.testing.assert_allclose(data[0], basis.eigenvalues, rtol=1e-15)
-    np.testing.assert_allclose(data[1:], basis.vectors, rtol=1e-15)
-
-
 def _fix_signs_loop(vec):
     # column-by-column reference for the vectorised _fix_signs
     for k in range(vec.shape[1]):
@@ -266,7 +257,17 @@ def test_stored_gram_defect_matches_fresh(coefficients):
     pipe = build_pipeline(_small_config(**coefficients))
     for basis in (pipe.basis_L, pipe.basis_lap):
         assert isinstance(basis.ortho_defect, float)
-        assert basis.ortho_defect == basis.gram_defect()
+        if basis.axis_vectors is None:
+            assert basis.ortho_defect == basis.gram_defect()
+        else:
+            # closed form: the per-axis bound also covers the unstored modes
+            h = basis.grid.spacing
+            deltas = [
+                np.max(np.abs(h_a * (v.T @ v) - np.eye(v.shape[1])))
+                for h_a, v in zip(h, basis.axis_vectors)
+            ]
+            bound = float(np.prod([1.0 + d for d in deltas]) - 1.0)
+            assert basis.ortho_defect == max(basis.gram_defect(), bound)
 
 
 def test_rotated_basis_gets_its_own_defect(flat2d_small):
@@ -327,11 +328,21 @@ def test_laplacian_closed_form_partial_and_validated():
     part = laplacian_eigenpairs(assemble_laplacian(g), 10, 1e-9)
     assert np.array_equal(part.eigenvalues, full.eigenvalues[:10])
     assert np.array_equal(part.vectors, full.vectors[:, :10])
+    # every eigenvalue, fewer stored vectors
+    lean = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9, materialize=10)
+    assert (lean.count, lean.materialized) == (64, 10)
+    assert np.array_equal(lean.eigenvalues, full.eigenvalues)
+    assert np.array_equal(lean.vectors, full.vectors[:, :10])
+    assert np.array_equal(lean.residuals[:10], full.residuals[:10])
+    assert np.max(lean.residuals[10:]) <= 1e-9
     f = sample_coefficients(CoefficientSpec.constant(1.0, 0.5), g)
     with pytest.raises(ValueError):
         laplacian_eigenpairs(assemble_schrodinger(f, g), 10, 1e-9)
     with pytest.raises(ValueError):
         laplacian_eigenpairs(assemble_laplacian(g), 65, 1e-9)
+    for bad in (0, 65):
+        with pytest.raises(ValueError):
+            laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9, materialize=bad)
 
 
 def _tamper(monkeypatch, edit):
@@ -346,6 +357,7 @@ def _tamper(monkeypatch, edit):
 
 
 def test_laplacian_closed_form_residual_catches_tampering(monkeypatch):
+    # the per-axis certificate sees a factor that is no eigenvector
     def mix_modes(vec):
         vec[:, 0] += 1e-6 * vec[:, 3]
 
@@ -358,7 +370,7 @@ def test_laplacian_closed_form_residual_catches_tampering(monkeypatch):
 
 def test_laplacian_closed_form_gram_catches_tampering(monkeypatch):
     # a rescaled eigenvector still has a tiny scaled residual, so only the
-    # Gram certificate can catch it
+    # per-axis Gram certificate can catch it
     def rescale(vec):
         vec[:, 2] *= 1.0 + 1e-6
 
@@ -366,6 +378,33 @@ def test_laplacian_closed_form_gram_catches_tampering(monkeypatch):
     g = make_grid(2, (np.pi, np.pi), (8, 8), "periodic")
     with pytest.raises(EigensolveError, match="orthonormality defect"):
         laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
+
+
+def test_laplacian_closed_form_catches_a_tampered_column(monkeypatch):
+    # sound axis factors, but a wrong stored column: only the measured
+    # residual against the assembled operator sees it
+    original = eigensolve._tensor_columns
+
+    def tampered(axis_vectors, modes, points):
+        vec = original(axis_vectors, modes, points)
+        vec[:, 4] += 1e-6 * vec[:, 7]
+        return vec
+
+    monkeypatch.setattr(eigensolve, "_tensor_columns", tampered)
+    g = make_grid(2, (np.pi, np.pi), (10, 12), "dirichlet")
+    with pytest.raises(EigensolveError, match="residual") as info:
+        laplacian_eigenpairs(assemble_laplacian(g), g.node_count, 1e-9, materialize=20)
+    assert info.value.best_residual > 1e-9
+
+
+def test_closed_form_columns_need_no_sign_flip():
+    # per-axis signs fix every tensor mode's first significant entry
+    for boundary, points in (("dirichlet", (9, 10, 8)), ("periodic", (8, 10, 9))):
+        g = make_grid(3, np.pi, points, boundary)
+        basis = laplacian_eigenpairs(assemble_laplacian(g), g.node_count, 1e-9)
+        vec = basis.vectors.copy()
+        _fix_signs(vec)
+        assert np.array_equal(vec, basis.vectors)
 
 
 def test_scaled_residuals_blocks_match_one_pass():
@@ -412,14 +451,90 @@ def test_flat_2d_pipeline_takes_both_bases_from_the_closed_form(monkeypatch, bou
 
     monkeypatch.setattr(pipeline, "lowest_eigenpairs", no_dense_solve)
     pipe = build_pipeline(_2d_config(boundary, points, m))
-    closed = laplacian_eigenpairs(pipe.op_lap, pipe.grid.node_count, 1e-9)
-    assert np.array_equal(pipe.basis_L.vectors, closed.vectors)
+    G = pipe.grid.node_count
+    closed = laplacian_eigenpairs(pipe.op_lap, G, 1e-9)
+    M = pipe.basis_L.materialized
+    assert m <= M < G and pipe.basis_L.count == G
+    assert np.array_equal(pipe.basis_L.vectors, closed.vectors[:, :M])
     assert np.array_equal(pipe.basis_L.eigenvalues, closed.eigenvalues)
     assert pipe.basis_L.tag == "schrodinger"
     assert pipe.basis_lap.tag == "laplacian"
-    for name in ("vectors", "eigenvalues", "residuals"):
+    for name in ("vectors", "eigenvalues", "residuals", "axis_vectors", "modes"):
         assert getattr(pipe.basis_L, name) is getattr(pipe.basis_lap, name)
     assert pipe.basis_L.ortho_defect == pipe.basis_lap.ortho_defect
+
+
+def _untensored(basis):
+    # the same vectors without the axis factors, so products takes the GEMM
+    return SpectralBasis(
+        grid=basis.grid, tag=basis.tag, eigenvalues=basis.eigenvalues,
+        vectors=basis.vectors, residuals=basis.residuals,
+    )
+
+
+@pytest.mark.parametrize(
+    "dimension, points, boundary",
+    [
+        (2, (10, 12), "dirichlet"),
+        (2, (10, 9), "periodic"),
+        (3, (8, 9, 10), "dirichlet"),
+        (3, (8, 9, 8), "periodic"),
+    ],
+)
+def test_tensor_coefficients_match_dense_gemm(dimension, points, boundary):
+    g = make_grid(dimension, np.pi, points, boundary)
+    G = g.node_count
+    closed = laplacian_eigenpairs(assemble_laplacian(g), G, 1e-9)
+    spec = CoefficientSpec.random_fourier(seed=4, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
+    src = lowest_eigenpairs(assemble_schrodinger(sample_coefficients(spec, g), g), 6, 1e-9)
+    for source in (src, closed):
+        tensor = expansion_coefficients(source, closed, 6, G)
+        dense = expansion_coefficients(source, _untensored(closed), 6, G)
+        assert np.max(np.abs(tensor.coeffs - dense.coeffs)) <= 1e-13
+        np.testing.assert_array_equal(tensor.product_l2_norms, dense.product_l2_norms)
+    part = expansion_coefficients(src, closed, 6, 17)
+    np.testing.assert_array_equal(part.coeffs, expansion_coefficients(src, closed, 6, G).coeffs[:, :17])
+
+
+@pytest.fixture(scope="module")
+def lean_basis():
+    g = make_grid(2, (np.pi, np.pi), (8, 8), "dirichlet")
+    return laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9, materialize=10)
+
+
+def test_function_refuses_unstored_columns(lean_basis):
+    assert lean_basis.function(9).values.shape == (64,)
+    with pytest.raises(IndexError):
+        lean_basis.function(10)
+
+
+def test_sup_norms_refuse_unstored_columns(lean_basis):
+    assert len(sup_norms(lean_basis, 10)[0]) == 10
+    with pytest.raises(IndexError):
+        sup_norms(lean_basis, 11)
+
+
+def test_product_function_refuses_unstored_columns(lean_basis):
+    product_function(9, 9, lean_basis)
+    with pytest.raises(IndexError):
+        product_function(2, 10, lean_basis)
+
+
+def test_product_matrix_refuses_unstored_columns(lean_basis):
+    assert product_matrix(lean_basis, 10).shape == (64, 55)
+    with pytest.raises(IndexError):
+        product_matrix(lean_basis, 11)
+
+
+def test_gemm_coefficients_refuse_unstored_columns(lean_basis):
+    # a rotated basis has no tensor structure, so it can serve only the
+    # modes it stores
+    rotated = rotate_cluster(lean_basis, [1, 2], seed=3)
+    assert expansion_coefficients(lean_basis, rotated, 3, 10).coeffs.shape == (6, 10)
+    with pytest.raises(IndexError):
+        expansion_coefficients(lean_basis, rotated, 3, 11)
+    # the closed form itself covers every mode through its axis factors
+    assert expansion_coefficients(lean_basis, lean_basis, 3, 64).coeffs.shape == (6, 64)
 
 
 def test_non_flat_pipeline_solves_once(monkeypatch):

@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import (
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
     sample_coefficients,
 )
-from eigenrank.eigensolve import lowest_eigenpairs
-from eigenrank.products import expansion_coefficients, pair_list, pair_row
+from eigenrank.eigensolve import laplacian_eigenpairs, lowest_eigenpairs
+from eigenrank.products import expansion_coefficients, pair_list, pair_row, product_function
 from eigenrank.lowrank import tail_hm1
 from eigenrank.eri import (
     GreenSolver,
     canonical_quadruples,
     eri_benchmark,
-    exact_eri,
     fitted_eri,
-    green_apply,
-    green_synthesis,
     sample_quadruples,
 )
 
@@ -33,24 +30,55 @@ def eri_setup(flat2d_small):
     return grid, op, src, lap, co, solver
 
 
+def green(solver, rho):
+    return GridFunction(rho.grid, solver.solve(rho.values))
+
+
+def exact_eri(i, j, k, l, basis, solver):
+    """(ij|kl) = <phi_i phi_j, (-Delta)^{-1} phi_k phi_l>, one sparse solve."""
+    return inner(product_function(i, j, basis), green(solver, product_function(k, l, basis)))
+
+
+def spectral_green(lap, block):
+    """sum_k <rho, psi_k> psi_k / mu_k over a complete Laplacian basis,
+    skipping the constant mode; the oracle for the sparse solve."""
+    inv_mu = np.where(np.abs(lap.eigenvalues) > 1e-10, 1.0 / lap.eigenvalues, 0.0)
+    proj = lap.grid.quadrature_weight * (lap.vectors.T @ block)
+    return lap.vectors @ (inv_mu[:, None] * proj)
+
+
 class TestGreen:
     def test_eigenfunction_inverse(self, eri_setup):
+        # a density equal to psi_k returns psi_k / mu_k
         grid, op, src, lap, co, solver = eri_setup
-        rho = lap.function(0)
-        u = green_apply(rho, lap)
-        np.testing.assert_allclose(
-            u.values, rho.values / lap.eigenvalues[0], atol=1e-12
-        )
+        for k in (0, 1, 2, 37, grid.node_count - 1):
+            rho = lap.function(k)
+            u = green(solver, rho)
+            np.testing.assert_allclose(
+                u.values, rho.values / lap.eigenvalues[k], atol=1e-12 * np.max(np.abs(rho.values))
+            )
 
     def test_dual_paths_agree(self, eri_setup):
+        # the LU pair Gram matrix is C diag(1/mu) C^T at r = G
         grid, op, src, lap, co, solver = eri_setup
-        rng = np.random.default_rng(3)
-        rho = GridFunction(grid, rng.standard_normal(grid.node_count))
-        u_spec = green_apply(rho, lap)
-        u_solve = green_apply(rho, solver)
-        assert np.max(np.abs(u_spec.values - u_solve.values)) <= 1e-8 * (
-            1 + np.max(np.abs(u_spec.values))
-        )
+        pairs = pair_list(8)
+        prods = np.column_stack([product_function(i, j, src).values for i, j in pairs])
+        lu = grid.quadrature_weight * (prods.T @ solver.solve(prods))
+        fit = (co.coeffs / lap.eigenvalues[None, :]) @ co.coeffs.T
+        assert np.max(np.abs(lu - fit)) <= 1e-12 * np.max(np.abs(lu))
+
+    def test_refined_solve_on_an_ill_conditioned_axis(self):
+        # 512 nodes on a box of length 100 pi: the plain LU pair Gram matrix
+        # is off the complete spectral fit by 3e-14 relative, the refined one
+        # by 5e-15, and the ERI certificate check has only absolute slack
+        g = make_grid(1, 100 * np.pi, 512, "dirichlet")
+        op = assemble_laplacian(g)
+        lap = laplacian_eigenpairs(op, 512, 1e-9)
+        co = expansion_coefficients(lap, lap, 8, 512)
+        prods = np.column_stack([product_function(i, j, lap).values for i, j in pair_list(8)])
+        lu = g.quadrature_weight * (prods.T @ GreenSolver(op).solve(prods))
+        fit = (co.coeffs / lap.eigenvalues[None, :]) @ co.coeffs.T
+        assert np.max(np.abs(lu - fit)) <= 1e-14 * np.max(np.abs(fit))
 
     def test_flat_1d_sine_inverse(self):
         g = make_grid(1, np.pi, 128, "dirichlet")
@@ -58,7 +86,7 @@ class TestGreen:
         basis = lowest_eigenpairs(op, 128, 1e-9)
         x = g.axis_nodes(0)
         rho = GridFunction(g, np.sin(x))
-        u = green_apply(rho, basis)
+        u = green(GreenSolver(op), rho)
         # discrete mu_1 = (4/h^2) sin^2(h/2) ~ 1, so u ~ sin x
         np.testing.assert_allclose(u.values, np.sin(x) / basis.eigenvalues[0], atol=1e-10)
 
@@ -69,8 +97,8 @@ class TestGreen:
         g_ = GridFunction(grid, rng.standard_normal(grid.node_count))
         a, b = 2.25, -0.75
         combo = GridFunction(grid, a * f.values + b * g_.values)
-        lhs = green_apply(combo, lap).values
-        rhs = a * green_apply(f, lap).values + b * green_apply(g_, lap).values
+        lhs = green(solver, combo).values
+        rhs = a * green(solver, f).values + b * green(solver, g_).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
 
     def test_periodic_needs_mean_subtraction(self):
@@ -79,24 +107,24 @@ class TestGreen:
         basis = lowest_eigenpairs(op, 32, 1e-9)
         solver = GreenSolver(op)
         rho = GridFunction(g, np.ones(32))      # pure constant: solution is 0
-        u1, u2 = green_apply(rho, basis), green_apply(rho, solver)
-        assert np.max(np.abs(u1.values)) <= 1e-10
-        assert np.max(np.abs(u2.values)) <= 1e-10
+        assert np.max(np.abs(green(solver, rho).values)) <= 1e-10
         rng = np.random.default_rng(11)
         rho = GridFunction(g, rng.standard_normal(32))
-        u1, u2 = green_apply(rho, basis), green_apply(rho, solver)
-        assert np.max(np.abs(u1.values - u2.values)) <= 1e-8
+        u = green(solver, rho).values
+        assert abs(np.mean(u)) <= 1e-12
+        spectral = spectral_green(basis, rho.values[:, None])[:, 0]
+        assert np.max(np.abs(u - spectral)) <= 1e-8
 
 
 class TestExactERI:
     def test_positive_diagonal(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        assert exact_eri(0, 0, 0, 0, src, lap) > 0
+        assert exact_eri(0, 0, 0, 0, src, solver) > 0
 
     def test_symmetries(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         combos = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)]
-        values = [exact_eri(*q, src, lap) for q in combos]
+        values = [exact_eri(*q, src, solver) for q in combos]
         np.testing.assert_allclose(values, values[0], atol=1e-10)
 
     def test_flat_1d_diagonal_against_direct_quadrature(self):
@@ -112,9 +140,7 @@ class TestExactERI:
             c_k = w * math.fsum(float(sq[t]) * float(basis.vectors[t, k]) for t in range(96))
             mu_k = (4.0 / h**2) * math.sin((k + 1) * h / 2.0) ** 2
             total += c_k**2 / mu_k
-        spectral = exact_eri(0, 0, 0, 0, basis, basis)
         solved = exact_eri(0, 0, 0, 0, basis, GreenSolver(op))
-        assert spectral == pytest.approx(total, rel=1e-8)
         assert solved == pytest.approx(total, rel=1e-8)
 
 
@@ -122,7 +148,7 @@ class TestFittedERI:
     def test_complete_rank_recovers_exact(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         for (i, j, k, l) in [(0, 0, 0, 0), (0, 1, 2, 2), (3, 7, 1, 5)]:
-            e = exact_eri(i, j, k, l, src, lap)
+            e = exact_eri(i, j, k, l, src, solver)
             f = fitted_eri(i, j, k, l, co, lap.eigenvalues, co.m)
             assert f == pytest.approx(e, abs=1e-8 * (1 + abs(e)))
 
@@ -137,7 +163,7 @@ class TestFittedERI:
         r = 40
         for _ in range(50):
             i, j, k, l = rng.integers(0, 8, size=4)
-            e = exact_eri(i, j, k, l, src, lap)
+            e = exact_eri(i, j, k, l, src, solver)
             f = fitted_eri(i, j, k, l, co, lap.eigenvalues, r)
             bound = tail_hm1(co, lap, i, j, r) * tail_hm1(co, lap, k, l, r)
             assert abs(e - f) <= bound + 1e-12
@@ -165,7 +191,7 @@ class TestQuadrupleSampling:
 class TestBenchmark:
     def test_certificates_and_costs(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        res = eri_benchmark(8, 1e-2, src, lap, co, calib_hm1=1.0)
+        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
         assert len(res.quadruples) == 36 * 37 // 2
         for (i, j, k, l), e, f in zip(res.quadruples, res.exact, res.fitted):
             assert abs(e - f) <= res.quadruple_certificate(i, j, k, l) + 1e-12
@@ -180,7 +206,7 @@ class TestBenchmark:
 
     def test_exact_matrix_psd(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        res = eri_benchmark(6, 1e-2, src, lap, co, calib_hm1=1.0)
+        res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0)
         pairs = pair_list(6)
         P = len(pairs)
         M = np.zeros((P, P))
@@ -194,32 +220,42 @@ class TestBenchmark:
             assert ev.min() >= -1e-8 * np.abs(ev).max()
 
 
-def _assert_exact_matches_solver(res, src, solver):
-    # the batched spectral pairing against one sparse solve per quadruple;
-    # the absolute floor covers integrals that vanish by symmetry
-    solved = np.array([exact_eri(*q, src, solver) for q in res.quadruples])
+def _assert_exact_matches_spectral(res, src, lap):
+    # the batched sparse solve against spectral synthesis in a complete
+    # Laplacian basis; the absolute floor covers integrals that vanish by symmetry
+    w = src.grid.quadrature_weight
+    spectral = []
+    for (i, j, k, l) in res.quadruples:
+        rho_ij = product_function(i, j, src).values
+        rho_kl = product_function(k, l, src).values
+        spectral.append(w * rho_ij @ spectral_green(lap, rho_kl[:, None])[:, 0])
+    spectral = np.array(spectral)
     np.testing.assert_allclose(
-        res.exact, solved, rtol=1e-8, atol=1e-8 * float(np.max(np.abs(solved)))
+        res.exact, spectral, rtol=1e-8, atol=1e-8 * float(np.max(np.abs(spectral)))
     )
 
 
 class TestBatchedExact:
     def test_dirichlet_matches_sparse_solver(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        res = eri_benchmark(8, 1e-2, src, lap, co, calib_hm1=1.0)
-        _assert_exact_matches_solver(res, src, solver)
+        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        solved = np.array([exact_eri(*q, src, solver) for q in res.quadruples])
+        np.testing.assert_allclose(
+            res.exact, solved, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(solved)))
+        )
+        _assert_exact_matches_spectral(res, src, lap)
 
     def test_periodic_matches_sparse_solver(self):
         # products phi_i^2 have nonzero mean and the Laplacian a zero mode,
-        # so this exercises the mean subtraction and the null-mode weight
+        # so this exercises the bordered solve on mean-free densities
         g = make_grid(2, (2 * np.pi, 2 * np.pi), (12, 12), "periodic")
         spec = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
         src = lowest_eigenpairs(assemble_schrodinger(sample_coefficients(spec, g), g), g.node_count, 1e-9)
         op = assemble_laplacian(g)
         lap = lowest_eigenpairs(op, g.node_count, 1e-9)
         co = expansion_coefficients(src, lap, 6, g.node_count)
-        res = eri_benchmark(6, 1e-2, src, lap, co, calib_hm1=1.0)
-        _assert_exact_matches_solver(res, src, GreenSolver(op))
+        res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        _assert_exact_matches_spectral(res, src, lap)
         for (i, j, k, l), e, f in zip(res.quadruples, res.exact, res.fitted):
             assert abs(e - f) <= res.quadruple_certificate(i, j, k, l) + 1e-12
 
@@ -227,12 +263,19 @@ class TestBatchedExact:
         grid, op, src, lap, co, solver = eri_setup
         rng = np.random.default_rng(5)
         block = rng.standard_normal((grid.node_count, 3))
-        batched = green_synthesis(lap, block)
+        batched = solver.solve(block)
         for c in range(3):
-            single = green_apply(GridFunction(grid, block[:, c]), lap).values
+            single = solver.solve(block[:, c])
             np.testing.assert_allclose(batched[:, c], single, rtol=1e-12, atol=1e-14)
 
     def test_rejects_non_laplacian_basis(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         with pytest.raises(ValueError):
-            green_synthesis(src, np.ones((grid.node_count, 1)))
+            eri_benchmark(8, 1e-2, src, src, op, co, calib_hm1=1.0)
+        schrodinger = assemble_schrodinger(
+            sample_coefficients(CoefficientSpec.constant(1.0, 0.5), grid), grid
+        )
+        with pytest.raises(ValueError):
+            GreenSolver(schrodinger)
+        with pytest.raises(ValueError):
+            solver.solve(np.ones(grid.node_count + 1))

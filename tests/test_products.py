@@ -20,7 +20,6 @@ from eigenrank.eigensolve import (
 )
 from eigenrank.products import (
     expansion_coefficients,
-    export_coefficients_csv,
     pair_list,
     pair_row,
     product_function,
@@ -188,16 +187,3 @@ def test_mean_zero_products_periodic():
     for (i, j) in pair_list(6):
         if i != j:
             assert abs(co.row(i, j)[k0]) < 1e-12
-
-
-def test_export_csv(tmp_path, flat1d_small):
-    grid, _, src, _ = flat1d_small
-    co = expansion_coefficients(src, src, 3, 8)
-    path = tmp_path / "coeffs.csv"
-    export_coefficients_csv(co, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,k,c"
-    assert len(lines) == 1 + 6 * 8
-    i, j, k, c = lines[1].split(",")
-    assert (i, j, k) == ("1", "1", "1")
-    assert float(c) == pytest.approx(co.row(0, 0)[0], rel=1e-15)
