@@ -14,7 +14,6 @@ from importlib import resources
 
 from .grid import DIRICHLET, PERIODIC, Grid, make_grid
 from .operator import CoefficientSpec, weyl_regime_cap
-from .eigensolve import DENSE_CAP
 
 PRESETS = ("flat-1d", "flat-2d", "harmonic-1d", "random-2d")
 
@@ -37,7 +36,6 @@ class ExperimentConfig:
     coefficients: CoefficientSpec
     solver_m: int
     solver_tol: float
-    dense_cap: int
     sweep_n: tuple[int, ...]
     sweep_eps: tuple[float, ...]
     sweep_norms: tuple[str, ...]
@@ -138,11 +136,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
     sblock = _get(doc, "config", "solver", dict, default={}, required=False)
     m = _get(sblock, "solver", "m", int, default=64, required=False)
     tol = _get(sblock, "solver", "tol", float, default=1e-9, required=False)
-    dense_cap = _get(sblock, "solver", "dense_cap", int, default=DENSE_CAP, required=False)
-    if not 1 <= dense_cap <= DENSE_CAP:
-        # above DENSE_CAP lowest_eigenpairs would switch to Lanczos, which
-        # cannot return the complete spectrum the tails need
-        raise ConfigError("solver.dense_cap", f"must be in [1, {DENSE_CAP}], got {dense_cap}")
     if m < 1:
         raise ConfigError("solver.m", f"must be >= 1, got {m}")
     if not tol > 0:
@@ -206,7 +199,6 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         coefficients=spec,
         solver_m=m,
         solver_tol=tol,
-        dense_cap=dense_cap,
         sweep_n=n_list,
         sweep_eps=eps_list,
         sweep_norms=norms,

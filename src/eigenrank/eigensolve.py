@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridFunction, make_grid
+from .grid import Grid, make_grid
 from .operator import (
     LAPLACIAN,
     CoefficientField,
@@ -102,12 +102,6 @@ class SpectralBasis:
                 f"{k} eigenfunctions requested, but the basis stores "
                 f"{self.materialized} of its {self.count} as vectors"
             )
-
-    def function(self, k: int) -> GridFunction:
-        if not 0 <= k < self.count:
-            raise IndexError(f"eigenfunction index {k} out of range [0, {self.count})")
-        self.require_columns(k + 1)
-        return GridFunction(self.grid, self.vectors[:, k])
 
     def gram_defect(self) -> float:
         """max |<phi_i, phi_j> - delta_ij| over the stored vectors."""
@@ -294,13 +288,7 @@ def _iterative_lowest(op, m, tol, maxiter):
     except spla.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
-            vec = exc.eigenvectors
-            lam = exc.eigenvalues
-            R = op.matrix @ vec - vec * lam[None, :]
-            scaled = np.sqrt(np.sum(R * R, axis=0)) / (
-                np.sqrt(np.sum(vec * vec, axis=0)) * (1.0 + np.abs(lam))
-            )
-            best = float(np.min(scaled))
+            best = float(np.min(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
         raise EigensolveError(
             f"Lanczos failed to converge within the iteration budget: {exc}",
             best_residual=best,
@@ -349,39 +337,6 @@ def _fix_signs(vec):
     first = np.argmax(mag > 1e-12 * np.max(mag, axis=0), axis=0)
     flip = vec[first, np.arange(vec.shape[1])] < 0
     np.negative(vec, out=vec, where=flip)
-
-
-def rotate_cluster(basis: SpectralBasis, indices, rotation=None, seed=0) -> SpectralBasis:
-    """Apply an orthogonal rotation inside one (degenerate) cluster.
-
-    Used to probe that reported quantities depend only on eigenspaces, not
-    on the solver's arbitrary choice of basis within a degenerate cluster.
-    """
-    indices = list(indices)
-    size = len(indices)
-    if rotation is None:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        rotation = np.linalg.qr(rng.standard_normal((size, size)))[0]
-    rotation = np.asarray(rotation)
-    if rotation.shape != (size, size):
-        raise ValueError(f"rotation must be {size}x{size}, got {rotation.shape}")
-    if np.max(np.abs(rotation.T @ rotation - np.eye(size))) > 1e-12:
-        raise ValueError("rotation matrix is not orthogonal")
-    vec = basis.vectors.copy()
-    vec[:, indices] = vec[:, indices] @ rotation
-    return SpectralBasis(
-        grid=basis.grid,
-        tag=basis.tag,
-        eigenvalues=basis.eigenvalues.copy(),
-        vectors=vec,
-        residuals=basis.residuals.copy(),
-    )
-
-
-def cluster_projector(basis: SpectralBasis, indices) -> np.ndarray:
-    """Grid-orthogonal projector onto the span of the listed eigenvectors."""
-    block = basis.vectors[:, list(indices)]
-    return basis.grid.quadrature_weight * (block @ block.T)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,16 @@ node values, one sparse LU factorization of the assembled Laplacian solves
 U = (-Delta)^{-1} P for every product density at once, and every exact
 integral is an entry of the pair Gram matrix E = w P^T U, so
 (ij|kl) = E[row(ij), row(kl)].  The fitted side truncates the spectral
-expansion in the Laplacian eigenbasis at rank r,
+expansion in the Laplacian eigenbasis at rank r, read off the same rows of
+a rank-r pair Gram matrix,
 
     fitted(ij|kl) = sum_{t <= r} c[i,j,t] c[k,l,t] / mu_t,
 
+(the constant mode of periodic grids has weight 0, as in the H^-1 tails),
 and its error is certified by Cauchy-Schwarz on the discarded sum:
-|exact - fitted| <= tail_hm1(i,j,r) * tail_hm1(k,l,r).  A wrong or
-incomplete spectral side therefore shows up as a certificate violation.
+|exact - fitted| <= t(ij) t(kl), with t the H^-1 tail of a pair after r
+modes.  A wrong or incomplete spectral side therefore shows up as a
+certificate violation.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ from .grid import PERIODIC
 from .eigensolve import SpectralBasis, sup_norms
 from .operator import LAPLACIAN, DiscreteOperator
 from .products import ProductCoefficients, pair_list, pair_row, product_matrix
-from .lowrank import NULL_MODE_REL_TOL, cutoff_hm1, hm1_weights, tail_table
+from .lowrank import HM1, cutoff, hm1_weights, tail_table
+
+SAMPLE_COUNT = 500        # quadruples sampled when n > EXHAUSTIVE_MAX_N
+EXHAUSTIVE_MAX_N = 12     # up to this n every quadruple class is evaluated
 
 
 class GreenSolver:
@@ -79,28 +85,11 @@ class GreenSolver:
         return u
 
 
-def fitted_eri(
-    i: int,
-    j: int,
-    k: int,
-    l: int,
-    coeffs: ProductCoefficients,
-    mu: np.ndarray,
-    r: int,
-) -> float:
-    """Rank-r separable surrogate sum_{t<=r} c[i,j,t] c[k,l,t] / mu_t."""
-    if coeffs.target != "laplacian":
-        raise ValueError(f"density fitting needs laplacian-target coefficients, got {coeffs.target!r}")
-    if not 0 <= r <= coeffs.m:
-        raise ValueError(f"r must satisfy 0 <= r <= {coeffs.m}, got {r}")
-    if len(mu) < coeffs.m:
-        raise ValueError("eigenvalue list shorter than stored coefficients")
-    c_ij = coeffs.row(i, j)[:r]
-    c_kl = coeffs.row(k, l)[:r]
-    mu_arr = np.asarray(mu)
-    # same constant-mode exclusion rule as the H^-1 tails
-    keep = mu_arr[:r] > NULL_MODE_REL_TOL * (1.0 + float(np.max(np.abs(mu_arr))))
-    return float(np.sum(c_ij[keep] * c_kl[keep] / mu_arr[:r][keep]))
+def fitted_pair_gram(coeffs: ProductCoefficients, weights: np.ndarray, r: int) -> np.ndarray:
+    """Rank-r surrogate of the pair Gram matrix: entry (row(ij), row(kl)) is
+    sum_{t<r} c[i,j,t] c[k,l,t] weights[t], with `weights` from hm1_weights."""
+    C = coeffs.coeffs[:, :r]
+    return (C * weights[:r]) @ C.T
 
 
 def canonical_quadruples(n: int) -> list[tuple[int, int, int, int]]:
@@ -131,7 +120,7 @@ class ERIResult:
     quadruples: list
     exact: np.ndarray
     fitted: np.ndarray
-    pair_tails: np.ndarray        # tail_hm1(i, j, r) per stored pair
+    pair_tails: np.ndarray        # H^-1 tail after r modes per stored pair
     max_abs_error: float
     mean_abs_error: float
     certificate: float            # (worst-pair tail)^2 bounds every error
@@ -155,12 +144,10 @@ def eri_benchmark(
     coeffs: ProductCoefficients,
     calib_hm1: float = 1.0,
     sample_seed: int = 20240801,
-    sample_count: int = 500,
-    exhaustive_max_n: int = 12,
 ) -> ERIResult:
     """Exact vs density-fitted integrals on a deterministic quadruple sample.
 
-    r comes from the calibrated H^-1 cutoff; all n <= exhaustive_max_n
+    r comes from the calibrated H^-1 cutoff; for n <= EXHAUSTIVE_MAX_N all
     quadruple classes are evaluated, larger n falls back to a seeded sample.
     The exact integrals come from one sparse LU of `op_lap` (GreenSolver);
     `exact_seconds` includes its factorization.  The modeled costs follow
@@ -175,15 +162,14 @@ def eri_benchmark(
     sub = coeffs.restrict(n) if coeffs.n != n else coeffs
     _, S = sup_norms(basis_L, n)
     d = basis_L.grid.dimension
-    r = min(cutoff_hm1(eps, n, S, d, calib_hm1), sub.m)
+    r = min(cutoff(HM1, eps, n, S, d, calib_hm1), sub.m)
 
-    if n <= exhaustive_max_n:
+    if n <= EXHAUSTIVE_MAX_N:
         quads = canonical_quadruples(n)
     else:
-        quads = sample_quadruples(n, sample_count, sample_seed)
+        quads = sample_quadruples(n, SAMPLE_COUNT, sample_seed)
 
     weights = hm1_weights(sub, basis_lap)
-    mu = basis_lap.eigenvalues[: sub.m]
     table = tail_table(sub, weights)
     pair_tails = table[:, r]
 
@@ -198,9 +184,7 @@ def eri_benchmark(
     exact_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fitted = np.array(
-        [fitted_eri(i, j, k, l, sub, mu, r) for (i, j, k, l) in quads]
-    )
+    fitted = fitted_pair_gram(sub, weights, r)[rows[:, 0], rows[:, 1]]
     fitted_seconds = time.perf_counter() - t0
 
     err = np.abs(exact - fitted)

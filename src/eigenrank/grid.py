@@ -143,7 +143,3 @@ def inner(f: GridFunction, g: GridFunction) -> float:
     if f.grid != g.grid:
         raise ValueError("inner() requires both functions on the same grid")
     return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
-
-
-def norm_l2(f: GridFunction) -> float:
-    return float(np.sqrt(inner(f, f)))

@@ -2,21 +2,23 @@
 
 For a family of products the quantities of interest are the tails
 
-    tail_l2(i, j, r)  = sqrt(sum_{k>r} c[i,j,k]^2)
-    tail_hm1(i, j, r) = sqrt(sum_{k>r} c[i,j,k]^2 / mu_k)
+    L2:    sqrt(sum_{k>r} c[i,j,k]^2)
+    H^-1:  sqrt(sum_{k>r} c[i,j,k]^2 / mu_k)
 
 (the latter against the Laplacian basis, dropping the constant mode on
-periodic grids), together with three notions of rank at accuracy eps:
+periodic grids), held for every pair and every r in one `tail_table`,
+together with three notions of rank at accuracy eps:
 
-    r_predicted the cutoff ceil(calib (S/eps)^d n)        [L2]
-                or ceil(calib (S/eps)^(d/2) sqrt(n))      [H^-1]
+    r_predicted the cutoff ceil(calib * rank_base), with rank_base
+                (S/eps)^d n [L2] or (S/eps)^(d/2) sqrt(n) [H^-1]
     r_empirical the smallest r whose worst-pair tail is <= eps
     r_oracle    the smallest SVD subspace dimension leaving every
                 product with residual <= eps
 
 The implicit constants hidden in the asymptotic statements are exposed as a
-single calibration constant per formula; `calibrate_cutoff` measures the
-smallest sufficient value on a given configuration.
+single calibration constant per formula; every rank report carries the
+implied constant r_empirical / rank_base, and the largest one over a sweep
+is the smallest sufficient calibration.
 """
 
 from __future__ import annotations
@@ -63,29 +65,6 @@ def _check_laplacian_target(coeffs: ProductCoefficients, basis_lap: SpectralBasi
     return mu, mask
 
 
-def tail_l2(coeffs: ProductCoefficients, i: int, j: int, r: int) -> float:
-    """L2 norm of the projection of phi_i phi_j beyond the first r targets."""
-    if not 0 <= r <= coeffs.m:
-        raise ValueError(f"r must satisfy 0 <= r <= {coeffs.m}, got {r}")
-    c = coeffs.row(i, j)
-    return float(np.sqrt(np.sum(c[r:] ** 2)))
-
-
-def tail_hm1(
-    coeffs: ProductCoefficients,
-    basis_lap: SpectralBasis,
-    i: int,
-    j: int,
-    r: int,
-) -> float:
-    """H^-1 norm of the projection beyond the first r Laplacian modes."""
-    if not 0 <= r <= coeffs.m:
-        raise ValueError(f"r must satisfy 0 <= r <= {coeffs.m}, got {r}")
-    weights = hm1_weights(coeffs, basis_lap)
-    c = coeffs.row(i, j)
-    return float(np.sqrt(np.sum((c[r:] ** 2) * weights[r:])))
-
-
 def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -> np.ndarray:
     """T[p, r] = tail of pair p after r modes, for every r = 0..m at once.
 
@@ -106,60 +85,29 @@ def hm1_weights(coeffs: ProductCoefficients, basis_lap: SpectralBasis) -> np.nda
     return np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, mu))
 
 
-def max_tail_curve(coeffs: ProductCoefficients, weights=None) -> np.ndarray:
-    """Worst-pair tail as a function of r (length m+1 vector)."""
-    return np.max(tail_table(coeffs, weights), axis=0)
-
-
 def empirical_rank(max_tails: np.ndarray, eps: float) -> int:
     """Smallest r with worst-pair tail <= eps; len(max_tails)-1 if none."""
     hits = np.nonzero(max_tails <= eps)[0]
     return int(hits[0]) if hits.size else int(len(max_tails) - 1)
 
 
-def cutoff_l2(eps: float, n: int, max_sup: float, d: int, calib: float = 1.0) -> int:
-    """Rank prescribed by the L2 low-rank bound: ceil(calib (S/eps)^d n)."""
+def rank_base(norm: str, eps: float, n: int, max_sup: float, d: int) -> float:
+    """The rank formula without its constant: (S/eps)^d n for L2,
+    (S/eps)^(d/2) sqrt(n) for H^-1."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if norm == L2:
+        return (max_sup / eps) ** d * n
+    if norm == HM1:
+        return (max_sup / eps) ** (d / 2.0) * math.sqrt(n)
+    raise ValueError(f"unknown norm {norm!r}")
+
+
+def cutoff(norm: str, eps: float, n: int, max_sup: float, d: int, calib: float) -> int:
+    """Rank prescribed by the calibrated bound: ceil(calib * rank_base), at least 1."""
     if not calib > 0:
         raise ValueError(f"calib must be positive, got {calib}")
-    return max(1, math.ceil(calib * (max_sup / eps) ** d * n))
-
-
-def cutoff_hm1(eps: float, n: int, max_sup: float, d: int, calib: float = 1.0) -> int:
-    """Rank prescribed by the H^-1 bound: ceil(calib (S/eps)^(d/2) sqrt(n))."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not calib > 0:
-        raise ValueError(f"calib must be positive, got {calib}")
-    return max(1, math.ceil(calib * (max_sup / eps) ** (d / 2.0) * math.sqrt(n)))
-
-
-def calibrate_cutoff(
-    max_tails: np.ndarray,
-    eps_list,
-    n: int,
-    max_sup: float,
-    d: int,
-    norm: str,
-) -> float:
-    """Smallest calibration constant making the cutoff sufficient.
-
-    Returns max over eps of r_empirical / (formula with calib = 1); feeding
-    the result back into the cutoff guarantees worst-pair tails <= eps for
-    every eps in the list.
-    """
-    worst = 0.0
-    for eps in eps_list:
-        r_emp = empirical_rank(max_tails, eps)
-        if norm == L2:
-            base = (max_sup / eps) ** d * n
-        elif norm == HM1:
-            base = (max_sup / eps) ** (d / 2.0) * math.sqrt(n)
-        else:
-            raise ValueError(f"unknown norm {norm!r}")
-        worst = max(worst, r_emp / base)
-    return worst
+    return max(1, math.ceil(calib * rank_base(norm, eps, n, max_sup, d)))
 
 
 def oracle_rank(
@@ -234,6 +182,21 @@ def geometric_r_samples(m: int, extra=()) -> list[int]:
     return sorted(samples)
 
 
+def tail_identity_slack(eigenvalues: np.ndarray, tails: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per pair, the worst eigenvalues[r-1] * tails[:, r]^2 - rhs[:, r] over
+    the geometric samples r >= 1 of a (pairs, m+1) tail table.
+
+    Every mode beyond r has eigenvalue >= eigenvalues[r-1], so the slack is
+    <= 0 up to roundoff whenever rhs bounds the eigenvalue-weighted tail:
+    the quadratic form Q = sum_k lambda_k c_k^2 for the L2 tails against
+    L's basis (`rhs` of shape (pairs, 1)), and the squared L2 tail against
+    the Laplacian basis for the H^-1 tails.
+    """
+    r = np.array([r for r in geometric_r_samples(tails.shape[1] - 1) if r >= 1])
+    rhs = np.broadcast_to(rhs, tails.shape)
+    return np.max(eigenvalues[r - 1] * tails[:, r] ** 2 - rhs[:, r], axis=1)
+
+
 def tail_slope(r_values, tails, floor: float = 1e-13) -> float:
     """Log-log slope of tail vs r, ignoring r=0 and roundoff-floor samples."""
     r = np.asarray(r_values, dtype=float)
@@ -258,12 +221,7 @@ class TailCurve:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Per-(n, eps, norm) rank comparison.
-
-    `ms` is a deterministic cost model (work in Mflop, i.e. milliseconds at
-    a nominal 1 Gflop/s) rather than wall clock, so identical configs emit
-    bitwise-identical CSV rows; real wall times go to summary.json.
-    """
+    """Per-(n, eps, norm) rank comparison."""
 
     n: int
     eps: float
@@ -273,7 +231,6 @@ class RankReport:
     r_oracle: int
     max_sup: float
     implied_constant: float
-    ms: float
 
 
 @dataclass(frozen=True)
@@ -316,21 +273,13 @@ def scaling_report(
             table = tail_table(sub, weights)
             max_tails = np.max(table, axis=0)
             _, S = sup_norms(basis_src, n)
-            rows = basis_src.grid.node_count if norm == L2 else coeffs.m
-            cell_flops = 4.0 * rows * (n * n) ** 2 + sub.coeffs.size
             r_oracles = oracle_rank(
                 basis_src, n, eps_list, norm, basis_lap=basis_lap, coeffs=sub
             )
             cutoffs = []
             for eps, r_orc in zip(eps_list, r_oracles):
-                if norm == L2:
-                    r_pred = cutoff_l2(eps, n, S, d, calib)
-                    base = (S / eps) ** d * n
-                else:
-                    r_pred = cutoff_hm1(eps, n, S, d, calib)
-                    base = (S / eps) ** (d / 2.0) * math.sqrt(n)
+                r_pred = cutoff(norm, eps, n, S, d, calib)
                 r_emp = empirical_rank(max_tails, eps)
-                ms = cell_flops / 1e6
                 reports.append(
                     RankReport(
                         n=n,
@@ -340,8 +289,7 @@ def scaling_report(
                         r_empirical=r_emp,
                         r_oracle=r_orc,
                         max_sup=S,
-                        implied_constant=r_emp / base,
-                        ms=ms,
+                        implied_constant=r_emp / rank_base(norm, eps, n, S, d),
                     )
                 )
                 cutoffs.append(r_pred)

@@ -126,11 +126,6 @@ class DiscreteOperator:
     def size(self) -> int:
         return self.grid.node_count
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.grid != self.grid:
-            raise ValueError("operator and function live on different grids")
-        return GridFunction(self.grid, self.matrix @ f.values)
-
 
 def sample_coefficients(spec: CoefficientSpec, grid: Grid) -> CoefficientField:
     """Evaluate (a, V) on the grid; deterministic given (spec, grid)."""

@@ -31,6 +31,7 @@ from .operator import (
     weyl_regime_cap,
 )
 from .eigensolve import (
+    DENSE_CAP,
     SpectralBasis,
     comparability_check,
     laplacian_eigenpairs,
@@ -48,9 +49,9 @@ from .products import (
 )
 from .lowrank import (
     ScalingReport,
-    geometric_r_samples,
     hm1_weights,
     scaling_report,
+    tail_identity_slack,
     tail_table,
 )
 from .eri import ERIResult, eri_benchmark
@@ -86,11 +87,13 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     # flat configurations: L is the Laplacian stencil, so the closed form
     # serves both operators, sharing its arrays and certificates
     flat = (op_L.matrix - op_lap.matrix).nnz == 0
-    if not flat and G > config.dense_cap:
+    if not flat and G > DENSE_CAP:
+        # above DENSE_CAP lowest_eigenpairs would switch to Lanczos, which
+        # cannot return the complete spectrum the tails need
         raise ConfigError(
-            "solver.dense_cap",
-            f"grid has {G} nodes > dense_cap {config.dense_cap}; the dense "
-            "eigensolve of L needs the complete spectrum, shrink the grid or raise the cap",
+            "grid.points",
+            f"grid has {G} nodes > {DENSE_CAP}; the dense eigensolve of a "
+            "non-flat L needs the complete spectrum, shrink the grid",
         )
     n_max = max(config.sweep_n)
     if config.eri_enabled:
@@ -190,6 +193,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
     k_min = max(4, cap // 8)   # skip the boundary-dominated low modes
     if cap - k_min + 1 >= 8:
         fit = weyl_fit(pipe.basis_L, pipe.grid.dimension, k_min, cap)
+        alpha, const = supnorm_growth_fit(pipe.basis_L, k_min, cap)
         summary["weyl_fit"] = {
             "k_min": k_min,
             "k_max": cap,
@@ -198,15 +202,13 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
             "constant": fit.constant,
             "max_rel_dev": fit.max_rel_dev,
         }
-    else:
-        summary["weyl_fit"] = {"skipped": "fewer than 8 modes inside the safe window"}
-    if cap - max(4, cap // 8) + 1 >= 8:
-        alpha, const = supnorm_growth_fit(pipe.basis_L, max(4, cap // 8), cap)
         summary["supnorm_growth"] = {
             "exponent": alpha,
             "constant": const,
             "reference_exponent": (pipe.grid.dimension - 1) / 4.0,
         }
+    else:
+        summary["weyl_fit"] = {"skipped": "fewer than 8 modes inside the safe window"}
 
 
 def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
@@ -256,7 +258,6 @@ def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingRe
             rep.r_oracle,
             rep.max_sup,
             rep.implied_constant,
-            rep.ms,
         )
         for rep in report.rank_reports
     ]
@@ -264,7 +265,7 @@ def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingRe
     # implementations sharing this file format
     write_csv(
         os.path.join(out_dir, "ranks.csv"),
-        ["n", "eps", "norm", "r_paper", "r_empirical", "r_oracle", "max_sup", "implied_constant", "ms"],
+        ["n", "eps", "norm", "r_paper", "r_empirical", "r_oracle", "max_sup", "implied_constant"],
         rows,
     )
     summary["rank_cells"] = len(rows)
@@ -359,11 +360,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
     table_l2 = tail_table(pipe.coeffs_l2)
     Q = (pipe.coeffs_l2.coeffs**2) @ lam
-    samples = [r for r in geometric_r_samples(pipe.coeffs_l2.m) if r >= 1]
-    worst_slack = -np.inf
-    for r in samples:
-        lhs = lam[r - 1] * table_l2[:, r] ** 2
-        worst_slack = max(worst_slack, float(np.max(lhs - Q)))
+    worst_slack = float(np.max(tail_identity_slack(lam, table_l2, Q[:, None])))
     record(
         "tail_identity_l2",
         worst_slack <= 1e-10 * (1.0 + float(np.max(np.abs(Q)))),
@@ -371,18 +368,13 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     )
 
     mu = pipe.basis_lap.eigenvalues[: pipe.coeffs_hm1.m]
-    weights = hm1_weights(pipe.coeffs_hm1, pipe.basis_lap)
-    table_hm1 = tail_table(pipe.coeffs_hm1, weights)
-    table_l2lap = tail_table(pipe.coeffs_hm1)
-    worst_slack3 = -np.inf
-    for r in samples:
-        lhs = mu[r - 1] * table_hm1[:, r] ** 2
-        rhs = table_l2lap[:, r] ** 2
-        worst_slack3 = max(worst_slack3, float(np.max(lhs - rhs)))
+    table_hm1 = tail_table(pipe.coeffs_hm1, hm1_weights(pipe.coeffs_hm1, pipe.basis_lap))
+    rhs = tail_table(pipe.coeffs_hm1) ** 2
+    worst_slack = float(np.max(tail_identity_slack(mu, table_hm1, rhs)))
     record(
         "tail_identity_hm1",
-        worst_slack3 <= 1e-10,
-        f"worst mu_r*tail_hm1^2 - tail_l2^2 = {worst_slack3:.3e}",
+        worst_slack <= 1e-10,
+        f"worst mu_r*(H^-1 tail)^2 - (L2 tail)^2 = {worst_slack:.3e}",
     )
 
     grad_sq = (pipe.coeffs_hm1.coeffs**2) @ mu
@@ -434,11 +426,14 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     )
 
     if eri is not None:
-        worst_violation = -np.inf
-        for (i, j, k, l), e, f_ in zip(eri.quadruples, eri.exact, eri.fitted):
-            cert = eri.quadruple_certificate(i, j, k, l)
-            worst_violation = max(worst_violation, abs(e - f_) - cert)
-        ok = worst_violation <= 1e-12 and eri.max_abs_error <= eri.certificate + 1e-12
+        # roundoff in both sides grows with the integrals, so the slack does too
+        certs = np.array([eri.quadruple_certificate(*q) for q in eri.quadruples])
+        excess = np.abs(eri.exact - eri.fitted) - certs
+        worst_violation = float(np.max(excess))
+        scale = np.maximum(1.0, np.abs(eri.exact))
+        ok = bool(np.all(excess <= 1e-12 * scale)) and (
+            eri.max_abs_error <= eri.certificate + 1e-12 * float(np.max(scale))
+        )
         record(
             "eri_certificate",
             ok,

@@ -129,30 +129,6 @@ def _tensor_coefficients(prods: np.ndarray, basis: SpectralBasis, m: int) -> np.
     return block.reshape(prods.shape[1], -1)[:, flat]
 
 
-def quadratic_form_value(
-    i: int,
-    j: int,
-    coeffs: ProductCoefficients,
-    basis_target: SpectralBasis,
-) -> float:
-    """Sum_k lambda_k c[i,j,k]^2, the spectral form <M(phi_i phi_j), phi_i phi_j>.
-
-    With a schrodinger target this is the quantity bounded by the traced
-    product-rule chain; with a laplacian target it equals the squared
-    gradient norm of the product (complete expansion assumed for equality).
-    """
-    if basis_target.tag != coeffs.target:
-        raise ValueError(
-            f"target tag mismatch: coefficients are {coeffs.target!r}, "
-            f"basis is {basis_target.tag!r}"
-        )
-    if basis_target.count < coeffs.m:
-        raise ValueError("basis provides fewer eigenvalues than stored coefficients")
-    c = coeffs.row(i, j)
-    lam = basis_target.eigenvalues[: coeffs.m]
-    return float(np.dot(lam, c * c))
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticChainReport:
     """Per-pair values and the fully traced upper bound for the key estimate

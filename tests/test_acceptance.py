@@ -17,7 +17,6 @@ from eigenrank.eigensolve import (
     comparability_check,
     laplacian_eigenpairs,
     lowest_eigenpairs,
-    rotate_cluster,
 )
 from eigenrank.operator import assemble_laplacian, gradient_energy
 from eigenrank.grid import make_grid
@@ -32,12 +31,13 @@ from eigenrank.lowrank import (
     empirical_rank,
     geometric_r_samples,
     hm1_weights,
-    max_tail_curve,
     oracle_rank,
+    tail_identity_slack,
     tail_slope,
     tail_table,
 )
 from eigenrank.eri import eri_benchmark
+from rotation import rotate_cluster
 
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -84,11 +84,8 @@ def test_criterion_03_tail_identities(flat1d_pipeline, flat2d_pipeline, random2d
     for pipe in (flat1d_pipeline, flat2d_pipeline, random2d_pipeline):
         lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
         Q = (pipe.coeffs_l2.coeffs**2) @ lam
-        table = tail_table(pipe.coeffs_l2)
-        worst_slack = -np.inf
-        for r in [r for r in geometric_r_samples(pipe.coeffs_l2.m) if r >= 1]:
-            slack = lam[r - 1] * table[:, r] ** 2 - (Q + 1e-10 * (1 + np.abs(Q)))
-            worst_slack = max(worst_slack, float(np.max(slack)))
+        slack = tail_identity_slack(lam, tail_table(pipe.coeffs_l2), Q[:, None])
+        worst_slack = float(np.max(slack - 1e-10 * (1 + np.abs(Q))))
         ok = ok and worst_slack <= 0
 
         mu = pipe.basis_lap.eigenvalues[: pipe.coeffs_hm1.m]
@@ -134,8 +131,8 @@ def test_criterion_05_tail_decay_envelopes(
         co_l2 = pipe.coeffs_l2.restrict(16)
         co_h = pipe.coeffs_hm1.restrict(16)
         rs = [r for r in geometric_r_samples(G) if 0 < r <= G // 2]
-        curve_l2 = max_tail_curve(co_l2)
-        curve_h = max_tail_curve(co_h, hm1_weights(co_h, pipe.basis_lap))
+        curve_l2 = np.max(tail_table(co_l2), axis=0)
+        curve_h = np.max(tail_table(co_h, hm1_weights(co_h, pipe.basis_lap)), axis=0)
         s_l2 = tail_slope(rs, [curve_l2[r] for r in rs])
         s_h = tail_slope(rs, [curve_h[r] for r in rs])
         ok = ok and s_l2 <= -1.0 / d + 0.1 and s_h <= -2.0 / d + 0.1
@@ -151,8 +148,8 @@ def test_criterion_05_tail_decay_envelopes(
 def test_criterion_06_hm1_beats_l2(flat2d_pipeline):
     co_l2 = flat2d_pipeline.coeffs_l2.restrict(16)
     co_h = flat2d_pipeline.coeffs_hm1.restrict(16)
-    curve_l2 = max_tail_curve(co_l2)
-    curve_h = max_tail_curve(co_h, hm1_weights(co_h, flat2d_pipeline.basis_lap))
+    curve_l2 = np.max(tail_table(co_l2), axis=0)
+    curve_h = np.max(tail_table(co_h, hm1_weights(co_h, flat2d_pipeline.basis_lap)), axis=0)
     ok = True
     details = []
     for eps in (1e-2, 1e-3):

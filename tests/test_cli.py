@@ -11,6 +11,7 @@ import pytest
 import eigenrank
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config, load_preset
+from eigenrank.eigensolve import DENSE_CAP
 
 
 def small_config(tmp_path, **overrides):
@@ -23,7 +24,7 @@ def small_config(tmp_path, **overrides):
             "boundary": "dirichlet",
         },
         "coefficients": {"kind": "constant", "a0": 1.0, "v0": 0.0},
-        "solver": {"m": 24, "tol": 1e-9, "dense_cap": 5000},
+        "solver": {"m": 24, "tol": 1e-9},
         "sweep": {"n": [4, 8], "eps": [0.01, 0.001], "norms": ["l2", "hm1"]},
         "eri": {"enabled": True, "n": 4, "eps": 0.01, "sample_seed": 3},
         "calibration": {"calib_l2": 1.0, "calib_hm1": 1.0},
@@ -90,17 +91,6 @@ class TestConfigParsing:
             load_config(str(path))
         assert "solver.m" in str(err.value)
 
-    @pytest.mark.parametrize("cap", [-3, 0, 5001, 6000])
-    def test_dense_cap_range(self, tmp_path, capsys, cap):
-        # above eigensolve.DENSE_CAP the solver would switch to Lanczos,
-        # which cannot return the complete spectrum
-        path = small_config(tmp_path, **{"solver.dense_cap": cap})
-        with pytest.raises(ConfigError) as err:
-            load_config(str(path))
-        assert "solver.dense_cap" in str(err.value)
-        assert main(["spectrum", "--config", str(path)]) == 2
-        assert "solver.dense_cap" in capsys.readouterr().err
-
 
 def _2d_grid(points):
     return {
@@ -122,6 +112,22 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["weyl_fit"]["exponent"] == pytest.approx(2.0, abs=0.05)
 
+    def test_spectrum_fits_need_eight_modes_in_the_window(self, tmp_path):
+        # 32 points resolve modes up to 8, leaving 4..8 in the fit window
+        path = small_config(
+            tmp_path, **{"grid.points": [32], "solver.m": 8, "sweep.n": [4]}
+        )
+        out = tmp_path / "narrow"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "skipped" in summary["weyl_fit"]
+        assert "supnorm_growth" not in summary
+        wide = tmp_path / "wide"
+        assert main(["spectrum", "--config", str(small_config(tmp_path)), "--out", str(wide)]) == 0
+        summary = json.loads((wide / "summary.json").read_text())
+        assert summary["weyl_fit"]["k_min"] == 4 and summary["weyl_fit"]["k_max"] == 24
+        assert summary["supnorm_growth"]["reference_exponent"] == 0.0
+
     def test_verify_all_green(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "verify-out"
@@ -135,7 +141,8 @@ class TestCommands:
         path = small_config(tmp_path)
         out = tmp_path / "ranks-out"
         assert main(["rank-scan", "--config", str(path), "--out", str(out)]) == 0
-        rows = (out / "ranks.csv").read_text().strip().splitlines()[1:]
+        header, *rows = (out / "ranks.csv").read_text().strip().splitlines()
+        assert header == "n,eps,norm,r_paper,r_empirical,r_oracle,max_sup,implied_constant"
         for row in rows:
             cells = row.split(",")
             n, norm, r_oracle = int(cells[0]), cells[2], int(cells[5])
@@ -156,30 +163,30 @@ class TestCommands:
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_flat_2d_runs_past_dense_cap(self, tmp_path):
-        # flat configs run no dense eigensolve, so dense_cap does not bind them
+        # flat configs run no dense eigensolve, so DENSE_CAP does not bind them
         path = small_config(
             tmp_path,
-            grid=_2d_grid(24),
-            solver={"m": 16, "tol": 1e-9, "dense_cap": 100},
+            grid=_2d_grid(72),
+            solver={"m": 16, "tol": 1e-9},
             sweep={"n": [4, 8], "eps": [0.01, 0.001], "norms": ["l2", "hm1"]},
         )
         out = tmp_path / "past-cap"
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["grid_nodes"] == 576
+        assert summary["grid_nodes"] == 5184 > DENSE_CAP
         assert summary["checks"] and all(summary["checks"].values())
         assert summary["eri"]["enabled"]
 
     def test_non_flat_past_dense_cap_exit_2(self, tmp_path, capsys):
         path = small_config(
             tmp_path,
-            grid=_2d_grid(24),
+            grid=_2d_grid(72),
             coefficients={"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5},
-            solver={"m": 16, "tol": 1e-9, "dense_cap": 100},
+            solver={"m": 16, "tol": 1e-9},
             sweep={"n": [4], "eps": [0.01], "norms": ["l2"]},
         )
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "solver.dense_cap" in capsys.readouterr().err
+        assert "grid.points" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate", "--config", "x"]) == 2
@@ -272,3 +279,19 @@ def test_verify_all_reports_stage_timings(tmp_path):
     stages = {"basis_lap", "basis_L", "coefficients", "scaling", "eri", "checks"}
     assert set(summary["timings"]) == stages
     assert all(t >= 0.0 for t in summary["timings"].values())
+
+
+def test_stretched_flat_1d_keeps_eri_certificate(tmp_path):
+    # on a box of length 1000 pi the integrals reach ~460 and the diagonal
+    # quadruples attain their certificate exactly, so the check holds only
+    # with a slack that grows with |exact|
+    doc = json.loads(Path(eigenrank.__file__).with_name("presets").joinpath("flat-1d.json").read_text())
+    doc["grid"]["lengths"] = [1000 * np.pi]
+    path = tmp_path / "stretched.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "stretched"
+    assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] and all(summary["checks"].values())
+    with open(out / "eri.csv", newline="") as fh:
+        assert max(abs(float(row["exact"])) for row in csv.DictReader(fh)) > 100.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenrank.grid import inner, make_grid
+from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import (
     CoefficientSpec,
     assemble_laplacian,
@@ -16,17 +16,16 @@ from eigenrank.eigensolve import (
     EigensolveError,
     _fix_signs,
     _scaled_residuals,
-    cluster_projector,
     comparability_check,
     SpectralBasis,
     degenerate_clusters,
     laplacian_eigenpairs,
     lowest_eigenpairs,
-    rotate_cluster,
     sup_norms,
     supnorm_growth_fit,
     weyl_fit,
 )
+from rotation import rotate_cluster
 
 
 def test_flat_1d_closed_form_and_certificates():
@@ -60,8 +59,8 @@ def test_rayleigh_consistency():
     op = assemble_laplacian(g)
     basis = lowest_eigenpairs(op, 16, 1e-9)
     for k in range(16):
-        phi = basis.function(k)
-        rq = inner(op.apply(phi), phi)
+        phi = GridFunction(g, basis.vectors[:, k])
+        rq = inner(GridFunction(g, op.matrix @ phi.values), phi)
         assert rq == pytest.approx(basis.eigenvalues[k], rel=1e-8)
 
 
@@ -73,9 +72,13 @@ def test_flat_2d_degeneracies_and_projector(flat2d_small):
     )
     clusters = degenerate_clusters(basis.eigenvalues[:8])
     pair = next(c for c in clusters if len(c) == 2)
-    proj = cluster_projector(basis, pair)
+
+    def projector(b):
+        block = b.vectors[:, pair]
+        return grid.quadrature_weight * (block @ block.T)
+
     rotated = rotate_cluster(basis, pair, seed=123)
-    proj_rot = cluster_projector(rotated, pair)
+    proj, proj_rot = projector(basis), projector(rotated)
     assert np.max(np.abs(proj - proj_rot)) <= 1e-8
     # individual vectors did change
     assert np.max(np.abs(rotated.vectors[:, pair] - basis.vectors[:, pair])) > 1e-3
@@ -115,6 +118,30 @@ def test_iterative_nonconvergence_raises():
     op = assemble_laplacian(g)
     with pytest.raises(EigensolveError):
         lowest_eigenpairs(op, 40, 1e-13, maxiter=1)
+
+
+def test_lanczos_failure_reports_best_partial_residual(monkeypatch):
+    # ARPACK hands back the pairs it has when it runs out of iterations; the
+    # error carries the best scaled residual among them
+    g = make_grid(1, np.pi, 6000, "dirichlet")
+    op = assemble_laplacian(g)
+    x = g.axis_nodes(0)
+    vec = np.column_stack([np.sin(k * x) for k in (1, 2, 3)])
+    vec[:, 1] += 1e-3 * np.cos(x)
+    lam = np.array([1.0, 4.0, 9.0])
+
+    def stalled(*args, **kwargs):
+        raise eigensolve.spla.ArpackNoConvergence("stalled", lam, vec)
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", stalled)
+    with pytest.raises(EigensolveError, match="failed to converge") as info:
+        lowest_eigenpairs(op, 3, 1e-9)
+    direct = [
+        np.linalg.norm(op.matrix @ vec[:, k] - lam[k] * vec[:, k])
+        / (np.linalg.norm(vec[:, k]) * (1.0 + lam[k]))
+        for k in range(3)
+    ]
+    assert info.value.best_residual == pytest.approx(min(direct), rel=1e-12)
 
 
 class TestWeylFit:
@@ -503,9 +530,10 @@ def lean_basis():
 
 
 def test_function_refuses_unstored_columns(lean_basis):
-    assert lean_basis.function(9).values.shape == (64,)
+    # every reader of eigenfunction node values goes through require_columns
+    lean_basis.require_columns(10)
     with pytest.raises(IndexError):
-        lean_basis.function(10)
+        lean_basis.require_columns(11)
 
 
 def test_sup_norms_refuse_unstored_columns(lean_basis):

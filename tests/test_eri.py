@@ -12,12 +12,12 @@ from eigenrank.operator import (
 )
 from eigenrank.eigensolve import laplacian_eigenpairs, lowest_eigenpairs
 from eigenrank.products import expansion_coefficients, pair_list, pair_row, product_function
-from eigenrank.lowrank import tail_hm1
+from eigenrank.lowrank import hm1_weights, tail_table
 from eigenrank.eri import (
     GreenSolver,
     canonical_quadruples,
     eri_benchmark,
-    fitted_eri,
+    fitted_pair_gram,
     sample_quadruples,
 )
 
@@ -52,7 +52,7 @@ class TestGreen:
         # a density equal to psi_k returns psi_k / mu_k
         grid, op, src, lap, co, solver = eri_setup
         for k in (0, 1, 2, 37, grid.node_count - 1):
-            rho = lap.function(k)
+            rho = GridFunction(grid, lap.vectors[:, k])
             u = green(solver, rho)
             np.testing.assert_allclose(
                 u.values, rho.values / lap.eigenvalues[k], atol=1e-12 * np.max(np.abs(rho.values))
@@ -147,32 +147,43 @@ class TestExactERI:
 class TestFittedERI:
     def test_complete_rank_recovers_exact(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
+        fit = fitted_pair_gram(co, hm1_weights(co, lap), co.m)
         for (i, j, k, l) in [(0, 0, 0, 0), (0, 1, 2, 2), (3, 7, 1, 5)]:
             e = exact_eri(i, j, k, l, src, solver)
-            f = fitted_eri(i, j, k, l, co, lap.eigenvalues, co.m)
+            f = fit[pair_row(i, j, 8), pair_row(k, l, 8)]
             assert f == pytest.approx(e, abs=1e-8 * (1 + abs(e)))
 
     def test_rank_zero_is_zero(self, eri_setup):
         *_, co, solver = eri_setup
-        lap = solver  # unused
-        assert fitted_eri(0, 0, 0, 0, co, np.ones(co.m), 0) == 0.0
+        fit = fitted_pair_gram(co, np.ones(co.m), 0)
+        assert fit.shape == (36, 36) and np.all(fit == 0.0)
+
+    def test_entries_match_the_pointwise_sum(self, eri_setup):
+        grid, op, src, lap, co, solver = eri_setup
+        w = hm1_weights(co, lap)
+        fit = fitted_pair_gram(co, w, 30)
+        for (i, j, k, l) in [(0, 0, 0, 0), (0, 1, 2, 3), (7, 7, 2, 5)]:
+            direct = math.fsum(co.row(i, j)[:30] * co.row(k, l)[:30] / lap.eigenvalues[:30])
+            assert fit[pair_row(i, j, 8), pair_row(k, l, 8)] == pytest.approx(direct, rel=1e-13)
 
     def test_cauchy_schwarz_bound_random_quadruples(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         rng = np.random.default_rng(2024)
         r = 40
+        w = hm1_weights(co, lap)
+        fit = fitted_pair_gram(co, w, r)
+        tails = tail_table(co, w)[:, r]
         for _ in range(50):
             i, j, k, l = rng.integers(0, 8, size=4)
             e = exact_eri(i, j, k, l, src, solver)
-            f = fitted_eri(i, j, k, l, co, lap.eigenvalues, r)
-            bound = tail_hm1(co, lap, i, j, r) * tail_hm1(co, lap, k, l, r)
-            assert abs(e - f) <= bound + 1e-12
+            p, q = pair_row(i, j, 8), pair_row(k, l, 8)
+            assert abs(e - fit[p, q]) <= tails[p] * tails[q] + 1e-12
 
     def test_requires_laplacian_target(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         co_l2 = expansion_coefficients(src, src, 4, 16)
         with pytest.raises(ValueError):
-            fitted_eri(0, 0, 0, 0, co_l2, src.eigenvalues, 8)
+            eri_benchmark(4, 1e-2, src, lap, op, co_l2, calib_hm1=1.0)
 
 
 class TestQuadrupleSampling:
@@ -200,9 +211,8 @@ class TestBenchmark:
 
     def test_fitted_symmetric_under_pair_swap(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        assert fitted_eri(0, 1, 2, 3, co, lap.eigenvalues, 30) == fitted_eri(
-            2, 3, 0, 1, co, lap.eigenvalues, 30
-        )
+        fit = fitted_pair_gram(co, hm1_weights(co, lap), 30)
+        assert np.max(np.abs(fit - fit.T)) <= 1e-15 * np.max(np.abs(fit))
 
     def test_exact_matrix_psd(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup

@@ -5,7 +5,7 @@ import pytest
 
 from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import assemble_laplacian
-from eigenrank.eigensolve import SpectralBasis, lowest_eigenpairs, rotate_cluster
+from eigenrank.eigensolve import SpectralBasis, lowest_eigenpairs
 from eigenrank.products import (
     expansion_coefficients,
     pair_list,
@@ -18,20 +18,18 @@ from eigenrank import lowrank
 from eigenrank.config import parse_config
 from eigenrank.pipeline import build_pipeline
 from eigenrank.lowrank import (
-    calibrate_cutoff,
-    cutoff_hm1,
-    cutoff_l2,
+    cutoff,
     empirical_rank,
     geometric_r_samples,
     hm1_weights,
-    max_tail_curve,
     oracle_rank,
+    rank_base,
     scaling_report,
-    tail_hm1,
-    tail_l2,
+    tail_identity_slack,
     tail_slope,
     tail_table,
 )
+from rotation import rotate_cluster
 
 
 @pytest.fixture(scope="module")
@@ -42,85 +40,108 @@ def flat1d_coeffs(flat1d_small):
     return grid, op, src, lap, co_l2, co_hm1
 
 
+def _tail(coeffs, i, j, r, weights=None):
+    """Tail of one pair after r modes, straight from its coefficient row."""
+    w = np.ones(coeffs.m) if weights is None else weights
+    return float(np.sqrt(np.sum(coeffs.row(i, j)[r:] ** 2 * w[r:])))
+
+
 class TestTails:
     def test_endpoints(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        assert tail_l2(co, 0, 0, 0) == pytest.approx(co.product_l2_norms[0], rel=1e-12)
-        assert tail_l2(co, 0, 0, grid.node_count) == 0.0
-        assert tail_hm1(co_h, lap, 0, 0, grid.node_count) == 0.0
-        with pytest.raises(ValueError):
-            tail_l2(co, 0, 0, grid.node_count + 1)
+        table = tail_table(co)
+        table_h = tail_table(co_h, hm1_weights(co_h, lap))
+        assert table.shape == (co.coeffs.shape[0], grid.node_count + 1)
+        assert table[0, 0] == pytest.approx(co.product_l2_norms[0], rel=1e-12)
+        assert np.all(table[:, grid.node_count] == 0.0)
+        assert np.all(table_h[:, grid.node_count] == 0.0)
 
     def test_monotone_nonincreasing(self, flat1d_coeffs):
         *_, co, co_h = flat1d_coeffs
-        curve = max_tail_curve(co)
+        curve = np.max(tail_table(co), axis=0)
         assert np.all(np.diff(curve) <= 1e-14)
 
     def test_table_matches_pointwise(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        table = tail_table(co)
+        w = hm1_weights(co_h, lap)
+        table, table_h = tail_table(co), tail_table(co_h, w)
         for (i, j) in [(0, 0), (2, 7), (15, 15)]:
             for r in (0, 3, 17, grid.node_count):
-                assert table[pair_row(i, j, 16), r] == pytest.approx(
-                    tail_l2(co, i, j, r), abs=1e-14
-                )
+                row = pair_row(i, j, 16)
+                assert table[row, r] == pytest.approx(_tail(co, i, j, r), abs=1e-14)
+                assert table_h[row, r] == pytest.approx(_tail(co_h, i, j, r, w), abs=1e-14)
 
     def test_first_pair_decay_slope(self, flat1d_coeffs):
         # phi_1^2 coefficients decay ~ k^-3, so the tail decays faster than 1/r
         grid, _, src, lap, co, co_h = flat1d_coeffs
         rs = [r for r in geometric_r_samples(grid.node_count) if 0 < r <= grid.node_count // 2]
-        tails = [tail_l2(co, 0, 0, r) for r in rs]
+        tails = tail_table(co)[pair_row(0, 0, 16), rs]
         assert tail_slope(rs, tails) <= -1.0
 
     def test_hm1_bounded_by_l2_over_sqrt_mu(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
+        row = pair_row(3, 5, 16)
+        table, table_h = tail_table(co_h), tail_table(co_h, hm1_weights(co_h, lap))
         for r in (0, 4, 32, 63):
-            bound = tail_l2(co_h, 3, 5, r) / math.sqrt(lap.eigenvalues[r])
-            assert tail_hm1(co_h, lap, 3, 5, r) <= bound * (1 + 1e-12)
+            bound = table[row, r] / math.sqrt(lap.eigenvalues[r])
+            assert table_h[row, r] <= bound * (1 + 1e-12)
 
     def test_hm1_r0_matches_poisson_solve(self, flat1d_coeffs):
         # independent route: ||f||_{H^-1}^2 = <f, u> with -Delta u = f by sparse solve
         grid, op, src, lap, co, co_h = flat1d_coeffs
         solver = GreenSolver(op)
+        table_h = tail_table(co_h, hm1_weights(co_h, lap))
         for (i, j) in [(0, 0), (1, 4), (7, 7)]:
             f = product_function(i, j, src)
             direct = math.sqrt(inner(f, GridFunction(grid, solver.solve(f.values))))
-            assert tail_hm1(co_h, lap, i, j, 0) == pytest.approx(direct, rel=1e-8)
+            assert table_h[pair_row(i, j, 16), 0] == pytest.approx(direct, rel=1e-8)
 
     def test_hm1_requires_laplacian_target(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         with pytest.raises(ValueError):
-            tail_hm1(co, lap, 0, 0, 0)
+            hm1_weights(co, lap)
 
 
 class TestCutoffs:
     def test_l2_formula(self):
-        assert cutoff_l2(0.5, 7, 0.5, 1) == 7            # eps = max_sup -> n
-        assert cutoff_l2(0.25, 7, 0.5, 1) == 14          # halving eps doubles r in d=1
-        assert cutoff_l2(1e9, 3, 0.5, 2) == 1            # clamped to >= 1
+        assert cutoff("l2", 0.5, 7, 0.5, 1, 1.0) == 7            # eps = max_sup -> n
+        assert cutoff("l2", 0.25, 7, 0.5, 1, 1.0) == 14          # halving eps doubles r in d=1
+        assert cutoff("l2", 1e9, 3, 0.5, 2, 1.0) == 1            # clamped to >= 1
+        assert rank_base("l2", 0.25, 7, 0.5, 2) == 28.0
 
     def test_hm1_formula(self):
-        assert cutoff_hm1(0.5, 16, 0.5, 2) == 4          # eps = max_sup -> ceil(sqrt(n))
-        assert cutoff_hm1(0.125, 16, 0.5, 2) == 16       # (S/eps)^(d/2)*sqrt(n) = 4*4
-        assert cutoff_hm1(1e9, 3, 0.5, 2) == 1
+        assert cutoff("hm1", 0.5, 16, 0.5, 2, 1.0) == 4          # eps = max_sup -> ceil(sqrt(n))
+        assert cutoff("hm1", 0.125, 16, 0.5, 2, 1.0) == 16       # (S/eps)^(d/2)*sqrt(n) = 4*4
+        assert cutoff("hm1", 1e9, 3, 0.5, 2, 1.0) == 1
+        assert rank_base("hm1", 0.125, 16, 0.5, 2) == 16.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            cutoff_l2(0.0, 4, 1.0, 1)
+            cutoff("l2", 0.0, 4, 1.0, 1, 1.0)
         with pytest.raises(ValueError):
-            cutoff_hm1(0.1, 4, 1.0, 1, calib=0.0)
+            cutoff("hm1", 0.1, 4, 1.0, 1, 0.0)
+        with pytest.raises(ValueError):
+            rank_base("h1", 0.1, 4, 1.0, 1)
 
     def test_calibration_makes_cutoff_sufficient(self, flat1d_coeffs):
+        # the largest implied constant of a sweep, fed back as the
+        # calibration, makes every predicted rank at least the empirical one
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        from eigenrank.eigensolve import sup_norms
-
-        _, S = sup_norms(src, 16)
-        eps_list = [1e-1, 1e-2]
-        curve = max_tail_curve(co)
-        calib = calibrate_cutoff(curve, eps_list, 16, S, 1, "l2")
-        for eps in eps_list:
-            r = min(cutoff_l2(eps, 16, S, 1, calib), co.m)
-            assert curve[r] <= eps
+        sweep = dict(n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], d=1)
+        first = scaling_report(src, lap, co, co_h, **sweep)
+        calib = {
+            norm: max(rep.implied_constant for rep in first.rank_reports if rep.norm == norm)
+            for norm in ("l2", "hm1")
+        }
+        second = scaling_report(
+            src, lap, co, co_h, calib_l2=calib["l2"], calib_hm1=calib["hm1"], **sweep
+        )
+        weights = {"l2": None, "hm1": hm1_weights(co_h, lap)}
+        for rep in second.rank_reports:
+            assert rep.r_predicted >= rep.r_empirical
+            sub = {"l2": co, "hm1": co_h}[rep.norm].restrict(rep.n)
+            curve = np.max(tail_table(sub, weights[rep.norm]), axis=0)
+            assert curve[min(rep.r_predicted, sub.m)] <= rep.eps
 
 
 def _ordered_family(basis, n):
@@ -203,8 +224,8 @@ class TestOracle:
 
     def test_dominated_by_empirical(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        curve = max_tail_curve(co)
-        curve_h = max_tail_curve(co_h, hm1_weights(co_h, lap))
+        curve = np.max(tail_table(co), axis=0)
+        curve_h = np.max(tail_table(co_h, hm1_weights(co_h, lap)), axis=0)
         eps_list = [1e-2, 1e-4]
         for eps, r in zip(eps_list, oracle_rank(src, 16, eps_list)):
             assert r <= empirical_rank(curve, eps)
@@ -307,7 +328,7 @@ class TestOracle:
 class TestRankMonotonicity:
     def test_empirical_rank_grows_as_eps_shrinks(self, flat1d_coeffs):
         *_, co, co_h = flat1d_coeffs
-        curve = max_tail_curve(co)
+        curve = np.max(tail_table(co), axis=0)
         ranks = [empirical_rank(curve, eps) for eps in (1e-1, 1e-2, 1e-3, 1e-5)]
         assert ranks == sorted(ranks)
 
@@ -318,18 +339,22 @@ class TestChainIdentities:
         lam = src.eigenvalues[: co.m]
         Q = (co.coeffs**2) @ lam
         table = tail_table(co)
-        for r in [r for r in geometric_r_samples(co.m) if r >= 1]:
-            lhs = lam[r - 1] * table[:, r] ** 2
-            assert np.all(lhs <= Q + 1e-10 * (1 + np.abs(Q)))
+        slack = tail_identity_slack(lam, table, Q[:, None])
+        assert np.all(slack <= 1e-10 * (1 + np.abs(Q)))
+        # the helper's value is the worst of the pointwise identity
+        for p in (0, 40, len(Q) - 1):
+            direct = max(
+                lam[r - 1] * _tail(co, *pair_list(16)[p], r) ** 2 - Q[p]
+                for r in geometric_r_samples(co.m) if r >= 1
+            )
+            assert slack[p] == pytest.approx(direct, abs=1e-12 * (1 + abs(Q[p])))
 
     def test_hm1_tail_lower_bound_identity(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         mu = lap.eigenvalues[: co_h.m]
-        w = hm1_weights(co_h, lap)
-        t_h = tail_table(co_h, w)
+        t_h = tail_table(co_h, hm1_weights(co_h, lap))
         t_2 = tail_table(co_h)
-        for r in [r for r in geometric_r_samples(co_h.m) if r >= 1]:
-            assert np.all(mu[r - 1] * t_h[:, r] ** 2 <= t_2[:, r] ** 2 + 1e-10)
+        assert np.all(tail_identity_slack(mu, t_h, t_2**2) <= 1e-10)
 
     def test_h1_identity_against_gradient_quadrature(self, flat1d_coeffs):
         from eigenrank.operator import gradient_energy
@@ -400,5 +425,5 @@ def test_periodic_hm1_excludes_constant_mode():
     )
     co = expansion_coefficients(src, basis, 4, 48)
     # no blow-up from the zero mode, and the full tail is finite
-    val = tail_hm1(co, basis, 0, 0, 0)
+    val = tail_table(co, hm1_weights(co, basis))[0, 0]
     assert np.isfinite(val) and val > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenrank.grid import inner, make_grid, norm_l2
+from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import (
     CoefficientSpec,
     assemble_laplacian,
@@ -16,7 +16,6 @@ from eigenrank.operator import (
 from eigenrank.eigensolve import (
     SpectralBasis,
     lowest_eigenpairs,
-    rotate_cluster,
 )
 from eigenrank.products import (
     expansion_coefficients,
@@ -24,8 +23,13 @@ from eigenrank.products import (
     pair_row,
     product_function,
     quadratic_chain_report,
-    quadratic_form_value,
 )
+from rotation import rotate_cluster
+
+
+def quadratic_form_value(i, j, coeffs, basis_target):
+    """Sum_k lambda_k c[i,j,k]^2, the spectral form <M(phi_i phi_j), phi_i phi_j>."""
+    return float(np.dot(basis_target.eigenvalues[: coeffs.m], coeffs.row(i, j) ** 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -48,7 +52,7 @@ def test_product_function_basics(flat1d_small):
     np.testing.assert_array_equal(a.values, b.values)
     # Hoelder: ||phi_i phi_j|| <= ||phi_i||_inf * ||phi_j|| = ||phi_i||_inf
     sup_i = np.max(np.abs(src.vectors[:, 2]))
-    assert norm_l2(a) <= sup_i * (1 + 1e-12)
+    assert np.sqrt(inner(a, a)) <= sup_i * (1 + 1e-12)
     with pytest.raises(IndexError):
         product_function(0, src.count, src)
 
@@ -83,7 +87,7 @@ def test_quadratic_form_two_paths(flat1d_small):
         i, j = sorted(rng.integers(0, 6, size=2))
         fg = product_function(i, j, src)
         spectral = quadratic_form_value(i, j, co, src)
-        direct = inner(op.apply(fg), fg)
+        direct = inner(GridFunction(grid, op.matrix @ fg.values), fg)
         assert spectral == pytest.approx(direct, rel=1e-8)
 
 
@@ -98,10 +102,12 @@ def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small):
 
 
 def test_quadratic_form_tag_mismatch(flat1d_small):
+    # the traced chain bounds the form of L, not of the Laplacian target
     grid, _, src, lap = flat1d_small
-    co = expansion_coefficients(src, src, 4, grid.node_count)
+    co = expansion_coefficients(src, lap, 4, grid.node_count)
+    f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), grid)
     with pytest.raises(ValueError):
-        quadratic_form_value(0, 0, co, lap)
+        quadratic_chain_report(co, src, f)
 
 
 def test_potential_shift_identity():
