@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     from .pipeline import run
 
     try:
-        status = run(config, args.command, out_dir=args.out)
+        status = run(config, args.command, out_dir=args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,13 +11,16 @@ Its certificates are per-axis bounds that cover every tensor mode plus
 measured residual and Gram checks of the written columns against the
 assembled operator.
 
-Any other operator goes through lowest_eigenpairs: a dense symmetric
-eigendecomposition up to DENSE_CAP unknowns (deterministic for a fixed BLAS
-thread count), shift-inverted Lanczos above it, with full
-reorthogonalization and residual verification against the same tolerance.
-Eigenvectors are normalized in the grid inner product, signs are fixed
-(first significant component positive) and near-degenerate clusters are
-re-orthonormalized so downstream tensors are reproducible.
+Any other operator goes through lowest_eigenpairs, which solves only the
+window it is asked for: an index-range dense solve up to DENSE_CAP unknowns
+(LAPACK's eigh with subset_by_index, which counts eigenvalues by Sturm
+sequences, so the window holds the m lowest modes and none is skipped;
+deterministic for a fixed BLAS thread count), shift-inverted Lanczos above
+it, with residual verification against the same tolerance.  On request the
+window grows to close the degenerate cluster at its end.  Eigenvectors are
+normalized in the grid inner product, signs are fixed (first significant
+component positive) and near-degenerate clusters are re-orthonormalized so
+downstream tensors are reproducible.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ DEFAULT_TOL = 1e-9
 CLUSTER_REL_GAP = 1e-8
 ORTHO_TOL = 1e-10
 RESIDUAL_BLOCK = 256   # columns per block of the residual certificate
+CLUSTER_PAD = 16       # modes solved past a window to find where its end cluster closes
 
 
 class EigensolveError(RuntimeError):
@@ -113,17 +117,28 @@ def lowest_eigenpairs(
     m: int,
     tol: float = DEFAULT_TOL,
     maxiter: int | None = None,
+    close_cluster: bool = False,
 ) -> SpectralBasis:
-    """Compute the m lowest eigenpairs of a symmetric stencil operator."""
+    """Compute the m lowest eigenpairs of a symmetric stencil operator.
+
+    With close_cluster, m grows to cluster_end(eigenvalues, m), so the window
+    never splits a degenerate cluster: the solve runs CLUSTER_PAD modes past
+    m, and again with a doubled pad while the cluster reaches the end of
+    what was solved.  Only the returned pairs are certified.
+    """
     _check_request(op, m, tol)
-    if op.size <= DENSE_CAP:
-        dense = op.matrix.toarray(order="F")
-        lam, vec = sla.eigh(dense, overwrite_a=True)
-        del dense   # destroyed by eigh; free it before the copies below
-        lam = lam[:m]
-        vec = np.ascontiguousarray(vec[:, :m])
-    else:
-        lam, vec = _iterative_lowest(op, m, tol, maxiter)
+    end, pad = m, CLUSTER_PAD
+    while True:
+        solved = min(m + pad, op.size) if close_cluster else m
+        lam, vec = _solve_lowest(op, solved, tol, maxiter)
+        if not close_cluster:
+            break
+        end = cluster_end(lam, m)
+        if end < solved or solved == op.size:
+            break
+        pad *= 2
+    lam = lam[:end]
+    vec = np.ascontiguousarray(vec[:, :end])
 
     w = op.grid.quadrature_weight
     vec /= np.sqrt(w * np.sum(vec * vec, axis=0))
@@ -272,6 +287,26 @@ def _gram_defect(vec, w) -> float:
     diag = np.arange(vec.shape[1])
     gram[diag, diag] -= 1.0
     return float(np.max(np.abs(gram, out=gram)))
+
+
+def _solve_lowest(op, m, tol, maxiter):
+    """The m lowest eigenvalues (ascending) and eigenvectors of op, unnormalized."""
+    if op.size > DENSE_CAP:
+        return _iterative_lowest(op, m, tol, maxiter)
+    dense = op.matrix.toarray(order="F")
+    # the index-range solve brackets eigenvalues 0..m-1 by Sturm counts and
+    # computes only their vectors
+    return sla.eigh(dense, overwrite_a=True, subset_by_index=(0, m - 1))
+
+
+def cluster_end(eigenvalues: np.ndarray, m: int, rel_gap: float = CLUSTER_REL_GAP) -> int:
+    """Smallest k >= m at which a window of k modes does not split a
+    degenerate cluster (the rule of degenerate_clusters), or len(eigenvalues)
+    if the cluster holding index m-1 runs to the end of the list."""
+    for k in range(m, len(eigenvalues)):
+        if eigenvalues[k] - eigenvalues[k - 1] >= rel_gap * (1.0 + abs(eigenvalues[k])):
+            return k
+    return len(eigenvalues)
 
 
 def _iterative_lowest(op, m, tol, maxiter):

@@ -11,8 +11,8 @@ node values, one sparse LU factorization of the assembled Laplacian solves
 U = (-Delta)^{-1} P for every product density at once, and every exact
 integral is an entry of the pair Gram matrix E = w P^T U, so
 (ij|kl) = E[row(ij), row(kl)].  The fitted side truncates the spectral
-expansion in the Laplacian eigenbasis at rank r, read off the same rows of
-a rank-r pair Gram matrix,
+expansion in the Laplacian eigenbasis at rank r and forms only the
+evaluated entries, one r-term dot product per quadruple,
 
     fitted(ij|kl) = sum_{t <= r} c[i,j,t] c[k,l,t] / mu_t,
 
@@ -85,11 +85,18 @@ class GreenSolver:
         return u
 
 
-def fitted_pair_gram(coeffs: ProductCoefficients, weights: np.ndarray, r: int) -> np.ndarray:
-    """Rank-r surrogate of the pair Gram matrix: entry (row(ij), row(kl)) is
-    sum_{t<r} c[i,j,t] c[k,l,t] weights[t], with `weights` from hm1_weights."""
-    C = coeffs.coeffs[:, :r]
-    return (C * weights[:r]) @ C.T
+def fitted_integrals(
+    coeffs: ProductCoefficients, weights: np.ndarray, r: int, rows: np.ndarray
+) -> np.ndarray:
+    """Rank-r surrogate of the pair Gram entries (rows[q, 0], rows[q, 1]):
+    sum_{t<r} c[i,j,t] c[k,l,t] weights[t], with `weights` from hm1_weights.
+
+    The rows are scaled by sqrt(weights) once (pairs * r multiplies) and
+    each entry is one r-term dot product of two scaled rows (r per entry),
+    so swapping the two pairs of an entry gives the same bits.
+    """
+    D = coeffs.coeffs[:, :r] * np.sqrt(weights[:r])
+    return np.sum(D[rows[:, 0]] * D[rows[:, 1]], axis=1)
 
 
 def canonical_quadruples(n: int) -> list[tuple[int, int, int, int]]:
@@ -184,7 +191,7 @@ def eri_benchmark(
     exact_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fitted = fitted_pair_gram(sub, weights, r)[rows[:, 0], rows[:, 1]]
+    fitted = fitted_integrals(sub, weights, r, rows)
     fitted_seconds = time.perf_counter() - t0
 
     err = np.abs(exact - fitted)

@@ -15,6 +15,12 @@ together with three notions of rank at accuracy eps:
     r_oracle    the smallest SVD subspace dimension leaving every
                 product with residual <= eps
 
+A windowed L2 table (the m modes of a resolved window, m < G) ends at r = m,
+where the tail is the measured out-of-window mass; when no r <= m meets eps,
+r_empirical is reported as m + 1, a lower bound.  A rank cell is `resolved`
+when its worst-pair tail at the resolved window M is at most eps, on
+complete and windowed tables alike.
+
 The implicit constants hidden in the asymptotic statements are exposed as a
 single calibration constant per formula; every rank report carries the
 implied constant r_empirical / rank_base, and the largest one over a sweep
@@ -68,15 +74,20 @@ def _check_laplacian_target(coeffs: ProductCoefficients, basis_lap: SpectralBasi
 def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -> np.ndarray:
     """T[p, r] = tail of pair p after r modes, for every r = 0..m at once.
 
-    `weights` (optional, length m) turns the L2 table into the H^-1 table.
-    Computed by reverse cumulative sums, so one pass serves every r.
+    `weights` (optional, length m) turns the L2 table into the H^-1 table,
+    which needs a complete expansion.  Computed by reverse cumulative sums
+    that start from the out-of-window mass (0 for a complete expansion), so
+    one pass serves every r and T[p, m] is that mass's square root.
     """
-    sq = coeffs.coeffs**2
+    if weights is not None and coeffs.outside_mass is not None:
+        raise ValueError("H^-1 tails need a complete expansion, got a windowed one")
+    sq = np.zeros((coeffs.coeffs.shape[0], coeffs.m + 1))
+    np.square(coeffs.coeffs, out=sq[:, : coeffs.m])
     if weights is not None:
-        sq = sq * weights[None, :]
-    rev = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    table = np.zeros((sq.shape[0], coeffs.m + 1))
-    table[:, : coeffs.m] = rev
+        sq[:, : coeffs.m] *= weights[None, :]
+    if coeffs.outside_mass is not None:
+        sq[:, coeffs.m] = coeffs.outside_mass
+    table = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
     return np.sqrt(np.maximum(table, 0.0))
 
 
@@ -86,9 +97,10 @@ def hm1_weights(coeffs: ProductCoefficients, basis_lap: SpectralBasis) -> np.nda
 
 
 def empirical_rank(max_tails: np.ndarray, eps: float) -> int:
-    """Smallest r with worst-pair tail <= eps; len(max_tails)-1 if none."""
+    """Smallest r with worst-pair tail <= eps; len(max_tails), a lower
+    bound, if none (only a windowed table can miss: a complete one ends at 0)."""
     hits = np.nonzero(max_tails <= eps)[0]
-    return int(hits[0]) if hits.size else int(len(max_tails) - 1)
+    return int(hits[0]) if hits.size else int(len(max_tails))
 
 
 def rank_base(norm: str, eps: float, n: int, max_sup: float, d: int) -> float:
@@ -230,7 +242,8 @@ class RankReport:
     r_empirical: int
     r_oracle: int
     max_sup: float
-    implied_constant: float
+    implied_constant: float      # a lower bound where r_empirical is one
+    resolved: bool               # worst-pair tail at the resolved window <= eps
 
 
 @dataclass(frozen=True)
@@ -253,8 +266,14 @@ def scaling_report(
     calib_hm1: float = 1.0,
     curve_n: int | None = None,
     curve_r_max: int | None = None,
+    window: int | None = None,
 ) -> ScalingReport:
-    """Sweep (n, eps, norm) cells; emit rank reports, tail curves and slopes."""
+    """Sweep (n, eps, norm) cells; emit rank reports, tail curves and slopes.
+
+    `window` is the resolved window M (every table holds at least M modes):
+    a cell is resolved when its worst-pair tail at r = M is at most eps.
+    None takes each table's own length.
+    """
     reports: list[RankReport] = []
     curves: list[TailCurve] = []
     slopes: dict[str, float] = {}
@@ -290,6 +309,7 @@ def scaling_report(
                         r_oracle=r_orc,
                         max_sup=S,
                         implied_constant=r_emp / rank_base(norm, eps, n, S, d),
+                        resolved=bool(max_tails[sub.m if window is None else window] <= eps),
                     )
                 )
                 cutoffs.append(r_pred)

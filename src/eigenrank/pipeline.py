@@ -4,7 +4,14 @@ Owns the five CLI commands (spectrum, tail-curves, rank-scan, eri-bench,
 verify-all), the cross-module invariant suite behind verify-all, and all
 file output.  CSVs are written atomically with 17 significant digits so
 identical configs diff bitwise; summary.json echoes the config and every
-calibration constant next to the per-check booleans.
+calibration constant next to the per-check booleans, plus the stage
+timings, peak RSS, thread cap and library versions (none of which reach a
+CSV).
+
+The basis of L covers the resolved window M: the eigenfunctions read node by
+node and the Weyl-regime cap, extended to close the degenerate cluster at
+its end.  Flat configurations take it from the complete closed form; any
+other L is solved for those M modes only, so its L2 expansion is windowed.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig
@@ -33,6 +41,7 @@ from .operator import (
 from .eigensolve import (
     DENSE_CAP,
     SpectralBasis,
+    cluster_end,
     comparability_check,
     laplacian_eigenpairs,
     lowest_eigenpairs,
@@ -48,6 +57,8 @@ from .products import (
     quadratic_chain_report,
 )
 from .lowrank import (
+    HM1,
+    L2,
     ScalingReport,
     hm1_weights,
     scaling_report,
@@ -73,6 +84,7 @@ class Pipeline:
     coeffs_l2: ProductCoefficients
     coeffs_hm1: ProductCoefficients
     n_max: int
+    window: int     # the resolved window M of basis_L
     build_seconds: float
     timings: dict   # wall seconds of the build stages, by stage name
 
@@ -89,11 +101,12 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     flat = (op_L.matrix - op_lap.matrix).nnz == 0
     if not flat and G > DENSE_CAP:
         # above DENSE_CAP lowest_eigenpairs would switch to Lanczos, which
-        # cannot return the complete spectrum the tails need
+        # has no count certificate that it missed no mode of the window
         raise ConfigError(
             "grid.points",
-            f"grid has {G} nodes > {DENSE_CAP}; the dense eigensolve of a "
-            "non-flat L needs the complete spectrum, shrink the grid",
+            f"grid has {G} nodes > {DENSE_CAP}; the resolved window of a "
+            "non-flat L is certified complete only by the dense index-range "
+            "eigensolve, shrink the grid",
         )
     n_max = max(config.sweep_n)
     if config.eri_enabled:
@@ -110,12 +123,15 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     t = time.perf_counter()
     if flat:
         basis_L = replace(basis_lap, tag=op_L.kind)
+        window = cluster_end(basis_lap.eigenvalues, columns)
     else:
-        basis_L = lowest_eigenpairs(op_L, G, config.solver_tol)
+        basis_L = lowest_eigenpairs(op_L, columns, config.solver_tol, close_cluster=True)
+        window = basis_L.count
     timings["basis_L"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, G)
+    # complete on flat configs, the window M otherwise
+    coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, basis_L.count)
     coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
     timings["coefficients"] = time.perf_counter() - t
 
@@ -130,6 +146,7 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
         coeffs_l2=coeffs_l2,
         coeffs_hm1=coeffs_hm1,
         n_max=n_max,
+        window=window,
         build_seconds=time.perf_counter() - t0,
         timings=timings,
     )
@@ -167,11 +184,26 @@ def write_csv(path: str, header: list[str], rows) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _write_tables(out_dir: str, tables: list) -> None:
+    for name, header, rows in tables:
+        write_csv(os.path.join(out_dir, name), header, rows)
+
+
+def _versions() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+    }
+
+
 # ----------------------------------------------------------------------
-# commands
+# commands: each appends its CSV tables (file name, header, rows) to
+# `tables`, which run() writes once the command is done
 # ----------------------------------------------------------------------
 
-def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
+def cmd_spectrum(pipe: Pipeline, tables: list, summary: dict) -> None:
     m = pipe.config.solver_m
     per_k, _ = sup_norms(pipe.basis_L, m)
     rows = [
@@ -184,11 +216,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
         )
         for k in range(m)
     ]
-    write_csv(
-        os.path.join(out_dir, "spectrum.csv"),
-        ["k", "lambda_L", "mu_lap", "sup_norm", "residual"],
-        rows,
-    )
+    tables.append(("spectrum.csv", ["k", "lambda_L", "mu_lap", "sup_norm", "residual"], rows))
     cap = min(weyl_regime_cap(pipe.grid), pipe.basis_L.count)
     k_min = max(4, cap // 8)   # skip the boundary-dominated low modes
     if cap - k_min + 1 >= 8:
@@ -226,28 +254,25 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
         calib_hm1=cfg.calib_hm1,
         curve_n=curve_n,
         curve_r_max=pipe.grid.node_count // 2,
+        window=pipe.window,
     )
 
 
-def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
+def cmd_tail_curves(pipe: Pipeline, tables: list, summary: dict, report: ScalingReport) -> None:
     rows = []
     for curve in report.tail_curves:
         i = 0 if curve.i is None else curve.i + 1
         j = 0 if curve.j is None else curve.j + 1
         for r, value in curve.samples:
             rows.append((curve.norm, i, j, r, value))
-    write_csv(
-        os.path.join(out_dir, "tails.csv"),
-        ["norm", "i", "j", "r", "tail"],
-        rows,
-    )
+    tables.append(("tails.csv", ["norm", "i", "j", "r", "tail"], rows))
     summary["tail_slopes"] = {
         norm: slope for norm, slope in report.slopes.items()
     }
     summary["tail_curve_n"] = max(pipe.config.sweep_n)
 
 
-def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
+def cmd_rank_scan(pipe: Pipeline, tables: list, summary: dict, report: ScalingReport) -> None:
     rows = [
         (
             rep.n,
@@ -258,20 +283,29 @@ def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingRe
             rep.r_oracle,
             rep.max_sup,
             rep.implied_constant,
+            int(rep.resolved),
         )
         for rep in report.rank_reports
     ]
     # the column stays named r_paper so rank tables diff cleanly across
     # implementations sharing this file format
-    write_csv(
-        os.path.join(out_dir, "ranks.csv"),
-        ["n", "eps", "norm", "r_paper", "r_empirical", "r_oracle", "max_sup", "implied_constant"],
-        rows,
-    )
+    header = [
+        "n", "eps", "norm", "r_paper", "r_empirical", "r_oracle", "max_sup",
+        "implied_constant", "resolved",
+    ]
+    tables.append(("ranks.csv", header, rows))
     summary["rank_cells"] = len(rows)
+    summary["resolved_window"] = pipe.window
+    # r_empirical (and implied_constant) of an unresolved windowed L2 cell
+    # is a lower bound, window + 1
+    summary["unresolved_cells"] = [
+        {"n": rep.n, "eps": rep.eps, "norm": rep.norm, "r_empirical": rep.r_empirical}
+        for rep in report.rank_reports
+        if not rep.resolved
+    ]
 
 
-def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | None:
+def cmd_eri_bench(pipe: Pipeline, tables: list, summary: dict) -> ERIResult | None:
     cfg = pipe.config
     if not cfg.eri_enabled:
         summary["eri"] = {"enabled": False}
@@ -300,10 +334,8 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
                 result.quadruple_certificate(i, j, k, l),
             )
         )
-    write_csv(
-        os.path.join(out_dir, "eri.csv"),
-        ["i", "j", "k", "l", "exact", "fitted", "abs_err", "certificate"],
-        rows,
+    tables.append(
+        ("eri.csv", ["i", "j", "k", "l", "exact", "fitted", "abs_err", "certificate"], rows)
     )
     summary["eri"] = {
         "enabled": True,
@@ -348,7 +380,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"the per-axis bound over all {pipe.basis_lap.count} modes)",
     )
 
-    chain = quadratic_chain_report(pipe.coeffs_l2, pipe.basis_L, pipe.field_, pipe.n_max)
+    chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, pipe.n_max)
     margin = chain.bound - float(np.max(chain.values))
     record(
         "quadratic_chain",
@@ -357,9 +389,10 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"margin {margin:.3e}",
     )
 
+    # Q = <L f, f> of every product, from the sparse matrix (chain.values)
+    Q = chain.values
     lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
     table_l2 = tail_table(pipe.coeffs_l2)
-    Q = (pipe.coeffs_l2.coeffs**2) @ lam
     worst_slack = float(np.max(tail_identity_slack(lam, table_l2, Q[:, None])))
     record(
         "tail_identity_l2",
@@ -391,10 +424,13 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = float(np.max(excess))
     record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
-    # complete expansions in both targets: L's basis and the Laplacian's
+    # expansions in both targets, L's basis and the Laplacian's; a windowed
+    # one adds its out-of-window mass (Pythagoras)
     defects = {}
     for name, coeffs in (("L", pipe.coeffs_l2), ("Laplacian", pipe.coeffs_hm1)):
         sums = np.sum(coeffs.coeffs**2, axis=1)
+        if coeffs.outside_mass is not None:
+            sums = sums + coeffs.outside_mass
         norms_sq = coeffs.product_l2_norms**2
         defects[name] = float(np.max(np.abs(sums - norms_sq) / np.maximum(norms_sq, 1e-300)))
     rel = max(defects.values())
@@ -410,19 +446,30 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     comp = comparability_check(pipe.basis_L, pipe.basis_lap, pipe.field_, k_cmp)
     record("comparability", comp.ok, f"k<={k_cmp}, worst margin {comp.worst:.3e}")
 
-    dominated = all(rep.r_oracle <= rep.r_empirical for rep in scaling.rank_reports)
+    # a table of m modes reports r_empirical = m + 1 when it misses eps: a
+    # lower bound (windowed L2 only), against which no oracle rank is bounded
+    modes = {L2: pipe.coeffs_l2.m, HM1: pipe.coeffs_hm1.m}
+    exact = [rep for rep in scaling.rank_reports if rep.r_empirical <= modes[rep.norm]]
     record(
         "oracle_dominance",
-        dominated,
-        f"{len(scaling.rank_reports)} sweep cells",
+        all(rep.r_oracle <= rep.r_empirical for rep in exact),
+        f"{len(exact)} of {len(scaling.rank_reports)} sweep cells; the others "
+        f"report the lower bound r_empirical = {pipe.coeffs_l2.m + 1}",
     )
 
-    zero_tail = max(float(table_l2[:, -1].max()), float(table_hm1[:, -1].max()))
+    # the zero tail at r = G holds on complete tables only: a windowed L2
+    # table ends at r = M with the out-of-window mass
+    complete = {"H^-1": table_hm1}
+    if pipe.coeffs_l2.outside_mass is None:
+        complete["L2"] = table_l2
+    zero_tail = max(float(table[:, -1].max()) for table in complete.values())
     mono_l2 = float(np.max(np.diff(np.max(table_l2, axis=0))))
     record(
         "tail_curve_invariants",
         zero_tail <= 1e-10 and mono_l2 <= 1e-14,
-        f"tail at r=G {zero_tail:.3e}, worst increase {mono_l2:.3e}",
+        f"tail at r=G {zero_tail:.3e} ({' and '.join(complete)} tables; "
+        f"L2 table over {pipe.coeffs_l2.m} of {pipe.grid.node_count} modes), "
+        f"worst increase {mono_l2:.3e}",
     )
 
     if eri is not None:
@@ -444,8 +491,17 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     return checks
 
 
-def run(config: ExperimentConfig, command: str, out_dir: str | None = None) -> int:
-    """Execute one command; returns the process exit status (0 ok, 1 failed check)."""
+def run(
+    config: ExperimentConfig,
+    command: str,
+    out_dir: str | None = None,
+    threads: int | None = None,
+) -> int:
+    """Execute one command; returns the process exit status (0 ok, 1 failed check).
+
+    `threads` is the BLAS thread cap the caller applied (None if none); it
+    is recorded in summary.json only.
+    """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r} (commands: {', '.join(COMMANDS)})")
     out = out_dir or config.output_dir
@@ -462,6 +518,8 @@ def run(config: ExperimentConfig, command: str, out_dir: str | None = None) -> i
         "a_min": pipe.field_.a_min,
         "a_max": pipe.field_.a_max,
         "v_sup": pipe.field_.v_sup,
+        "threads": threads,
+        "versions": _versions(),
     }
 
     timings = dict(pipe.timings)
@@ -473,27 +531,29 @@ def run(config: ExperimentConfig, command: str, out_dir: str | None = None) -> i
         return result
 
     status = 0
+    tables: list = []
     if command == "spectrum":
-        cmd_spectrum(pipe, out, summary)
+        cmd_spectrum(pipe, tables, summary)
     elif command == "tail-curves":
         report = timed("scaling", _scaling, pipe, curve_n=max(config.sweep_n))
-        cmd_tail_curves(pipe, out, summary, report)
+        cmd_tail_curves(pipe, tables, summary, report)
     elif command == "rank-scan":
         report = timed("scaling", _scaling, pipe)
-        cmd_rank_scan(pipe, out, summary, report)
+        cmd_rank_scan(pipe, tables, summary, report)
     elif command == "eri-bench":
-        timed("eri", cmd_eri_bench, pipe, out, summary)
+        timed("eri", cmd_eri_bench, pipe, tables, summary)
     else:  # verify-all
-        cmd_spectrum(pipe, out, summary)
+        cmd_spectrum(pipe, tables, summary)
         report = timed("scaling", _scaling, pipe, curve_n=max(config.sweep_n))
-        cmd_tail_curves(pipe, out, summary, report)
-        cmd_rank_scan(pipe, out, summary, report)
-        eri = timed("eri", cmd_eri_bench, pipe, out, summary)
+        cmd_tail_curves(pipe, tables, summary, report)
+        cmd_rank_scan(pipe, tables, summary, report)
+        eri = timed("eri", cmd_eri_bench, pipe, tables, summary)
         checks = timed("checks", run_checks, pipe, report, eri)
         summary["checks"] = {name: entry["ok"] for name, entry in checks.items()}
         summary["check_details"] = checks
         if not all(entry["ok"] for entry in checks.values()):
             status = 1
+    timed("output", _write_tables, out, tables)
 
     summary["seconds"] = time.perf_counter() - t0
     summary["build_seconds"] = pipe.build_seconds

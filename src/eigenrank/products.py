@@ -9,6 +9,11 @@ contraction of the product block with each (p, p) axis factor, so no (G, G)
 basis is ever formed; any other target takes one GEMM with its stored
 vectors.  Either way the reduction order per coefficient is fixed for a
 given thread count.
+
+An expansion over fewer than G target modes is a window: it also carries
+each product's out-of-window mass ||f - sum_{k<m} c_k psi_k||^2, measured
+as the norm of that residual (not as ||f||^2 - sum c_k^2, which cancels), so
+tails past the window stay exact sums of nonnegative terms.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction
-from .operator import CoefficientField
+from .operator import SCHRODINGER, CoefficientField, DiscreteOperator
 from .eigensolve import SpectralBasis, sup_norms
 
 
@@ -42,6 +47,9 @@ class ProductCoefficients:
 
     coeffs[p, k] = <phi_i phi_j, psi_k> for pair p = pair_row(i, j, n) and
     target index k < m.  product_l2_norms[p] = ||phi_i phi_j||_L2.
+    outside_mass[p] is the squared L2 norm of the product's component
+    outside the m target modes for a windowed expansion (m < G), and None
+    for a complete one.
     """
 
     n: int
@@ -49,6 +57,7 @@ class ProductCoefficients:
     target: str
     coeffs: np.ndarray
     product_l2_norms: np.ndarray
+    outside_mass: np.ndarray | None = None
 
     def row(self, i: int, j: int) -> np.ndarray:
         return self.coeffs[pair_row(i, j, self.n)]
@@ -64,6 +73,7 @@ class ProductCoefficients:
             target=self.target,
             coeffs=self.coeffs[rows],
             product_l2_norms=self.product_l2_norms[rows],
+            outside_mass=None if self.outside_mass is None else self.outside_mass[rows],
         )
 
 
@@ -91,7 +101,11 @@ def expansion_coefficients(
     n: int,
     m: int,
 ) -> ProductCoefficients:
-    """c[i,j,k] = <phi_i phi_j, psi_k> for i <= j < n, k < m."""
+    """c[i,j,k] = <phi_i phi_j, psi_k> for i <= j < n, k < m.
+
+    For m < G the target's first m eigenfunctions must be stored as
+    columns: the out-of-window mass is the norm of the residual against them.
+    """
     if basis_src.grid != basis_target.grid:
         raise ValueError("source and target bases live on different grids")
     if not 1 <= n <= basis_src.count:
@@ -99,19 +113,26 @@ def expansion_coefficients(
     if not 1 <= m <= basis_target.count:
         raise ValueError(f"m must satisfy 1 <= m <= {basis_target.count}, got {m}")
     w = basis_src.grid.quadrature_weight
+    windowed = m < basis_src.grid.node_count
+    if basis_target.axis_vectors is None or windowed:
+        basis_target.require_columns(m)
     prods = product_matrix(basis_src, n)                    # (G, pairs)
     if basis_target.axis_vectors is None:
-        basis_target.require_columns(m)
         coeffs = w * (prods.T @ basis_target.vectors[:, :m])    # (pairs, m)
     else:
         coeffs = w * _tensor_coefficients(prods, basis_target, m)
     norms = np.sqrt(w * np.sum(prods * prods, axis=0))
+    outside = None
+    if windowed:
+        resid = prods - basis_target.vectors[:, :m] @ coeffs.T
+        outside = w * np.sum(resid * resid, axis=0)
     return ProductCoefficients(
         n=n,
         m=m,
         target=basis_target.tag,
         coeffs=coeffs,
         product_l2_norms=norms,
+        outside_mass=outside,
     )
 
 
@@ -127,6 +148,15 @@ def _tensor_coefficients(prods: np.ndarray, basis: SpectralBasis, m: int) -> np.
         block = np.tensordot(block, vec, axes=([1], [0]))
     flat = np.ravel_multi_index(tuple(k[:m] for k in basis.modes), points, order="F")
     return block.reshape(prods.shape[1], -1)[:, flat]
+
+
+def quadratic_form_values(op: DiscreteOperator, basis: SpectralBasis, n: int) -> np.ndarray:
+    """Q[p] = <op (phi_i phi_j), phi_i phi_j> for every pair p of pair_list(n),
+    straight from the sparse matrix (no spectral sum, so no complete basis)."""
+    if op.grid != basis.grid:
+        raise ValueError("operator and basis live on different grids")
+    prods = product_matrix(basis, n)
+    return basis.grid.quadrature_weight * np.sum(prods * (op.matrix @ prods), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,21 +177,18 @@ class QuadraticChainReport:
 
 
 def quadratic_chain_report(
-    coeffs: ProductCoefficients,
+    op_L: DiscreteOperator,
     basis_L: SpectralBasis,
     field: CoefficientField,
-    n: int | None = None,
+    n: int,
 ) -> QuadraticChainReport:
     """Evaluate the traced bound for every pair i <= j < n."""
-    if coeffs.target != "schrodinger":
-        raise ValueError("chain bound applies to schrodinger-target coefficients")
-    n = coeffs.n if n is None else n
-    sub = coeffs if n == coeffs.n else coeffs.restrict(n)
+    if op_L.kind != SCHRODINGER:
+        raise ValueError(f"chain bound applies to the {SCHRODINGER} operator, got {op_L.kind!r}")
+    values = quadratic_form_values(op_L, basis_L, n)
     lam_n = basis_L.eigenvalues[n - 1]
     _, S = sup_norms(basis_L, n)
     grad_bound = 2.0 * np.sqrt((lam_n + field.v_sup) / field.a_min) * S
     bound = field.v_sup * S**2 + field.a_max * grad_bound**2
-    lam = basis_L.eigenvalues[: sub.m]
-    values = (sub.coeffs**2) @ lam
     ok = bool(np.all(values <= bound * (1.0 + 1e-12) + 1e-12))
     return QuadraticChainReport(n=n, values=values, bound=float(bound), max_sup=S, ok=ok)

@@ -26,6 +26,7 @@ from eigenrank.products import (
     pair_row,
     product_function,
     quadratic_chain_report,
+    quadratic_form_values,
 )
 from eigenrank.lowrank import (
     empirical_rank,
@@ -68,7 +69,7 @@ def test_criterion_02_quadratic_chain(flat1d_pipeline, random2d_pipeline):
     details = []
     ok = True
     for pipe in (flat1d_pipeline, random2d_pipeline):
-        rep = quadratic_chain_report(pipe.coeffs_l2, pipe.basis_L, pipe.field_, n=16)
+        rep = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, n=16)
         violations = int(np.sum(rep.values > rep.bound))
         ok = ok and violations == 0
         details.append(
@@ -82,8 +83,9 @@ def test_criterion_03_tail_identities(flat1d_pipeline, flat2d_pipeline, random2d
     ok = True
     details = []
     for pipe in (flat1d_pipeline, flat2d_pipeline, random2d_pipeline):
+        # Q = <L f, f> from the sparse matrix: random-2d's L2 table is windowed
         lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
-        Q = (pipe.coeffs_l2.coeffs**2) @ lam
+        Q = quadratic_form_values(pipe.op_L, pipe.basis_L, pipe.coeffs_l2.n)
         slack = tail_identity_slack(lam, tail_table(pipe.coeffs_l2), Q[:, None])
         worst_slack = float(np.max(slack - 1e-10 * (1 + np.abs(Q))))
         ok = ok and worst_slack <= 0
@@ -131,9 +133,11 @@ def test_criterion_05_tail_decay_envelopes(
         co_l2 = pipe.coeffs_l2.restrict(16)
         co_h = pipe.coeffs_hm1.restrict(16)
         rs = [r for r in geometric_r_samples(G) if 0 < r <= G // 2]
+        # a windowed L2 table (random-2d) is fitted up to its window M
+        rs_l2 = [r for r in geometric_r_samples(co_l2.m) if 0 < r <= min(co_l2.m, G // 2)]
         curve_l2 = np.max(tail_table(co_l2), axis=0)
         curve_h = np.max(tail_table(co_h, hm1_weights(co_h, pipe.basis_lap)), axis=0)
-        s_l2 = tail_slope(rs, [curve_l2[r] for r in rs])
+        s_l2 = tail_slope(rs_l2, [curve_l2[r] for r in rs_l2])
         s_h = tail_slope(rs, [curve_h[r] for r in rs])
         ok = ok and s_l2 <= -1.0 / d + 0.1 and s_h <= -2.0 / d + 0.1
         details.append(

@@ -142,7 +142,7 @@ class TestCommands:
         out = tmp_path / "ranks-out"
         assert main(["rank-scan", "--config", str(path), "--out", str(out)]) == 0
         header, *rows = (out / "ranks.csv").read_text().strip().splitlines()
-        assert header == "n,eps,norm,r_paper,r_empirical,r_oracle,max_sup,implied_constant"
+        assert header == "n,eps,norm,r_paper,r_empirical,r_oracle,max_sup,implied_constant,resolved"
         for row in rows:
             cells = row.split(",")
             n, norm, r_oracle = int(cells[0]), cells[2], int(cells[5])
@@ -227,6 +227,42 @@ class TestCommands:
         assert summary["eri"]["enabled"]
 
 
+def _rank_tables_at_1_and_2_threads(tmp_path, path, columns):
+    # the thread cap must be set before numpy loads, so each run is a child
+    src = str(Path(eigenrank.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    tables = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "eigenrank.cli", "rank-scan", "--config", str(path),
+             "--out", str(out), "--threads", str(threads)],
+            env=env, check=True,
+        )
+        with open(out / "ranks.csv", newline="") as fh:
+            tables.append([tuple(row[c] for c in columns) for row in csv.DictReader(fh)])
+        assert json.loads((out / "summary.json").read_text())["threads"] == threads
+    return tables
+
+
+def test_random_2d_window_ranks_do_not_depend_on_threads(tmp_path):
+    # the windowed eigensolve of a non-flat L feeds every rank; at 24^2 the
+    # window holds 30 modes, so each L2 cell reports the lower bound 31
+    path = small_config(
+        tmp_path,
+        grid=_2d_grid(24),
+        coefficients={"kind": "random_fourier", "seed": 7, "a_amplitude": 0.3, "v_amplitude": 0.5},
+        solver={"m": 16, "tol": 1e-9},
+        sweep={"n": [5, 12], "eps": [0.01, 0.001], "norms": ["l2", "hm1"]},
+        eri={"enabled": False},
+    )
+    columns = ("r_paper", "r_empirical", "r_oracle", "resolved")
+    tables = _rank_tables_at_1_and_2_threads(tmp_path, path, columns)
+    assert len(tables[0]) == 8
+    assert tables[0] == tables[1]
+
+
 def test_flat_2d_ranks_do_not_depend_on_threads(tmp_path):
     # n = 5 and n = 12 split the (1,3)/(3,1) and (2,4)/(4,2) clusters, where a
     # dense solver's choice of basis could follow the BLAS thread count
@@ -242,21 +278,8 @@ def test_flat_2d_ranks_do_not_depend_on_threads(tmp_path):
         sweep={"n": [5, 12], "eps": [0.01, 0.001], "norms": ["l2", "hm1"]},
         eri={"enabled": False},
     )
-    # the thread cap must be set before numpy loads, so each run is a child
-    src = str(Path(eigenrank.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     columns = ("r_paper", "r_empirical", "r_oracle", "max_sup")
-    tables = []
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "eigenrank.cli", "rank-scan", "--config", str(path),
-             "--out", str(out), "--threads", str(threads)],
-            env=env, check=True,
-        )
-        with open(out / "ranks.csv", newline="") as fh:
-            tables.append([tuple(row[c] for c in columns) for row in csv.DictReader(fh)])
+    tables = _rank_tables_at_1_and_2_threads(tmp_path, path, columns)
     assert len(tables[0]) == 8
     assert tables[0] == tables[1]
 
@@ -266,9 +289,30 @@ def test_summary_reports_stage_timings_and_peak_rss(tmp_path):
     out = tmp_path / "timed"
     assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert set(summary["timings"]) == {"basis_lap", "basis_L", "coefficients"}
+    assert set(summary["timings"]) == {"basis_lap", "basis_L", "coefficients", "output"}
     assert all(t >= 0.0 for t in summary["timings"].values())
     assert summary["peak_rss_mb"] > 0.0
+
+
+def test_summary_reports_threads_and_versions(tmp_path):
+    path = small_config(tmp_path)
+    plain, capped = tmp_path / "plain", tmp_path / "capped"
+    assert main(["spectrum", "--config", str(path), "--out", str(plain)]) == 0
+    summary = json.loads((plain / "summary.json").read_text())
+    assert summary["threads"] is None
+    assert summary["versions"]["numpy"] == np.__version__
+    assert set(summary["versions"]) == {"numpy", "scipy", "blas"}
+    # the cap is applied before numpy loads, so a capped run is a child
+    src = str(Path(eigenrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p))
+    subprocess.run(
+        [sys.executable, "-m", "eigenrank.cli", "spectrum", "--config", str(path),
+         "--out", str(capped), "--threads", "1"],
+        env=env, check=True,
+    )
+    assert json.loads((capped / "summary.json").read_text())["threads"] == 1
+    # none of it reaches a CSV
+    assert (plain / "spectrum.csv").read_bytes() == (capped / "spectrum.csv").read_bytes()
 
 
 def test_verify_all_reports_stage_timings(tmp_path):
@@ -276,7 +320,7 @@ def test_verify_all_reports_stage_timings(tmp_path):
     out = tmp_path / "timed"
     assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    stages = {"basis_lap", "basis_L", "coefficients", "scaling", "eri", "checks"}
+    stages = {"basis_lap", "basis_L", "coefficients", "scaling", "eri", "checks", "output"}
     assert set(summary["timings"]) == stages
     assert all(t >= 0.0 for t in summary["timings"].values())
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eigenrank import eri as eri_module
 from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import (
     CoefficientSpec,
@@ -17,7 +18,7 @@ from eigenrank.eri import (
     GreenSolver,
     canonical_quadruples,
     eri_benchmark,
-    fitted_pair_gram,
+    fitted_integrals,
     sample_quadruples,
 )
 
@@ -28,6 +29,13 @@ def eri_setup(flat2d_small):
     co = expansion_coefficients(src, lap, 8, grid.node_count)
     solver = GreenSolver(op)
     return grid, op, src, lap, co, solver
+
+
+def fitted_pair_gram(co, weights, r):
+    """Every pair Gram entry of the rank-r fit, one fitted_integrals call."""
+    P = co.coeffs.shape[0]
+    rows = np.array([(p, q) for p in range(P) for q in range(P)]).reshape(-1, 2)
+    return fitted_integrals(co, weights, r, rows).reshape(P, P)
 
 
 def green(solver, rho):
@@ -213,6 +221,25 @@ class TestBenchmark:
         grid, op, src, lap, co, solver = eri_setup
         fit = fitted_pair_gram(co, hm1_weights(co, lap), 30)
         assert np.max(np.abs(fit - fit.T)) <= 1e-15 * np.max(np.abs(fit))
+        # both pairs are scaled by sqrt(weights), so a swap keeps the bits
+        assert np.array_equal(fit, fit.T)
+
+    def test_benchmark_forms_only_the_evaluated_entries(self, eri_setup, monkeypatch):
+        # the fitted side's work is quadruples*r dot-product terms plus
+        # pairs*r scalings, the fitted_ops model; no pairs x pairs matrix
+        grid, op, src, lap, co, solver = eri_setup
+        seen = []
+        real = fitted_integrals
+
+        def recording(coeffs, weights, r, rows):
+            seen.append((coeffs.coeffs.shape[0], r, len(rows)))
+            return real(coeffs, weights, r, rows)
+
+        monkeypatch.setattr(eri_module, "fitted_integrals", recording)
+        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        (pairs, r, entries), = seen
+        assert entries == len(res.quadruples) and r == res.r
+        assert res.fitted_ops == entries * r + pairs * r
 
     def test_exact_matrix_psd(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup

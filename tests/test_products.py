@@ -23,6 +23,7 @@ from eigenrank.products import (
     pair_row,
     product_function,
     quadratic_chain_report,
+    quadratic_form_values,
 )
 from rotation import rotate_cluster
 
@@ -102,12 +103,23 @@ def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small):
 
 
 def test_quadratic_form_tag_mismatch(flat1d_small):
-    # the traced chain bounds the form of L, not of the Laplacian target
-    grid, _, src, lap = flat1d_small
-    co = expansion_coefficients(src, lap, 4, grid.node_count)
+    # the traced chain bounds the form of L, not of the Laplacian
+    grid, op_lap, src, lap = flat1d_small
     f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), grid)
     with pytest.raises(ValueError):
-        quadratic_chain_report(co, src, f)
+        quadratic_chain_report(op_lap, src, f, 4)
+
+
+def test_sparse_quadratic_form_matches_the_spectral_sum():
+    # on a complete basis Q = <L f, f> equals sum_k lambda_k c_k^2
+    g = make_grid(2, (np.pi, np.pi), (10, 10), "dirichlet")
+    spec = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
+    op = assemble_schrodinger(sample_coefficients(spec, g), g)
+    bL = lowest_eigenpairs(op, g.node_count, 1e-9)
+    co = expansion_coefficients(bL, bL, 6, g.node_count)
+    Q = quadratic_form_values(op, bL, 6)
+    for (i, j) in pair_list(6):
+        assert Q[pair_row(i, j, 6)] == pytest.approx(quadratic_form_value(i, j, co, bL), rel=1e-10)
 
 
 def test_potential_shift_identity():
@@ -142,8 +154,7 @@ def test_truncated_form_monotone(flat1d_small):
 def test_chain_bound_flat_1d(flat1d_small):
     grid, _, src, _ = flat1d_small
     f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), grid)
-    co = expansion_coefficients(src, src, 16, grid.node_count)
-    rep = quadratic_chain_report(co, src, f)
+    rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, 16)
     assert rep.ok
     assert np.all(rep.values <= rep.bound)
 
@@ -152,9 +163,9 @@ def test_chain_bound_random_2d():
     g = make_grid(2, (np.pi, np.pi), (24, 24), "dirichlet")
     spec = CoefficientSpec.random_fourier(seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.5)
     f = sample_coefficients(spec, g)
-    bL = lowest_eigenpairs(assemble_schrodinger(f, g), g.node_count, 1e-9)
-    co = expansion_coefficients(bL, bL, 12, g.node_count)
-    rep = quadratic_chain_report(co, bL, f)
+    op = assemble_schrodinger(f, g)
+    bL = lowest_eigenpairs(op, 12, 1e-9)
+    rep = quadratic_chain_report(op, bL, f, 12)
     assert rep.ok
 
 
