@@ -16,8 +16,8 @@ window it is asked for: an index-range dense solve up to DENSE_CAP unknowns
 (LAPACK's eigh with subset_by_index, which counts eigenvalues by Sturm
 sequences, so the window holds the m lowest modes and none is skipped;
 deterministic for a fixed BLAS thread count), shift-inverted Lanczos above
-it, with residual verification against the same tolerance.  On request the
-window grows to close the degenerate cluster at its end.  Eigenvectors are
+it, with residual verification against the same tolerance.  The window grows
+to close the degenerate cluster at its end.  Eigenvectors are
 normalized in the grid inner product, signs are fixed (first significant
 component positive) and near-degenerate clusters are re-orthonormalized so
 downstream tensors are reproducible.
@@ -117,24 +117,24 @@ def lowest_eigenpairs(
     m: int,
     tol: float = DEFAULT_TOL,
     maxiter: int | None = None,
-    close_cluster: bool = False,
 ) -> SpectralBasis:
-    """Compute the m lowest eigenpairs of a symmetric stencil operator.
+    """Compute the m lowest eigenpairs of a symmetric stencil operator, plus
+    any that close the degenerate cluster holding the m-th.
 
-    With close_cluster, m grows to cluster_end(eigenvalues, m), so the window
-    never splits a degenerate cluster: the solve runs CLUSTER_PAD modes past
-    m, and again with a doubled pad while the cluster reaches the end of
-    what was solved.  Only the returned pairs are certified.
+    A window that split a cluster would hold an arbitrary subspace of it, so
+    the count grows to cluster_end(eigenvalues, m): the solve runs
+    CLUSTER_PAD modes past m, and again with a doubled pad while the cluster
+    reaches the end of what was solved.  Only the returned pairs are
+    certified.
     """
     _check_request(op, m, tol)
-    end, pad = m, CLUSTER_PAD
+    most = op.size if op.size <= DENSE_CAP else op.size - 1   # Lanczos needs k < size
+    pad = CLUSTER_PAD
     while True:
-        solved = min(m + pad, op.size) if close_cluster else m
+        solved = max(m, min(m + pad, most))
         lam, vec = _solve_lowest(op, solved, tol, maxiter)
-        if not close_cluster:
-            break
         end = cluster_end(lam, m)
-        if end < solved or solved == op.size:
+        if end < solved or solved >= most:
             break
         pad *= 2
     lam = lam[:end]

@@ -11,6 +11,7 @@ import pytest
 import eigenrank
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config, load_preset
+from eigenrank import pipeline
 from eigenrank.eigensolve import DENSE_CAP
 
 
@@ -313,6 +314,29 @@ def test_summary_reports_threads_and_versions(tmp_path):
     assert json.loads((capped / "summary.json").read_text())["threads"] == 1
     # none of it reaches a CSV
     assert (plain / "spectrum.csv").read_bytes() == (capped / "spectrum.csv").read_bytes()
+
+
+@pytest.mark.parametrize("describe", [TypeError("no mode argument"), KeyError("blas")])
+def test_versions_survive_a_numpy_without_a_build_description(monkeypatch, describe):
+    def show_config(*args, **kwargs):
+        raise describe
+
+    monkeypatch.setattr(pipeline.np, "show_config", show_config)
+    versions = pipeline._versions()
+    assert versions["blas"] is None and versions["numpy"] == np.__version__
+
+
+def test_csvs_are_written_before_the_checks_run(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("checks failed to run")
+
+    monkeypatch.setattr(pipeline, "run_checks", broken)
+    path = small_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError):
+        main(["verify-all", "--config", str(path), "--out", str(out)])
+    for name in ("spectrum.csv", "tails.csv", "ranks.csv", "eri.csv"):
+        assert (out / name).exists()
 
 
 def test_verify_all_reports_stage_timings(tmp_path):

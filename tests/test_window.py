@@ -79,10 +79,10 @@ def test_window_closes_the_pair_at_solver_m(shifted_pipe):
     assert lam[14] - lam[13] < 1e-8 * lam[14]       # solver.m splits a pair
     M = pipe.window
     assert M > 14 and cluster_end(lam, M) == M       # the window does not
-    # the solver itself extends a window that ends inside the pair
-    basis = lowest_eigenpairs(pipe.op_L, 14, 1e-9, close_cluster=True)
-    assert basis.count == 15
-    assert lowest_eigenpairs(pipe.op_L, 14, 1e-9).count == 14
+    # the solver itself extends a window that ends inside the pair, and
+    # leaves one that ends between clusters as it is
+    assert lowest_eigenpairs(pipe.op_L, 14, 1e-9).count == 15
+    assert lowest_eigenpairs(pipe.op_L, 13, 1e-9).count == 13
 
 
 def test_windowed_l2_tails_match_the_complete_table(random_pipe):
