@@ -30,6 +30,7 @@ is the smallest sufficient calibration.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,6 +252,7 @@ class ScalingReport:
     rank_reports: list[RankReport]
     tail_curves: list[TailCurve]
     slopes: dict = field(default_factory=dict)   # norm -> worst-pair log-log slope
+    oracle_seconds: float = 0.0                  # wall time spent in oracle_rank
 
 
 def scaling_report(
@@ -277,6 +279,7 @@ def scaling_report(
     reports: list[RankReport] = []
     curves: list[TailCurve] = []
     slopes: dict[str, float] = {}
+    oracle_seconds = 0.0
 
     for norm in norms:
         if norm == L2:
@@ -292,9 +295,11 @@ def scaling_report(
             table = tail_table(sub, weights)
             max_tails = np.max(table, axis=0)
             _, S = sup_norms(basis_src, n)
+            t = time.perf_counter()
             r_oracles = oracle_rank(
                 basis_src, n, eps_list, norm, basis_lap=basis_lap, coeffs=sub
             )
+            oracle_seconds += time.perf_counter() - t
             cutoffs = []
             for eps, r_orc in zip(eps_list, r_oracles):
                 r_pred = cutoff(norm, eps, n, S, d, calib)
@@ -333,4 +338,6 @@ def scaling_report(
                 fit_r = [r for r in r_samples if 0 < r <= r_max]
                 slopes[norm] = tail_slope(fit_r, [max_tails[r] for r in fit_r])
 
-    return ScalingReport(rank_reports=reports, tail_curves=curves, slopes=slopes)
+    return ScalingReport(
+        rank_reports=reports, tail_curves=curves, slopes=slopes, oracle_seconds=oracle_seconds
+    )

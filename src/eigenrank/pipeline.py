@@ -21,13 +21,13 @@ import os
 import resource
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .grid import Grid
 from .operator import (
     CoefficientField,
@@ -39,7 +39,7 @@ from .operator import (
     weyl_regime_cap,
 )
 from .eigensolve import (
-    DENSE_CAP,
+    Completeness,
     SpectralBasis,
     cluster_end,
     comparability_check,
@@ -97,17 +97,11 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     op_L = assemble_schrodinger(fld, grid)
     op_lap = assemble_laplacian(grid)
     # flat configurations: L is the Laplacian stencil, so the closed form
-    # serves both operators, sharing its arrays and certificates
+    # serves both operators, sharing its arrays and certificates.  Any other
+    # L is solved over its window only, and lowest_eigenpairs certifies that
+    # window complete at every grid size: by the Sturm count of the dense
+    # route or the inertia count of the Lanczos route
     flat = (op_L.matrix - op_lap.matrix).nnz == 0
-    if not flat and G > DENSE_CAP:
-        # above DENSE_CAP lowest_eigenpairs would switch to Lanczos, which
-        # has no count certificate that it missed no mode of the window
-        raise ConfigError(
-            "grid.points",
-            f"grid has {G} nodes > {DENSE_CAP}; the resolved window of a "
-            "non-flat L is certified complete only by the dense index-range "
-            "eigensolve, shrink the grid",
-        )
     n_max = max(config.sweep_n)
     if config.eri_enabled:
         n_max = max(n_max, config.eri_n)
@@ -244,8 +238,10 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
 
 
 def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
+    """The sweep, timed as two stages: the oracle SVDs and the rest (tails)."""
     cfg = pipe.config
-    return scaling_report(
+    t = time.perf_counter()
+    report = scaling_report(
         pipe.basis_L,
         pipe.basis_lap,
         pipe.coeffs_l2,
@@ -260,6 +256,9 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
         curve_r_max=pipe.grid.node_count // 2,
         window=pipe.window,
     )
+    pipe.timings["oracle"] = report.oracle_seconds
+    pipe.timings["tails"] = time.perf_counter() - t - report.oracle_seconds
+    return report
 
 
 def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
@@ -380,8 +379,8 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     checks: dict[str, dict] = {}
     cfg = pipe.config
 
-    def record(name, ok, detail):
-        checks[name] = {"ok": bool(ok), "detail": detail}
+    def record(name, ok, detail, **values):
+        checks[name] = {"ok": bool(ok), "detail": detail, **values}
 
     worst = max(float(np.max(pipe.basis_L.residuals)), float(np.max(pipe.basis_lap.residuals)))
     record("residuals", worst <= cfg.solver_tol, f"max scaled residual {worst:.3e}")
@@ -395,6 +394,28 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"measured Gram of its {pipe.basis_lap.materialized} stored vectors and "
         f"the per-axis bound over all {pipe.basis_lap.count} modes)",
     )
+
+    # the window of L holds every mode below its end: the closed form has
+    # them all, the dense route counts by Sturm sequences, the Lanczos route
+    # by the inertia of L - sigma I (lowest_eigenpairs raised otherwise)
+    done = pipe.basis_L.completeness or Completeness("closed_form")
+    values = {key: value for key, value in asdict(done).items() if value is not None}
+    if done.route == "lanczos":
+        record(
+            "completeness",
+            done.count_below == done.solved_below and done.backward_error < done.distance,
+            f"{done.count_below} negative LDL^T pivots of L - sigma I at sigma = "
+            f"{done.sigma:.6g} for {done.solved_below} solved eigenvalues below it "
+            f"(window {pipe.basis_L.count}); backward error {done.backward_error:.3e} "
+            f"< distance to the nearest solved eigenvalue {done.distance:.3e}",
+            **values,
+        )
+    else:
+        how = {
+            "closed_form": f"closed form: all {pipe.grid.node_count} modes",
+            "dense": "index-range dense eigensolve, Sturm-counted by LAPACK",
+        }
+        record("completeness", True, how[done.route], **values)
 
     chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, pipe.n_max)
     margin = chain.bound - float(np.max(chain.values))
@@ -562,16 +583,16 @@ def run(
     if command == "spectrum":
         cmd_spectrum(pipe, out, summary)
     elif command == "tail-curves":
-        report = timed("scaling", _scaling, pipe, curve_n=max(config.sweep_n))
+        report = _scaling(pipe, curve_n=max(config.sweep_n))
         cmd_tail_curves(pipe, out, summary, report)
     elif command == "rank-scan":
-        report = timed("scaling", _scaling, pipe)
+        report = _scaling(pipe)
         cmd_rank_scan(pipe, out, summary, report)
     elif command == "eri-bench":
         timed("eri", cmd_eri_bench, pipe, out, summary)
     else:  # verify-all
         cmd_spectrum(pipe, out, summary)
-        report = timed("scaling", _scaling, pipe, curve_n=max(config.sweep_n))
+        report = _scaling(pipe, curve_n=max(config.sweep_n))
         cmd_tail_curves(pipe, out, summary, report)
         cmd_rank_scan(pipe, out, summary, report)
         eri = timed("eri", cmd_eri_bench, pipe, out, summary)

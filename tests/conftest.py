@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The three preset pipelines used by the acceptance suite are expensive
-(random-2d runs a dense index-range eigensolve of its 205-mode resolved
-window at 4096 nodes; the flat presets build and certify complete
-closed-form bases), so they are built
+(random-2d runs a certified Lanczos solve of its 205-mode resolved window
+at 4096 nodes; the flat presets build and certify complete closed-form
+bases), so they are built
 once per session and reused; `build_seconds` on the pipeline lets
 runtime-capped criteria account for the shared work they depend on.
 """

@@ -178,16 +178,26 @@ class TestCommands:
         assert summary["checks"] and all(summary["checks"].values())
         assert summary["eri"]["enabled"]
 
-    def test_non_flat_past_dense_cap_exit_2(self, tmp_path, capsys):
+    def test_non_flat_past_dense_cap_is_certified(self, tmp_path):
+        # above DENSE_CAP a non-flat window takes the Lanczos route, whose
+        # inertia count certifies that it skipped no mode
         path = small_config(
             tmp_path,
             grid=_2d_grid(72),
             coefficients={"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5},
             solver={"m": 16, "tol": 1e-9},
             sweep={"n": [4], "eps": [0.01], "norms": ["l2"]},
+            eri={"enabled": False},
         )
-        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "grid.points" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["grid_nodes"] == 5184 > DENSE_CAP
+        assert summary["checks"] and all(summary["checks"].values())
+        done = summary["check_details"]["completeness"]
+        assert done["route"] == "lanczos"
+        assert done["count_below"] == done["solved_below"] >= summary["resolved_window"]
+        assert done["sigma"] > 0.0 and 0.0 <= done["backward_error"] < done["distance"]
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate", "--config", "x"]) == 2
@@ -198,6 +208,8 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert all(summary["checks"].values())
         assert summary["v_sup"] == pytest.approx((np.pi / 2) ** 2, rel=0.01)
+        # a wide window (128 of 512 modes) stays on the dense route
+        assert summary["check_details"]["completeness"]["route"] == "dense"
 
     def test_periodic_config_runs(self, tmp_path):
         path = small_config(
@@ -344,7 +356,7 @@ def test_verify_all_reports_stage_timings(tmp_path):
     out = tmp_path / "timed"
     assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    stages = {"basis_lap", "basis_L", "coefficients", "scaling", "eri", "checks", "output"}
+    stages = {"basis_lap", "basis_L", "coefficients", "tails", "oracle", "eri", "checks", "output"}
     assert set(summary["timings"]) == stages
     assert all(t >= 0.0 for t in summary["timings"].values())
 

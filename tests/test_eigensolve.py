@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import (
@@ -9,7 +10,7 @@ from eigenrank.operator import (
     sample_coefficients,
 )
 from eigenrank import eigensolve, pipeline
-from eigenrank.config import parse_config
+from eigenrank.config import load_preset, parse_config
 from eigenrank.pipeline import build_pipeline
 from eigenrank.products import expansion_coefficients, product_function, product_matrix
 from eigenrank.eigensolve import (
@@ -580,3 +581,125 @@ def test_non_flat_pipeline_solves_once(monkeypatch):
     assert calls == ["schrodinger"]
     assert pipe.basis_L.tag == "schrodinger"
     assert not np.shares_memory(pipe.basis_L.vectors, pipe.basis_lap.vectors)
+
+
+def test_lanczos_reruns_are_bitwise_identical():
+    # ARPACK's own random start vector keeps state between calls, so two
+    # solves in one process differed in the last bits before the start
+    # vector was fixed
+    op = assemble_laplacian(make_grid(1, np.pi, 6000, "dirichlet"))
+    first = lowest_eigenpairs(op, 8, 1e-8)
+    second = lowest_eigenpairs(op, 8, 1e-8)
+    assert first.completeness.route == "lanczos"
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def _random_2d_op(points=16, seed=5):
+    grid = make_grid(2, (np.pi, np.pi), (points, points), "dirichlet")
+    spec = CoefficientSpec.random_fourier(seed, a_amplitude=0.3, v_amplitude=0.5)
+    return assemble_schrodinger(sample_coefficients(spec, grid), grid)
+
+
+def test_inertia_count_certifies_a_narrow_window():
+    op = _random_2d_op()
+    basis = lowest_eigenpairs(op, 16, 1e-9)
+    done = basis.completeness
+    assert done.route == "lanczos"
+    assert done.count_below == done.solved_below >= basis.count
+    lam = sla.eigh(op.matrix.toarray(), eigvals_only=True)
+    assert np.count_nonzero(lam < done.sigma) == done.count_below
+    assert done.backward_error < done.distance
+    assert np.min(np.abs(lam - done.sigma)) == pytest.approx(done.distance, rel=1e-9)
+
+
+def test_inertia_count_catches_a_skipped_pair(monkeypatch):
+    # a Lanczos run that loses one interior eigenpair still passes every
+    # residual and Gram check; only the count sees it
+    real = eigensolve.spla.eigsh
+
+    def skipping(*args, **kwargs):
+        lam, vec = real(*args, **kwargs)
+        order = np.argsort(lam)
+        keep = np.delete(order, 3)
+        return lam[keep], vec[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", skipping)
+    with pytest.raises(EigensolveError, match="inertia count: .* below sigma"):
+        lowest_eigenpairs(_random_2d_op(), 16, 1e-9)
+
+
+def test_inertia_count_needs_a_symmetric_factorization(monkeypatch):
+    real = eigensolve.spla.splu
+
+    class RowPivoted:
+        def __init__(self, lu):
+            self.L, self.U, self.perm_c = lu.L, lu.U, lu.perm_c
+            self.perm_r = np.roll(lu.perm_r, 1)
+
+    monkeypatch.setattr(eigensolve.spla, "splu", lambda *a, **k: RowPivoted(real(*a, **k)))
+    with pytest.raises(EigensolveError, match=r"inertia count: .*perm_r != perm_c"):
+        lowest_eigenpairs(_random_2d_op(), 16, 1e-9)
+
+
+def test_inertia_count_passes_exact_degenerate_pairs():
+    # -Delta + 2.5 on a square: exact pairs, and solver.m = 14 ends inside one
+    grid = make_grid(2, (np.pi, np.pi), (16, 16), "dirichlet")
+    op = assemble_schrodinger(sample_coefficients(CoefficientSpec.constant(1.0, 2.5), grid), grid)
+    basis = lowest_eigenpairs(op, 14, 1e-9)
+    done = basis.completeness
+    assert done.route == "lanczos" and done.count_below == done.solved_below
+    assert basis.count == 15
+    lam = sla.eigh(op.matrix.toarray(), eigvals_only=True)
+    assert lam[14] - lam[13] < 1e-8 * lam[14]
+    np.testing.assert_allclose(basis.eigenvalues, lam[:15], rtol=1e-12)
+
+
+def _count_solver_calls(monkeypatch):
+    calls = {"eigsh": 0, "splu": 0, "eigh": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(eigensolve.spla, "eigsh")
+    counted(eigensolve.spla, "splu")   # ARPACK binds its own splu at import
+    counted(eigensolve.sla, "eigh")
+    return calls
+
+
+def test_narrow_random_window_takes_the_lanczos_route(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    cfg = _2d_config(
+        "dirichlet", 16, 8, kind="random_fourier", seed=3, a_amplitude=0.3, v_amplitude=0.5
+    )
+    pipe = build_pipeline(cfg)
+    assert calls == {"eigsh": 1, "splu": 1, "eigh": 0}
+    assert pipe.basis_L.completeness.route == "lanczos"
+
+
+def test_wide_harmonic_window_takes_the_dense_route(monkeypatch):
+    calls = _count_solver_calls(monkeypatch)
+    pipe = build_pipeline(load_preset("harmonic-1d"))
+    assert calls == {"eigsh": 0, "splu": 0, "eigh": 1}
+    assert pipe.basis_L.completeness.route == "dense"
+
+
+def test_inertia_count_needs_a_small_backward_error(monkeypatch):
+    # pivots scaled by 1.5 keep their signs, so the count still matches, but
+    # L D L^T is then far from L - sigma I and counts nothing about it
+    real = eigensolve.spla.splu
+
+    class Inexact:
+        def __init__(self, lu):
+            self.L, self.U = lu.L, 1.5 * lu.U
+            self.perm_r, self.perm_c = lu.perm_r, lu.perm_c
+
+    monkeypatch.setattr(eigensolve.spla, "splu", lambda *a, **k: Inexact(real(*a, **k)))
+    with pytest.raises(EigensolveError, match="inertia count: backward error"):
+        lowest_eigenpairs(_random_2d_op(), 16, 1e-9)

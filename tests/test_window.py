@@ -1,6 +1,8 @@
 """The resolved window of a non-flat L: the pipeline solves only the M modes
-of the window (an index-range dense eigensolve) and expands the L2 family
-over them, carrying each product's out-of-window mass."""
+of the window and expands the L2 family over them, carrying each product's
+out-of-window mass.  On these 16^2 grids the window is narrow, so it takes
+the Lanczos route, certified by its inertia count; a full dense eigh is the
+reference."""
 
 import json
 
