@@ -8,8 +8,8 @@ Commands
     verify-all    all of the above plus the cross-module invariant suite
 
 --config takes a JSON file path or a preset name (flat-1d, flat-2d,
-harmonic-1d, random-2d).  Exit codes: 0 success, 1 failed check, 2 bad
-usage or configuration.
+harmonic-1d, random-2d).  Exit codes: 0 success, 1 failed check or
+eigen-certificate (summary.json names it), 2 bad usage or configuration.
 
 Heavy imports happen after --threads is applied, so the thread cap reaches
 the BLAS runtime.

@@ -76,25 +76,29 @@ LANCZOS_SHIFT = -1.0   # below the spectrum when v_sup < 1 (L >= -v_sup); the in
 
 
 class EigensolveError(RuntimeError):
-    """Iterative solve failed to certify; carries the best residual seen."""
+    """A certificate failed where it was computed.
 
-    def __init__(self, message, best_residual=None):
+    `check` names it as verify-all does: "residuals", "orthonormality" or
+    "completeness".  best_residual is the best residual seen, if any.
+    """
+
+    def __init__(self, check, message, best_residual=None):
         super().__init__(message)
+        self.check = check
         self.best_residual = best_residual
 
 
 @dataclass(frozen=True)
 class Completeness:
-    """How a solve of an operator's lowest modes shows that its window
+    """How a basis shows that it holds the lowest modes of its operator and
     skipped none.
 
-    route is "dense" (LAPACK's Sturm count, nothing to record) or "lanczos",
-    which carries its inertia count (closed-form bases hold every mode and
-    carry no record; the pipeline reports them as "closed_form"): count_below negative pivots of the
-    LDL^T factorization of L - sigma I against solved_below solved
-    eigenvalues under sigma, and backward_error, ||P(L - sigma I)P^T -
-    L D L^T||_F, against distance, the gap from sigma to the nearest solved
-    eigenvalue.
+    route is "closed_form" (every mode, by construction), "dense" (LAPACK's
+    Sturm count, nothing to record) or "lanczos", which carries its inertia
+    count: count_below negative pivots of the LDL^T factorization of
+    L - sigma I against solved_below solved eigenvalues under sigma, and
+    backward_error, ||P(L - sigma I)P^T - L D L^T||_F, against distance,
+    the gap from sigma to the nearest solved eigenvalue.
     """
 
     route: str
@@ -103,6 +107,19 @@ class Completeness:
     solved_below: int | None = None
     backward_error: float | None = None
     distance: float | None = None
+
+    def describe(self, count: int) -> str:
+        """One line on how a basis of `count` eigenpairs was shown complete."""
+        if self.route == "closed_form":
+            return f"closed form: all {count} modes"
+        if self.route == "dense":
+            return "index-range dense eigensolve, Sturm-counted by LAPACK"
+        return (
+            f"{self.count_below} negative LDL^T pivots of L - sigma I at sigma = "
+            f"{self.sigma:.6g} for {self.solved_below} solved eigenvalues below it "
+            f"(window {count}); backward error {self.backward_error:.3e} "
+            f"< distance to the nearest solved eigenvalue {self.distance:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +134,13 @@ class SpectralBasis:
     ortho_defect is the orthonormality certificate, computed once when the
     basis is built (gram_defect() unless the builder supplies it).
 
+    completeness records how the builder showed that no mode is missing.
+
     Closed-form bases also carry their tensor structure: axis_vectors[a] is
     the (p_a, p_a) eigenvector matrix of axis a, and modes[a][k] the axis-a
     mode index of eigenpair k, so eigenfunction k is the product of the
     columns axis_vectors[a][:, modes[a][k]].  Both are None for bases from
-    a dense or iterative solve, which store every vector they hold and
-    carry their Completeness record instead.
+    a dense or iterative solve, which store every vector they hold.
     """
 
     grid: Grid
@@ -238,7 +256,7 @@ def laplacian_eigenpairs(
 
     residuals[k] is the measured value for the written columns and the
     tensor bound beyond them; ortho_defect is the larger of the measured
-    defect and the tensor bound.
+    defect and the tensor bound.  Both are judged once, by _certified_basis.
     """
     if op.kind != LAPLACIAN:
         raise ValueError(f"closed form holds for the {LAPLACIAN} only, got {op.kind!r}")
@@ -265,24 +283,14 @@ def laplacian_eigenpairs(
     modes = np.unravel_index(order, points, order="F")
 
     bound = sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam))
-    worst = float(np.max(bound))
-    if worst > tol:
-        raise EigensolveError(
-            f"per-axis residual bound {worst:.3e} exceeds tolerance {tol:.3e}",
-            best_residual=worst,
-        )
     gram_bound = float(np.prod([1.0 + delta for delta in axis_defect]) - 1.0)
-    if gram_bound > ORTHO_TOL:
-        raise EigensolveError(
-            f"per-axis orthonormality defect bound {gram_bound:.3e} exceeds {ORTHO_TOL}"
-        )
-
     vec = _tensor_columns(axis_vectors, [k[:materialize] for k in modes], points)
     resid = bound.copy()
     resid[:materialize] = _scaled_residuals(op, lam[:materialize], vec)
     return _certified_basis(
         op, lam, vec, resid, tol,
         gram_bound=gram_bound, axis_vectors=tuple(axis_vectors), modes=modes,
+        completeness=Completeness("closed_form"),
     )
 
 
@@ -319,6 +327,7 @@ def _certified_basis(op, lam, vec, resid, tol, gram_bound=0.0, **structure) -> S
     """
     if np.max(resid) > tol:
         raise EigensolveError(
+            "residuals",
             f"residual {np.max(resid):.3e} exceeds tolerance {tol:.3e}",
             best_residual=float(np.max(resid)),
         )
@@ -332,7 +341,9 @@ def _certified_basis(op, lam, vec, resid, tol, gram_bound=0.0, **structure) -> S
     )
     defect = max(basis.ortho_defect, gram_bound)
     if defect > ORTHO_TOL:
-        raise EigensolveError(f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}")
+        raise EigensolveError(
+            "orthonormality", f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}"
+        )
     return replace(basis, ortho_defect=defect)
 
 
@@ -361,14 +372,20 @@ def _solve_lowest(op, m, maxiter):
     return (*sla.eigh(dense, overwrite_a=True, subset_by_index=(0, m - 1)), "dense")
 
 
-def cluster_end(eigenvalues: np.ndarray, m: int, rel_gap: float = CLUSTER_REL_GAP) -> int:
+def _cluster_starts(eigenvalues: np.ndarray) -> np.ndarray:
+    """Indices k >= 1 of the ascending eigenvalues that open a degenerate
+    cluster: the gap below lambda_k is at least CLUSTER_REL_GAP*(1+|lambda_k|)."""
+    lam = np.asarray(eigenvalues)
+    return 1 + np.flatnonzero(np.diff(lam) >= CLUSTER_REL_GAP * (1.0 + np.abs(lam[1:])))
+
+
+def cluster_end(eigenvalues: np.ndarray, m: int) -> int:
     """Smallest k >= m at which a window of k modes does not split a
-    degenerate cluster (the rule of degenerate_clusters), or len(eigenvalues)
-    if the cluster holding index m-1 runs to the end of the list."""
-    for k in range(m, len(eigenvalues)):
-        if eigenvalues[k] - eigenvalues[k - 1] >= rel_gap * (1.0 + abs(eigenvalues[k])):
-            return k
-    return len(eigenvalues)
+    degenerate cluster, or len(eigenvalues) if the cluster holding index
+    m-1 runs to the end of the list."""
+    starts = _cluster_starts(eigenvalues)
+    later = starts[starts >= m]
+    return int(later[0]) if later.size else len(eigenvalues)
 
 
 def _iterative_lowest(op, m, maxiter):
@@ -392,6 +409,7 @@ def _iterative_lowest(op, m, maxiter):
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             best = float(np.min(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
         raise EigensolveError(
+            "residuals",
             f"Lanczos failed to converge within the iteration budget: {exc}",
             best_residual=best,
         ) from exc
@@ -419,6 +437,7 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
     gaps = np.diff(lam[end - 1:])
     if not gaps.size:
         raise EigensolveError(
+            "completeness",
             f"inertia count: no solved eigenvalue above the window of {end} modes "
             "to put the shift under"
         )
@@ -433,9 +452,12 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
-        raise EigensolveError(f"inertia count: factorization of L - sigma I failed: {exc}") from exc
+        raise EigensolveError(
+            "completeness", f"inertia count: factorization of L - sigma I failed: {exc}"
+        ) from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise EigensolveError(
+            "completeness",
             "inertia count: the factorization pivoted off the diagonal "
             "(perm_r != perm_c), so it is no LDL^T and its pivots count nothing"
         )
@@ -451,17 +473,20 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
     extra = _scaled_residuals(op, lam[end:k], vec[:, end:k])
     if extra.size and np.max(extra) > tol:
         raise EigensolveError(
+            "residuals",
             f"inertia count: residual {np.max(extra):.3e} of a counted pair past the "
             f"window exceeds tolerance {tol:.3e}",
             best_residual=float(np.max(extra)),
         )
     if count != k:
         raise EigensolveError(
+            "completeness",
             f"inertia count: {count} eigenvalues of L lie below sigma = {sigma:.6g}, "
             f"but the Lanczos solve found {k}"
         )
     if not backward < distance:
         raise EigensolveError(
+            "completeness",
             f"inertia count: backward error {backward:.3e} of the LDL^T factorization "
             f"reaches the distance {distance:.3e} from sigma = {sigma:.6g} to the "
             "nearest solved eigenvalue"
@@ -482,16 +507,10 @@ def _scaled_residuals(op, lam, vec):
     return out
 
 
-def degenerate_clusters(eigenvalues: np.ndarray, rel_gap: float = CLUSTER_REL_GAP):
-    """Contiguous index groups whose eigenvalue gaps fall below rel_gap*(1+lam)."""
-    clusters = []
-    start = 0
-    for k in range(1, len(eigenvalues)):
-        if eigenvalues[k] - eigenvalues[k - 1] >= rel_gap * (1.0 + abs(eigenvalues[k])):
-            clusters.append(list(range(start, k)))
-            start = k
-    clusters.append(list(range(start, len(eigenvalues))))
-    return clusters
+def degenerate_clusters(eigenvalues: np.ndarray):
+    """Contiguous index groups split where a cluster starts (_cluster_starts)."""
+    bounds = [0, *_cluster_starts(eigenvalues).tolist(), len(eigenvalues)]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _reorthonormalize_clusters(lam, vec, w):

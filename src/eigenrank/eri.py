@@ -127,7 +127,7 @@ class ERIResult:
     quadruples: list
     exact: np.ndarray
     fitted: np.ndarray
-    pair_tails: np.ndarray        # H^-1 tail after r modes per stored pair
+    certificates: np.ndarray      # t(ij) t(kl) per quadruple, t the H^-1 tail after r modes
     max_abs_error: float
     mean_abs_error: float
     certificate: float            # (worst-pair tail)^2 bounds every error
@@ -135,11 +135,6 @@ class ERIResult:
     fitted_ops: int
     exact_seconds: float
     fitted_seconds: float
-
-    def quadruple_certificate(self, i, j, k, l) -> float:
-        t_ij = self.pair_tails[pair_row(i, j, self.n)]
-        t_kl = self.pair_tails[pair_row(k, l, self.n)]
-        return float(t_ij * t_kl)
 
 
 def eri_benchmark(
@@ -203,7 +198,7 @@ def eri_benchmark(
         quadruples=quads,
         exact=exact,
         fitted=fitted,
-        pair_tails=pair_tails,
+        certificates=pair_tails[rows[:, 0]] * pair_tails[rows[:, 1]],
         max_abs_error=float(np.max(err)),
         mean_abs_error=float(np.mean(err)),
         certificate=worst_tail**2,

@@ -112,15 +112,12 @@ class DiscreteOperator:
     """Symmetric sparse stencil operator on a grid.
 
     `kind` records what was assembled (schrodinger or laplacian) and is
-    inherited by spectral bases.  `gershgorin_lower` is the smallest
-    Gershgorin disc bound, a cheap certificate that the spectrum lies above
-    it.
+    inherited by spectral bases.
     """
 
     grid: Grid
     kind: str
     matrix: sp.csr_array
-    gershgorin_lower: float
 
     @property
     def size(self) -> int:
@@ -286,41 +283,25 @@ def _assemble(grid: Grid, a_face, v_node, kind) -> DiscreteOperator:
         shape=(G, G),
     ).tocsr()
     mat.sum_duplicates()
-
-    off = abs(mat - sp.diags_array(mat.diagonal()))
-    gersh = float(np.min(mat.diagonal() - off.sum(axis=1)))
-    return DiscreteOperator(grid=grid, kind=kind, matrix=mat, gershgorin_lower=gersh)
+    return DiscreteOperator(grid=grid, kind=kind, matrix=mat)
 
 
-def gradient_energy(f: GridFunction, field: CoefficientField | None = None) -> float:
-    """Discrete Dirichlet energy  sum_faces a_f (f_p - f_q)^2 / h^2 * weight.
+def gradient_energy(f: GridFunction) -> float:
+    """Discrete Dirichlet energy ||grad f||^2 = sum_faces (f_p - f_q)^2 / h^2 * weight.
 
-    With field=None this is ||grad f||^2 (a = 1); with a field it is the
-    a-weighted form <L0 f, f>.  Either way it reproduces the operator
-    quadratic form exactly (summation by parts is an identity here).
+    Dirichlet boundary faces see a zero ghost value, periodic ones wrap, so
+    this reproduces the quadratic form <-Delta f, f> exactly (summation by
+    parts is an identity here).
     """
     grid = f.grid
-    shape = grid.points_per_axis
-    u = f.values.reshape(shape, order="F")
+    u = f.values.reshape(grid.points_per_axis, order="F")
     total = 0.0
     for axis in range(grid.dimension):
-        h2 = grid.spacing[axis] ** 2
-        if field is None:
-            a = np.ones(_face_shape(grid, axis))
-        else:
-            a = field.a_face[axis].reshape(_face_shape(grid, axis))
-        p = shape[axis]
         if grid.boundary == DIRICHLET:
-            diff = np.diff(u, axis=axis)
-            a_int = np.take(a, range(1, p), axis=axis)
-            total += float(np.sum(a_int * diff**2)) / h2
-            lo = np.take(u, [0], axis=axis)
-            hi = np.take(u, [p - 1], axis=axis)
-            total += float(np.sum(np.take(a, [0], axis=axis) * lo**2)) / h2
-            total += float(np.sum(np.take(a, [p], axis=axis) * hi**2)) / h2
+            diff = np.diff(u, axis=axis, prepend=0.0, append=0.0)
         else:
             diff = u - np.roll(u, 1, axis=axis)
-            total += float(np.sum(a * diff**2)) / h2
+        total += float(np.sum(diff**2)) / grid.spacing[axis] ** 2
     return grid.quadrature_weight * total
 
 

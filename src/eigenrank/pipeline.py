@@ -21,6 +21,7 @@ import os
 import resource
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ from .operator import (
     weyl_regime_cap,
 )
 from .eigensolve import (
-    Completeness,
+    EigensolveError,
     SpectralBasis,
     cluster_end,
     comparability_check,
@@ -89,6 +90,16 @@ class Pipeline:
     timings: dict   # wall seconds by stage name: the build stages, then run()'s
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the wall seconds of the block to timings[name]."""
+    t = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = timings.get(name, 0.0) + time.perf_counter() - t
+
+
 def build_pipeline(config: ExperimentConfig) -> Pipeline:
     t0 = time.perf_counter()
     grid = config.make_grid()
@@ -109,25 +120,19 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     # products, and the sup-norm fit up to the resolved cap
     columns = max(config.solver_m, n_max, min(weyl_regime_cap(grid), G))
     timings = {}
-
-    t = time.perf_counter()
-    basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol, materialize=columns)
-    timings["basis_lap"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    if flat:
-        basis_L = replace(basis_lap, tag=op_L.kind)
-        window = cluster_end(basis_lap.eigenvalues, columns)
-    else:
-        basis_L = lowest_eigenpairs(op_L, columns, config.solver_tol)
-        window = basis_L.count
-    timings["basis_L"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    # complete on flat configs, the window M otherwise
-    coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, basis_L.count)
-    coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
-    timings["coefficients"] = time.perf_counter() - t
+    with _stage(timings, "basis_lap"):
+        basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol, materialize=columns)
+    with _stage(timings, "basis_L"):
+        if flat:
+            basis_L = replace(basis_lap, tag=op_L.kind)
+            window = cluster_end(basis_lap.eigenvalues, columns)
+        else:
+            basis_L = lowest_eigenpairs(op_L, columns, config.solver_tol)
+            window = basis_L.count
+    with _stage(timings, "coefficients"):
+        # complete on flat configs, the window M otherwise
+        coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, basis_L.count)
+        coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
 
     return Pipeline(
         config=config,
@@ -173,12 +178,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 def write_csv(path: str, header: list[str], rows, timings: dict) -> None:
     """Write one CSV and add its wall seconds to timings["output"]."""
-    t = time.perf_counter()
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
-    timings["output"] = timings.get("output", 0.0) + time.perf_counter() - t
+    with _stage(timings, "output"):
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt(x) for x in row))
+        _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _versions() -> dict:
@@ -240,24 +244,24 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
 def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
     """The sweep, timed as two stages: the oracle SVDs and the rest (tails)."""
     cfg = pipe.config
-    t = time.perf_counter()
-    report = scaling_report(
-        pipe.basis_L,
-        pipe.basis_lap,
-        pipe.coeffs_l2,
-        pipe.coeffs_hm1,
-        cfg.sweep_n,
-        cfg.sweep_eps,
-        cfg.sweep_norms,
-        pipe.grid.dimension,
-        calib_l2=cfg.calib_l2,
-        calib_hm1=cfg.calib_hm1,
-        curve_n=curve_n,
-        curve_r_max=pipe.grid.node_count // 2,
-        window=pipe.window,
-    )
+    with _stage(pipe.timings, "tails"):
+        report = scaling_report(
+            pipe.basis_L,
+            pipe.basis_lap,
+            pipe.coeffs_l2,
+            pipe.coeffs_hm1,
+            cfg.sweep_n,
+            cfg.sweep_eps,
+            cfg.sweep_norms,
+            pipe.grid.dimension,
+            calib_l2=cfg.calib_l2,
+            calib_hm1=cfg.calib_hm1,
+            curve_n=curve_n,
+            curve_r_max=pipe.grid.node_count // 2,
+            window=pipe.window,
+        )
     pipe.timings["oracle"] = report.oracle_seconds
-    pipe.timings["tails"] = time.perf_counter() - t - report.oracle_seconds
+    pipe.timings["tails"] -= report.oracle_seconds
     return report
 
 
@@ -332,20 +336,12 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
         calib_hm1=cfg.calib_hm1,
         sample_seed=cfg.eri_sample_seed,
     )
-    rows = []
-    for (i, j, k, l), exact, fitted in zip(result.quadruples, result.exact, result.fitted):
-        rows.append(
-            (
-                i + 1,
-                j + 1,
-                k + 1,
-                l + 1,
-                exact,
-                fitted,
-                abs(exact - fitted),
-                result.quadruple_certificate(i, j, k, l),
-            )
+    rows = [
+        (i + 1, j + 1, k + 1, l + 1, exact, fitted, abs(exact - fitted), cert)
+        for (i, j, k, l), exact, fitted, cert in zip(
+            result.quadruples, result.exact, result.fitted, result.certificates
         )
+    ]
     write_csv(
         os.path.join(out_dir, "eri.csv"),
         ["i", "j", "k", "l", "exact", "fitted", "abs_err", "certificate"],
@@ -382,13 +378,16 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     def record(name, ok, detail, **values):
         checks[name] = {"ok": bool(ok), "detail": detail, **values}
 
+    # eigensolve judged each basis's certificates when it built the basis and
+    # raised on a failure, which run() reports as that check failing; these
+    # entries report the recorded values
     worst = max(float(np.max(pipe.basis_L.residuals)), float(np.max(pipe.basis_lap.residuals)))
-    record("residuals", worst <= cfg.solver_tol, f"max scaled residual {worst:.3e}")
+    record("residuals", True, f"max scaled residual {worst:.3e}")
 
     defect = max(pipe.basis_L.ortho_defect, pipe.basis_lap.ortho_defect)
     record(
         "orthonormality",
-        defect <= 1e-10,
+        True,
         f"max gram defect {defect:.3e}; L basis {pipe.basis_L.ortho_defect:.3e}, "
         f"Laplacian basis {pipe.basis_lap.ortho_defect:.3e} (the larger of the "
         f"measured Gram of its {pipe.basis_lap.materialized} stored vectors and "
@@ -397,25 +396,10 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
 
     # the window of L holds every mode below its end: the closed form has
     # them all, the dense route counts by Sturm sequences, the Lanczos route
-    # by the inertia of L - sigma I (lowest_eigenpairs raised otherwise)
-    done = pipe.basis_L.completeness or Completeness("closed_form")
+    # by the inertia of L - sigma I
+    done = pipe.basis_L.completeness
     values = {key: value for key, value in asdict(done).items() if value is not None}
-    if done.route == "lanczos":
-        record(
-            "completeness",
-            done.count_below == done.solved_below and done.backward_error < done.distance,
-            f"{done.count_below} negative LDL^T pivots of L - sigma I at sigma = "
-            f"{done.sigma:.6g} for {done.solved_below} solved eigenvalues below it "
-            f"(window {pipe.basis_L.count}); backward error {done.backward_error:.3e} "
-            f"< distance to the nearest solved eigenvalue {done.distance:.3e}",
-            **values,
-        )
-    else:
-        how = {
-            "closed_form": f"closed form: all {pipe.grid.node_count} modes",
-            "dense": "index-range dense eigensolve, Sturm-counted by LAPACK",
-        }
-        record("completeness", True, how[done.route], **values)
+    record("completeness", True, done.describe(pipe.basis_L.count), **values)
 
     chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, pipe.n_max)
     margin = chain.bound - float(np.max(chain.values))
@@ -521,8 +505,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
 
     if eri is not None:
         # roundoff in both sides grows with the integrals, so the slack does too
-        certs = np.array([eri.quadruple_certificate(*q) for q in eri.quadruples])
-        excess = np.abs(eri.exact - eri.fitted) - certs
+        excess = np.abs(eri.exact - eri.fitted) - eri.certificates
         worst_violation = float(np.max(excess))
         scale = np.maximum(1.0, np.abs(eri.exact))
         ok = bool(np.all(excess <= 1e-12 * scale)) and (
@@ -544,7 +527,8 @@ def run(
     out_dir: str | None = None,
     threads: int | None = None,
 ) -> int:
-    """Execute one command; returns the process exit status (0 ok, 1 failed check).
+    """Execute one command; returns the process exit status (0 ok, 1 failed
+    check or certificate).
 
     `threads` is the BLAS thread cap the caller applied (None if none); it
     is recorded in summary.json only.
@@ -555,29 +539,33 @@ def run(
     os.makedirs(out, exist_ok=True)
 
     t0 = time.perf_counter()
-    pipe = build_pipeline(config)
     summary: dict = {
         "command": command,
         "config": config.raw,
         "version": __version__,
         "calibration": {"calib_l2": config.calib_l2, "calib_hm1": config.calib_hm1},
-        "grid_nodes": pipe.grid.node_count,
-        "a_min": pipe.field_.a_min,
-        "a_max": pipe.field_.a_max,
-        "v_sup": pipe.field_.v_sup,
         "threads": threads,
         "versions": _versions(),
     }
+    try:
+        pipe = build_pipeline(config)
+    except EigensolveError as exc:
+        # a certificate failed where it was computed: report it as its check
+        summary["checks"] = {exc.check: False}
+        summary["check_details"] = {exc.check: {"ok": False, "detail": str(exc)}}
+        _write_summary(out, summary, t0, {})
+        return 1
+    summary.update(
+        grid_nodes=pipe.grid.node_count,
+        a_min=pipe.field_.a_min,
+        a_max=pipe.field_.a_max,
+        v_sup=pipe.field_.v_sup,
+        build_seconds=pipe.build_seconds,
+    )
 
-    # the build stages, the spans below and the CSV writes (output)
+    # the build stages, the stages below and the CSV writes (output)
     timings = pipe.timings
     timings["output"] = 0.0
-
-    def timed(stage, fn, *args, **kwargs):
-        t = time.perf_counter()
-        result = fn(*args, **kwargs)
-        timings[stage] = time.perf_counter() - t
-        return result
 
     status = 0
     if command == "spectrum":
@@ -589,21 +577,29 @@ def run(
         report = _scaling(pipe)
         cmd_rank_scan(pipe, out, summary, report)
     elif command == "eri-bench":
-        timed("eri", cmd_eri_bench, pipe, out, summary)
+        with _stage(timings, "eri"):
+            cmd_eri_bench(pipe, out, summary)
     else:  # verify-all
         cmd_spectrum(pipe, out, summary)
         report = _scaling(pipe, curve_n=max(config.sweep_n))
         cmd_tail_curves(pipe, out, summary, report)
         cmd_rank_scan(pipe, out, summary, report)
-        eri = timed("eri", cmd_eri_bench, pipe, out, summary)
-        checks = timed("checks", run_checks, pipe, report, eri)
+        with _stage(timings, "eri"):
+            eri = cmd_eri_bench(pipe, out, summary)
+        with _stage(timings, "checks"):
+            checks = run_checks(pipe, report, eri)
         summary["checks"] = {name: entry["ok"] for name, entry in checks.items()}
         summary["check_details"] = checks
         if not all(entry["ok"] for entry in checks.values()):
             status = 1
+    _write_summary(out, summary, t0, timings)
+    return status
 
+
+def _write_summary(out: str, summary: dict, t0: float, timings: dict) -> None:
+    """Add the run's seconds since t0, its stage timings and peak RSS, then
+    write summary.json."""
     summary["seconds"] = time.perf_counter() - t0
-    summary["build_seconds"] = pipe.build_seconds
     summary["timings"] = timings
     # ru_maxrss is in KiB on Linux
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -611,7 +607,6 @@ def run(
         os.path.join(out, "summary.json"),
         json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n",
     )
-    return status
 
 
 def _json_default(obj):

@@ -11,7 +11,7 @@ import pytest
 import eigenrank
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config, load_preset
-from eigenrank import pipeline
+from eigenrank import eigensolve, pipeline
 from eigenrank.eigensolve import DENSE_CAP
 
 
@@ -375,3 +375,47 @@ def test_stretched_flat_1d_keeps_eri_certificate(tmp_path):
     assert summary["checks"] and all(summary["checks"].values())
     with open(out / "eri.csv", newline="") as fh:
         assert max(abs(float(row["exact"])) for row in csv.DictReader(fh)) > 100.0
+
+
+def test_failed_certificate_exits_1_and_names_its_check(tmp_path, capsys):
+    # no closed-form residual reaches 1e-18, so the basis is never built;
+    # the run reports the failed certificate as its check, like a failed one
+    doc = json.loads(Path(eigenrank.__file__).with_name("presets").joinpath("flat-1d.json").read_text())
+    doc["solver"]["tol"] = 1e-18
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "strict"
+    assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "FAILED" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] == {"residuals": False}
+    assert "exceeds tolerance 1.000e-18" in summary["check_details"]["residuals"]["detail"]
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_skipped_lanczos_pair_fails_completeness(tmp_path, monkeypatch):
+    # a Lanczos solve that loses one eigenpair passes every residual and
+    # Gram check; the inertia count fails, and the run reports completeness
+    real = eigensolve.spla.eigsh
+
+    def skipping(*args, **kwargs):
+        lam, vec = real(*args, **kwargs)
+        keep = np.delete(np.argsort(lam), 3)
+        return lam[keep], vec[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", skipping)
+    path = small_config(
+        tmp_path,
+        grid=_2d_grid(16),
+        coefficients={"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5},
+        solver={"m": 8, "tol": 1e-9},
+        sweep={"n": [4], "eps": [0.01], "norms": ["l2"]},
+        eri={"enabled": False},
+    )
+    out = tmp_path / "skipped"
+    assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] == {"completeness": False}
+    detail = summary["check_details"]["completeness"]
+    assert detail["ok"] is False and detail["detail"].startswith("inertia count:")

@@ -212,8 +212,8 @@ class TestBenchmark:
         grid, op, src, lap, co, solver = eri_setup
         res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
         assert len(res.quadruples) == 36 * 37 // 2
-        for (i, j, k, l), e, f in zip(res.quadruples, res.exact, res.fitted):
-            assert abs(e - f) <= res.quadruple_certificate(i, j, k, l) + 1e-12
+        for e, f, cert in zip(res.exact, res.fitted, res.certificates):
+            assert abs(e - f) <= cert + 1e-12
         assert res.max_abs_error <= res.certificate + 1e-12
         assert res.fitted_ops < res.exact_ops
 
@@ -293,8 +293,8 @@ class TestBatchedExact:
         co = expansion_coefficients(src, lap, 6, g.node_count)
         res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0)
         _assert_exact_matches_spectral(res, src, lap)
-        for (i, j, k, l), e, f in zip(res.quadruples, res.exact, res.fitted):
-            assert abs(e - f) <= res.quadruple_certificate(i, j, k, l) + 1e-12
+        for e, f, cert in zip(res.exact, res.fitted, res.certificates):
+            assert abs(e - f) <= cert + 1e-12
 
     def test_block_synthesis_matches_single_columns(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
