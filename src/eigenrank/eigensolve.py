@@ -184,7 +184,6 @@ def lowest_eigenpairs(
     op: DiscreteOperator,
     m: int,
     tol: float = DEFAULT_TOL,
-    maxiter: int | None = None,
 ) -> SpectralBasis:
     """Compute the m lowest eigenpairs of a symmetric stencil operator, plus
     any that close the degenerate cluster holding the m-th.
@@ -201,7 +200,7 @@ def lowest_eigenpairs(
     pad = CLUSTER_PAD
     while True:
         solved = max(m, min(m + pad, most))
-        lam, vec, route = _solve_lowest(op, solved, maxiter)
+        lam, vec, route = _solve_lowest(op, solved)
         end = cluster_end(lam, m)
         if end < len(lam) or solved >= most:
             break
@@ -361,11 +360,11 @@ def _uses_lanczos(size: int, solved: int) -> bool:
     return solved * LANCZOS_FRACTION <= size or size > DENSE_CAP
 
 
-def _solve_lowest(op, m, maxiter):
+def _solve_lowest(op, m):
     """The m lowest eigenvalues (ascending) and eigenvectors of op,
     unnormalized, and the route that solved them."""
     if _uses_lanczos(op.size, m):
-        return (*_iterative_lowest(op, m, maxiter), "lanczos")
+        return (*_iterative_lowest(op, m), "lanczos")
     dense = op.matrix.toarray(order="F")
     # the index-range solve brackets eigenvalues 0..m-1 by Sturm counts and
     # computes only their vectors
@@ -388,7 +387,7 @@ def cluster_end(eigenvalues: np.ndarray, m: int) -> int:
     return int(later[0]) if later.size else len(eigenvalues)
 
 
-def _iterative_lowest(op, m, maxiter):
+def _iterative_lowest(op, m):
     # a fixed start vector keeps reruns bitwise identical (ARPACK's own
     # random start carries state across calls); a generic one, because a
     # constant vector has no component along the modes that are odd about
@@ -402,7 +401,6 @@ def _iterative_lowest(op, m, maxiter):
             which="LM",
             v0=v0,
             tol=0,   # iterate to machine precision; certificates checked below
-            maxiter=maxiter,
         )
     except spla.ArpackNoConvergence as exc:
         best = None

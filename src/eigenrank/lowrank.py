@@ -130,7 +130,6 @@ def oracle_rank(
     norm: str = L2,
     basis_lap: SpectralBasis | None = None,
     coeffs: ProductCoefficients | None = None,
-    entry_cap: int = ORACLE_ENTRY_CAP,
 ) -> list[int]:
     """Smallest subspace dimension leaving every product residual <= eps,
     for each eps in `eps_list`, all read off one SVD.
@@ -162,9 +161,9 @@ def oracle_rank(
     else:
         raise ValueError(f"unknown norm {norm!r}")
     pairs = pair_list(n)
-    if rows * len(pairs) > entry_cap:
+    if rows * len(pairs) > ORACLE_ENTRY_CAP:
         raise MemoryError(
-            f"oracle matrix would hold {rows * len(pairs)} entries (cap {entry_cap})"
+            f"oracle matrix would hold {rows * len(pairs)} entries (cap {ORACLE_ENTRY_CAP})"
         )
     mult = np.array([1.0 if i == j else 2.0 for i, j in pairs])
     if norm == L2:

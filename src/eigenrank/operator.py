@@ -100,7 +100,7 @@ class CoefficientField:
     """Sampled coefficients: a at cell interfaces, V at nodes, cached extrema."""
 
     grid: Grid
-    a_face: tuple[np.ndarray, ...]   # one nd-array per axis, face axis extended
+    a_face: tuple[np.ndarray, ...]   # one flat array per axis, grid order (axis 0 fastest)
     v_node: np.ndarray               # flat, length G
     a_min: float
     a_max: float
@@ -126,11 +126,9 @@ class DiscreteOperator:
 
 def sample_coefficients(spec: CoefficientSpec, grid: Grid) -> CoefficientField:
     """Evaluate (a, V) on the grid; deterministic given (spec, grid)."""
-    a_face = []
-    for axis in range(grid.dimension):
-        coords = _face_coordinates(grid, axis)
-        a_face.append(_eval_a(spec, grid, coords))
-    v_node = _eval_v(spec, grid, grid.nodes())
+    eval_a, eval_v = _coefficient_functions(spec, grid)
+    a_face = tuple(eval_a(_face_coordinates(grid, axis)) for axis in range(grid.dimension))
+    v_node = eval_v(grid.nodes())
 
     a_min = min(float(f.min()) for f in a_face)
     a_max = max(float(f.max()) for f in a_face)
@@ -139,7 +137,7 @@ def sample_coefficients(spec: CoefficientSpec, grid: Grid) -> CoefficientField:
     v_sup = float(np.max(np.abs(v_node))) if v_node.size else 0.0
     return CoefficientField(
         grid=grid,
-        a_face=tuple(a_face),
+        a_face=a_face,
         v_node=v_node,
         a_min=a_min,
         a_max=a_max,
@@ -194,96 +192,71 @@ def _fourier_series(seed: int, cutoff: int, grid: Grid):
     return make(g_a), make(g_v)
 
 
-def _eval_a(spec: CoefficientSpec, grid: Grid, coords: np.ndarray) -> np.ndarray:
-    if spec.kind in (CONSTANT, HARMONIC):
-        return np.full(coords.shape[0], spec.a0)
-    series_a, _ = _fourier_series(spec.seed, spec.cutoff, grid)
-    a = spec.a0 + spec.a_amplitude * series_a(coords)
-    # |series| <= 1 already; clip guards against roundoff at the bound
-    return np.clip(a, spec.a0 - spec.a_amplitude, spec.a0 + spec.a_amplitude)
+def _coefficient_functions(spec: CoefficientSpec, grid: Grid):
+    """(a, V) as functions of (N, d) coordinates; a random series is drawn
+    once per field."""
+    def constant(value):
+        return lambda coords: np.full(coords.shape[0], value)
 
-
-def _eval_v(spec: CoefficientSpec, grid: Grid, coords: np.ndarray) -> np.ndarray:
     if spec.kind == CONSTANT:
-        return np.full(coords.shape[0], spec.v0)
+        return constant(spec.a0), constant(spec.v0)
     if spec.kind == HARMONIC:
         center = np.asarray(grid.lengths) / 2.0
-        return spec.v_scale * np.sum((coords - center) ** 2, axis=1)
-    _, series_v = _fourier_series(spec.seed, spec.cutoff, grid)
-    v = spec.v_amplitude * (series_v(coords) + 1.0) / 2.0
-    return np.clip(v, 0.0, spec.v_amplitude)
+        return constant(spec.a0), lambda coords: spec.v_scale * np.sum((coords - center) ** 2, axis=1)
+    series_a, series_v = _fourier_series(spec.seed, spec.cutoff, grid)
+    lo, hi = spec.a0 - spec.a_amplitude, spec.a0 + spec.a_amplitude
+
+    def eval_a(coords):
+        # |series| <= 1 already; clip guards against roundoff at the bound
+        return np.clip(spec.a0 + spec.a_amplitude * series_a(coords), lo, hi)
+
+    def eval_v(coords):
+        v = spec.v_amplitude * (series_v(coords) + 1.0) / 2.0
+        return np.clip(v, 0.0, spec.v_amplitude)
+
+    return eval_a, eval_v
 
 
 def assemble_schrodinger(field: CoefficientField, grid: Grid) -> DiscreteOperator:
     """Assemble L = -div(a grad) + V in flux form; exactly symmetric."""
     if field.grid != grid:
         raise ValueError("coefficient field sampled on a different grid")
-    return _assemble(grid, field.a_face, field.v_node, SCHRODINGER)
+    return _assemble(field, SCHRODINGER)
 
 
 def assemble_laplacian(grid: Grid) -> DiscreteOperator:
     """Assemble -Delta, i.e. the a=1, V=0 case of the flux form."""
-    a_face = tuple(
-        np.ones(_face_shape(grid, axis)) for axis in range(grid.dimension)
-    )
-    return _assemble(grid, a_face, np.zeros(grid.node_count), LAPLACIAN)
+    return _assemble(sample_coefficients(CoefficientSpec.constant(), grid), LAPLACIAN)
 
 
-def _face_shape(grid: Grid, axis: int) -> tuple[int, ...]:
-    shape = list(grid.points_per_axis)
+def _face_difference(grid: Grid, axis: int):
+    """B_axis, the (F, G) difference across each face normal to `axis`.
+
+    Its 1-D factor has row j = u_j - u_{j-1} for face j of grid.axis_faces:
+    (p+1) x p with zero ghost nodes for Dirichlet, p x p with a wrap for
+    periodic.  The Kronecker factors run from the slowest axis down, so the
+    faces follow the grid's flat order (axis 0 fastest), as the nodes do.
+    """
+    p = grid.points_per_axis[axis]
     if grid.boundary == DIRICHLET:
-        shape[axis] += 1
-    return tuple(shape)
+        diff = sp.eye(p + 1, p) - sp.eye(p + 1, p, k=-1)
+    else:
+        diff = sp.eye(p) - sp.eye(p, k=-1) - sp.eye(p, k=p - 1)
+    out = sp.eye(1)
+    for b in reversed(range(grid.dimension)):
+        factor = diff if b == axis else sp.eye(grid.points_per_axis[b])
+        out = sp.kron(out, factor, format="csr")
+    return out
 
 
-def _assemble(grid: Grid, a_face, v_node, kind) -> DiscreteOperator:
-    G = grid.node_count
-    shape = grid.points_per_axis
-    node_id = np.arange(G).reshape(shape, order="F")
-
-    diag = np.asarray(v_node, dtype=np.float64).copy()
-    rows, cols, vals = [], [], []
-
-    for axis in range(grid.dimension):
-        h2 = grid.spacing[axis] ** 2
-        a = np.asarray(a_face[axis], dtype=np.float64).reshape(
-            _face_shape(grid, axis)
-        )
-        p = shape[axis]
-        if grid.boundary == DIRICHLET:
-            # interior faces j = 1..p-1 couple node j-1 to node j
-            left = np.take(node_id, range(0, p - 1), axis=axis).ravel(order="F")
-            right = np.take(node_id, range(1, p), axis=axis).ravel(order="F")
-            af = np.take(a, range(1, p), axis=axis).ravel(order="F") / h2
-            # boundary faces touch a single node (ghost value 0)
-            lo = np.take(node_id, [0], axis=axis).ravel(order="F")
-            hi = np.take(node_id, [p - 1], axis=axis).ravel(order="F")
-            a_lo = np.take(a, [0], axis=axis).ravel(order="F") / h2
-            a_hi = np.take(a, [p], axis=axis).ravel(order="F") / h2
-            np.add.at(diag, lo, a_lo)
-            np.add.at(diag, hi, a_hi)
-        else:
-            # p wrap-around faces; face j couples node (j-1) mod p to node j
-            right = node_id.ravel(order="F")
-            left = np.roll(node_id, 1, axis=axis).ravel(order="F")
-            af = a.ravel(order="F") / h2
-
-        np.add.at(diag, left, af)
-        np.add.at(diag, right, af)
-        rows.extend((left, right))
-        cols.extend((right, left))
-        vals.extend((-af, -af))
-
-    rows.append(np.arange(G))
-    cols.append(np.arange(G))
-    vals.append(diag)
-
-    mat = sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(G, G),
-    ).tocsr()
-    mat.sum_duplicates()
-    return DiscreteOperator(grid=grid, kind=kind, matrix=mat)
+def _assemble(field: CoefficientField, kind: str) -> DiscreteOperator:
+    """L = sum_axis B_axis^T diag(a_axis / h_axis^2) B_axis + diag(V)."""
+    grid = field.grid
+    mat = sp.diags(field.v_node)
+    for axis, a in enumerate(field.a_face):
+        diff = _face_difference(grid, axis)
+        mat = mat + diff.T @ sp.diags(a / grid.spacing[axis] ** 2) @ diff
+    return DiscreteOperator(grid=grid, kind=kind, matrix=sp.csr_array(mat))
 
 
 def gradient_energy(f: GridFunction) -> float:

@@ -234,17 +234,20 @@ class TestOracle:
         ):
             assert r <= empirical_rank(curve_h, eps)
 
-    def test_memory_guard(self, flat1d_coeffs):
+    def test_memory_guard(self, flat1d_coeffs, monkeypatch):
         grid, _, src, lap, co, co_h = flat1d_coeffs
+        monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", 1000)
         with pytest.raises(MemoryError):
-            oracle_rank(src, 16, [1e-6], entry_cap=1000)
+            oracle_rank(src, 16, [1e-6])
         # the cap counts the matrix actually formed: rows x n(n+1)/2
         n = 16
         formed = grid.node_count * n * (n + 1) // 2
         for norm, kwargs in (("l2", {}), ("hm1", {"basis_lap": lap, "coeffs": co_h})):
+            monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", formed - 1)
             with pytest.raises(MemoryError):
-                oracle_rank(src, n, [1e-6], norm, entry_cap=formed - 1, **kwargs)
-            oracle_rank(src, n, [1e-6], norm, entry_cap=formed, **kwargs)
+                oracle_rank(src, n, [1e-6], norm, **kwargs)
+            monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", formed)
+            oracle_rank(src, n, [1e-6], norm, **kwargs)
 
     def test_rejects_bad_inputs(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs

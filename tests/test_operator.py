@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -119,6 +121,52 @@ class TestAssembly:
         assert abs(m - m.T).nnz == 0
 
 
+class TestFaceLayout:
+    """Each coupling of L reads a at its own face, evaluated independently of
+    the sampling and the assembly."""
+
+    SPEC = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.4, v_amplitude=0.7)
+
+    @pytest.mark.parametrize(
+        "lengths, points, boundary",
+        [((1.0, 1.3), (8, 9), "dirichlet"), ((1.0, 1.7), (8, 10), "periodic")],
+    )
+    def test_couplings_read_a_at_their_faces(self, lengths, points, boundary):
+        g = make_grid(2, lengths, points, boundary)
+        m = assemble_schrodinger(sample_coefficients(self.SPEC, g), g).matrix.toarray()
+        p, h = g.points_per_axis, g.spacing
+        first = 1 if boundary == "dirichlet" else 0   # index of the first stored node
+
+        def flat(i):
+            return i[0] + p[0] * i[1]
+
+        def a_over_h2(x, axis):
+            return _random_a(self.SPEC, g, np.array([x]))[0] / h[axis] ** 2
+
+        diag = _random_v(self.SPEC, g, g.nodes())
+        for i in itertools.product(range(p[0]), range(p[1])):
+            x = np.array([h[b] * (i[b] + first) for b in range(2)])
+            for axis in range(2):
+                # the face between node i and its upper neighbour along axis
+                face = x.copy()
+                face[axis] += h[axis] / 2
+                c = a_over_h2(face, axis)
+                j = list(i)
+                j[axis] += 1
+                if boundary == "periodic":
+                    j[axis] %= p[axis]
+                diag[flat(i)] += c
+                if j[axis] < p[axis]:
+                    diag[flat(j)] += c
+                    assert m[flat(i), flat(j)] == pytest.approx(-c, rel=1e-12)
+                    assert m[flat(j), flat(i)] == pytest.approx(-c, rel=1e-12)
+                if boundary == "dirichlet" and i[axis] == 0:
+                    # the face below the first node has a zero ghost node
+                    face[axis] -= h[axis]
+                    diag[flat(i)] += a_over_h2(face, axis)
+        np.testing.assert_allclose(np.diag(m), diag, rtol=1e-12)
+
+
 class TestQuadraticForms:
     def test_ellipticity_sandwich_on_random_vectors(self):
         g = make_grid(2, (np.pi, np.pi), (16, 16), "dirichlet")
@@ -179,11 +227,32 @@ def _weighted_energy(u, field):
     total = 0.0
     for axis, a in enumerate(field.a_face):
         diff = np.diff(vals, axis=axis, prepend=0.0, append=0.0)
-        # the face values in the layout the assembly reads them
-        total += np.sum(a.reshape(diff.shape) * diff**2) / g.spacing[axis] ** 2
+        # face values are flat in the grid's order, axis 0 fastest
+        total += np.sum(a.reshape(diff.shape, order="F") * diff**2) / g.spacing[axis] ** 2
     return g.quadrature_weight * total
 
 
 def _form(op, u):
     """<M u, u> in the grid inner product."""
     return inner(GridFunction(u.grid, op.matrix @ u.values), u)
+
+
+def _random_series(spec, grid, coords, which):
+    """The normalized random cosine series of a random_fourier spec at
+    `coords`: which = 0 for a, 1 for V (drawn in that order)."""
+    modes = [k for k in itertools.product(range(spec.cutoff + 1), repeat=grid.dimension) if any(k)]
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(spec.seed)))
+    g = [rng.standard_normal(len(modes)) for _ in range(2)][which]
+    freq = 2.0 * np.pi if grid.boundary == "periodic" else np.pi
+    out = np.zeros(len(coords))
+    for gk, k in zip(g, modes):
+        out += gk * np.prod(np.cos(freq * np.array(k) * coords / grid.lengths), axis=1)
+    return out / np.sum(np.abs(g))
+
+
+def _random_a(spec, grid, coords):
+    return spec.a0 + spec.a_amplitude * _random_series(spec, grid, coords, 0)
+
+
+def _random_v(spec, grid, coords):
+    return spec.v_amplitude * (_random_series(spec, grid, coords, 1) + 1.0) / 2.0
