@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .grid import DIRICHLET, PERIODIC, Grid, make_grid
+from .grid import DIRICHLET, MIN_POINTS, PERIODIC, Grid, make_grid
 from .operator import CoefficientSpec, weyl_regime_cap
 
 PRESETS = ("flat-1d", "flat-2d", "harmonic-1d", "random-2d")
@@ -29,10 +29,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
-    grid_dimension: int
-    grid_lengths: tuple[float, ...]
-    grid_points: tuple[int, ...]
-    grid_boundary: str
+    grid: Grid
     coefficients: CoefficientSpec
     solver_m: int
     solver_tol: float
@@ -47,11 +44,6 @@ class ExperimentConfig:
     calib_hm1: float
     output_dir: str
     raw: dict = field(repr=False, default_factory=dict)
-
-    def make_grid(self) -> Grid:
-        return make_grid(
-            self.grid_dimension, self.grid_lengths, self.grid_points, self.grid_boundary
-        )
 
 
 def _get(doc, where, key, kind, default=None, required=True):
@@ -98,8 +90,9 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         raise ConfigError("grid", f"lengths and points must each have {d} entries")
     if any(L <= 0 for L in lengths):
         raise ConfigError("grid.lengths", f"must be positive, got {lengths}")
-    if any(p < 8 for p in points):
-        raise ConfigError("grid.points", f"must be >= 8 per axis, got {points}")
+    if any(p < MIN_POINTS for p in points):
+        raise ConfigError("grid.points", f"must be >= {MIN_POINTS} per axis, got {points}")
+    grid = make_grid(d, lengths, points, boundary)
 
     cblock = _get(doc, "config", "coefficients", dict)
     kind = _get(cblock, "coefficients", "kind", str)
@@ -140,7 +133,7 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
         raise ConfigError("solver.m", f"must be >= 1, got {m}")
     if not tol > 0:
         raise ConfigError("solver.tol", f"must be positive, got {tol}")
-    cap = weyl_regime_cap(make_grid(d, lengths, points, boundary))
+    cap = weyl_regime_cap(grid)
     if m > cap:
         raise ConfigError(
             "solver.m",
@@ -192,10 +185,7 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
 
     return ExperimentConfig(
         name=_get(doc, "config", "name", str, default=name, required=False),
-        grid_dimension=d,
-        grid_lengths=lengths,
-        grid_points=points,
-        grid_boundary=boundary,
+        grid=grid,
         coefficients=spec,
         solver_m=m,
         solver_tol=tol,

@@ -63,6 +63,7 @@ from .operator import (
     assemble_laplacian,
     axis_eigenvalues,
     axis_eigenvectors,
+    stencil_eigenvalues,
 )
 
 DENSE_CAP = 5000
@@ -229,11 +230,12 @@ def laplacian_eigenpairs(
     """The m lowest eigenpairs of the flat Laplacian stencil, in closed form.
 
     Each eigenvector is a tensor product of per-axis modes
-    (operator.axis_eigenvectors) and its eigenvalue the sum of theirs.  The
-    tensor sums, with axis 0 fastest, are ordered by a stable argsort, so
-    exact ties keep that mode order.  All m eigenvalues are kept, but only
-    the first `materialize` (default m) eigenvectors are written out as
-    columns; the basis carries the axis factors and mode indices for the rest.
+    (operator.axis_eigenvectors) and its eigenvalue the sum of theirs
+    (operator.stencil_eigenvalues, axis 0 fastest).  A stable argsort
+    orders them, so exact ties keep that mode order.  All m eigenvalues are
+    kept, but only the first `materialize` (default m) eigenvectors are
+    written out as columns; the basis carries the axis factors and mode
+    indices for the rest.
 
     Signs are fixed per axis by _fix_signs.  An axis mode's first
     significant entry (the first node of a sine, the first entry of a
@@ -265,7 +267,6 @@ def laplacian_eigenpairs(
         raise ValueError(f"materialize must satisfy 1 <= materialize <= {m}, got {materialize}")
     grid = op.grid
     points = grid.points_per_axis
-    total = np.zeros(1)
     axis_vectors, axis_resid, axis_defect = [], [], []
     for p, h, length in zip(points, grid.spacing, grid.lengths):
         lam_a = axis_eigenvalues(p, h, grid.boundary)
@@ -276,7 +277,7 @@ def laplacian_eigenpairs(
         axis_resid.append(_scaled_residuals(axis_op, lam_a, vec_a) * (1.0 + lam_a))
         axis_defect.append(_gram_defect(vec_a, h))
         axis_vectors.append(vec_a)
-        total = (lam_a[:, None] + total[None, :]).ravel()
+    total = stencil_eigenvalues(grid)
     order = np.argsort(total, kind="stable")[:m]
     lam = total[order]
     modes = np.unravel_index(order, points, order="F")

@@ -13,7 +13,8 @@ together with three notions of rank at accuracy eps:
                 (S/eps)^d n [L2] or (S/eps)^(d/2) sqrt(n) [H^-1]
     r_empirical the smallest r whose worst-pair tail is <= eps
     r_oracle    the smallest SVD subspace dimension leaving every
-                product with residual <= eps
+                product with residual <= eps, among those that split
+                no cluster of tied singular values
 
 A windowed L2 table (the m modes of a resolved window, m < G) ends at r = m,
 where the tail is the measured out-of-window mass; when no r <= m meets eps,
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PERIODIC
-from .eigensolve import SpectralBasis, sup_norms
+from .eigensolve import CLUSTER_REL_GAP, SpectralBasis, sup_norms
 from .products import ProductCoefficients, pair_list, pair_row, product_matrix
 
 L2 = "l2"
@@ -142,7 +143,9 @@ def oracle_rank(
     singular values and left singular vectors are the ordered family's,
     invariant under rotations inside degenerate clusters.  A column's
     squared residual is divided by its multiplicity (2 off the diagonal) to
-    give the product's own.
+    give the product's own.  Only cutoffs that close a cluster of tied
+    singular values are candidates: inside one, the residuals depend on the
+    basis the SVD picked.
 
     L2: columns are sqrt(weight)-scaled node values of phi_i phi_j.
     H^-1: columns are the rows of `coeffs` (laplacian target, pairs of n)
@@ -180,7 +183,12 @@ def oracle_rank(
     resid_sq = np.zeros((len(s) + 1, len(pairs)))
     resid_sq[:-1] = np.cumsum(T[::-1], axis=0)[::-1]
     worst = np.sqrt(np.max(resid_sq, axis=1))
-    return [int(np.argmax(worst <= eps)) for eps in eps_list]
+    # a k that splits a cluster of tied singular values keeps whichever part
+    # of it the SVD happened to return, so the curve is read only at k that
+    # close one (the CLUSTER_REL_GAP rule, relative to s_0)
+    closes = np.ones(len(s) + 1, dtype=bool)
+    closes[1:-1] = s[:-1] - s[1:] >= CLUSTER_REL_GAP * s[0]
+    return [int(np.argmax(closes & (worst <= eps))) for eps in eps_list]
 
 
 def geometric_r_samples(m: int, extra=()) -> list[int]:
@@ -263,17 +271,17 @@ def scaling_report(
     eps_list,
     norms,
     d: int,
-    calib_l2: float = 1.0,
-    calib_hm1: float = 1.0,
+    calib_l2: float,
+    calib_hm1: float,
+    window: int,
     curve_n: int | None = None,
-    curve_r_max: int | None = None,
-    window: int | None = None,
 ) -> ScalingReport:
     """Sweep (n, eps, norm) cells; emit rank reports, tail curves and slopes.
 
     `window` is the resolved window M (every table holds at least M modes):
     a cell is resolved when its worst-pair tail at r = M is at most eps.
-    None takes each table's own length.
+    The tail curves of n = curve_n are sampled, and their worst-pair slope
+    is fitted over r <= G/2.
     """
     reports: list[RankReport] = []
     curves: list[TailCurve] = []
@@ -313,13 +321,12 @@ def scaling_report(
                         r_oracle=r_orc,
                         max_sup=S,
                         implied_constant=r_emp / rank_base(norm, eps, n, S, d),
-                        resolved=bool(max_tails[sub.m if window is None else window] <= eps),
+                        resolved=bool(max_tails[window] <= eps),
                     )
                 )
                 cutoffs.append(r_pred)
 
             if curve_n is not None and n == curve_n:
-                r_max = coeffs.m if curve_r_max is None else curve_r_max
                 r_samples = [r for r in geometric_r_samples(coeffs.m, extra=cutoffs)]
                 agg = [(r, float(max_tails[r])) for r in r_samples]
                 curves.append(TailCurve(norm=norm, n=n, i=None, j=None, samples=agg))
@@ -334,7 +341,7 @@ def scaling_report(
                             samples=[(r, float(row[r])) for r in r_samples],
                         )
                     )
-                fit_r = [r for r in r_samples if 0 < r <= r_max]
+                fit_r = [r for r in r_samples if 0 < r <= basis_src.grid.node_count // 2]
                 slopes[norm] = tail_slope(fit_r, [max_tails[r] for r in fit_r])
 
     return ScalingReport(

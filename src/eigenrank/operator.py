@@ -16,6 +16,7 @@ an exact statement about the discrete quadratic forms, not an approximation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,11 +164,7 @@ def _fourier_series(seed: int, cutoff: int, grid: Grid):
     which is bounded by 1 in absolute value.
     """
     d = grid.dimension
-    modes = [
-        k
-        for k in np.ndindex(*([cutoff + 1] * d))
-        if any(k)
-    ]
+    modes = [k for k in itertools.product(range(cutoff + 1), repeat=d) if any(k)]
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     g_a = rng.standard_normal(len(modes))
     g_v = rng.standard_normal(len(modes))
@@ -279,31 +276,45 @@ def gradient_energy(f: GridFunction) -> float:
 
 
 def _axis_modes(points: int, boundary: str):
-    """Angles theta_k and sine flags of the flat 1-D stencil's modes.
+    """Angles theta_k, sine flags and mode numbers of the flat 1-D
+    stencil's modes.
 
     Mode k is sin(j theta_k) or cos(j theta_k) at node j.  Dirichlet: the
-    sines theta_k = k pi/(p+1), k = 1..p.  Periodic: the constant mode, then
-    cos/sin pairs with theta = 2 pi k/p, then the Nyquist mode cos(j pi)
-    when p is even.  Both orders are ascending in eigenvalue.
+    sines theta_k = k pi/(p+1), k = 1..p, numbered k.  Periodic: the
+    constant mode, then cos/sin pairs with theta = 2 pi f/p, then the
+    Nyquist mode cos(j pi) when p is even, numbered by frequency f + 1.
+    Both orders are ascending in eigenvalue.
     """
     if boundary == DIRICHLET:
-        return np.arange(1, points + 1) * np.pi / (points + 1), np.ones(points, dtype=bool)
+        number = np.arange(1, points + 1)
+        return number * np.pi / (points + 1), np.ones(points, dtype=bool), number
     k = np.arange(points)
-    return 2.0 * np.pi * ((k + 1) // 2) / points, (k % 2 == 0) & (k > 0)
+    freq = (k + 1) // 2
+    return 2.0 * np.pi * freq / points, (k % 2 == 0) & (k > 0), freq + 1
 
 
 def axis_eigenvalues(points: int, spacing: float, boundary: str) -> np.ndarray:
     """Eigenvalues (4/h^2) sin^2(theta_k/2) of the flat 1-D stencil
     (-1, 2, -1)/h^2 on one axis, in the mode order of axis_eigenvectors."""
-    theta, _ = _axis_modes(points, boundary)
+    theta, _, _ = _axis_modes(points, boundary)
     return (4.0 / spacing**2) * np.sin(theta / 2.0) ** 2
+
+
+def stencil_eigenvalues(grid: Grid) -> np.ndarray:
+    """All G eigenvalues of the flat stencil -Delta on the grid: the sums of
+    the per-axis axis_eigenvalues, one per tensor mode in the grid's flat
+    order (axis 0 fastest), unsorted."""
+    total = np.zeros(1)
+    for p, h in zip(grid.points_per_axis, grid.spacing):
+        total = (axis_eigenvalues(p, h, grid.boundary)[:, None] + total[None, :]).ravel()
+    return total
 
 
 def axis_eigenvectors(points: int, spacing: float, boundary: str) -> np.ndarray:
     """(p, p) eigenvectors of the flat 1-D stencil on one axis, one mode per
     column in the order of axis_eigenvalues, normalized so that
     spacing * sum(v^2) = 1 (the axis factor of the grid inner product)."""
-    theta, sine = _axis_modes(points, boundary)
+    theta, sine, _ = _axis_modes(points, boundary)
     nodes = np.arange(1, points + 1) if boundary == DIRICHLET else np.arange(points)
     phase = np.outer(nodes, theta)
     vec = np.where(sine, np.sin(phase), np.cos(phase))
@@ -316,28 +327,14 @@ def weyl_regime_cap(grid: Grid) -> int:
 
     Upper discrete eigenvalues flatten against the 4/h^2 ceiling and would
     corrupt spectral fits, so checks are restricted to tensor modes whose
-    axis indices stay below points/4.  Returns the number of flat-grid
-    eigenvalues strictly below the first eigenvalue that uses a mode
-    index > points/4 on some axis.
+    mode number (a Dirichlet sine's index, a periodic mode's frequency + 1)
+    stays at most points // 4 on every axis.  Returns the number of
+    flat-grid eigenvalues strictly below the lowest eigenvalue of a mode
+    past that rule on some axis.
     """
-    if grid.boundary != DIRICHLET:
-        # periodic modes saturate at the same per-axis quarter rule
-        caps = [p // 4 for p in grid.points_per_axis]
-        count = 1
-        for c in caps:
-            count *= max(2 * c - 1, 1)
-        return count
-    lam = []
-    bad = np.inf
-    per_axis = [
-        axis_eigenvalues(p, h, DIRICHLET)
-        for p, h in zip(grid.points_per_axis, grid.spacing)
-    ]
-    caps = [p // 4 for p in grid.points_per_axis]
-    for mode in np.ndindex(*[min(p, 2 * c + 2) for p, c in zip(grid.points_per_axis, caps)]):
-        lam_mode = sum(per_axis[a][mode[a]] for a in range(grid.dimension))
-        if any(mode[a] + 1 > caps[a] for a in range(grid.dimension)):
-            bad = min(bad, lam_mode)
-        else:
-            lam.append(lam_mode)
-    return int(np.sum(np.asarray(lam) < bad))
+    lam = stencil_eigenvalues(grid)
+    points = grid.points_per_axis
+    past = np.zeros(lam.shape, dtype=bool)
+    for p, k in zip(points, np.unravel_index(np.arange(lam.size), points, order="F")):
+        past |= _axis_modes(p, grid.boundary)[2][k] > p // 4
+    return int(np.count_nonzero(lam < np.min(lam[past])))

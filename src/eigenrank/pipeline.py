@@ -102,7 +102,7 @@ def _stage(timings: dict, name: str):
 
 def build_pipeline(config: ExperimentConfig) -> Pipeline:
     t0 = time.perf_counter()
-    grid = config.make_grid()
+    grid = config.grid
     G = grid.node_count
     fld = sample_coefficients(config.coefficients, grid)
     op_L = assemble_schrodinger(fld, grid)
@@ -117,8 +117,9 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     if config.eri_enabled:
         n_max = max(n_max, config.eri_n)
     # eigenfunctions read node by node: the spectrum rows, the sweep and ERI
-    # products, and the sup-norm fit up to the resolved cap
-    columns = max(config.solver_m, n_max, min(weyl_regime_cap(grid), G))
+    # products, and the sup-norm fit up to the resolved cap, which config
+    # validation keeps at or above solver.m, every n and eri.n
+    columns = weyl_regime_cap(grid)
     timings = {}
     with _stage(timings, "basis_lap"):
         basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol, materialize=columns)
@@ -219,7 +220,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
         rows,
         pipe.timings,
     )
-    cap = min(weyl_regime_cap(pipe.grid), pipe.basis_L.count)
+    cap = weyl_regime_cap(pipe.grid)
     k_min = max(4, cap // 8)   # skip the boundary-dominated low modes
     if cap - k_min + 1 >= 8:
         fit = weyl_fit(pipe.basis_L, pipe.grid.dimension, k_min, cap)
@@ -256,9 +257,8 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
             pipe.grid.dimension,
             calib_l2=cfg.calib_l2,
             calib_hm1=cfg.calib_hm1,
-            curve_n=curve_n,
-            curve_r_max=pipe.grid.node_count // 2,
             window=pipe.window,
+            curve_n=curve_n,
         )
     pipe.timings["oracle"] = report.oracle_seconds
     pipe.timings["tails"] -= report.oracle_seconds
@@ -449,7 +449,8 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     # one adds its out-of-window mass (Pythagoras).  That mass is measured as
     # the residual of the projection, so a windowed target only confirms
     # Pythagoras for orthonormal vectors, not that the window skipped no
-    # mode: completeness rests on the index-range solve's Sturm count
+    # mode: completeness rests on the dense route's Sturm count or the
+    # Lanczos route's inertia count
     defects = {}
     for name, coeffs in (("L", pipe.coeffs_l2), ("Laplacian", pipe.coeffs_hm1)):
         sums = np.sum(coeffs.coeffs**2, axis=1)
@@ -552,7 +553,9 @@ def run(
     except EigensolveError as exc:
         # a certificate failed where it was computed: report it as its check
         summary["checks"] = {exc.check: False}
-        summary["check_details"] = {exc.check: {"ok": False, "detail": str(exc)}}
+        summary["check_details"] = {
+            exc.check: {"ok": False, "detail": str(exc), "best_residual": exc.best_residual}
+        }
         _write_summary(out, summary, t0, {})
         return 1
     summary.update(
@@ -605,15 +608,5 @@ def _write_summary(out: str, summary: dict, t0: float, timings: dict) -> None:
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     _write_atomic(
         os.path.join(out, "summary.json"),
-        json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(summary, indent=2, sort_keys=True) + "\n",
     )
-
-
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")

@@ -172,7 +172,6 @@ class QuadraticChainReport:
     n: int
     values: np.ndarray       # (pairs,) quadratic form values
     bound: float
-    max_sup: float
     ok: bool
 
 
@@ -191,4 +190,4 @@ def quadratic_chain_report(
     grad_bound = 2.0 * np.sqrt((lam_n + field.v_sup) / field.a_min) * S
     bound = field.v_sup * S**2 + field.a_max * grad_bound**2
     ok = bool(np.all(values <= bound * (1.0 + 1e-12) + 1e-12))
-    return QuadraticChainReport(n=n, values=values, bound=float(bound), max_sup=S, ok=ok)
+    return QuadraticChainReport(n=n, values=values, bound=float(bound), ok=ok)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -137,6 +138,62 @@ class TestCommands:
         assert summary["checks"] and all(summary["checks"].values())
         for name in ("spectrum.csv", "tails.csv", "ranks.csv", "eri.csv"):
             assert (out / name).exists()
+
+    def test_tail_curves_files(self, tmp_path):
+        path = small_config(tmp_path)
+        out = tmp_path / "tails-out"
+        assert main(["tail-curves", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "tails.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["norm", "i", "j", "r", "tail"]
+        # the worst-pair aggregate (i = j = 0) and the 36 pairs of n = 8, per norm
+        curves = {(row["norm"], row["i"], row["j"]) for row in rows}
+        assert len(curves) == 2 * (1 + 36)
+        assert {norm for norm, _, _ in curves} == {"l2", "hm1"}
+        assert sorted(os.listdir(out)) == ["summary.json", "tails.csv"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tail_curve_n"] == 8
+        assert set(summary["tail_slopes"]) == {"l2", "hm1"}
+        assert all(slope < 0 for slope in summary["tail_slopes"].values())
+        assert "checks" not in summary and "eri" not in summary
+
+    def test_eri_bench_files(self, tmp_path):
+        path = small_config(tmp_path)
+        out = tmp_path / "eri-out"
+        assert main(["eri-bench", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "eri.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["i", "j", "k", "l", "exact", "fitted", "abs_err", "certificate"]
+        assert sorted(os.listdir(out)) == ["eri.csv", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        eri = summary["eri"]
+        assert set(eri) == {
+            "enabled", "n", "r", "eps", "quadruples", "max_abs_error", "mean_abs_error",
+            "certificate", "exact_ops", "fitted_ops", "op_ratio", "exact_seconds",
+            "fitted_seconds",
+        }
+        assert eri["enabled"] and eri["n"] == 4 and eri["quadruples"] == len(rows)
+        # diagonal quadruples attain their certificate, so it holds up to roundoff
+        assert all(
+            float(row["abs_err"])
+            <= float(row["certificate"]) + 1e-12 * max(1.0, abs(float(row["exact"])))
+            for row in rows
+        )
+        assert "eri" in summary["timings"] and "checks" not in summary
+
+    def test_verify_all_names_a_failed_check(self, tmp_path, monkeypatch, capsys):
+        real = pipeline.comparability_check
+
+        def failing(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), ok=False)
+
+        monkeypatch.setattr(pipeline, "comparability_check", failing)
+        out = tmp_path / "failing"
+        assert main(["verify-all", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 1
+        assert "FAILED" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert [name for name, ok in summary["checks"].items() if not ok] == ["comparability"]
+        assert summary["check_details"]["comparability"]["ok"] is False
 
     def test_rank_scan_trig_bound(self, tmp_path):
         path = small_config(tmp_path)
@@ -390,7 +447,10 @@ def test_failed_certificate_exits_1_and_names_its_check(tmp_path, capsys):
     assert "Traceback" not in err and "FAILED" in err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"] == {"residuals": False}
-    assert "exceeds tolerance 1.000e-18" in summary["check_details"]["residuals"]["detail"]
+    detail = summary["check_details"]["residuals"]
+    assert "exceeds tolerance 1.000e-18" in detail["detail"]
+    assert detail["best_residual"] > 1e-18
+    assert f"residual {detail['best_residual']:.3e} exceeds" in detail["detail"]
     assert not (out / "spectrum.csv").exists()
 
 
@@ -419,3 +479,4 @@ def test_skipped_lanczos_pair_fails_completeness(tmp_path, monkeypatch):
     assert summary["checks"] == {"completeness": False}
     detail = summary["check_details"]["completeness"]
     assert detail["ok"] is False and detail["detail"].startswith("inertia count:")
+    assert detail["best_residual"] is None

@@ -5,7 +5,7 @@ import pytest
 
 from eigenrank.grid import GridFunction, inner, make_grid
 from eigenrank.operator import assemble_laplacian
-from eigenrank.eigensolve import SpectralBasis, lowest_eigenpairs
+from eigenrank.eigensolve import CLUSTER_REL_GAP, SpectralBasis, lowest_eigenpairs
 from eigenrank.products import (
     expansion_coefficients,
     pair_list,
@@ -127,8 +127,10 @@ class TestCutoffs:
         # the largest implied constant of a sweep, fed back as the
         # calibration, makes every predicted rank at least the empirical one
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        sweep = dict(n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], d=1)
-        first = scaling_report(src, lap, co, co_h, **sweep)
+        sweep = dict(
+            n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], d=1, window=co.m
+        )
+        first = scaling_report(src, lap, co, co_h, calib_l2=1.0, calib_hm1=1.0, **sweep)
         calib = {
             norm: max(rep.implied_constant for rep in first.rank_reports if rep.norm == norm)
             for norm in ("l2", "hm1")
@@ -164,9 +166,12 @@ def _reference_worst(A):
 
 
 def _reference_rank(A, eps):
-    """Per-eps oracle on the ordered family: one SVD per call."""
+    """Per-eps oracle on the ordered family: one SVD per call, read only at
+    cutoffs k that split no cluster of tied singular values."""
     worst = _reference_worst(A)
-    hits = np.nonzero(worst <= eps)[0]
+    s = np.linalg.svd(A, compute_uv=False)
+    closes = np.concatenate([[True], s[:-1] - s[1:] >= CLUSTER_REL_GAP * s[0], [True]])
+    hits = np.nonzero(closes & (worst <= eps))[0]
     return int(hits[0]) if hits.size else int(len(worst) - 1)
 
 
@@ -271,6 +276,18 @@ class TestOracle:
         co_rot = expansion_coefficients(rot, lap_rot, n, grid.node_count)
         assert oracle_rank(rot, n, [1e-3]) == r0_l2
         assert oracle_rank(rot, n, [1e-3], "hm1", basis_lap=lap_rot, coeffs=co_rot) == r0_h
+
+    def test_reads_only_cutoffs_that_close_a_cluster(self, flat2d_pipeline):
+        # flat-2d, n = 8: s_17 = s_18 (0-based), so a cutoff at k = 18 keeps
+        # half of a tied pair, and its worst-column residual (0.171 on the
+        # closed form, 0.151 and 0.145 after the rotations below) straddles
+        # eps = 0.16; k = 19 closes the pair on every basis
+        pipe = flat2d_pipeline
+        src, n = pipe.basis_L, 8
+        for basis in [src] + [rotate_cluster(src, [1, 2], seed=seed) for seed in (1, 3)]:
+            assert oracle_rank(basis, n, [0.16]) == [19]
+        A = np.sqrt(pipe.grid.quadrature_weight) * _ordered_family(src, n)
+        assert _reference_rank(A, 0.16) == 19
 
     def test_matches_per_eps_ordered_reference_flat1d(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
@@ -378,8 +395,10 @@ def test_scaling_report_flat1d(flat1d_coeffs):
         eps_list=[1e-2, 1e-3],
         norms=["l2", "hm1"],
         d=1,
+        calib_l2=1.0,
+        calib_hm1=1.0,
+        window=co.m,
         curve_n=16,
-        curve_r_max=grid.node_count // 2,
     )
     assert len(report.rank_reports) == 12
     for rep in report.rank_reports:
@@ -413,7 +432,8 @@ def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatc
     monkeypatch.setattr(lowrank, "oracle_rank", counting)
     n_list, norms = [4, 8, 16], ["l2", "hm1"]
     report = scaling_report(
-        src, lap, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms, d=1
+        src, lap, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms, d=1,
+        calib_l2=1.0, calib_hm1=1.0, window=co.m,
     )
     assert sorted(calls) == sorted((n, norm) for n in n_list for norm in norms)
     assert len(report.rank_reports) == len(n_list) * len(norms) * len(ORACLE_EPS)

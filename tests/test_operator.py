@@ -209,13 +209,66 @@ class TestQuadraticForms:
         assert gradient_energy(u) == pytest.approx(_form(lap, u), rel=1e-12)
 
 
+def _reference_modes(grid):
+    """Every tensor mode of the flat stencil as (eigenvalue, past the
+    quarter rule), enumerated mode by mode from per-axis closed forms.
+
+    A Dirichlet axis has the sines k = 1..p with (4/h^2) sin^2(k pi/(2(p+1)));
+    a periodic axis has frequency 0, then a cos/sin pair per frequency, then
+    the Nyquist mode when p is even, with (4/h^2) sin^2(f pi/p).  A mode is
+    past the rule when its number (k, or f + 1) exceeds p // 4 on some axis.
+    """
+    axes = []
+    for p, h in zip(grid.points_per_axis, grid.spacing):
+        if grid.boundary == "dirichlet":
+            numbered = [(k, np.sin(k * np.pi / (2 * (p + 1))) ** 2) for k in range(1, p + 1)]
+        else:
+            freqs = [0] + [f for f in range(1, p // 2 + 1) for _ in range(1 if 2 * f == p else 2)]
+            numbered = [(f + 1, np.sin(f * np.pi / p) ** 2) for f in freqs]
+        axes.append([(number > p // 4, 4.0 / h**2 * s2) for number, s2 in numbered])
+    modes = []
+    for mode in itertools.product(*axes):
+        modes.append((sum(lam for _, lam in mode), any(past for past, _ in mode)))
+    return modes
+
+
+CAP_GRIDS = [
+    (1, 512, "dirichlet"),          # flat-1d, harmonic-1d
+    (2, (64, 64), "dirichlet"),     # flat-2d, random-2d
+    (1, 32, "periodic"),
+    (1, 30, "periodic"),
+    (2, (12, 12), "periodic"),
+    (2, (16, 16), "periodic"),
+    (2, (20, 20), "periodic"),
+    (3, (8, 9, 8), "periodic"),
+    (3, (9, 10, 8), "dirichlet"),
+]
+
+
+@pytest.mark.parametrize("dimension,points,boundary", CAP_GRIDS)
+def test_weyl_regime_cap_matches_the_mode_enumeration(dimension, points, boundary):
+    g = make_grid(dimension, np.pi, points, boundary)
+    modes = _reference_modes(g)
+    assert len(modes) == g.node_count
+    bad = min(lam for lam, past in modes if past)
+    cap = weyl_regime_cap(g)
+    assert cap == sum(lam < bad for lam, _ in modes)
+    lowest = sorted(modes, key=lambda mode: mode[0])[:cap]
+    assert not any(past for _, past in lowest)
+
+
 def test_weyl_regime_cap_values():
-    g1 = make_grid(1, np.pi, 512, "dirichlet")
-    assert weyl_regime_cap(g1) == 128
-    g2 = make_grid(2, (np.pi, np.pi), (64, 64), "dirichlet")
-    cap = weyl_regime_cap(g2)
-    # quarter-disc of radius 16 holds ~pi*16^2/4 = 201 lattice modes
-    assert 150 <= cap <= 256
+    pins = [
+        (1, 512, "dirichlet", 128),
+        (2, (64, 64), "dirichlet", 205),
+        (2, (256, 256), "dirichlet", 3203),
+        (3, (32, 32, 32), "dirichlet", 290),
+        # of the 7 x 7 modes of frequency below 4 on each axis, the four of
+        # frequency (3, 3) lie above the lowest mode past the rule, (4, 0)
+        (2, (16, 16), "periodic", 45),
+    ]
+    for dimension, points, boundary, cap in pins:
+        assert weyl_regime_cap(make_grid(dimension, np.pi, points, boundary)) == cap
 
 
 def _weighted_energy(u, field):

@@ -12,6 +12,7 @@ import scipy.linalg as sla
 
 from eigenrank.cli import main
 from eigenrank.config import parse_config
+from eigenrank import eigensolve
 from eigenrank.eigensolve import cluster_end, degenerate_clusters, lowest_eigenpairs
 from eigenrank.lowrank import L2, empirical_rank, scaling_report, tail_table
 from eigenrank.pipeline import build_pipeline
@@ -87,6 +88,26 @@ def test_window_closes_the_pair_at_solver_m(shifted_pipe):
     assert lowest_eigenpairs(pipe.op_L, 13, 1e-9).count == 13
 
 
+def test_pad_doubles_while_the_end_cluster_reaches_the_solve(shifted_pipe, monkeypatch):
+    # with a pad of one, the first solve (15 modes) ends inside the pair of
+    # modes 13 and 14, so its end is unseen; the doubled pad sees it close
+    op = shifted_pipe.op_L
+    reference = lowest_eigenpairs(op, 14, 1e-9)
+    solved = []
+    real = eigensolve._solve_lowest
+
+    def recording(op, m):
+        solved.append(m)
+        return real(op, m)
+
+    monkeypatch.setattr(eigensolve, "CLUSTER_PAD", 1)
+    monkeypatch.setattr(eigensolve, "_solve_lowest", recording)
+    basis = lowest_eigenpairs(op, 14, 1e-9)
+    assert solved == [15, 16]
+    assert basis.count == 15
+    np.testing.assert_allclose(basis.eigenvalues, reference.eigenvalues, rtol=1e-12)
+
+
 def test_windowed_l2_tails_match_the_complete_table(random_pipe):
     pipe = random_pipe
     M, G = pipe.window, pipe.grid.node_count
@@ -122,7 +143,8 @@ def test_unresolved_cell_reports_a_lower_bound(random_pipe):
     assert empirical_rank(curve, loose) <= M
     report = scaling_report(
         pipe.basis_L, pipe.basis_lap, pipe.coeffs_l2, pipe.coeffs_hm1,
-        [pipe.coeffs_l2.n], [loose, tiny], [L2], 2, window=M,
+        [pipe.coeffs_l2.n], [loose, tiny], [L2], 2,
+        calib_l2=pipe.config.calib_l2, calib_hm1=pipe.config.calib_hm1, window=M,
     )
     by_eps = {rep.eps: rep for rep in report.rank_reports}
     assert by_eps[loose].resolved and by_eps[loose].r_empirical <= M
