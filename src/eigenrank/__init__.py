@@ -12,3 +12,6 @@ loads.
 """
 
 __version__ = "0.1.0"
+
+COMMANDS = ("spectrum", "tail-curves", "rank-scan", "eri-bench", "verify-all")
+PRESETS = ("flat-1d", "flat-2d", "harmonic-1d", "random-2d")

@@ -7,9 +7,9 @@ Commands
     eri-bench     exact vs density-fitted repulsion integrals with certificates
     verify-all    all of the above plus the cross-module invariant suite
 
---config takes a JSON file path or a preset name (flat-1d, flat-2d,
-harmonic-1d, random-2d).  Exit codes: 0 success, 1 failed check or
-eigen-certificate (summary.json names it), 2 bad usage or configuration.
+--config takes a JSON file path or a preset name (eigenrank.PRESETS).  Exit
+codes: 0 success, 1 failed check or eigen-certificate (summary.json names
+it), 2 bad usage or configuration (the message names the field).
 
 Heavy imports happen after --threads is applied, so the thread cap reaches
 the BLAS runtime.
@@ -21,6 +21,8 @@ import argparse
 import os
 import sys
 
+from . import COMMANDS, PRESETS
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -28,16 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Low-rank structure of eigenfunction products: spectra, "
         "projection tails, rank oracles and density-fitted repulsion integrals.",
     )
-    parser.add_argument(
-        "command",
-        choices=["spectrum", "tail-curves", "rank-scan", "eri-bench", "verify-all"],
-        help="what to run",
-    )
+    parser.add_argument("command", choices=COMMANDS, help="what to run")
     parser.add_argument(
         "--config",
         required=True,
-        help="path to a JSON config, or a preset name "
-        "(flat-1d, flat-2d, harmonic-1d, random-2d)",
+        help=f"path to a JSON config, or a preset name ({', '.join(PRESETS)})",
     )
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument(
@@ -90,9 +87,6 @@ def main(argv=None) -> int:
 
     try:
         status = run(config, args.command, out_dir=args.out, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, MemoryError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

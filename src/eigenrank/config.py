@@ -1,21 +1,30 @@
 """Experiment configuration: JSON documents and shipped presets.
 
-A config is one JSON object with blocks grid / coefficients / solver /
-sweep / eri / calibration plus an output directory.  All randomness flows
-from explicit seeds in the document.  Parse errors carry the offending
-field path so the CLI can point at it.
+A config is one JSON object: a name, an output directory and the blocks
+grid / coefficients / solver / sweep / eri / calibration.  One table per
+block gives each field its type (`[t]`: a list of t) and its default, or
+REQUIRED; a coefficient kind's table holds the CoefficientSpec fields it
+reads, with the dataclass's types and defaults.  Each block is read by one
+reader that refuses unknown keys, values of another type and non-finite
+floats.  All randomness flows from explicit seeds in the document.
+Errors carry the offending field's path so the CLI can point at it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 
+from . import PRESETS
+from .eigensolve import DEFAULT_TOL
 from .grid import DIRICHLET, MIN_POINTS, PERIODIC, Grid, make_grid
-from .operator import CoefficientSpec, weyl_regime_cap
-
-PRESETS = ("flat-1d", "flat-2d", "harmonic-1d", "random-2d")
+from .lowrank import HM1, L2
+from .operator import KIND_FIELDS, CoefficientSpec, weyl_regime_cap
 
 
 class ConfigError(ValueError):
@@ -24,6 +33,50 @@ class ConfigError(ValueError):
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
         self.where = where
+
+
+REQUIRED = object()   # the default of a field the document must give
+
+GRID = {
+    "dimension": (int, REQUIRED),
+    "lengths": ([float], REQUIRED),
+    "points": ([int], REQUIRED),
+    "boundary": (str, DIRICHLET),
+}
+SOLVER = {"m": (int, 64), "tol": (float, DEFAULT_TOL)}
+SWEEP = {"n": ([int], REQUIRED), "eps": ([float], REQUIRED), "norms": ([str], (L2, HM1))}
+ERI = {
+    "enabled": (bool, False),
+    "n": (int, 8),
+    "eps": (float, 1e-2),
+    "sample_seed": (int, 20240801),
+}
+CALIBRATION = {"calib_l2": (float, 1.0), "calib_hm1": (float, 1.0)}
+CONFIG = {   # the top level, with "name" (default: the file or preset name)
+    "grid": (dict, REQUIRED),
+    "coefficients": (dict, REQUIRED),
+    "solver": (dict, {}),
+    "sweep": (dict, REQUIRED),
+    "eri": (dict, {}),
+    "calibration": (dict, {}),
+    "output_dir": (str, "out"),
+}
+
+
+def _coefficient_tables() -> dict:
+    """One table per coefficient kind: its kind plus the CoefficientSpec
+    fields it reads; a field whose dataclass default is None has none."""
+    hints = typing.get_type_hints(CoefficientSpec)
+    spec = {}
+    for f in dataclasses.fields(CoefficientSpec):
+        typ = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]   # int | None: int
+        spec[f.name] = (typ, REQUIRED if f.default in (None, dataclasses.MISSING) else f.default)
+    return {
+        kind: {key: spec[key] for key in ("kind", *names)} for kind, names in KIND_FIELDS.items()
+    }
+
+
+COEFFICIENTS = _coefficient_tables()
 
 
 @dataclass(frozen=True)
@@ -46,185 +99,150 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _get(doc, where, key, kind, default=None, required=True):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{where}.{key}", "missing required field")
-        return default
-    value = doc[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is list and isinstance(value, list):
-        return value
-    if kind is dict and isinstance(value, dict):
-        return value
-    raise ConfigError(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
+def _typed(value, typ: type, where: str):
+    """value as a `typ`; a bool is never a number, an int is a float."""
+    accepted = (int, float) if typ is float else typ
+    if isinstance(value, bool) != (typ is bool) or not isinstance(value, accepted):
+        raise ConfigError(where, f"expected {typ.__name__}, got {type(value).__name__} {value!r}")
+    if typ is float:
+        try:
+            value = float(value)
+        except OverflowError:   # an int past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(where, f"must be finite, got {value}")
+    return value
+
+
+def _read(doc, where: str, table: dict) -> dict:
+    """Every field of `table` read from the JSON object `doc`: typed, or
+    its default when absent.  Lists come back as tuples."""
+    if not isinstance(doc, dict):
+        raise ConfigError(where, f"expected a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in table:
+            raise ConfigError(f"{where}.{key}", f"unknown field (fields: {', '.join(table)})")
+    out = {}
+    for key, (typ, default) in table.items():
+        path = f"{where}.{key}"
+        if key not in doc:
+            if default is REQUIRED:
+                raise ConfigError(path, "missing required field")
+            out[key] = default
+        elif isinstance(typ, list):
+            items = _typed(doc[key], list, path)
+            out[key] = tuple(_typed(x, typ[0], f"{path}[{i}]") for i, x in enumerate(items))
+        else:
+            out[key] = _typed(doc[key], typ, path)
+    return out
+
+
+def _distinct(values: tuple, where: str) -> None:
+    if not values or len(set(values)) != len(values):
+        raise ConfigError(where, f"must be a nonempty list without repeats, got {list(values)}")
 
 
 def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a JSON object")
+    top = _read(doc, "config", {"name": (str, name), **CONFIG})
 
-    gblock = _get(doc, "config", "grid", dict)
-    d = _get(gblock, "grid", "dimension", int)
+    g = _read(top["grid"], "grid", GRID)
+    d = g["dimension"]
     if d not in (1, 2, 3):
         raise ConfigError("grid.dimension", f"must be 1, 2 or 3, got {d}")
-    lengths = _get(gblock, "grid", "lengths", list)
-    points = _get(gblock, "grid", "points", list)
-    boundary = _get(gblock, "grid", "boundary", str, default=DIRICHLET, required=False)
-    if boundary not in (DIRICHLET, PERIODIC):
-        raise ConfigError("grid.boundary", f"must be dirichlet or periodic, got {boundary!r}")
-    try:
-        lengths = tuple(float(x) for x in lengths)
-        points = tuple(int(x) for x in points)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("grid", f"lengths/points must be numeric lists: {exc}") from exc
-    if len(lengths) != d or len(points) != d:
-        raise ConfigError("grid", f"lengths and points must each have {d} entries")
-    if any(L <= 0 for L in lengths):
-        raise ConfigError("grid.lengths", f"must be positive, got {lengths}")
-    if any(p < MIN_POINTS for p in points):
-        raise ConfigError("grid.points", f"must be >= {MIN_POINTS} per axis, got {points}")
-    grid = make_grid(d, lengths, points, boundary)
+    if g["boundary"] not in (DIRICHLET, PERIODIC):
+        raise ConfigError("grid.boundary", f"must be dirichlet or periodic, got {g['boundary']!r}")
+    for key in ("lengths", "points"):
+        if len(g[key]) != d:
+            raise ConfigError(f"grid.{key}", f"must have {d} entries, got {len(g[key])}")
+    if any(L <= 0 for L in g["lengths"]):
+        raise ConfigError("grid.lengths", f"must be positive, got {list(g['lengths'])}")
+    if any(p < MIN_POINTS for p in g["points"]):
+        raise ConfigError("grid.points", f"must be >= {MIN_POINTS}, got {list(g['points'])}")
+    grid = make_grid(d, g["lengths"], g["points"], g["boundary"])
 
-    cblock = _get(doc, "config", "coefficients", dict)
-    kind = _get(cblock, "coefficients", "kind", str)
+    kind = top["coefficients"].get("kind")
+    if not isinstance(kind, str) or kind not in COEFFICIENTS:
+        raise ConfigError("coefficients.kind", f"must be one of {list(COEFFICIENTS)}, got {kind!r}")
+    fields = _read(top["coefficients"], "coefficients", COEFFICIENTS[kind])
     try:
-        if kind == "constant":
-            spec = CoefficientSpec.constant(
-                a0=_get(cblock, "coefficients", "a0", float, default=1.0, required=False),
-                v0=_get(cblock, "coefficients", "v0", float, default=0.0, required=False),
-            )
-        elif kind == "harmonic":
-            spec = CoefficientSpec.harmonic(
-                a0=_get(cblock, "coefficients", "a0", float, default=1.0, required=False),
-                v_scale=_get(cblock, "coefficients", "v_scale", float, default=1.0, required=False),
-            )
-        elif kind == "random_fourier":
-            spec = CoefficientSpec.random_fourier(
-                seed=_get(cblock, "coefficients", "seed", int),
-                cutoff=_get(cblock, "coefficients", "cutoff", int, default=4, required=False),
-                a_amplitude=_get(
-                    cblock, "coefficients", "a_amplitude", float, default=0.3, required=False
-                ),
-                v_amplitude=_get(
-                    cblock, "coefficients", "v_amplitude", float, default=0.0, required=False
-                ),
-                a0=_get(cblock, "coefficients", "a0", float, default=1.0, required=False),
-            )
-        else:
-            raise ConfigError("coefficients.kind", f"unknown kind {kind!r}")
+        spec = CoefficientSpec(**fields)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("coefficients", str(exc)) from exc
 
-    sblock = _get(doc, "config", "solver", dict, default={}, required=False)
-    m = _get(sblock, "solver", "m", int, default=64, required=False)
-    tol = _get(sblock, "solver", "tol", float, default=1e-9, required=False)
-    if m < 1:
-        raise ConfigError("solver.m", f"must be >= 1, got {m}")
-    if not tol > 0:
-        raise ConfigError("solver.tol", f"must be positive, got {tol}")
-    cap = weyl_regime_cap(grid)
-    if m > cap:
+    solver = _read(top["solver"], "solver", SOLVER)
+    m, cap = solver["m"], weyl_regime_cap(grid)
+    if not 1 <= m <= cap:
         raise ConfigError(
             "solver.m",
-            f"must be <= {cap} (the quarter-resolution cap where the discrete "
-            f"spectrum still tracks the continuum on this grid), got {m}",
+            f"must be in [1, {cap}] ({cap} is the quarter-resolution cap where the "
+            f"discrete spectrum still tracks the continuum on this grid), got {m}",
         )
+    if not solver["tol"] > 0:
+        raise ConfigError("solver.tol", f"must be positive, got {solver['tol']}")
 
-    wblock = _get(doc, "config", "sweep", dict)
-    n_list = _get(wblock, "sweep", "n", list)
-    eps_list = _get(wblock, "sweep", "eps", list)
-    norms = tuple(_get(wblock, "sweep", "norms", list, default=["l2", "hm1"], required=False))
-    try:
-        n_list = tuple(int(x) for x in n_list)
-        eps_list = tuple(float(x) for x in eps_list)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sweep", f"n/eps must be numeric lists: {exc}") from exc
-    if not n_list:
-        raise ConfigError("sweep.n", "must be a nonempty list")
-    if any(n < 1 for n in n_list):
-        raise ConfigError("sweep.n", f"entries must be >= 1, got {n_list}")
-    if any(n > m for n in n_list):
-        raise ConfigError("sweep.n", f"entries must be <= solver.m={m}, got {n_list}")
-    if not eps_list or any(not e > 0 for e in eps_list):
-        raise ConfigError("sweep.eps", f"entries must be positive, got {eps_list}")
-    if list(eps_list) != sorted(eps_list, reverse=True):
-        raise ConfigError("sweep.eps", "entries must be sorted descending")
-    for nm in norms:
-        if nm not in ("l2", "hm1"):
-            raise ConfigError("sweep.norms", f"entries must be 'l2' or 'hm1', got {nm!r}")
+    sweep = _read(top["sweep"], "sweep", SWEEP)
+    n_list, eps_list, norms = sweep["n"], sweep["eps"], sweep["norms"]
+    _distinct(n_list, "sweep.n")
+    if not all(1 <= n <= m for n in n_list):
+        raise ConfigError("sweep.n", f"entries must be in [1, solver.m={m}], got {list(n_list)}")
+    _distinct(eps_list, "sweep.eps")
+    if any(not e > 0 for e in eps_list) or list(eps_list) != sorted(eps_list, reverse=True):
+        raise ConfigError("sweep.eps", f"must be positive and descending, got {list(eps_list)}")
+    _distinct(norms, "sweep.norms")
+    if not set(norms) <= {L2, HM1}:
+        raise ConfigError("sweep.norms", f"entries must be {L2!r} or {HM1!r}, got {list(norms)}")
 
-    eblock = _get(doc, "config", "eri", dict, default={}, required=False)
-    eri_enabled = _get(eblock, "eri", "enabled", bool, default=False, required=False)
-    eri_n = _get(eblock, "eri", "n", int, default=8, required=False)
-    eri_eps = _get(eblock, "eri", "eps", float, default=1e-2, required=False)
-    eri_seed = _get(eblock, "eri", "sample_seed", int, default=20240801, required=False)
-    if eri_enabled:
-        if eri_n < 1 or eri_n > m:
-            raise ConfigError("eri.n", f"must be in [1, solver.m={m}], got {eri_n}")
-        if not eri_eps > 0:
-            raise ConfigError("eri.eps", f"must be positive, got {eri_eps}")
+    eri = _read(top["eri"], "eri", ERI)
+    if eri["enabled"]:
+        if not 1 <= eri["n"] <= m:
+            raise ConfigError("eri.n", f"must be in [1, solver.m={m}], got {eri['n']}")
+        if not eri["eps"] > 0:
+            raise ConfigError("eri.eps", f"must be positive, got {eri['eps']}")
+        if eri["sample_seed"] < 0:
+            raise ConfigError("eri.sample_seed", f"must be >= 0, got {eri['sample_seed']}")
 
-    kblock = _get(doc, "config", "calibration", dict, default={}, required=False)
-    calib_l2 = _get(kblock, "calibration", "calib_l2", float, default=1.0, required=False)
-    calib_hm1 = _get(kblock, "calibration", "calib_hm1", float, default=1.0, required=False)
-    if not calib_l2 > 0 or not calib_hm1 > 0:
-        raise ConfigError("calibration", "constants must be positive")
-
-    out_dir = _get(doc, "config", "output_dir", str, default="out", required=False)
+    calib = _read(top["calibration"], "calibration", CALIBRATION)
+    for key, value in calib.items():
+        if not value > 0:
+            raise ConfigError(f"calibration.{key}", f"must be positive, got {value}")
 
     return ExperimentConfig(
-        name=_get(doc, "config", "name", str, default=name, required=False),
+        name=top["name"],
         grid=grid,
         coefficients=spec,
         solver_m=m,
-        solver_tol=tol,
+        solver_tol=solver["tol"],
         sweep_n=n_list,
         sweep_eps=eps_list,
         sweep_norms=norms,
-        eri_enabled=eri_enabled,
-        eri_n=eri_n,
-        eri_eps=eri_eps,
-        eri_sample_seed=eri_seed,
-        calib_l2=calib_l2,
-        calib_hm1=calib_hm1,
-        output_dir=out_dir,
+        eri_enabled=eri["enabled"],
+        eri_n=eri["n"],
+        eri_eps=eri["eps"],
+        eri_sample_seed=eri["sample_seed"],
+        calib_l2=calib["calib_l2"],
+        calib_hm1=calib["calib_hm1"],
+        output_dir=top["output_dir"],
         raw=doc,
     )
 
 
 def load_config(path_or_preset: str) -> ExperimentConfig:
     """Load a config from a JSON file path, or by preset name."""
-    import os
-
     if os.path.exists(path_or_preset):
-        with open(path_or_preset) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("config", f"invalid JSON in {path_or_preset}: {exc}") from exc
         name = os.path.splitext(os.path.basename(path_or_preset))[0]
-        return parse_config(doc, name=name)
-    if path_or_preset in PRESETS:
-        return load_preset(path_or_preset)
-    raise ConfigError(
-        "config",
-        f"{path_or_preset!r} is neither a file nor a preset (presets: {', '.join(PRESETS)})",
-    )
-
-
-def load_preset(name: str) -> ExperimentConfig:
-    if name not in PRESETS:
-        raise ConfigError("config", f"unknown preset {name!r} (presets: {', '.join(PRESETS)})")
-    text = resources.files("eigenrank").joinpath(f"presets/{name}.json").read_text()
-    return parse_config(json.loads(text), name=name)
+        with open(path_or_preset) as fh:
+            text = fh.read()
+    elif path_or_preset in PRESETS:
+        name = path_or_preset
+        text = resources.files("eigenrank").joinpath(f"presets/{name}.json").read_text()
+    else:
+        raise ConfigError(
+            "config",
+            f"{path_or_preset!r} is neither a file nor a preset (presets: {', '.join(PRESETS)})",
+        )
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError("config", f"invalid JSON in {path_or_preset}: {exc}") from exc
+    return parse_config(doc, name=name)

@@ -80,13 +80,14 @@ class EigensolveError(RuntimeError):
     """A certificate failed where it was computed.
 
     `check` names it as verify-all does: "residuals", "orthonormality" or
-    "completeness".  best_residual is the best residual seen, if any.
+    "completeness".  worst_residual is the largest scaled residual among the
+    pairs the failing check judged, or None if it judged no residual.
     """
 
-    def __init__(self, check, message, best_residual=None):
+    def __init__(self, check, message, worst_residual=None):
         super().__init__(message)
         self.check = check
-        self.best_residual = best_residual
+        self.worst_residual = worst_residual
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,7 @@ def _certified_basis(op, lam, vec, resid, tol, gram_bound=0.0, **structure) -> S
         raise EigensolveError(
             "residuals",
             f"residual {np.max(resid):.3e} exceeds tolerance {tol:.3e}",
-            best_residual=float(np.max(resid)),
+            worst_residual=float(np.max(resid)),
         )
     basis = SpectralBasis(   # measures the Gram defect of the stored vectors
         grid=op.grid,
@@ -404,13 +405,13 @@ def _iterative_lowest(op, m):
             tol=0,   # iterate to machine precision; certificates checked below
         )
     except spla.ArpackNoConvergence as exc:
-        best = None
+        worst = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
-            best = float(np.min(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
+            worst = float(np.max(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
         raise EigensolveError(
             "residuals",
             f"Lanczos failed to converge within the iteration budget: {exc}",
-            best_residual=best,
+            worst_residual=worst,
         ) from exc
     order = np.argsort(lam, kind="stable")
     return lam[order], np.ascontiguousarray(vec[:, order])
@@ -475,7 +476,7 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
             "residuals",
             f"inertia count: residual {np.max(extra):.3e} of a counted pair past the "
             f"window exceeds tolerance {tol:.3e}",
-            best_residual=float(np.max(extra)),
+            worst_residual=float(np.max(extra)),
         )
     if count != k:
         raise EigensolveError(

@@ -144,8 +144,8 @@ def eri_benchmark(
     basis_lap: SpectralBasis,
     op_lap: DiscreteOperator,
     coeffs: ProductCoefficients,
-    calib_hm1: float = 1.0,
-    sample_seed: int = 20240801,
+    calib_hm1: float,
+    sample_seed: int,
 ) -> ERIResult:
     """Exact vs density-fitted integrals on a deterministic quadruple sample.
 

@@ -88,7 +88,7 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
 
-def make_grid(dimension, lengths, points, boundary=DIRICHLET) -> Grid:
+def make_grid(dimension, lengths, points, boundary) -> Grid:
     """Build a grid, validating dimension, lengths and resolution.
 
     `lengths` and `points` may be scalars (broadcast to every axis) or
@@ -136,10 +136,3 @@ def _per_axis(value, d, cast, name):
     if len(items) != d:
         raise ValueError(f"{name} must have {d} entries, got {len(items)}")
     return items
-
-
-def inner(f: GridFunction, g: GridFunction) -> float:
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    if f.grid != g.grid:
-        raise ValueError("inner() requires both functions on the same grid")
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))

@@ -46,19 +46,22 @@ class CoefficientSpec:
                           counter-based generator keyed by `seed`, so fields
                           are platform-independent and smooth at all resolved
                           scales.
+
+    KIND_FIELDS names the fields each kind reads; these defaults are the
+    config's.  `seed` has none: a random_fourier spec must name it.
     """
 
     kind: str
     a0: float = 1.0
     v0: float = 0.0
-    v_scale: float = 0.0
-    seed: int = 0
+    v_scale: float = 1.0
+    seed: int | None = None
     cutoff: int = 4
-    a_amplitude: float = 0.0
+    a_amplitude: float = 0.3
     v_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (CONSTANT, HARMONIC, RANDOM_FOURIER):
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if not self.a0 > 0:
             raise ValueError(f"a0 must be positive, got {self.a0}")
@@ -67,6 +70,8 @@ class CoefficientSpec:
         if self.kind == HARMONIC and self.v_scale < 0:
             raise ValueError(f"v_scale must be >= 0, got {self.v_scale}")
         if self.kind == RANDOM_FOURIER:
+            if self.seed is None or not 0 <= self.seed < 2**64:
+                raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
             if not 0 <= self.a_amplitude < self.a0:
                 raise ValueError(
                     f"a_amplitude must satisfy 0 <= amplitude < a0, got {self.a_amplitude}"
@@ -76,24 +81,12 @@ class CoefficientSpec:
             if self.cutoff < 1:
                 raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
 
-    @classmethod
-    def constant(cls, a0=1.0, v0=0.0):
-        return cls(kind=CONSTANT, a0=a0, v0=v0)
 
-    @classmethod
-    def harmonic(cls, a0=1.0, v_scale=1.0):
-        return cls(kind=HARMONIC, a0=a0, v_scale=v_scale)
-
-    @classmethod
-    def random_fourier(cls, seed, cutoff=4, a_amplitude=0.3, v_amplitude=0.0, a0=1.0):
-        return cls(
-            kind=RANDOM_FOURIER,
-            a0=a0,
-            seed=seed,
-            cutoff=cutoff,
-            a_amplitude=a_amplitude,
-            v_amplitude=v_amplitude,
-        )
+KIND_FIELDS = {
+    CONSTANT: ("a0", "v0"),
+    HARMONIC: ("a0", "v_scale"),
+    RANDOM_FOURIER: ("seed", "cutoff", "a_amplitude", "v_amplitude", "a0"),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +216,7 @@ def assemble_schrodinger(field: CoefficientField, grid: Grid) -> DiscreteOperato
 
 def assemble_laplacian(grid: Grid) -> DiscreteOperator:
     """Assemble -Delta, i.e. the a=1, V=0 case of the flux form."""
-    return _assemble(sample_coefficients(CoefficientSpec.constant(), grid), LAPLACIAN)
+    return _assemble(sample_coefficients(CoefficientSpec(CONSTANT), grid), LAPLACIAN)
 
 
 def _face_difference(grid: Grid, axis: int):

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 import scipy
 
-from . import __version__
+from . import COMMANDS, __version__
 from .config import ExperimentConfig
 from .grid import Grid
 from .operator import (
@@ -67,8 +67,6 @@ from .lowrank import (
     tail_table,
 )
 from .eri import ERIResult, eri_benchmark
-
-COMMANDS = ("spectrum", "tail-curves", "rank-scan", "eri-bench", "verify-all")
 
 
 @dataclass(eq=False)
@@ -554,7 +552,7 @@ def run(
         # a certificate failed where it was computed: report it as its check
         summary["checks"] = {exc.check: False}
         summary["check_details"] = {
-            exc.check: {"ok": False, "detail": str(exc), "best_residual": exc.best_residual}
+            exc.check: {"ok": False, "detail": str(exc), "worst_residual": exc.worst_residual}
         }
         _write_summary(out, summary, t0, {})
         return 1

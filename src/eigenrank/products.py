@@ -59,9 +59,6 @@ class ProductCoefficients:
     product_l2_norms: np.ndarray
     outside_mass: np.ndarray | None = None
 
-    def row(self, i: int, j: int) -> np.ndarray:
-        return self.coeffs[pair_row(i, j, self.n)]
-
     def restrict(self, n: int) -> "ProductCoefficients":
         """Coefficients of the sub-family with both indices below n."""
         if not 1 <= n <= self.n:

@@ -11,7 +11,7 @@ runtime-capped criteria account for the shared work they depend on.
 import numpy as np
 import pytest
 
-from eigenrank.config import load_preset
+from eigenrank.config import load_config
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
 from eigenrank.eigensolve import SpectralBasis, lowest_eigenpairs
@@ -20,17 +20,17 @@ from eigenrank.pipeline import Pipeline, build_pipeline
 
 @pytest.fixture(scope="session")
 def flat1d_pipeline() -> Pipeline:
-    return build_pipeline(load_preset("flat-1d"))
+    return build_pipeline(load_config("flat-1d"))
 
 
 @pytest.fixture(scope="session")
 def flat2d_pipeline() -> Pipeline:
-    return build_pipeline(load_preset("flat-2d"))
+    return build_pipeline(load_config("flat-2d"))
 
 
 @pytest.fixture(scope="session")
 def random2d_pipeline() -> Pipeline:
-    return build_pipeline(load_preset("random-2d"))
+    return build_pipeline(load_config("random-2d"))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from eigenrank.config import load_preset
+from eigenrank.config import load_config
 from eigenrank.cli import main
 from eigenrank.eigensolve import (
     comparability_check,
@@ -178,7 +178,7 @@ def test_criterion_07_comparability_sandwich(random2d_pipeline):
 
 def test_criterion_08_eri_certificate(flat2d_pipeline):
     t0 = time.perf_counter()
-    cfg = load_preset("flat-2d")
+    cfg = load_config("flat-2d")
     pipe = flat2d_pipeline
     eps = 1e-2
     result = eri_benchmark(

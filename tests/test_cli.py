@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 
 import eigenrank
 from eigenrank.cli import main
-from eigenrank.config import ConfigError, load_config, load_preset
-from eigenrank import eigensolve, pipeline
+from eigenrank.config import ConfigError, load_config
+from eigenrank import config, eigensolve, pipeline
 from eigenrank.eigensolve import DENSE_CAP
 
 
@@ -46,7 +47,7 @@ def small_config(tmp_path, **overrides):
 class TestConfigParsing:
     def test_all_presets_load(self):
         for name in ("flat-1d", "flat-2d", "harmonic-1d", "random-2d"):
-            cfg = load_preset(name)
+            cfg = load_config(name)
             assert cfg.name == name
             assert max(cfg.sweep_n) <= cfg.solver_m
 
@@ -92,6 +93,86 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             load_config(str(path))
         assert "solver.m" in str(err.value)
+
+
+NAN, INF = float("nan"), float("inf")
+HARMONIC = {"kind": "harmonic", "a0": 1.0, "v_scale": 1.0}
+RANDOM = {"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5}
+
+# one bad input per row, as small_config overrides, and the path it must name
+REJECTED = [
+    # a key that no table names, at the top level and in each block
+    ({"sovler": {"m": 24}}, "config.sovler"),
+    ({"grid.boundry": "periodic"}, "grid.boundry"),
+    ({"coefficients.v_scale": 1.0}, "coefficients.v_scale"),   # not read by kind constant
+    ({"solver.tolerance": 1e-9}, "solver.tolerance"),
+    ({"sweep.norm": ["l2"]}, "sweep.norm"),
+    ({"eri.enable": True}, "eri.enable"),
+    ({"calibration.calib_l1": 1.0}, "calibration.calib_l1"),
+    # a list entry of another type
+    ({"sweep.n": [8.7]}, "sweep.n[0]"),
+    ({"sweep.n": [4, True]}, "sweep.n[1]"),
+    ({"sweep.eps": ["0.01"]}, "sweep.eps[0]"),
+    ({"grid.points": [96.0]}, "grid.points[0]"),
+    ({"grid.lengths": [True]}, "grid.lengths[0]"),
+    # a value of another type
+    ({"solver.m": 24.0}, "solver.m"),
+    ({"solver.tol": "1e-9"}, "solver.tol"),
+    ({"eri.enabled": 1}, "eri.enabled"),
+    ({"sweep.n": 8}, "sweep.n"),
+    ({"coefficients": {**RANDOM, "seed": True}}, "coefficients.seed"),
+    ({"coefficients": {"kind": "random_fourier"}}, "coefficients.seed"),
+    # a non-finite float, in each float field
+    ({"grid.lengths": [NAN]}, "grid.lengths[0]"),
+    ({"coefficients.a0": INF}, "coefficients.a0"),
+    ({"coefficients.v0": NAN}, "coefficients.v0"),
+    ({"coefficients": {**HARMONIC, "v_scale": INF}}, "coefficients.v_scale"),
+    ({"coefficients": {**RANDOM, "a_amplitude": NAN}}, "coefficients.a_amplitude"),
+    ({"coefficients": {**RANDOM, "v_amplitude": -INF}}, "coefficients.v_amplitude"),
+    ({"solver.tol": INF}, "solver.tol"),
+    ({"sweep.eps": [0.01, NAN]}, "sweep.eps[1]"),
+    ({"eri.eps": NAN}, "eri.eps"),
+    ({"calibration.calib_l2": INF}, "calibration.calib_l2"),
+    ({"calibration.calib_hm1": NAN}, "calibration.calib_hm1"),
+    # an empty or repeated sweep list, which gives empty or duplicate ranks.csv rows
+    ({"sweep.norms": []}, "sweep.norms"),
+    ({"sweep.norms": ["hm1", "hm1"]}, "sweep.norms"),
+    ({"sweep.n": [4, 4]}, "sweep.n"),
+    ({"sweep.eps": [0.01, 0.01]}, "sweep.eps"),
+    ({"eri.sample_seed": -1}, "eri.sample_seed"),
+    ({"coefficients": {**RANDOM, "seed": -1}}, "coefficients"),   # CoefficientSpec's range check
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, where", REJECTED, ids=[f"{where}={list(o.values())[0]}" for o, where in REJECTED]
+)
+def test_rejected_input_names_its_field(tmp_path, capsys, overrides, where):
+    path = small_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.where == where
+    assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"config error: {where}: ") and "Traceback" not in message
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_documents_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^\| `([\w.]+)` \|", readme, re.MULTILINE))
+    blocks = {
+        "grid": config.GRID,
+        "solver": config.SOLVER,
+        "sweep": config.SWEEP,
+        "eri": config.ERI,
+        "calibration": config.CALIBRATION,
+    }
+    fields = {"name", "output_dir"}
+    fields |= {f"{block}.{key}" for block, table in blocks.items() for key in table}
+    fields |= {f"coefficients.{key}" for table in config.COEFFICIENTS.values() for key in table}
+    assert set(config.CONFIG) == {*blocks, "coefficients", "output_dir"}
+    assert documented == fields
 
 
 def _2d_grid(points):
@@ -449,8 +530,8 @@ def test_failed_certificate_exits_1_and_names_its_check(tmp_path, capsys):
     assert summary["checks"] == {"residuals": False}
     detail = summary["check_details"]["residuals"]
     assert "exceeds tolerance 1.000e-18" in detail["detail"]
-    assert detail["best_residual"] > 1e-18
-    assert f"residual {detail['best_residual']:.3e} exceeds" in detail["detail"]
+    assert detail["worst_residual"] > 1e-18
+    assert f"residual {detail['worst_residual']:.3e} exceeds" in detail["detail"]
     assert not (out / "spectrum.csv").exists()
 
 
@@ -479,4 +560,4 @@ def test_skipped_lanczos_pair_fails_completeness(tmp_path, monkeypatch):
     assert summary["checks"] == {"completeness": False}
     detail = summary["check_details"]["completeness"]
     assert detail["ok"] is False and detail["detail"].startswith("inertia count:")
-    assert detail["best_residual"] is None
+    assert detail["worst_residual"] is None

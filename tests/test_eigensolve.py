@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from eigenrank.grid import GridFunction, inner, make_grid
+from eigenrank.grid import GridFunction, make_grid
 from eigenrank.operator import (
+    CONSTANT,
+    RANDOM_FOURIER,
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
     sample_coefficients,
 )
 from eigenrank import eigensolve, pipeline
-from eigenrank.config import load_preset, parse_config
+from eigenrank.config import load_config, parse_config
 from eigenrank.pipeline import build_pipeline
 from eigenrank.products import expansion_coefficients, product_function, product_matrix
 from eigenrank.eigensolve import (
@@ -27,6 +29,11 @@ from eigenrank.eigensolve import (
     weyl_fit,
 )
 from rotation import rotate_cluster
+
+
+def inner(f, g):
+    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
+    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
 
 
 def test_flat_1d_closed_form_and_certificates():
@@ -48,7 +55,7 @@ def test_flat_1d_closed_form_and_certificates():
 
 def test_shifted_operator_same_vectors():
     g = make_grid(1, np.pi, 64, "dirichlet")
-    f = sample_coefficients(CoefficientSpec.constant(1.0, 3.25), g)
+    f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=3.25), g)
     b0 = lowest_eigenpairs(assemble_laplacian(g), 16, 1e-9)
     b1 = lowest_eigenpairs(assemble_schrodinger(f, g), 16, 1e-9)
     np.testing.assert_allclose(b1.eigenvalues, b0.eigenvalues + 3.25, rtol=1e-12)
@@ -114,9 +121,18 @@ def test_iterative_path_matches_closed_form():
     assert np.max(basis.residuals) <= 1e-8
 
 
-def test_lanczos_failure_reports_best_partial_residual(monkeypatch):
+def _direct_residuals(op, lam, vec):
+    """Scaled residuals ||A v - lam v|| / (||v|| (1 + |lam|)), column by column."""
+    return [
+        np.linalg.norm(op.matrix @ vec[:, k] - lam[k] * vec[:, k])
+        / (np.linalg.norm(vec[:, k]) * (1.0 + abs(lam[k])))
+        for k in range(len(lam))
+    ]
+
+
+def test_lanczos_failure_reports_worst_partial_residual(monkeypatch):
     # ARPACK hands back the pairs it has when it runs out of iterations; the
-    # error carries the best scaled residual among them
+    # error carries the worst scaled residual among them
     g = make_grid(1, np.pi, 6000, "dirichlet")
     op = assemble_laplacian(g)
     x = g.axis_nodes(0)
@@ -130,12 +146,31 @@ def test_lanczos_failure_reports_best_partial_residual(monkeypatch):
     monkeypatch.setattr(eigensolve.spla, "eigsh", stalled)
     with pytest.raises(EigensolveError, match="failed to converge") as info:
         lowest_eigenpairs(op, 3, 1e-9)
-    direct = [
-        np.linalg.norm(op.matrix @ vec[:, k] - lam[k] * vec[:, k])
-        / (np.linalg.norm(vec[:, k]) * (1.0 + lam[k]))
-        for k in range(3)
-    ]
-    assert info.value.best_residual == pytest.approx(min(direct), rel=1e-12)
+    direct = _direct_residuals(op, lam, vec)
+    assert info.value.worst_residual == pytest.approx(max(direct), rel=1e-12)
+
+
+def test_residual_certificate_reports_the_worst_residual(monkeypatch):
+    # two columns of a dense window pushed off their eigenvectors by
+    # different amounts; the error carries the larger scaled residual
+    seen = {}
+
+    def perturb(vec):
+        _fix_signs(vec)
+        vec[:, 2] += 1e-6 * vec[:, 5]
+        vec[:, 4] += 1e-4 * vec[:, 6]
+        seen["vec"] = vec.copy()
+
+    monkeypatch.setattr(eigensolve, "_fix_signs", perturb)
+    g = make_grid(1, np.pi, 64, "dirichlet")
+    op = assemble_laplacian(g)
+    with pytest.raises(EigensolveError, match="residual") as info:
+        lowest_eigenpairs(op, 8, 1e-9)
+    assert info.value.check == "residuals"
+    lam = sla.eigh(op.matrix.toarray(), eigvals_only=True)[:8]
+    direct = _direct_residuals(op, lam, seen["vec"])
+    assert direct[4] > 10 * direct[2] > 1e-9
+    assert info.value.worst_residual == pytest.approx(max(direct), rel=1e-6)
 
 
 class TestWeylFit:
@@ -155,7 +190,7 @@ class TestWeylFit:
 
     def test_scaling_doubles_constant(self):
         g = make_grid(1, np.pi, 256, "dirichlet")
-        f = sample_coefficients(CoefficientSpec.constant(2.0, 0.0), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=2.0, v0=0.0), g)
         b1 = lowest_eigenpairs(assemble_laplacian(g), 32, 1e-9)
         b2 = lowest_eigenpairs(assemble_schrodinger(f, g), 32, 1e-9)
         fit1 = weyl_fit(b1, 1, 4, 32)
@@ -199,7 +234,7 @@ class TestSupNorms:
 class TestComparability:
     def test_identical_operators_zero_margins(self):
         g = make_grid(1, np.pi, 64, "dirichlet")
-        f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), g)
         bL = lowest_eigenpairs(assemble_schrodinger(f, g), 32, 1e-9)
         blap = lowest_eigenpairs(assemble_laplacian(g), 32, 1e-9)
         rep = comparability_check(bL, blap, f, 32)
@@ -211,7 +246,7 @@ class TestComparability:
     def test_constant_potential_margins(self):
         g = make_grid(1, np.pi, 64, "dirichlet")
         c = 0.75
-        f = sample_coefficients(CoefficientSpec.constant(1.0, c), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=c), g)
         bL = lowest_eigenpairs(assemble_schrodinger(f, g), 16, 1e-9)
         blap = lowest_eigenpairs(assemble_laplacian(g), 16, 1e-9)
         rep = comparability_check(bL, blap, f, 16)
@@ -221,7 +256,7 @@ class TestComparability:
 
     def test_random_field_sandwich(self):
         g = make_grid(2, (np.pi, np.pi), (24, 24), "dirichlet")
-        spec = CoefficientSpec.random_fourier(seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.0)
+        spec = CoefficientSpec(RANDOM_FOURIER, seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.0)
         f = sample_coefficients(spec, g)
         bL = lowest_eigenpairs(assemble_schrodinger(f, g), 48, 1e-9)
         blap = lowest_eigenpairs(assemble_laplacian(g), 48, 1e-9)
@@ -308,7 +343,7 @@ def test_orthonormality_defect_raises(monkeypatch):
     g = make_grid(2, (np.pi, np.pi), (8, 8), "dirichlet")
     with pytest.raises(EigensolveError, match="orthonormality defect") as info:
         lowest_eigenpairs(assemble_laplacian(g), 8, 1e-9)
-    assert info.value.best_residual is None
+    assert info.value.worst_residual is None
 
 
 @pytest.mark.parametrize(
@@ -356,7 +391,7 @@ def test_laplacian_closed_form_partial_and_validated():
     assert np.array_equal(lean.vectors, full.vectors[:, :10])
     assert np.array_equal(lean.residuals[:10], full.residuals[:10])
     assert np.max(lean.residuals[10:]) <= 1e-9
-    f = sample_coefficients(CoefficientSpec.constant(1.0, 0.5), g)
+    f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.5), g)
     with pytest.raises(ValueError):
         laplacian_eigenpairs(assemble_schrodinger(f, g), 10, 1e-9)
     with pytest.raises(ValueError):
@@ -386,7 +421,7 @@ def test_laplacian_closed_form_residual_catches_tampering(monkeypatch):
     g = make_grid(1, np.pi, 32, "dirichlet")
     with pytest.raises(EigensolveError, match="residual") as info:
         laplacian_eigenpairs(assemble_laplacian(g), 32, 1e-9)
-    assert info.value.best_residual > 1e-9
+    assert info.value.worst_residual > 1e-9
 
 
 def test_laplacian_closed_form_gram_catches_tampering(monkeypatch):
@@ -415,7 +450,7 @@ def test_laplacian_closed_form_catches_a_tampered_column(monkeypatch):
     g = make_grid(2, (np.pi, np.pi), (10, 12), "dirichlet")
     with pytest.raises(EigensolveError, match="residual") as info:
         laplacian_eigenpairs(assemble_laplacian(g), g.node_count, 1e-9, materialize=20)
-    assert info.value.best_residual > 1e-9
+    assert info.value.worst_residual > 1e-9
 
 
 def test_closed_form_columns_need_no_sign_flip():
@@ -506,7 +541,7 @@ def test_tensor_coefficients_match_dense_gemm(dimension, points, boundary):
     g = make_grid(dimension, np.pi, points, boundary)
     G = g.node_count
     closed = laplacian_eigenpairs(assemble_laplacian(g), G, 1e-9)
-    spec = CoefficientSpec.random_fourier(seed=4, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
+    spec = CoefficientSpec(RANDOM_FOURIER, seed=4, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
     src = lowest_eigenpairs(assemble_schrodinger(sample_coefficients(spec, g), g), 6, 1e-9)
     for source in (src, closed):
         tensor = expansion_coefficients(source, closed, 6, G)
@@ -590,7 +625,7 @@ def test_lanczos_reruns_are_bitwise_identical():
 
 def _random_2d_op(points=16, seed=5):
     grid = make_grid(2, (np.pi, np.pi), (points, points), "dirichlet")
-    spec = CoefficientSpec.random_fourier(seed, a_amplitude=0.3, v_amplitude=0.5)
+    spec = CoefficientSpec(RANDOM_FOURIER, seed=seed, a_amplitude=0.3, v_amplitude=0.5)
     return assemble_schrodinger(sample_coefficients(spec, grid), grid)
 
 
@@ -622,6 +657,33 @@ def test_inertia_count_catches_a_skipped_pair(monkeypatch):
         lowest_eigenpairs(_random_2d_op(), 16, 1e-9)
 
 
+def test_inertia_count_reports_the_worst_counted_residual(monkeypatch):
+    # the pairs between the window and the shift are counted, so their
+    # residuals are judged there; the error carries the worst of them
+    real = eigensolve.spla.eigsh
+    seen = {}
+
+    def perturbed(*args, **kwargs):
+        lam, vec = real(*args, **kwargs)
+        order = np.argsort(lam)
+        lam, vec = lam[order], vec[:, order]
+        vec[:, 16:] += 1e-6 * np.arange(1, len(lam) - 15) * vec[:, :1]
+        seen.update(lam=lam, vec=vec.copy())
+        return lam, vec
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", perturbed)
+    op = _random_2d_op()
+    with pytest.raises(EigensolveError, match="inertia count: residual") as info:
+        lowest_eigenpairs(op, 16, 1e-9)
+    assert info.value.check == "residuals"
+    lam = seen["lam"]
+    k = 16 + int(np.argmax(np.diff(lam[15:])))   # the shift sits in the widest gap
+    assert k > 17
+    direct = _direct_residuals(op, lam, seen["vec"])
+    assert info.value.worst_residual == pytest.approx(max(direct[16:k]), rel=1e-9)
+    assert max(direct[16:k]) < max(direct)
+
+
 def test_inertia_count_needs_a_symmetric_factorization(monkeypatch):
     real = eigensolve.spla.splu
 
@@ -638,7 +700,8 @@ def test_inertia_count_needs_a_symmetric_factorization(monkeypatch):
 def test_inertia_count_passes_exact_degenerate_pairs():
     # -Delta + 2.5 on a square: exact pairs, and solver.m = 14 ends inside one
     grid = make_grid(2, (np.pi, np.pi), (16, 16), "dirichlet")
-    op = assemble_schrodinger(sample_coefficients(CoefficientSpec.constant(1.0, 2.5), grid), grid)
+    spec = CoefficientSpec(CONSTANT, a0=1.0, v0=2.5)
+    op = assemble_schrodinger(sample_coefficients(spec, grid), grid)
     basis = lowest_eigenpairs(op, 14, 1e-9)
     done = basis.completeness
     assert done.route == "lanczos" and done.count_below == done.solved_below
@@ -678,7 +741,7 @@ def test_narrow_random_window_takes_the_lanczos_route(monkeypatch):
 
 def test_wide_harmonic_window_takes_the_dense_route(monkeypatch):
     calls = _count_solver_calls(monkeypatch)
-    pipe = build_pipeline(load_preset("harmonic-1d"))
+    pipe = build_pipeline(load_config("harmonic-1d"))
     assert calls == {"eigsh": 0, "splu": 0, "eigh": 1}
     assert pipe.basis_L.completeness.route == "dense"
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from eigenrank import eri as eri_module
-from eigenrank.grid import GridFunction, inner, make_grid
+from eigenrank.grid import GridFunction, make_grid
 from eigenrank.operator import (
+    CONSTANT,
+    RANDOM_FOURIER,
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
@@ -29,6 +31,16 @@ def eri_setup(flat2d_small):
     co = expansion_coefficients(src, lap, 8, grid.node_count)
     solver = GreenSolver(op)
     return grid, op, src, lap, co, solver
+
+
+def inner(f, g):
+    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
+    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
+
+
+def coeff_row(coeffs, i, j):
+    """Expansion coefficients of the product phi_i phi_j."""
+    return coeffs.coeffs[pair_row(i, j, coeffs.n)]
 
 
 def fitted_pair_gram(co, weights, r):
@@ -171,7 +183,8 @@ class TestFittedERI:
         w = hm1_weights(co, lap)
         fit = fitted_pair_gram(co, w, 30)
         for (i, j, k, l) in [(0, 0, 0, 0), (0, 1, 2, 3), (7, 7, 2, 5)]:
-            direct = math.fsum(co.row(i, j)[:30] * co.row(k, l)[:30] / lap.eigenvalues[:30])
+            pair_ij, pair_kl = coeff_row(co, i, j)[:30], coeff_row(co, k, l)[:30]
+            direct = math.fsum(pair_ij * pair_kl / lap.eigenvalues[:30])
             assert fit[pair_row(i, j, 8), pair_row(k, l, 8)] == pytest.approx(direct, rel=1e-13)
 
     def test_cauchy_schwarz_bound_random_quadruples(self, eri_setup):
@@ -191,7 +204,7 @@ class TestFittedERI:
         grid, op, src, lap, co, solver = eri_setup
         co_l2 = expansion_coefficients(src, src, 4, 16)
         with pytest.raises(ValueError):
-            eri_benchmark(4, 1e-2, src, lap, op, co_l2, calib_hm1=1.0)
+            eri_benchmark(4, 1e-2, src, lap, op, co_l2, calib_hm1=1.0, sample_seed=0)
 
 
 class TestQuadrupleSampling:
@@ -210,7 +223,7 @@ class TestQuadrupleSampling:
 class TestBenchmark:
     def test_certificates_and_costs(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=0)
         assert len(res.quadruples) == 36 * 37 // 2
         for e, f, cert in zip(res.exact, res.fitted, res.certificates):
             assert abs(e - f) <= cert + 1e-12
@@ -236,14 +249,14 @@ class TestBenchmark:
             return real(coeffs, weights, r, rows)
 
         monkeypatch.setattr(eri_module, "fitted_integrals", recording)
-        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=0)
         (pairs, r, entries), = seen
         assert entries == len(res.quadruples) and r == res.r
         assert res.fitted_ops == entries * r + pairs * r
 
     def test_exact_matrix_psd(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=0)
         pairs = pair_list(6)
         P = len(pairs)
         M = np.zeros((P, P))
@@ -275,7 +288,7 @@ def _assert_exact_matches_spectral(res, src, lap):
 class TestBatchedExact:
     def test_dirichlet_matches_sparse_solver(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
-        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        res = eri_benchmark(8, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=0)
         solved = np.array([exact_eri(*q, src, solver) for q in res.quadruples])
         np.testing.assert_allclose(
             res.exact, solved, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(solved)))
@@ -286,12 +299,12 @@ class TestBatchedExact:
         # products phi_i^2 have nonzero mean and the Laplacian a zero mode,
         # so this exercises the bordered solve on mean-free densities
         g = make_grid(2, (2 * np.pi, 2 * np.pi), (12, 12), "periodic")
-        spec = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
+        spec = CoefficientSpec(RANDOM_FOURIER, seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
         src = lowest_eigenpairs(assemble_schrodinger(sample_coefficients(spec, g), g), g.node_count, 1e-9)
         op = assemble_laplacian(g)
         lap = lowest_eigenpairs(op, g.node_count, 1e-9)
         co = expansion_coefficients(src, lap, 6, g.node_count)
-        res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0)
+        res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=0)
         _assert_exact_matches_spectral(res, src, lap)
         for e, f, cert in zip(res.exact, res.fitted, res.certificates):
             assert abs(e - f) <= cert + 1e-12
@@ -308,9 +321,9 @@ class TestBatchedExact:
     def test_rejects_non_laplacian_basis(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         with pytest.raises(ValueError):
-            eri_benchmark(8, 1e-2, src, src, op, co, calib_hm1=1.0)
+            eri_benchmark(8, 1e-2, src, src, op, co, calib_hm1=1.0, sample_seed=0)
         schrodinger = assemble_schrodinger(
-            sample_coefficients(CoefficientSpec.constant(1.0, 0.5), grid), grid
+            sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.5), grid), grid
         )
         with pytest.raises(ValueError):
             GreenSolver(schrodinger)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eigenrank.grid import GridFunction, inner, make_grid
+from eigenrank.grid import GridFunction, make_grid
 from eigenrank.operator import assemble_laplacian
 from eigenrank.eigensolve import CLUSTER_REL_GAP, SpectralBasis, lowest_eigenpairs
 from eigenrank.products import (
@@ -40,10 +40,20 @@ def flat1d_coeffs(flat1d_small):
     return grid, op, src, lap, co_l2, co_hm1
 
 
+def inner(f, g):
+    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
+    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
+
+
+def coeff_row(coeffs, i, j):
+    """Expansion coefficients of the product phi_i phi_j."""
+    return coeffs.coeffs[pair_row(i, j, coeffs.n)]
+
+
 def _tail(coeffs, i, j, r, weights=None):
     """Tail of one pair after r modes, straight from its coefficient row."""
     w = np.ones(coeffs.m) if weights is None else weights
-    return float(np.sqrt(np.sum(coeffs.row(i, j)[r:] ** 2 * w[r:])))
+    return float(np.sqrt(np.sum(coeff_row(coeffs, i, j)[r:] ** 2 * w[r:])))
 
 
 class TestTails:
@@ -382,7 +392,7 @@ class TestChainIdentities:
         grid, _, src, lap, co, co_h = flat1d_coeffs
         mu = lap.eigenvalues[: co_h.m]
         for (i, j) in [(0, 0), (3, 11), (15, 15)]:
-            spectral = float(np.dot(mu, co_h.row(i, j) ** 2))
+            spectral = float(np.dot(mu, coeff_row(co_h, i, j) ** 2))
             direct = gradient_energy(product_function(i, j, src))
             assert spectral == pytest.approx(direct, rel=1e-6)
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from eigenrank.grid import GridFunction, inner, make_grid
+from eigenrank.grid import GridFunction, make_grid
 from eigenrank.operator import (
+    CONSTANT,
+    HARMONIC,
+    RANDOM_FOURIER,
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
@@ -13,6 +16,11 @@ from eigenrank.operator import (
     sample_coefficients,
     weyl_regime_cap,
 )
+
+
+def inner(f, g):
+    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
+    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
 
 
 def dirichlet_laplacian_spectrum(length, points):
@@ -25,21 +33,21 @@ def dirichlet_laplacian_spectrum(length, points):
 class TestCoefficientSampling:
     def test_constant(self):
         g = make_grid(1, np.pi, 32, "dirichlet")
-        f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), g)
         assert all(np.all(a == 1.0) for a in f.a_face)
         assert np.all(f.v_node == 0.0)
         assert (f.a_min, f.a_max, f.v_sup) == (1.0, 1.0, 0.0)
 
     def test_harmonic_sup_at_extreme_node(self):
         g = make_grid(1, np.pi, 512, "dirichlet")
-        f = sample_coefficients(CoefficientSpec.harmonic(1.0, 1.0), g)
+        f = sample_coefficients(CoefficientSpec(HARMONIC, a0=1.0, v_scale=1.0), g)
         h = g.spacing[0]
         assert f.v_sup == pytest.approx((np.pi / 2 - h) ** 2, rel=1e-12)
         assert f.v_sup == pytest.approx((np.pi / 2) ** 2, rel=0.01)  # ~2.467 as grid refines
 
     def test_random_fourier_bounds_and_determinism(self):
         g = make_grid(2, (np.pi, np.pi), (24, 24), "dirichlet")
-        spec = CoefficientSpec.random_fourier(seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.5)
+        spec = CoefficientSpec(RANDOM_FOURIER, seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.5)
         f1 = sample_coefficients(spec, g)
         f2 = sample_coefficients(spec, g)
         assert f1.a_min >= 0.7 and f1.a_max <= 1.3
@@ -50,11 +58,15 @@ class TestCoefficientSampling:
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
-            CoefficientSpec.constant(a0=-1.0)
+            CoefficientSpec(CONSTANT, a0=-1.0)
         with pytest.raises(ValueError):
-            CoefficientSpec.constant(a0=1.0, v0=-0.5)
+            CoefficientSpec(CONSTANT, a0=1.0, v0=-0.5)
         with pytest.raises(ValueError):
-            CoefficientSpec.random_fourier(seed=1, a_amplitude=1.5, a0=1.0)
+            CoefficientSpec(RANDOM_FOURIER, seed=1, a_amplitude=1.5, a0=1.0)
+        # a random field is drawn from its seed, so it must name one the generator takes
+        for seed in (None, -1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                CoefficientSpec(RANDOM_FOURIER, seed=seed)
 
 
 class TestAssembly:
@@ -75,21 +87,21 @@ class TestAssembly:
         g = make_grid(1, np.pi, 32, "dirichlet")
         base = assemble_laplacian(g).matrix
         c = 2.5
-        f = sample_coefficients(CoefficientSpec.constant(1.0, c), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=c), g)
         shifted = assemble_schrodinger(f, g).matrix
         diff = (shifted - base).toarray()
         np.testing.assert_allclose(diff, c * np.eye(32), atol=1e-14)
 
     def test_doubled_coefficient_doubles_eigenvalues(self):
         g = make_grid(1, np.pi, 32, "dirichlet")
-        f = sample_coefficients(CoefficientSpec.constant(2.0, 0.0), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=2.0, v0=0.0), g)
         lam2 = sla.eigvalsh(assemble_schrodinger(f, g).matrix.toarray())
         lam1 = sla.eigvalsh(assemble_laplacian(g).matrix.toarray())
         np.testing.assert_allclose(lam2, 2.0 * lam1, rtol=1e-12)
 
     def test_laplacian_equals_flat_schrodinger(self):
         g = make_grid(2, (np.pi, np.pi), (12, 12), "dirichlet")
-        f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), g)
+        f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), g)
         assert (assemble_schrodinger(f, g).matrix - assemble_laplacian(g).matrix).nnz == 0
 
     def test_periodic_circulant_spectrum(self):
@@ -116,7 +128,7 @@ class TestAssembly:
 
     def test_exact_symmetry_random_field(self):
         g = make_grid(2, (np.pi, np.pi), (16, 16), "dirichlet")
-        spec = CoefficientSpec.random_fourier(seed=3, cutoff=3, a_amplitude=0.4, v_amplitude=1.0)
+        spec = CoefficientSpec(RANDOM_FOURIER, seed=3, cutoff=3, a_amplitude=0.4, v_amplitude=1.0)
         m = assemble_schrodinger(sample_coefficients(spec, g), g).matrix
         assert abs(m - m.T).nnz == 0
 
@@ -125,7 +137,7 @@ class TestFaceLayout:
     """Each coupling of L reads a at its own face, evaluated independently of
     the sampling and the assembly."""
 
-    SPEC = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.4, v_amplitude=0.7)
+    SPEC = CoefficientSpec(RANDOM_FOURIER, seed=5, cutoff=3, a_amplitude=0.4, v_amplitude=0.7)
 
     @pytest.mark.parametrize(
         "lengths, points, boundary",
@@ -170,7 +182,7 @@ class TestFaceLayout:
 class TestQuadraticForms:
     def test_ellipticity_sandwich_on_random_vectors(self):
         g = make_grid(2, (np.pi, np.pi), (16, 16), "dirichlet")
-        spec = CoefficientSpec.random_fourier(seed=11, cutoff=3, a_amplitude=0.3, v_amplitude=0.0)
+        spec = CoefficientSpec(RANDOM_FOURIER, seed=11, cutoff=3, a_amplitude=0.3, v_amplitude=0.0)
         f = sample_coefficients(spec, g)
         L0 = assemble_schrodinger(f, g).matrix   # V = 0 here
         D = assemble_laplacian(g).matrix
@@ -192,7 +204,7 @@ class TestQuadraticForms:
 
     def test_gradient_energy_matches_operator_form(self):
         g = make_grid(2, (np.pi, np.pi), (14, 14), "dirichlet")
-        spec = CoefficientSpec.random_fourier(seed=5, cutoff=2, a_amplitude=0.25, v_amplitude=0.0)
+        spec = CoefficientSpec(RANDOM_FOURIER, seed=5, cutoff=2, a_amplitude=0.25, v_amplitude=0.0)
         f = sample_coefficients(spec, g)
         op = assemble_schrodinger(f, g)
         lap = assemble_laplacian(g)

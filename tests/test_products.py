@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenrank.grid import GridFunction, inner, make_grid
+from eigenrank.grid import GridFunction, make_grid
 from eigenrank.operator import (
+    CONSTANT,
+    RANDOM_FOURIER,
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
@@ -28,9 +30,19 @@ from eigenrank.products import (
 from rotation import rotate_cluster
 
 
+def inner(f, g):
+    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
+    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
+
+
+def coeff_row(coeffs, i, j):
+    """Expansion coefficients of the product phi_i phi_j."""
+    return coeffs.coeffs[pair_row(i, j, coeffs.n)]
+
+
 def quadratic_form_value(i, j, coeffs, basis_target):
     """Sum_k lambda_k c[i,j,k]^2, the spectral form <M(phi_i phi_j), phi_i phi_j>."""
-    return float(np.dot(basis_target.eigenvalues[: coeffs.m], coeffs.row(i, j) ** 2))
+    return float(np.dot(basis_target.eigenvalues[: coeffs.m], coeff_row(coeffs, i, j) ** 2))
 
 
 @settings(max_examples=100, deadline=None)
@@ -66,10 +78,10 @@ def test_first_mode_square_expansion_against_direct_quadrature(flat1d_small):
     # independent oracle: plain fsum quadrature, no linear algebra
     for k in (0, 1, 2, 3, 9):
         direct = w * math.fsum(float(sq[t]) * float(src.vectors[t, k]) for t in range(grid.node_count))
-        assert co.row(0, 0)[k] == pytest.approx(direct, abs=1e-10)
+        assert coeff_row(co, 0, 0)[k] == pytest.approx(direct, abs=1e-10)
     # phi_1^2 = (1 - cos 2x)/pi is even about pi/2: even-k sine coefficients vanish
     for k in range(1, grid.node_count, 2):   # k odd 0-based = even 1-based mode
-        assert abs(co.row(0, 0)[k]) < 1e-12
+        assert abs(coeff_row(co, 0, 0)[k]) < 1e-12
 
 
 def test_parseval_and_symmetry(flat1d_small):
@@ -77,7 +89,7 @@ def test_parseval_and_symmetry(flat1d_small):
     co = expansion_coefficients(src, src, 8, grid.node_count)
     sums = np.sum(co.coeffs**2, axis=1)
     np.testing.assert_allclose(sums, co.product_l2_norms**2, rtol=1e-8)
-    np.testing.assert_array_equal(co.row(1, 4), co.row(4, 1))
+    np.testing.assert_array_equal(coeff_row(co, 1, 4), coeff_row(co, 4, 1))
 
 
 def test_quadratic_form_two_paths(flat1d_small):
@@ -105,7 +117,7 @@ def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small):
 def test_quadratic_form_tag_mismatch(flat1d_small):
     # the traced chain bounds the form of L, not of the Laplacian
     grid, op_lap, src, lap = flat1d_small
-    f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), grid)
+    f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
     with pytest.raises(ValueError):
         quadratic_chain_report(op_lap, src, f, 4)
 
@@ -113,7 +125,7 @@ def test_quadratic_form_tag_mismatch(flat1d_small):
 def test_sparse_quadratic_form_matches_the_spectral_sum():
     # on a complete basis Q = <L f, f> equals sum_k lambda_k c_k^2
     g = make_grid(2, (np.pi, np.pi), (10, 10), "dirichlet")
-    spec = CoefficientSpec.random_fourier(seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
+    spec = CoefficientSpec(RANDOM_FOURIER, seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
     op = assemble_schrodinger(sample_coefficients(spec, g), g)
     bL = lowest_eigenpairs(op, g.node_count, 1e-9)
     co = expansion_coefficients(bL, bL, 6, g.node_count)
@@ -125,7 +137,7 @@ def test_sparse_quadratic_form_matches_the_spectral_sum():
 def test_potential_shift_identity():
     g = make_grid(1, np.pi, 96, "dirichlet")
     c = 1.5
-    f = sample_coefficients(CoefficientSpec.constant(1.0, c), g)
+    f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=c), g)
     bL = lowest_eigenpairs(assemble_schrodinger(f, g), 96, 1e-9)
     blap = lowest_eigenpairs(assemble_laplacian(g), 96, 1e-9)
     lap = SpectralBasis(
@@ -153,7 +165,7 @@ def test_truncated_form_monotone(flat1d_small):
 
 def test_chain_bound_flat_1d(flat1d_small):
     grid, _, src, _ = flat1d_small
-    f = sample_coefficients(CoefficientSpec.constant(1.0, 0.0), grid)
+    f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
     rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, 16)
     assert rep.ok
     assert np.all(rep.values <= rep.bound)
@@ -161,7 +173,7 @@ def test_chain_bound_flat_1d(flat1d_small):
 
 def test_chain_bound_random_2d():
     g = make_grid(2, (np.pi, np.pi), (24, 24), "dirichlet")
-    spec = CoefficientSpec.random_fourier(seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.5)
+    spec = CoefficientSpec(RANDOM_FOURIER, seed=7, cutoff=4, a_amplitude=0.3, v_amplitude=0.5)
     f = sample_coefficients(spec, g)
     op = assemble_schrodinger(f, g)
     bL = lowest_eigenpairs(op, 12, 1e-9)
@@ -183,7 +195,7 @@ def test_cluster_rotation_invariance(flat2d_small):
         total = 0.0
         for i in range(n):
             for j in range(n):
-                q = float(np.dot(lam, c.row(i, j) ** 2))
+                q = float(np.dot(lam, coeff_row(c, i, j) ** 2))
                 total += q
         return total
 
@@ -203,4 +215,4 @@ def test_mean_zero_products_periodic():
     assert basis.eigenvalues[k0] == pytest.approx(0.0, abs=1e-10)
     for (i, j) in pair_list(6):
         if i != j:
-            assert abs(co.row(i, j)[k0]) < 1e-12
+            assert abs(coeff_row(co, i, j)[k0]) < 1e-12
