@@ -24,7 +24,7 @@ from . import PRESETS
 from .eigensolve import DEFAULT_TOL
 from .grid import DIRICHLET, MIN_POINTS, PERIODIC, Grid, make_grid
 from .lowrank import HM1, L2
-from .operator import KIND_FIELDS, CoefficientSpec, weyl_regime_cap
+from .operator import KIND_FIELDS, CoefficientError, CoefficientSpec, weyl_regime_cap
 
 
 class ConfigError(ValueError):
@@ -167,8 +167,8 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
     fields = _read(top["coefficients"], "coefficients", COEFFICIENTS[kind])
     try:
         spec = CoefficientSpec(**fields)
-    except ValueError as exc:
-        raise ConfigError("coefficients", str(exc)) from exc
+    except CoefficientError as exc:
+        raise ConfigError(f"coefficients.{exc.field}", str(exc)) from exc
 
     solver = _read(top["solver"], "solver", SOLVER)
     m, cap = solver["m"], weyl_regime_cap(grid)

@@ -4,12 +4,12 @@ The flat Laplacian separates over the axes, so laplacian_eigenpairs builds
 its eigenpairs in closed form (tensor products of sines or real Fourier
 modes); the pipeline uses it for -Delta on every config and for L on flat
 ones, where L is the same stencil.  The closed form keeps every eigenvalue
-and the per-axis eigenvector matrices, but writes out only the leading
-columns that callers read node by node; the expansion coefficients
-contract with the axis factors instead (products.expansion_coefficients).
-Its certificates are per-axis bounds that cover every tensor mode plus
-measured residual and Gram checks of the written columns against the
-assembled operator.
+and the per-axis eigenvector matrices, but stores only the solver.m leading
+columns that products and spectrum rows read node by node; sup norms
+(sup_norms) and expansion coefficients (products.expansion_coefficients)
+come from the axis factors instead.  Its certificates are per-axis bounds
+that cover every tensor mode plus measured residual and Gram checks of the
+stored columns against the assembled operator.
 
 Any other operator goes through lowest_eigenpairs, which solves only the
 window it is asked for (grown to close the degenerate cluster at its end)
@@ -224,19 +224,17 @@ def lowest_eigenpairs(
 
 def laplacian_eigenpairs(
     op: DiscreteOperator,
-    m: int,
+    columns: int,
     tol: float = DEFAULT_TOL,
-    materialize: int | None = None,
 ) -> SpectralBasis:
-    """The m lowest eigenpairs of the flat Laplacian stencil, in closed form.
+    """Every eigenpair of the flat Laplacian stencil, in closed form, with
+    the first `columns` eigenvectors stored.
 
     Each eigenvector is a tensor product of per-axis modes
     (operator.axis_eigenvectors) and its eigenvalue the sum of theirs
     (operator.stencil_eigenvalues, axis 0 fastest).  A stable argsort
-    orders them, so exact ties keep that mode order.  All m eigenvalues are
-    kept, but only the first `materialize` (default m) eigenvectors are
-    written out as columns; the basis carries the axis factors and mode
-    indices for the rest.
+    orders them, so exact ties keep that mode order.  The basis carries the
+    axis factors and mode indices for the modes it does not store.
 
     Signs are fixed per axis by _fix_signs.  An axis mode's first
     significant entry (the first node of a sine, the first entry of a
@@ -262,10 +260,7 @@ def laplacian_eigenpairs(
     """
     if op.kind != LAPLACIAN:
         raise ValueError(f"closed form holds for the {LAPLACIAN} only, got {op.kind!r}")
-    _check_request(op, m, tol)
-    materialize = m if materialize is None else materialize
-    if not 1 <= materialize <= m:
-        raise ValueError(f"materialize must satisfy 1 <= materialize <= {m}, got {materialize}")
+    _check_request(op, columns, tol)
     grid = op.grid
     points = grid.points_per_axis
     axis_vectors, axis_resid, axis_defect = [], [], []
@@ -279,15 +274,15 @@ def laplacian_eigenpairs(
         axis_defect.append(_gram_defect(vec_a, h))
         axis_vectors.append(vec_a)
     total = stencil_eigenvalues(grid)
-    order = np.argsort(total, kind="stable")[:m]
+    order = np.argsort(total, kind="stable")
     lam = total[order]
     modes = np.unravel_index(order, points, order="F")
 
     bound = sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam))
     gram_bound = float(np.prod([1.0 + delta for delta in axis_defect]) - 1.0)
-    vec = _tensor_columns(axis_vectors, [k[:materialize] for k in modes], points)
+    vec = _tensor_columns(axis_vectors, [k[:columns] for k in modes], points)
     resid = bound.copy()
-    resid[:materialize] = _scaled_residuals(op, lam[:materialize], vec)
+    resid[:columns] = _scaled_residuals(op, lam[:columns], vec)
     return _certified_basis(
         op, lam, vec, resid, tol,
         gram_bound=gram_bound, axis_vectors=tuple(axis_vectors), modes=modes,
@@ -568,11 +563,21 @@ def weyl_fit(basis: SpectralBasis, d: int, k_min: int, k_max: int) -> WeylFit:
 
 
 def sup_norms(basis: SpectralBasis, n: int):
-    """Nodewise sup norm of each of the first n eigenfunctions, plus the max."""
+    """Nodewise sup norm of each of the first n eigenfunctions, plus the max.
+
+    A closed-form mode's |prod_a v_a(x_a)| separates, so its sup is the
+    product of the per-axis sups max|v_a| in _tensor_columns' order (from
+    axis 0); rounding is monotone, so that is the max over its column bit
+    for bit, stored or not.  A solved basis stores every pair it holds.
+    """
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
-    basis.require_columns(n)
-    per_k = np.max(np.abs(basis.vectors[:, :n]), axis=0)
+    if basis.axis_vectors is None:
+        per_k = np.max(np.abs(basis.vectors[:, :n]), axis=0)
+    else:
+        per_k = np.ones(n)
+        for vec_a, k in zip(basis.axis_vectors, basis.modes):
+            per_k *= np.max(np.abs(vec_a), axis=0)[k[:n]]
     return per_k, float(np.max(per_k))
 
 

@@ -72,22 +72,6 @@ class Grid:
         return np.column_stack([m.ravel(order="F") for m in mesh])
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Real-valued function sampled at the nodes of a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] != self.grid.node_count:
-            raise ValueError(
-                f"values must have length {self.grid.node_count}, got shape {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-
 def make_grid(dimension, lengths, points, boundary) -> Grid:
     """Build a grid, validating dimension, lengths and resolution.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import DIRICHLET, PERIODIC, Grid, GridFunction
+from .grid import DIRICHLET, PERIODIC, Grid
 
 CONSTANT = "constant"
 HARMONIC = "harmonic"
@@ -30,6 +30,14 @@ RANDOM_FOURIER = "random_fourier"
 
 SCHRODINGER = "schrodinger"
 LAPLACIAN = "laplacian"
+
+
+class CoefficientError(ValueError):
+    """A CoefficientSpec field out of range; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -62,24 +70,24 @@ class CoefficientSpec:
 
     def __post_init__(self):
         if self.kind not in KIND_FIELDS:
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+            raise CoefficientError("kind", f"must be one of {list(KIND_FIELDS)}, got {self.kind!r}")
         if not self.a0 > 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
+            raise CoefficientError("a0", f"must be positive, got {self.a0}")
         if self.kind == CONSTANT and self.v0 < 0:
-            raise ValueError(f"v0 must be >= 0, got {self.v0}")
+            raise CoefficientError("v0", f"must be >= 0, got {self.v0}")
         if self.kind == HARMONIC and self.v_scale < 0:
-            raise ValueError(f"v_scale must be >= 0, got {self.v_scale}")
+            raise CoefficientError("v_scale", f"must be >= 0, got {self.v_scale}")
         if self.kind == RANDOM_FOURIER:
             if self.seed is None or not 0 <= self.seed < 2**64:
-                raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+                raise CoefficientError("seed", f"must be an integer in [0, 2**64), got {self.seed}")
             if not 0 <= self.a_amplitude < self.a0:
-                raise ValueError(
-                    f"a_amplitude must satisfy 0 <= amplitude < a0, got {self.a_amplitude}"
+                raise CoefficientError(
+                    "a_amplitude", f"must satisfy 0 <= amplitude < a0, got {self.a_amplitude}"
                 )
             if self.v_amplitude < 0:
-                raise ValueError(f"v_amplitude must be >= 0, got {self.v_amplitude}")
+                raise CoefficientError("v_amplitude", f"must be >= 0, got {self.v_amplitude}")
             if self.cutoff < 1:
-                raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+                raise CoefficientError("cutoff", f"must be >= 1, got {self.cutoff}")
 
 
 KIND_FIELDS = {
@@ -249,22 +257,23 @@ def _assemble(field: CoefficientField, kind: str) -> DiscreteOperator:
     return DiscreteOperator(grid=grid, kind=kind, matrix=sp.csr_array(mat))
 
 
-def gradient_energy(f: GridFunction) -> float:
-    """Discrete Dirichlet energy ||grad f||^2 = sum_faces (f_p - f_q)^2 / h^2 * weight.
+def gradient_energy(grid: Grid, values: np.ndarray):
+    """Discrete Dirichlet energy ||grad f||^2 = sum_faces (f_p - f_q)^2 / h^2 * weight
+    of each column f of `values`, (G,) or (G, c): a float or a (c,) array.
 
     Dirichlet boundary faces see a zero ghost value, periodic ones wrap, so
     this reproduces the quadratic form <-Delta f, f> exactly (summation by
     parts is an identity here).
     """
-    grid = f.grid
-    u = f.values.reshape(grid.points_per_axis, order="F")
+    u = values.reshape(grid.points_per_axis + values.shape[1:], order="F")
+    nodes = tuple(range(grid.dimension))
     total = 0.0
-    for axis in range(grid.dimension):
+    for axis in nodes:
         if grid.boundary == DIRICHLET:
             diff = np.diff(u, axis=axis, prepend=0.0, append=0.0)
         else:
             diff = u - np.roll(u, 1, axis=axis)
-        total += float(np.sum(diff**2)) / grid.spacing[axis] ** 2
+        total = total + np.sum(diff**2, axis=nodes) / grid.spacing[axis] ** 2
     return grid.quadrature_weight * total
 
 

@@ -8,10 +8,11 @@ calibration constant next to the per-check booleans, plus the stage
 timings, peak RSS, thread cap and library versions (none of which reach a
 CSV).
 
-The basis of L covers the resolved window M: the eigenfunctions read node by
-node and the Weyl-regime cap, extended to close the degenerate cluster at
-its end.  Flat configurations take it from the complete closed form; any
-other L is solved for those M modes only, so its L2 expansion is windowed.
+The basis of L covers the resolved window M: the Weyl-regime cap, extended
+to close the degenerate cluster at its end.  Flat configurations take it
+from the complete closed form, which stores the solver.m columns read node
+by node; any other L is solved for those M modes only, so its L2 expansion
+is windowed.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ from .eigensolve import (
 from .products import (
     ProductCoefficients,
     expansion_coefficients,
-    pair_list,
-    product_function,
+    product_matrix,
     quadratic_chain_report,
 )
 from .lowrank import (
@@ -67,6 +67,17 @@ from .lowrank import (
     tail_table,
 )
 from .eri import ERIResult, eri_benchmark
+
+
+# the CSV columns, and their rows, that depend on which basis is chosen inside
+# a degenerate eigenspace (README's basis-dependent labels)
+BASIS_DEPENDENT = {
+    "spectrum.csv": {"sup_norm": "every row"},
+    "ranks.csv": dict.fromkeys(
+        ("r_paper", "r_empirical", "max_sup", "implied_constant", "resolved"), "every row"
+    ),
+    "tails.csv": {"tail": "rows with i = j = 0 (the worst-pair aggregate)"},
+}
 
 
 @dataclass(eq=False)
@@ -114,19 +125,19 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     n_max = max(config.sweep_n)
     if config.eri_enabled:
         n_max = max(n_max, config.eri_n)
-    # eigenfunctions read node by node: the spectrum rows, the sweep and ERI
-    # products, and the sup-norm fit up to the resolved cap, which config
-    # validation keeps at or above solver.m, every n and eri.n
-    columns = weyl_regime_cap(grid)
+    # eigenfunctions read node by node: the spectrum rows and the sweep and
+    # ERI products, which config validation keeps at or below solver.m (the
+    # closed form's sup norms come from its axis factors)
+    cap = weyl_regime_cap(grid)
     timings = {}
     with _stage(timings, "basis_lap"):
-        basis_lap = laplacian_eigenpairs(op_lap, G, config.solver_tol, materialize=columns)
+        basis_lap = laplacian_eigenpairs(op_lap, config.solver_m, config.solver_tol)
     with _stage(timings, "basis_L"):
         if flat:
             basis_L = replace(basis_lap, tag=op_L.kind)
-            window = cluster_end(basis_lap.eigenvalues, columns)
+            window = cluster_end(basis_lap.eigenvalues, cap)
         else:
-            basis_L = lowest_eigenpairs(op_L, columns, config.solver_tol)
+            basis_L = lowest_eigenpairs(op_L, cap, config.solver_tol)
             window = basis_L.count
     with _stage(timings, "coefficients"):
         # complete on flat configs, the window M otherwise
@@ -430,12 +441,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     )
 
     grad_sq = (pipe.coeffs_hm1.coeffs**2) @ mu
-    direct_all = np.array(
-        [
-            gradient_energy(product_function(i, j, pipe.basis_L))
-            for (i, j) in pair_list(pipe.n_max)
-        ]
-    )
+    direct_all = gradient_energy(pipe.grid, product_matrix(pipe.basis_L, pipe.n_max))
     # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
     # constant mode) are judged against the family's noise scale, not 0
     atol = 1e-9 * (1.0 + float(np.max(direct_all)))
@@ -545,6 +551,7 @@ def run(
         "calibration": {"calib_l2": config.calib_l2, "calib_hm1": config.calib_hm1},
         "threads": threads,
         "versions": _versions(),
+        "basis_dependent": BASIS_DEPENDENT,
     }
     try:
         pipe = build_pipeline(config)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction
 from .operator import SCHRODINGER, CoefficientField, DiscreteOperator
 from .eigensolve import SpectralBasis, sup_norms
 
@@ -72,14 +71,6 @@ class ProductCoefficients:
             product_l2_norms=self.product_l2_norms[rows],
             outside_mass=None if self.outside_mass is None else self.outside_mass[rows],
         )
-
-
-def product_function(i: int, j: int, basis: SpectralBasis) -> GridFunction:
-    """Nodewise product phi_i * phi_j."""
-    if not (0 <= i < basis.count and 0 <= j < basis.count):
-        raise IndexError(f"indices ({i}, {j}) out of range for basis of size {basis.count}")
-    basis.require_columns(max(i, j) + 1)
-    return GridFunction(basis.grid, basis.vectors[:, i] * basis.vectors[:, j])
 
 
 def product_matrix(basis: SpectralBasis, n: int) -> np.ndarray:

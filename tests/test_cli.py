@@ -140,7 +140,14 @@ REJECTED = [
     ({"sweep.n": [4, 4]}, "sweep.n"),
     ({"sweep.eps": [0.01, 0.01]}, "sweep.eps"),
     ({"eri.sample_seed": -1}, "eri.sample_seed"),
-    ({"coefficients": {**RANDOM, "seed": -1}}, "coefficients"),   # CoefficientSpec's range check
+    # a value out of CoefficientSpec's range, named by its field
+    ({"coefficients": {**RANDOM, "seed": -1}}, "coefficients.seed"),
+    ({"coefficients.a0": 0}, "coefficients.a0"),
+    ({"coefficients.v0": -1}, "coefficients.v0"),
+    ({"coefficients": {**HARMONIC, "v_scale": -1}}, "coefficients.v_scale"),
+    ({"coefficients": {**RANDOM, "a_amplitude": 1.0}}, "coefficients.a_amplitude"),   # >= a0
+    ({"coefficients": {**RANDOM, "v_amplitude": -1}}, "coefficients.v_amplitude"),
+    ({"coefficients": {**RANDOM, "cutoff": 0}}, "coefficients.cutoff"),
 ]
 
 
@@ -497,6 +504,19 @@ def test_verify_all_reports_stage_timings(tmp_path):
     stages = {"basis_lap", "basis_L", "coefficients", "tails", "oracle", "eri", "checks", "output"}
     assert set(summary["timings"]) == stages
     assert all(t >= 0.0 for t in summary["timings"].values())
+
+
+def test_summary_names_the_basis_dependent_columns(tmp_path):
+    path = small_config(tmp_path)
+    out = tmp_path / "labelled"
+    assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["basis_dependent"] == pipeline.BASIS_DEPENDENT
+    assert set(summary["basis_dependent"]) == {"spectrum.csv", "ranks.csv", "tails.csv"}
+    for name, columns in summary["basis_dependent"].items():
+        with open(out / name, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert columns and set(columns) <= set(header), name
 
 
 def test_stretched_flat_1d_keeps_eri_certificate(tmp_path):

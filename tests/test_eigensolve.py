@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import make_grid
 from eigenrank.operator import (
     CONSTANT,
     RANDOM_FOURIER,
@@ -14,7 +14,7 @@ from eigenrank.operator import (
 from eigenrank import eigensolve, pipeline
 from eigenrank.config import load_config, parse_config
 from eigenrank.pipeline import build_pipeline
-from eigenrank.products import expansion_coefficients, product_function, product_matrix
+from eigenrank.products import expansion_coefficients, product_matrix
 from eigenrank.eigensolve import (
     EigensolveError,
     _fix_signs,
@@ -29,11 +29,6 @@ from eigenrank.eigensolve import (
     weyl_fit,
 )
 from rotation import rotate_cluster
-
-
-def inner(f, g):
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
 
 
 def test_flat_1d_closed_form_and_certificates():
@@ -67,8 +62,8 @@ def test_rayleigh_consistency():
     op = assemble_laplacian(g)
     basis = lowest_eigenpairs(op, 16, 1e-9)
     for k in range(16):
-        phi = GridFunction(g, basis.vectors[:, k])
-        rq = inner(GridFunction(g, op.matrix @ phi.values), phi)
+        phi = basis.vectors[:, k]
+        rq = g.quadrature_weight * float(np.dot(op.matrix @ phi, phi))
         assert rq == pytest.approx(basis.eigenvalues[k], rel=1e-8)
 
 
@@ -381,11 +376,8 @@ def test_laplacian_closed_form_matches_dense(dimension, points, boundary):
 def test_laplacian_closed_form_partial_and_validated():
     g = make_grid(2, (np.pi, np.pi), (8, 8), "dirichlet")
     full = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
-    part = laplacian_eigenpairs(assemble_laplacian(g), 10, 1e-9)
-    assert np.array_equal(part.eigenvalues, full.eigenvalues[:10])
-    assert np.array_equal(part.vectors, full.vectors[:, :10])
     # every eigenvalue, fewer stored vectors
-    lean = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9, materialize=10)
+    lean = laplacian_eigenpairs(assemble_laplacian(g), 10, 1e-9)
     assert (lean.count, lean.materialized) == (64, 10)
     assert np.array_equal(lean.eigenvalues, full.eigenvalues)
     assert np.array_equal(lean.vectors, full.vectors[:, :10])
@@ -394,11 +386,9 @@ def test_laplacian_closed_form_partial_and_validated():
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.5), g)
     with pytest.raises(ValueError):
         laplacian_eigenpairs(assemble_schrodinger(f, g), 10, 1e-9)
-    with pytest.raises(ValueError):
-        laplacian_eigenpairs(assemble_laplacian(g), 65, 1e-9)
     for bad in (0, 65):
         with pytest.raises(ValueError):
-            laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9, materialize=bad)
+            laplacian_eigenpairs(assemble_laplacian(g), bad, 1e-9)
 
 
 def _tamper(monkeypatch, edit):
@@ -449,7 +439,7 @@ def test_laplacian_closed_form_catches_a_tampered_column(monkeypatch):
     monkeypatch.setattr(eigensolve, "_tensor_columns", tampered)
     g = make_grid(2, (np.pi, np.pi), (10, 12), "dirichlet")
     with pytest.raises(EigensolveError, match="residual") as info:
-        laplacian_eigenpairs(assemble_laplacian(g), g.node_count, 1e-9, materialize=20)
+        laplacian_eigenpairs(assemble_laplacian(g), 20, 1e-9)
     assert info.value.worst_residual > 1e-9
 
 
@@ -510,7 +500,7 @@ def test_flat_2d_pipeline_takes_both_bases_from_the_closed_form(monkeypatch, bou
     G = pipe.grid.node_count
     closed = laplacian_eigenpairs(pipe.op_lap, G, 1e-9)
     M = pipe.basis_L.materialized
-    assert m <= M < G and pipe.basis_L.count == G
+    assert M == m and pipe.basis_L.count == G   # solver.m stored columns, every mode
     assert np.array_equal(pipe.basis_L.vectors, closed.vectors[:, :M])
     assert np.array_equal(pipe.basis_L.eigenvalues, closed.eigenvalues)
     assert pipe.basis_L.tag == "schrodinger"
@@ -555,26 +545,44 @@ def test_tensor_coefficients_match_dense_gemm(dimension, points, boundary):
 @pytest.fixture(scope="module")
 def lean_basis():
     g = make_grid(2, (np.pi, np.pi), (8, 8), "dirichlet")
-    return laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9, materialize=10)
+    return laplacian_eigenpairs(assemble_laplacian(g), 10, 1e-9)
 
 
 def test_function_refuses_unstored_columns(lean_basis):
-    # every reader of eigenfunction node values goes through require_columns
+    # every reader of stored columns goes through require_columns
     lean_basis.require_columns(10)
     with pytest.raises(IndexError):
         lean_basis.require_columns(11)
 
 
-def test_sup_norms_refuse_unstored_columns(lean_basis):
-    assert len(sup_norms(lean_basis, 10)[0]) == 10
-    with pytest.raises(IndexError):
-        sup_norms(lean_basis, 11)
+def test_sup_norms_of_a_lean_basis_read_past_its_columns(lean_basis):
+    # the axis factors give every mode's sup norm, stored or not
+    full = laplacian_eigenpairs(assemble_laplacian(lean_basis.grid), 64, 1e-9)
+    per_k, top = sup_norms(lean_basis, 64)
+    assert np.array_equal(per_k, np.max(np.abs(full.vectors), axis=0))
+    assert top == float(np.max(per_k))
 
 
-def test_product_function_refuses_unstored_columns(lean_basis):
-    product_function(9, 9, lean_basis)
-    with pytest.raises(IndexError):
-        product_function(2, 10, lean_basis)
+@pytest.mark.parametrize(
+    "dimension, points, boundary",
+    [
+        (1, 33, "dirichlet"),
+        (1, 32, "periodic"),
+        (1, 31, "periodic"),
+        (2, (10, 12), "dirichlet"),
+        (2, (10, 9), "periodic"),
+        (3, (8, 9, 10), "dirichlet"),
+        (3, (8, 9, 8), "periodic"),
+    ],
+)
+def test_sup_norms_from_the_axis_factors_equal_the_columns(dimension, points, boundary):
+    # |prod_a v_a(x_a)| separates and rounding is monotone, so the product of
+    # the per-axis sups is the max over the stored column, bit for bit
+    g = make_grid(dimension, np.pi, points, boundary)
+    basis = laplacian_eigenpairs(assemble_laplacian(g), g.node_count, 1e-9)
+    per_k, top = sup_norms(basis, g.node_count)
+    assert np.array_equal(per_k, np.max(np.abs(basis.vectors), axis=0))
+    assert top == float(np.max(np.abs(basis.vectors)))
 
 
 def test_product_matrix_refuses_unstored_columns(lean_basis):

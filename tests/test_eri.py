@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenrank import eri as eri_module
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import make_grid
 from eigenrank.operator import (
     CONSTANT,
     RANDOM_FOURIER,
@@ -14,7 +14,7 @@ from eigenrank.operator import (
     sample_coefficients,
 )
 from eigenrank.eigensolve import laplacian_eigenpairs, lowest_eigenpairs
-from eigenrank.products import expansion_coefficients, pair_list, pair_row, product_function
+from eigenrank.products import expansion_coefficients, pair_list, pair_row, product_matrix
 from eigenrank.lowrank import hm1_weights, tail_table
 from eigenrank.eri import (
     GreenSolver,
@@ -33,9 +33,9 @@ def eri_setup(flat2d_small):
     return grid, op, src, lap, co, solver
 
 
-def inner(f, g):
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
+def product(basis, i, j):
+    """Node values of phi_i phi_j."""
+    return basis.vectors[:, i] * basis.vectors[:, j]
 
 
 def coeff_row(coeffs, i, j):
@@ -50,13 +50,10 @@ def fitted_pair_gram(co, weights, r):
     return fitted_integrals(co, weights, r, rows).reshape(P, P)
 
 
-def green(solver, rho):
-    return GridFunction(rho.grid, solver.solve(rho.values))
-
-
 def exact_eri(i, j, k, l, basis, solver):
     """(ij|kl) = <phi_i phi_j, (-Delta)^{-1} phi_k phi_l>, one sparse solve."""
-    return inner(product_function(i, j, basis), green(solver, product_function(k, l, basis)))
+    green = solver.solve(product(basis, k, l))
+    return basis.grid.quadrature_weight * float(np.dot(product(basis, i, j), green))
 
 
 def spectral_green(lap, block):
@@ -72,17 +69,15 @@ class TestGreen:
         # a density equal to psi_k returns psi_k / mu_k
         grid, op, src, lap, co, solver = eri_setup
         for k in (0, 1, 2, 37, grid.node_count - 1):
-            rho = GridFunction(grid, lap.vectors[:, k])
-            u = green(solver, rho)
+            rho = lap.vectors[:, k]
             np.testing.assert_allclose(
-                u.values, rho.values / lap.eigenvalues[k], atol=1e-12 * np.max(np.abs(rho.values))
+                solver.solve(rho), rho / lap.eigenvalues[k], atol=1e-12 * np.max(np.abs(rho))
             )
 
     def test_dual_paths_agree(self, eri_setup):
         # the LU pair Gram matrix is C diag(1/mu) C^T at r = G
         grid, op, src, lap, co, solver = eri_setup
-        pairs = pair_list(8)
-        prods = np.column_stack([product_function(i, j, src).values for i, j in pairs])
+        prods = product_matrix(src, 8)
         lu = grid.quadrature_weight * (prods.T @ solver.solve(prods))
         fit = (co.coeffs / lap.eigenvalues[None, :]) @ co.coeffs.T
         assert np.max(np.abs(lu - fit)) <= 1e-12 * np.max(np.abs(lu))
@@ -95,7 +90,7 @@ class TestGreen:
         op = assemble_laplacian(g)
         lap = laplacian_eigenpairs(op, 512, 1e-9)
         co = expansion_coefficients(lap, lap, 8, 512)
-        prods = np.column_stack([product_function(i, j, lap).values for i, j in pair_list(8)])
+        prods = product_matrix(lap, 8)
         lu = g.quadrature_weight * (prods.T @ GreenSolver(op).solve(prods))
         fit = (co.coeffs / lap.eigenvalues[None, :]) @ co.coeffs.T
         assert np.max(np.abs(lu - fit)) <= 1e-14 * np.max(np.abs(fit))
@@ -105,20 +100,18 @@ class TestGreen:
         op = assemble_laplacian(g)
         basis = lowest_eigenpairs(op, 128, 1e-9)
         x = g.axis_nodes(0)
-        rho = GridFunction(g, np.sin(x))
-        u = green(GreenSolver(op), rho)
+        u = GreenSolver(op).solve(np.sin(x))
         # discrete mu_1 = (4/h^2) sin^2(h/2) ~ 1, so u ~ sin x
-        np.testing.assert_allclose(u.values, np.sin(x) / basis.eigenvalues[0], atol=1e-10)
+        np.testing.assert_allclose(u, np.sin(x) / basis.eigenvalues[0], atol=1e-10)
 
     def test_linearity(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         rng = np.random.default_rng(7)
-        f = GridFunction(grid, rng.standard_normal(grid.node_count))
-        g_ = GridFunction(grid, rng.standard_normal(grid.node_count))
+        f = rng.standard_normal(grid.node_count)
+        g_ = rng.standard_normal(grid.node_count)
         a, b = 2.25, -0.75
-        combo = GridFunction(grid, a * f.values + b * g_.values)
-        lhs = green(solver, combo).values
-        rhs = a * green(solver, f).values + b * green(solver, g_).values
+        lhs = solver.solve(a * f + b * g_)
+        rhs = a * solver.solve(f) + b * solver.solve(g_)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
 
     def test_periodic_needs_mean_subtraction(self):
@@ -126,13 +119,13 @@ class TestGreen:
         op = assemble_laplacian(g)
         basis = lowest_eigenpairs(op, 32, 1e-9)
         solver = GreenSolver(op)
-        rho = GridFunction(g, np.ones(32))      # pure constant: solution is 0
-        assert np.max(np.abs(green(solver, rho).values)) <= 1e-10
+        # pure constant: solution is 0
+        assert np.max(np.abs(solver.solve(np.ones(32)))) <= 1e-10
         rng = np.random.default_rng(11)
-        rho = GridFunction(g, rng.standard_normal(32))
-        u = green(solver, rho).values
+        rho = rng.standard_normal(32)
+        u = solver.solve(rho)
         assert abs(np.mean(u)) <= 1e-12
-        spectral = spectral_green(basis, rho.values[:, None])[:, 0]
+        spectral = spectral_green(basis, rho[:, None])[:, 0]
         assert np.max(np.abs(u - spectral)) <= 1e-8
 
 
@@ -276,8 +269,8 @@ def _assert_exact_matches_spectral(res, src, lap):
     w = src.grid.quadrature_weight
     spectral = []
     for (i, j, k, l) in res.quadruples:
-        rho_ij = product_function(i, j, src).values
-        rho_kl = product_function(k, l, src).values
+        rho_ij = product(src, i, j)
+        rho_kl = product(src, k, l)
         spectral.append(w * rho_ij @ spectral_green(lap, rho_kl[:, None])[:, 0])
     spectral = np.array(spectral)
     np.testing.assert_allclose(

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import make_grid
 
 
-def inner(f, g):
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
+def inner(grid, f, g):
+    """Discrete L2 pairing of node values: quadrature_weight * sum_nodes f*g."""
+    return grid.quadrature_weight * float(np.dot(f, g))
 
 
 def test_dirichlet_spacing_and_nodes():
@@ -61,8 +61,8 @@ def test_make_grid_rejects(kwargs):
 def test_inner_constant_approaches_length():
     for points in (64, 256, 1024):
         g = make_grid(1, np.pi, points, "dirichlet")
-        one = GridFunction(g, np.ones(points))
-        assert inner(one, one) == pytest.approx(np.pi * points / (points + 1), rel=1e-14)
+        one = np.ones(points)
+        assert inner(g, one, one) == pytest.approx(np.pi * points / (points + 1), rel=1e-14)
 
 
 def test_discrete_sine_orthogonality_exact():
@@ -74,23 +74,15 @@ def test_discrete_sine_orthogonality_exact():
         for l in range(k + 1, points + 1):
             s = math.fsum(math.sin(k * xi) * math.sin(l * xi) for xi in x)
             assert abs(g.quadrature_weight * s) < 1e-12
-            f = GridFunction(g, np.sin(k * x))
-            h = GridFunction(g, np.sin(l * x))
-            assert abs(inner(f, h)) < 1e-12
+            assert abs(inner(g, np.sin(k * x), np.sin(l * x))) < 1e-12
 
 
 def test_normalized_sine_has_unit_norm():
     g = make_grid(1, np.pi, 128, "dirichlet")
     x = g.axis_nodes(0)
-    f = GridFunction(g, np.sin(3 * x))
-    f_hat = GridFunction(g, f.values / np.sqrt(inner(f, f)))
-    assert inner(f_hat, f_hat) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_grid_function_length_checked():
-    g = make_grid(1, np.pi, 16, "dirichlet")
-    with pytest.raises(ValueError):
-        GridFunction(g, np.ones(15))
+    f = np.sin(3 * x)
+    f_hat = f / np.sqrt(inner(g, f, f))
+    assert inner(g, f_hat, f_hat) == pytest.approx(1.0, abs=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,10 +94,9 @@ def test_grid_function_length_checked():
 def test_inner_symmetric_bilinear(seed, alpha, beta):
     g = make_grid(1, 1.0, 32, "dirichlet")
     rng = np.random.default_rng(seed)
-    f, h, u = (GridFunction(g, rng.standard_normal(32)) for _ in range(3))
-    assert inner(f, h) == inner(h, f)
-    combo = GridFunction(g, alpha * f.values + beta * h.values)
-    lhs = inner(combo, u)
-    rhs = alpha * inner(f, u) + beta * inner(h, u)
-    scale = 1.0 + abs(alpha) * abs(inner(f, u)) + abs(beta) * abs(inner(h, u))
+    f, h, u = (rng.standard_normal(32) for _ in range(3))
+    assert inner(g, f, h) == inner(g, h, f)
+    lhs = inner(g, alpha * f + beta * h, u)
+    rhs = alpha * inner(g, f, u) + beta * inner(g, h, u)
+    scale = 1.0 + abs(alpha) * abs(inner(g, f, u)) + abs(beta) * abs(inner(g, h, u))
     assert abs(lhs - rhs) <= 1e-12 * scale

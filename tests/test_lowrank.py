@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
 from eigenrank.eigensolve import CLUSTER_REL_GAP, SpectralBasis, lowest_eigenpairs
 from eigenrank.products import (
     expansion_coefficients,
     pair_list,
     pair_row,
-    product_function,
     product_matrix,
 )
 from eigenrank.eri import GreenSolver
@@ -38,11 +37,6 @@ def flat1d_coeffs(flat1d_small):
     co_l2 = expansion_coefficients(src, src, 16, grid.node_count)
     co_hm1 = expansion_coefficients(src, lap, 16, grid.node_count)
     return grid, op, src, lap, co_l2, co_hm1
-
-
-def inner(f, g):
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
 
 
 def coeff_row(coeffs, i, j):
@@ -102,8 +96,8 @@ class TestTails:
         solver = GreenSolver(op)
         table_h = tail_table(co_h, hm1_weights(co_h, lap))
         for (i, j) in [(0, 0), (1, 4), (7, 7)]:
-            f = product_function(i, j, src)
-            direct = math.sqrt(inner(f, GridFunction(grid, solver.solve(f.values))))
+            f = src.vectors[:, i] * src.vectors[:, j]
+            direct = math.sqrt(grid.quadrature_weight * float(np.dot(f, solver.solve(f))))
             assert table_h[pair_row(i, j, 16), 0] == pytest.approx(direct, rel=1e-8)
 
     def test_hm1_requires_laplacian_target(self, flat1d_coeffs):
@@ -393,7 +387,7 @@ class TestChainIdentities:
         mu = lap.eigenvalues[: co_h.m]
         for (i, j) in [(0, 0), (3, 11), (15, 15)]:
             spectral = float(np.dot(mu, coeff_row(co_h, i, j) ** 2))
-            direct = gradient_energy(product_function(i, j, src))
+            direct = gradient_energy(grid, src.vectors[:, i] * src.vectors[:, j])
             assert spectral == pytest.approx(direct, rel=1e-6)
 
 
@@ -460,3 +454,4 @@ def test_periodic_hm1_excludes_constant_mode():
     # no blow-up from the zero mode, and the full tail is finite
     val = tail_table(co, hm1_weights(co, basis))[0, 0]
     assert np.isfinite(val) and val > 0
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import make_grid
 from eigenrank.operator import (
     CONSTANT,
     HARMONIC,
@@ -16,11 +16,6 @@ from eigenrank.operator import (
     sample_coefficients,
     weyl_regime_cap,
 )
-
-
-def inner(f, g):
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
 
 
 def dirichlet_laplacian_spectrum(length, points):
@@ -209,16 +204,16 @@ class TestQuadraticForms:
         op = assemble_schrodinger(f, g)
         lap = assemble_laplacian(g)
         rng = np.random.default_rng(1)
-        u = GridFunction(g, rng.standard_normal(g.node_count))
-        assert _weighted_energy(u, f) == pytest.approx(_form(op, u), rel=1e-12)
-        assert gradient_energy(u) == pytest.approx(_form(lap, u), rel=1e-12)
+        u = rng.standard_normal(g.node_count)
+        assert _weighted_energy(g, u, f) == pytest.approx(_form(g, op, u), rel=1e-12)
+        assert gradient_energy(g, u) == pytest.approx(_form(g, lap, u), rel=1e-12)
 
     def test_gradient_energy_periodic(self):
         g = make_grid(1, 2 * np.pi, 32, "periodic")
         lap = assemble_laplacian(g)
         rng = np.random.default_rng(2)
-        u = GridFunction(g, rng.standard_normal(32))
-        assert gradient_energy(u) == pytest.approx(_form(lap, u), rel=1e-12)
+        u = rng.standard_normal(32)
+        assert gradient_energy(g, u) == pytest.approx(_form(g, lap, u), rel=1e-12)
 
 
 def _reference_modes(grid):
@@ -283,12 +278,11 @@ def test_weyl_regime_cap_values():
         assert weyl_regime_cap(make_grid(dimension, np.pi, points, boundary)) == cap
 
 
-def _weighted_energy(u, field):
+def _weighted_energy(g, u, field):
     """Dirichlet grid: sum_faces a_f (u_p - u_q)^2 / h^2 * weight, with zero
     ghost values at the boundary faces, i.e. the form <L0 u, u> read off the
     faces independently of the assembly."""
-    g = u.grid
-    vals = u.values.reshape(g.points_per_axis, order="F")
+    vals = u.reshape(g.points_per_axis, order="F")
     total = 0.0
     for axis, a in enumerate(field.a_face):
         diff = np.diff(vals, axis=axis, prepend=0.0, append=0.0)
@@ -297,9 +291,9 @@ def _weighted_energy(u, field):
     return g.quadrature_weight * total
 
 
-def _form(op, u):
+def _form(grid, op, u):
     """<M u, u> in the grid inner product."""
-    return inner(GridFunction(u.grid, op.matrix @ u.values), u)
+    return grid.quadrature_weight * float(np.dot(op.matrix @ u, u))
 
 
 def _random_series(spec, grid, coords, which):

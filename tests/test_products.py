@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenrank.grid import GridFunction, make_grid
+from eigenrank.grid import make_grid
 from eigenrank.operator import (
     CONSTANT,
     RANDOM_FOURIER,
@@ -23,16 +23,21 @@ from eigenrank.products import (
     expansion_coefficients,
     pair_list,
     pair_row,
-    product_function,
+    product_matrix,
     quadratic_chain_report,
     quadratic_form_values,
 )
 from rotation import rotate_cluster
 
 
-def inner(f, g):
-    """Discrete L2 pairing: quadrature_weight * sum_nodes f*g."""
-    return f.grid.quadrature_weight * float(np.dot(f.values, g.values))
+def inner(grid, f, g):
+    """Discrete L2 pairing of node values: quadrature_weight * sum_nodes f*g."""
+    return grid.quadrature_weight * float(np.dot(f, g))
+
+
+def product(basis, i, j):
+    """Node values of phi_i phi_j."""
+    return basis.vectors[:, i] * basis.vectors[:, j]
 
 
 def coeff_row(coeffs, i, j):
@@ -56,25 +61,27 @@ def test_pair_row_matches_pair_list(n, seed):
 
 
 def test_product_function_basics(flat1d_small):
+    # the product functions phi_i phi_j, one per column of product_matrix
     grid, _, src, _ = flat1d_small
-    sq = product_function(0, 0, src)
+    prods = product_matrix(src, 6)
+    assert prods.shape == (grid.node_count, 21)
+    for i, j in pair_list(6):
+        np.testing.assert_array_equal(prods[:, pair_row(j, i, 6)], product(src, i, j))
     # (sqrt(2/pi) sin x)^2 peaks at 2/pi
-    assert np.max(sq.values) == pytest.approx(2 / np.pi, rel=0.01)
-    a = product_function(2, 5, src)
-    b = product_function(5, 2, src)
-    np.testing.assert_array_equal(a.values, b.values)
+    assert np.max(prods[:, 0]) == pytest.approx(2 / np.pi, rel=0.01)
     # Hoelder: ||phi_i phi_j|| <= ||phi_i||_inf * ||phi_j|| = ||phi_i||_inf
+    a = prods[:, pair_row(2, 5, 6)]
     sup_i = np.max(np.abs(src.vectors[:, 2]))
-    assert np.sqrt(inner(a, a)) <= sup_i * (1 + 1e-12)
-    with pytest.raises(IndexError):
-        product_function(0, src.count, src)
+    assert np.sqrt(inner(grid, a, a)) <= sup_i * (1 + 1e-12)
+    with pytest.raises(ValueError):
+        product_matrix(src, src.count + 1)
 
 
 def test_first_mode_square_expansion_against_direct_quadrature(flat1d_small):
     grid, _, src, _ = flat1d_small
     co = expansion_coefficients(src, src, 4, grid.node_count)
     w = grid.quadrature_weight
-    sq = product_function(0, 0, src).values
+    sq = product(src, 0, 0)
     # independent oracle: plain fsum quadrature, no linear algebra
     for k in (0, 1, 2, 3, 9):
         direct = w * math.fsum(float(sq[t]) * float(src.vectors[t, k]) for t in range(grid.node_count))
@@ -98,20 +105,27 @@ def test_quadratic_form_two_paths(flat1d_small):
     rng = np.random.default_rng(42)
     for _ in range(10):
         i, j = sorted(rng.integers(0, 6, size=2))
-        fg = product_function(i, j, src)
+        fg = product(src, i, j)
         spectral = quadratic_form_value(i, j, co, src)
-        direct = inner(GridFunction(grid, op.matrix @ fg.values), fg)
+        direct = inner(grid, op.matrix @ fg, fg)
         assert spectral == pytest.approx(direct, rel=1e-8)
 
 
-def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small):
+def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small, flat2d_small):
     grid, _, src, lap = flat1d_small
     co = expansion_coefficients(src, lap, 4, grid.node_count)
-    fg = product_function(0, 0, src)
     val = quadratic_form_value(0, 0, co, lap)
-    assert val == pytest.approx(gradient_energy(fg), rel=1e-10)
+    assert val == pytest.approx(gradient_energy(grid, product(src, 0, 0)), rel=1e-10)
     # continuum value ||(2/pi) sin 2x||^2 = 2/pi for reference
     assert val == pytest.approx(2 / np.pi, rel=0.01)
+    # a (G, c) block gives one energy per column: the energy of that column
+    # alone, and the sparse form <-Delta f, f>
+    for grid, op_lap, src, _ in (flat1d_small, flat2d_small):
+        block = gradient_energy(grid, product_matrix(src, 4))
+        assert block.shape == (10,)
+        for (i, j), energy in zip(pair_list(4), block):
+            assert energy == pytest.approx(gradient_energy(grid, product(src, i, j)), rel=1e-12)
+        np.testing.assert_allclose(block, quadratic_form_values(op_lap, src, 4), rtol=1e-10)
 
 
 def test_quadratic_form_tag_mismatch(flat1d_small):
