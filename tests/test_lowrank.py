@@ -14,7 +14,8 @@ from eigenrank.products import (
 )
 from eigenrank.eri import GreenSolver
 from eigenrank import lowrank
-from eigenrank.config import parse_config
+from eigenrank import PRESETS
+from eigenrank.config import load_config, parse_config
 from eigenrank.pipeline import build_pipeline
 from eigenrank.lowrank import (
     cutoff,
@@ -455,3 +456,27 @@ def test_periodic_hm1_excludes_constant_mode():
     val = tail_table(co, hm1_weights(co, basis))[0, 0]
     assert np.isfinite(val) and val > 0
 
+
+PRESET_FIXTURES = {
+    "flat-1d": "flat1d_pipeline",
+    "flat-2d": "flat2d_pipeline",
+    "random-2d": "random2d_pipeline",
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_calibration_covers_every_resolved_cell(request, preset):
+    # each preset's constants are 1.25 times its largest resolved implied
+    # constant, so no resolved cell has a formula cutoff below r_empirical
+    fixture = PRESET_FIXTURES.get(preset)
+    pipe = request.getfixturevalue(fixture) if fixture else build_pipeline(load_config(preset))
+    cfg = pipe.config
+    report = scaling_report(
+        pipe.basis_L, pipe.basis_lap, pipe.coeffs_l2, pipe.coeffs_hm1,
+        cfg.sweep_n, cfg.sweep_eps, cfg.sweep_norms, pipe.grid.dimension,
+        calib_l2=cfg.calib_l2, calib_hm1=cfg.calib_hm1, window=pipe.window,
+    )
+    resolved = [rep for rep in report.rank_reports if rep.resolved]
+    assert resolved
+    short = [(rep.n, rep.eps, rep.norm) for rep in resolved if rep.r_predicted < rep.r_empirical]
+    assert short == []
