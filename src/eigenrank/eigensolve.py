@@ -568,11 +568,12 @@ def sup_norms(basis: SpectralBasis, n: int):
     A closed-form mode's |prod_a v_a(x_a)| separates, so its sup is the
     product of the per-axis sups max|v_a| in _tensor_columns' order (from
     axis 0); rounding is monotone, so that is the max over its column bit
-    for bit, stored or not.  A solved basis stores every pair it holds.
+    for bit, stored or not.  Any other basis reads its stored columns.
     """
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
     if basis.axis_vectors is None:
+        basis.require_columns(n)
         per_k = np.max(np.abs(basis.vectors[:, :n]), axis=0)
     else:
         per_k = np.ones(n)

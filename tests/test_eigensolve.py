@@ -563,6 +563,14 @@ def test_sup_norms_of_a_lean_basis_read_past_its_columns(lean_basis):
     assert top == float(np.max(per_k))
 
 
+def test_sup_norms_refuse_unstored_columns(lean_basis):
+    # a basis without axis factors has only its columns to read
+    rotated = rotate_cluster(lean_basis, [1, 2], seed=3)
+    assert len(sup_norms(rotated, 10)[0]) == 10
+    with pytest.raises(IndexError):
+        sup_norms(rotated, 11)
+
+
 @pytest.mark.parametrize(
     "dimension, points, boundary",
     [
