@@ -140,8 +140,10 @@ REJECTED = [
     ({"sweep.n": [4, 4]}, "sweep.n"),
     ({"sweep.eps": [0.01, 0.01]}, "sweep.eps"),
     ({"eri.sample_seed": -1}, "eri.sample_seed"),
-    # a value out of CoefficientSpec's range, named by its field
-    ({"coefficients": {**RANDOM, "seed": -1}}, "coefficients.seed"),
+    # a value out of CoefficientSpec's range, named by its field; the bad
+    # field leads the block so the case's id differs early from seed=True's
+    ({"coefficients": {"seed": -1, "kind": "random_fourier", "a_amplitude": 0.3, "v_amplitude": 0.5}},
+     "coefficients.seed"),
     ({"coefficients.a0": 0}, "coefficients.a0"),
     ({"coefficients.v0": -1}, "coefficients.v0"),
     ({"coefficients": {**HARMONIC, "v_scale": -1}}, "coefficients.v_scale"),
