@@ -20,26 +20,46 @@ by one of two routes, chosen from the shape of the request alone
   Sturm sequences, so the window holds the lowest modes and none is
   skipped.  Used for wide windows, more than 1/LANCZOS_FRACTION of the
   unknowns, up to DENSE_CAP unknowns.
-- lanczos: shift-inverted eigsh from a fixed start vector, for narrow
-  windows and past DENSE_CAP.  Lanczos alone can skip an eigenvalue
-  without any residual or Gram check noticing, so the route is certified
-  by an inertia count of L - sigma I (_inertia_count; the completeness
-  check of the spectral transformation Lanczos method, Ericsson & Ruhe,
-  Math. Comp. 35, 1980).
+- lanczos: for narrow windows and past DENSE_CAP, the spectrum is cut into
+  slices of about MODES_PER_SLICE eigenvalues each, whose edges are placed
+  by inertia counts (_slice_edges), and each slice gets one shift-inverted
+  eigsh at its centre from a fixed start vector (spectrum slicing, Campos &
+  Roman, Numer. Algorithms 60, 2012).  ARPACK's cost grows like G k^2 in
+  the k pairs of one solve, so slices are cheaper than one solve for the
+  whole window.  Lanczos alone can skip an eigenvalue, and two slices can
+  return the same pair, without any residual or Gram check of the window
+  noticing, so the union of the slices is certified by one inertia count
+  of L - sigma I over every pair counted below sigma (_inertia_count; the
+  completeness check of the spectral transformation Lanczos method,
+  Ericsson & Ruhe, Math. Comp. 35, 1980).
+
+MODES_PER_SLICE, measured on the random-2d operator (lowest_eigenpairs at
+the Weyl cap, with its edge counts and the final count; 2 BLAS threads on
+2 shared cores; median of 6 runs at 64^2, of 2 at 96^2):
+
+    modes per slice     64^2, 221 pairs solved     96^2, 473 pairs solved
+    all in one          1.00 s (1 slice)           8.76 s (1)
+    160                 0.71 s (2)                 3.83 s (3)
+    120                 0.75 s (2)                 4.15 s (4)
+    100                 0.68 s (3)                 -
+     80                 0.77 s (3)                 3.41 s (6)
+     60                 0.71 s (4)                 3.42 s (8)
 
 Measured crossover (best of 3 at 2 BLAS threads on 2 shared cores, the
-solve for the window plus the CLUSTER_PAD modes, and the inertia count):
+solve for the window plus the CLUSTER_PAD modes; for Lanczos, its edge
+counts and the final inertia count):
 
-    grid          G     modes solved (fraction)   dense    lanczos + inertia
-    2-D random    1024   70 (0.068)               0.10 s   0.09 s
-    2-D random    2304  133 (0.058)               0.77 s   0.35 s
-    2-D random    4096  221 (0.054)               3.87 s   1.35 s
-    1-D harmonic   512  144 (0.281)               0.05 s   0.11 s
-    1-D harmonic  2048  528 (0.258)               1.43 s   3.69 s
+    grid          G     modes solved (fraction)   dense    lanczos (slices)
+    2-D random    1024   70 (0.068)               0.10 s   0.09 s (1)
+    2-D random    2304  133 (0.058)               0.86 s   0.32 s (2)
+    2-D random    4096  221 (0.054)               3.76 s   0.75 s (3)
+    1-D harmonic   512  144 (0.281)               0.04 s   0.06 s (2)
+    1-D harmonic  2048  528 (0.258)               1.41 s   0.65 s (7)
 
 2-D windows hold about 5% of the unknowns and take the Lanczos route; 1-D
-windows hold about 25% and stay dense.  Both routes are deterministic for a
-fixed BLAS thread count.  Residuals are verified against the same
+windows hold about 25% and stay dense, although at 2048 nodes the sliced
+route is the faster one.  Both routes are deterministic for a fixed
+BLAS thread count.  Residuals are verified against the same
 tolerance on either route.  Eigenvectors are normalized in the grid inner
 product, signs are fixed (first significant component positive) and
 near-degenerate clusters are re-orthonormalized so downstream tensors are
@@ -73,7 +93,7 @@ ORTHO_TOL = 1e-10
 RESIDUAL_BLOCK = 256   # columns per block of the residual certificate
 CLUSTER_PAD = 16       # modes solved past a window to find where its end cluster closes
 LANCZOS_FRACTION = 8   # windows of at most size/8 modes take the Lanczos route
-LANCZOS_SHIFT = -1.0   # below the spectrum when v_sup < 1 (L >= -v_sup); the inertia count covers the rest
+MODES_PER_SLICE = 80   # eigenpairs per Lanczos spectrum slice (module docstring)
 
 
 class EigensolveError(RuntimeError):
@@ -96,11 +116,13 @@ class Completeness:
     skipped none.
 
     route is "closed_form" (every mode, by construction), "dense" (LAPACK's
-    Sturm count, nothing to record) or "lanczos", which carries its inertia
-    count: count_below negative pivots of the LDL^T factorization of
-    L - sigma I against solved_below solved eigenvalues under sigma, and
-    backward_error, ||P(L - sigma I)P^T - L D L^T||_F, against distance,
-    the gap from sigma to the nearest solved eigenvalue.
+    Sturm count, nothing to record) or "lanczos", which carries its slices
+    and its inertia count.  slice_edges e_0 < ... < e_s bound the spectrum
+    slices, and slice_sizes holds the eigenpairs solved in each.  count_below
+    negative pivots of the LDL^T factorization of L - sigma I stand against
+    solved_below solved eigenvalues under sigma, and backward_error,
+    ||P(L - sigma I)P^T - L D L^T||_F, against distance, the gap from sigma
+    to the nearest solved eigenvalue.
     """
 
     route: str
@@ -109,6 +131,8 @@ class Completeness:
     solved_below: int | None = None
     backward_error: float | None = None
     distance: float | None = None
+    slice_edges: tuple | None = None
+    slice_sizes: tuple | None = None
 
     def describe(self, count: int) -> str:
         """One line on how a basis of `count` eigenpairs was shown complete."""
@@ -119,8 +143,10 @@ class Completeness:
         return (
             f"{self.count_below} negative LDL^T pivots of L - sigma I at sigma = "
             f"{self.sigma:.6g} for {self.solved_below} solved eigenvalues below it "
-            f"(window {count}); backward error {self.backward_error:.3e} "
-            f"< distance to the nearest solved eigenvalue {self.distance:.3e}"
+            f"(window {count}; {len(self.slice_sizes)} spectrum slices of "
+            f"{'/'.join(map(str, self.slice_sizes))} pairs); backward error "
+            f"{self.backward_error:.3e} < distance to the nearest solved eigenvalue "
+            f"{self.distance:.3e}"
         )
 
 
@@ -194,23 +220,21 @@ def lowest_eigenpairs(
     the count grows to cluster_end(eigenvalues, m): the solve runs
     CLUSTER_PAD modes past m, and again with a doubled pad while the cluster
     reaches the end of what was solved.  Only the returned pairs are
-    certified; a Lanczos solve also by its inertia count, taken once, on the
-    final solve.
+    certified; a Lanczos solve also by its inertia count, taken once over
+    the union of its slices, on the final solve.
     """
     _check_request(op, m, tol)
     most = op.size if op.size <= DENSE_CAP else op.size - 1   # Lanczos needs k < size
     pad = CLUSTER_PAD
     while True:
         solved = max(m, min(m + pad, most))
-        lam, vec, route = _solve_lowest(op, solved)
+        lam, vec, completeness = _solve_lowest(op, solved)
         end = cluster_end(lam, m)
         if end < len(lam) or solved >= most:
             break
         pad *= 2
-    if route == "lanczos":
-        completeness = _inertia_count(op, lam, vec, end, tol)
-    else:
-        completeness = Completeness(route)
+    if completeness.route == "lanczos":
+        completeness = _inertia_count(op, lam, vec, end, tol, completeness)
     lam = lam[:end]
     vec = np.ascontiguousarray(vec[:, :end])
 
@@ -359,13 +383,15 @@ def _uses_lanczos(size: int, solved: int) -> bool:
 
 def _solve_lowest(op, m):
     """The m lowest eigenvalues (ascending) and eigenvectors of op,
-    unnormalized, and the route that solved them."""
+    unnormalized, and how they were solved: Completeness("dense"), or the
+    Lanczos route's slices, whose count _inertia_count adds."""
     if _uses_lanczos(op.size, m):
-        return (*_iterative_lowest(op, m), "lanczos")
+        return _sliced_lowest(op, m)
     dense = op.matrix.toarray(order="F")
     # the index-range solve brackets eigenvalues 0..m-1 by Sturm counts and
     # computes only their vectors
-    return (*sla.eigh(dense, overwrite_a=True, subset_by_index=(0, m - 1)), "dense")
+    lam, vec = sla.eigh(dense, overwrite_a=True, subset_by_index=(0, m - 1))
+    return lam, vec, Completeness("dense")
 
 
 def _cluster_starts(eigenvalues: np.ndarray) -> np.ndarray:
@@ -384,60 +410,113 @@ def cluster_end(eigenvalues: np.ndarray, m: int) -> int:
     return int(later[0]) if later.size else len(eigenvalues)
 
 
-def _iterative_lowest(op, m):
+def _sliced_lowest(op, m):
+    """The m lowest eigenpairs by shift-inverted Lanczos, one solve per
+    spectrum slice.
+
+    Slice j lies between edges e_{j-1} < e_j whose inertia counts differ by
+    k_j (_slice_edges).  Every eigenvalue inside it is nearer its centre
+    than any outside it, so eigsh at the centre, asked for the k_j nearest,
+    returns exactly the slice's pairs.  The union is sorted and cut to the
+    m lowest; _inertia_count certifies it.
+    """
+    edges, counts = _slice_edges(op, m)
+    sizes = np.diff(counts)
+    matrix = op.matrix.tocsc()
     # a fixed start vector keeps reruns bitwise identical (ARPACK's own
     # random start carries state across calls); a generic one, because a
     # constant vector has no component along the modes that are odd about
     # the centre of a symmetric box
     v0 = np.random.default_rng(0).standard_normal(op.size)
-    try:
-        lam, vec = spla.eigsh(
-            op.matrix.tocsc(),
-            k=m,
-            sigma=LANCZOS_SHIFT,
-            which="LM",
-            v0=v0,
-            tol=0,   # iterate to machine precision; certificates checked below
-        )
-    except spla.ArpackNoConvergence as exc:
-        worst = None
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            worst = float(np.max(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
-        raise EigensolveError(
-            "residuals",
-            f"Lanczos failed to converge within the iteration budget: {exc}",
-            worst_residual=worst,
-        ) from exc
-    order = np.argsort(lam, kind="stable")
-    return lam[order], np.ascontiguousarray(vec[:, order])
+    pairs = []
+    for lo, hi, k in zip(edges, edges[1:], sizes):
+        try:
+            pairs.append(spla.eigsh(
+                matrix,
+                k=k,
+                sigma=0.5 * (lo + hi),
+                which="LM",
+                v0=v0,
+                tol=0,   # iterate to machine precision; certificates checked later
+            ))
+        except spla.ArpackNoConvergence as exc:
+            worst = None
+            if exc.eigenvalues is not None and len(exc.eigenvalues):
+                worst = float(np.max(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
+            raise EigensolveError(
+                "residuals",
+                f"Lanczos failed to converge within the iteration budget: {exc}",
+                worst_residual=worst,
+            ) from exc
+    lam = np.concatenate([lam_j for lam_j, _ in pairs])
+    order = np.argsort(lam, kind="stable")[:m]
+    # gather the m lowest columns slice by slice, freeing each slice's
+    # vectors once read, so no second copy of the union is held (a 128^2
+    # random verify-all peaked at 492 MB with one, 415 MB without)
+    vec = np.empty((op.size, order.size))
+    start = 0
+    for j, (lam_j, vec_j) in enumerate(pairs):
+        mine = np.flatnonzero((order >= start) & (order < start + lam_j.size))
+        vec[:, mine] = vec_j[:, order[mine] - start]
+        start += lam_j.size
+        pairs[j] = None
+    slices = Completeness(
+        "lanczos", slice_edges=tuple(map(float, edges)), slice_sizes=tuple(map(int, sizes))
+    )
+    return lam[order], vec, slices
 
 
-def _inertia_count(op, lam, vec, end, tol) -> Completeness:
-    """Certify that the ascending solved eigenpairs (lam, vec) of op include
-    every eigenvalue of op up to lam[end - 1].
+def _slice_edges(op, top):
+    """Edges e_0 < ... < e_s of the Lanczos slices and their inertia counts
+    0 = c_0 < ... < c_s, with c_s >= top and s = ceil(c_s / MODES_PER_SLICE).
 
-    sigma is the midpoint of the widest gap among lam[end - 1:].  The sparse
-    LU of P (op - sigma I) P^T with diagonal pivots in symmetric mode
-    (perm_r == perm_c) is an LDL^T factorization, D = diag(U), so by
-    Sylvester's law L D L^T has exactly as many negative eigenvalues as D
-    has negative entries.  L D L^T differs from P (op - sigma I) P^T by the
-    measured backward error E, which moves each eigenvalue by at most
-    ||E||_2 <= ||E||_F (Weyl).  With ||E||_F below the distance from sigma
-    to the nearest solved eigenvalue, every eigenvalue of op below
-    lam[end - 1] is counted, so a count equal to the number solved below
-    sigma leaves no room for a skipped one.  The solved pairs between the
-    window's end and sigma are counted too, so their residuals are checked
-    here against tol, as the window's are later.
+    The guesses come from the flat spectrum mu and the comparability
+    sandwich a_min mu_k - v_sup <= lambda_k <= a_max mu_k + v_sup, read at
+    flat(t), a point of the flat spectrum between two of its clusters with
+    at least t modes below it.  e_0 is the sandwich's lower end at k = 1,
+    below every eigenvalue, so it needs no count.  The top edge starts at
+    the sandwich's middle, (a_min + a_max) / 2 * flat(top); while it counts
+    fewer than `top`, it is rescaled by flat(top) / flat(count), up to the
+    sandwich's upper end a_max flat(top) + v_sup, which counts at least
+    that many.  Its count c_s then fixes slope = e_s / flat(c_s), and
+    interior edge j sits at slope * flat(j c_s / s), near an equal-count
+    quantile; an interior edge that adds no eigenvalue is dropped.
     """
-    gaps = np.diff(lam[end - 1:])
-    if not gaps.size:
-        raise EigensolveError(
-            "completeness",
-            f"inertia count: no solved eigenvalue above the window of {end} modes "
-            "to put the shift under"
-        )
-    k = end + int(np.argmax(gaps))   # lam[k - 1] < sigma < lam[k]
-    sigma = 0.5 * (lam[k - 1] + lam[k])
+    field = op.coefficients
+    mu = np.sort(stencil_eigenvalues(op.grid))
+
+    def flat(t):
+        t = min(cluster_end(mu, t), mu.size - 1)
+        return 0.5 * (mu[t - 1] + mu[t])
+
+    upper = field.a_max * flat(top) + field.v_sup
+    edge = 0.5 * (field.a_min + field.a_max) * flat(top)
+    below = _count_below(op, edge)
+    while below < top:
+        if edge >= upper:
+            raise EigensolveError(
+                "completeness",
+                f"inertia count: {below} eigenvalues of L lie below the sandwich's "
+                f"bound {upper:.6g} on eigenvalue {top}",
+            )
+        grown = edge * flat(top) / flat(below)
+        edge = grown if edge < grown < upper else upper
+        below = _count_below(op, edge)
+    slope = edge / flat(below)
+    s = -(-below // MODES_PER_SLICE)
+    edges, counts = [field.a_min * mu[0] - field.v_sup], [0]
+    for j in range(1, s):
+        inner = slope * flat(j * below // s)
+        count = _count_below(op, inner)
+        if counts[-1] < count < below:
+            edges.append(inner)
+            counts.append(count)
+    return edges + [edge], counts + [below]
+
+
+def _ldlt(op, sigma):
+    """L - sigma I and its sparse LU with diagonal pivots in symmetric mode,
+    checked to be an LDL^T factorization (perm_r == perm_c, D = diag(U))."""
     shifted = (op.matrix - sigma * sp.identity(op.size, format="csr")).tocsc()
     try:
         lu = spla.splu(
@@ -456,6 +535,44 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
             "inertia count: the factorization pivoted off the diagonal "
             "(perm_r != perm_c), so it is no LDL^T and its pivots count nothing"
         )
+    return shifted, lu
+
+
+def _count_below(op, sigma) -> int:
+    """Eigenvalues of op below sigma, by the negative pivots of its LDL^T
+    (Sylvester's law of inertia)."""
+    return int(np.count_nonzero(_ldlt(op, sigma)[1].U.diagonal() < 0))
+
+
+def _inertia_count(op, lam, vec, end, tol, slices) -> Completeness:
+    """Certify that the ascending solved eigenpairs (lam, vec) of op, the
+    union of the Lanczos slices recorded in `slices`, include every
+    eigenvalue of op up to lam[end - 1].
+
+    sigma is the midpoint of the widest gap among lam[end - 1:].  The
+    LDL^T factorization of P (op - sigma I) P^T (_ldlt) has exactly as many
+    negative eigenvalues as D has negative entries (Sylvester).  L D L^T
+    differs from P (op - sigma I) P^T by the measured backward error E,
+    which moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  With
+    ||E||_F below the distance from sigma to the nearest solved eigenvalue,
+    every eigenvalue of op below lam[end - 1] is counted, so a count equal
+    to the number solved below sigma leaves no room for a skipped one,
+    provided each counted pair is a distinct eigenpair: the pairs between
+    the window's end and sigma have their residuals checked here against
+    tol, as the window's are later, and every pair below sigma must be
+    orthonormal, or a ghost copy of one (two slices returning the same
+    pair) could stand in for a skipped one.
+    """
+    gaps = np.diff(lam[end - 1:])
+    if not gaps.size:
+        raise EigensolveError(
+            "completeness",
+            f"inertia count: no solved eigenvalue above the window of {end} modes "
+            "to put the shift under"
+        )
+    k = end + int(np.argmax(gaps))   # lam[k - 1] < sigma < lam[k]
+    sigma = 0.5 * (lam[k - 1] + lam[k])
+    shifted, lu = _ldlt(op, sigma)
     pivots = lu.U.diagonal()
     count = int(np.count_nonzero(pivots < 0))
     # splu factors Pr A Pc = L U with Pr[perm_r[i], i] = 1, so row perm[i]
@@ -473,6 +590,14 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
             f"window exceeds tolerance {tol:.3e}",
             worst_residual=float(np.max(extra)),
         )
+    defect = _gram_defect(vec[:, :k], 1.0)   # eigsh returns unit vectors
+    if defect > ORTHO_TOL:
+        raise EigensolveError(
+            "orthonormality",
+            f"inertia count: the {k} pairs solved below sigma = {sigma:.6g} have "
+            f"orthonormality defect {defect:.3e} above {ORTHO_TOL}, so they are not "
+            "distinct eigenpairs"
+        )
     if count != k:
         raise EigensolveError(
             "completeness",
@@ -486,7 +611,10 @@ def _inertia_count(op, lam, vec, end, tol) -> Completeness:
             f"reaches the distance {distance:.3e} from sigma = {sigma:.6g} to the "
             "nearest solved eigenvalue"
         )
-    return Completeness("lanczos", float(sigma), count, k, backward, distance)
+    return replace(
+        slices, sigma=float(sigma), count_below=count, solved_below=k,
+        backward_error=backward, distance=distance,
+    )
 
 
 def _scaled_residuals(op, lam, vec):

@@ -114,12 +114,14 @@ class DiscreteOperator:
     """Symmetric sparse stencil operator on a grid.
 
     `kind` records what was assembled (schrodinger or laplacian) and is
-    inherited by spectral bases.
+    inherited by spectral bases; `coefficients` is the sampled field it was
+    assembled from, whose bounds place the Lanczos route's slices.
     """
 
     grid: Grid
     kind: str
     matrix: sp.csr_array
+    coefficients: CoefficientField
 
     @property
     def size(self) -> int:
@@ -254,7 +256,7 @@ def _assemble(field: CoefficientField, kind: str) -> DiscreteOperator:
     for axis, a in enumerate(field.a_face):
         diff = _face_difference(grid, axis)
         mat = mat + diff.T @ sp.diags(a / grid.spacing[axis] ** 2) @ diff
-    return DiscreteOperator(grid=grid, kind=kind, matrix=sp.csr_array(mat))
+    return DiscreteOperator(grid=grid, kind=kind, matrix=sp.csr_array(mat), coefficients=field)
 
 
 def gradient_energy(grid: Grid, values: np.ndarray):

@@ -94,6 +94,7 @@ class Pipeline:
     coeffs_l2: ProductCoefficients
     coeffs_hm1: ProductCoefficients
     n_max: int
+    cap: int        # weyl_regime_cap: the window before its end cluster closes, the fits' top
     window: int     # the resolved window M of basis_L
     build_seconds: float
     timings: dict   # wall seconds by stage name: the build stages, then run()'s
@@ -155,6 +156,7 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
         coeffs_l2=coeffs_l2,
         coeffs_hm1=coeffs_hm1,
         n_max=n_max,
+        cap=cap,
         window=window,
         build_seconds=time.perf_counter() - t0,
         timings=timings,
@@ -229,7 +231,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
         rows,
         pipe.timings,
     )
-    cap = weyl_regime_cap(pipe.grid)
+    cap = pipe.cap
     k_min = max(4, cap // 8)   # skip the boundary-dominated low modes
     if cap - k_min + 1 >= 8:
         fit = weyl_fit(pipe.basis_L, pipe.grid.dimension, k_min, cap)
@@ -410,7 +412,11 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     values = {key: value for key, value in asdict(done).items() if value is not None}
     record("completeness", True, done.describe(pipe.basis_L.count), **values)
 
-    chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, pipe.n_max)
+    # node values of the products, read by the chain bound and the H^1
+    # identity, and released before the tail tables are formed, so the
+    # block does not add to the checks' peak memory
+    prods = product_matrix(pipe.basis_L, pipe.n_max)
+    chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, prods)
     margin = chain.bound - float(np.max(chain.values))
     record(
         "quadratic_chain",
@@ -418,6 +424,17 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"n={chain.n}, bound {chain.bound:.6g}, worst value {float(np.max(chain.values)):.6g}, "
         f"margin {margin:.3e}",
     )
+
+    mu = pipe.basis_lap.eigenvalues[: pipe.coeffs_hm1.m]
+    grad_sq = (pipe.coeffs_hm1.coeffs**2) @ mu
+    direct_all = gradient_energy(pipe.grid, prods)
+    del prods
+    # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
+    # constant mode) are judged against the family's noise scale, not 0
+    atol = 1e-9 * (1.0 + float(np.max(direct_all)))
+    excess = np.abs(direct_all - grad_sq) / (1e-6 * direct_all + atol)
+    worst = float(np.max(excess))
+    record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
     # Q = <L f, f> of every product, from the sparse matrix (chain.values)
     Q = chain.values
@@ -430,7 +447,6 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"worst lambda_r*tail^2 - Q = {worst_slack:.3e}",
     )
 
-    mu = pipe.basis_lap.eigenvalues[: pipe.coeffs_hm1.m]
     table_hm1 = tail_table(pipe.coeffs_hm1, hm1_weights(pipe.coeffs_hm1, pipe.basis_lap))
     rhs = tail_table(pipe.coeffs_hm1) ** 2
     worst_slack = float(np.max(tail_identity_slack(mu, table_hm1, rhs)))
@@ -439,15 +455,6 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         worst_slack <= 1e-10,
         f"worst mu_r*(H^-1 tail)^2 - (L2 tail)^2 = {worst_slack:.3e}",
     )
-
-    grad_sq = (pipe.coeffs_hm1.coeffs**2) @ mu
-    direct_all = gradient_energy(pipe.grid, product_matrix(pipe.basis_L, pipe.n_max))
-    # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
-    # constant mode) are judged against the family's noise scale, not 0
-    atol = 1e-9 * (1.0 + float(np.max(direct_all)))
-    excess = np.abs(direct_all - grad_sq) / (1e-6 * direct_all + atol)
-    worst = float(np.max(excess))
-    record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
     # expansions in both targets, L's basis and the Laplacian's; a windowed
     # one adds its out-of-window mass (Pythagoras).  That mass is measured as

@@ -138,13 +138,13 @@ def _tensor_coefficients(prods: np.ndarray, basis: SpectralBasis, m: int) -> np.
     return block.reshape(prods.shape[1], -1)[:, flat]
 
 
-def quadratic_form_values(op: DiscreteOperator, basis: SpectralBasis, n: int) -> np.ndarray:
-    """Q[p] = <op (phi_i phi_j), phi_i phi_j> for every pair p of pair_list(n),
-    straight from the sparse matrix (no spectral sum, so no complete basis)."""
-    if op.grid != basis.grid:
-        raise ValueError("operator and basis live on different grids")
-    prods = product_matrix(basis, n)
-    return basis.grid.quadrature_weight * np.sum(prods * (op.matrix @ prods), axis=0)
+def quadratic_form_values(op: DiscreteOperator, prods: np.ndarray) -> np.ndarray:
+    """Q[p] = <op f_p, f_p> for each column f_p of the node values `prods`
+    (product_matrix), straight from the sparse matrix (no spectral sum, so
+    no complete basis)."""
+    if prods.shape[0] != op.size:
+        raise ValueError(f"{prods.shape[0]} node values per column for {op.size} nodes")
+    return op.grid.quadrature_weight * np.sum(prods * (op.matrix @ prods), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +167,14 @@ def quadratic_chain_report(
     op_L: DiscreteOperator,
     basis_L: SpectralBasis,
     field: CoefficientField,
-    n: int,
+    prods: np.ndarray,
 ) -> QuadraticChainReport:
-    """Evaluate the traced bound for every pair i <= j < n."""
+    """Evaluate the traced bound for every pair i <= j < n, whose products
+    are the columns of prods = product_matrix(basis_L, n)."""
     if op_L.kind != SCHRODINGER:
         raise ValueError(f"chain bound applies to the {SCHRODINGER} operator, got {op_L.kind!r}")
-    values = quadratic_form_values(op_L, basis_L, n)
+    n = int(np.sqrt(2 * prods.shape[1]))   # n(n+1)/2 pairs: n^2 < 2 pairs < (n+1)^2
+    values = quadratic_form_values(op_L, prods)
     lam_n = basis_L.eigenvalues[n - 1]
     _, S = sup_norms(basis_L, n)
     grad_bound = 2.0 * np.sqrt((lam_n + field.v_sup) / field.a_min) * S

@@ -69,7 +69,9 @@ def test_criterion_02_quadratic_chain(flat1d_pipeline, random2d_pipeline):
     details = []
     ok = True
     for pipe in (flat1d_pipeline, random2d_pipeline):
-        rep = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, n=16)
+        rep = quadratic_chain_report(
+            pipe.op_L, pipe.basis_L, pipe.field_, product_matrix(pipe.basis_L, 16)
+        )
         violations = int(np.sum(rep.values > rep.bound))
         ok = ok and violations == 0
         details.append(
@@ -85,7 +87,7 @@ def test_criterion_03_tail_identities(flat1d_pipeline, flat2d_pipeline, random2d
     for pipe in (flat1d_pipeline, flat2d_pipeline, random2d_pipeline):
         # Q = <L f, f> from the sparse matrix: random-2d's L2 table is windowed
         lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
-        Q = quadratic_form_values(pipe.op_L, pipe.basis_L, pipe.coeffs_l2.n)
+        Q = quadratic_form_values(pipe.op_L, product_matrix(pipe.basis_L, pipe.coeffs_l2.n))
         slack = tail_identity_slack(lam, tail_table(pipe.coeffs_l2), Q[:, None])
         worst_slack = float(np.max(slack - 1e-10 * (1 + np.abs(Q))))
         ok = ok and worst_slack <= 0

@@ -326,8 +326,9 @@ class TestCommands:
         assert summary["eri"]["enabled"]
 
     def test_non_flat_past_dense_cap_is_certified(self, tmp_path):
-        # above DENSE_CAP a non-flat window takes the Lanczos route, whose
-        # inertia count certifies that it skipped no mode
+        # above DENSE_CAP a non-flat window takes the Lanczos route, solved
+        # in spectrum slices, whose one inertia count certifies that it
+        # skipped no mode
         path = small_config(
             tmp_path,
             grid=_2d_grid(72),
@@ -345,6 +346,9 @@ class TestCommands:
         assert done["route"] == "lanczos"
         assert done["count_below"] == done["solved_below"] >= summary["resolved_window"]
         assert done["sigma"] > 0.0 and 0.0 <= done["backward_error"] < done["distance"]
+        assert len(done["slice_sizes"]) > 1
+        assert len(done["slice_edges"]) == len(done["slice_sizes"]) + 1
+        assert sum(done["slice_sizes"]) >= done["solved_below"]
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate", "--config", "x"]) == 2

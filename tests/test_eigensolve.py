@@ -700,6 +700,114 @@ def test_inertia_count_reports_the_worst_counted_residual(monkeypatch):
     assert max(direct[16:k]) < max(direct)
 
 
+def test_inertia_count_catches_a_ghost_pair(monkeypatch):
+    # a solve that loses pair 3 and returns pair 17 twice: the ghost copy
+    # stands in for the lost pair in the count below sigma, so only the
+    # orthonormality of every counted pair sees it
+    real = eigensolve.spla.eigsh
+
+    def ghost(*args, **kwargs):
+        lam, vec = real(*args, **kwargs)
+        order = np.argsort(lam)
+        keep = np.append(np.delete(order, 3), order[17])
+        return lam[keep], vec[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", ghost)
+    with pytest.raises(EigensolveError, match="inertia count: .* not distinct eigenpairs") as info:
+        lowest_eigenpairs(_random_2d_op(), 16, 1e-9)
+    assert info.value.check == "orthonormality"
+
+
+def _sliced(monkeypatch, op, m):
+    """lowest_eigenpairs(op, m) in slices of about 16 pairs: three or more
+    for the m + CLUSTER_PAD = 46 pairs solved at m = 30."""
+    monkeypatch.setattr(eigensolve, "MODES_PER_SLICE", 16)
+    return lowest_eigenpairs(op, m, 1e-9)
+
+
+def _slice_calls(monkeypatch, edit):
+    """Patch eigsh so that edit(call, lam, vec, seen) changes the pairs of
+    slice `call` (ascending lam); seen holds the earlier slices' pairs."""
+    real = eigensolve.spla.eigsh
+    seen = []
+
+    def patched(*args, **kwargs):
+        lam, vec = real(*args, **kwargs)
+        order = np.argsort(lam)
+        lam, vec = edit(len(seen), lam[order], vec[:, order], seen)
+        seen.append((lam, vec))
+        return lam, vec
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", patched)
+
+
+def test_sliced_window_matches_a_full_eigh(monkeypatch):
+    op = _random_2d_op(points=24)
+    basis = _sliced(monkeypatch, op, 30)
+    done = basis.completeness
+    assert done.route == "lanczos" and len(done.slice_sizes) >= 3
+    assert len(done.slice_edges) == len(done.slice_sizes) + 1
+    assert np.all(np.diff(done.slice_edges) > 0)
+    assert done.count_below == done.solved_below <= sum(done.slice_sizes)
+    lam = sla.eigh(op.matrix.toarray(), eigvals_only=True)
+    np.testing.assert_allclose(basis.eigenvalues, lam[: basis.count], rtol=1e-12)
+    # each edge's count is the number of eigenvalues below it
+    counts = np.cumsum(done.slice_sizes)
+    assert [np.count_nonzero(lam < e) for e in done.slice_edges] == [0, *counts]
+    again = _sliced(monkeypatch, op, 30)
+    for name in ("eigenvalues", "vectors", "residuals"):
+        assert np.array_equal(getattr(again, name), getattr(basis, name))
+    assert again.completeness == done
+
+
+def test_sliced_solve_catches_a_pair_lost_in_the_middle_slice(monkeypatch):
+    def drop(call, lam, vec, seen):
+        if call != 1:
+            return lam, vec
+        return np.delete(lam, 2), np.delete(vec, 2, axis=1)
+
+    _slice_calls(monkeypatch, drop)
+    with pytest.raises(EigensolveError, match="inertia count: .* below sigma") as info:
+        _sliced(monkeypatch, _random_2d_op(points=24), 30)
+    assert info.value.check == "completeness"
+
+
+def test_sliced_solve_catches_a_neighbouring_slice_pair(monkeypatch):
+    # the middle slice returns the lowest slice's top pair in place of its own
+    # lowest: the count below sigma still matches, the Gram matrix does not
+    def borrow(call, lam, vec, seen):
+        if call != 1:
+            return lam, vec
+        lower_lam, lower_vec = seen[0]
+        lam, vec = lam.copy(), vec.copy()
+        lam[0], vec[:, 0] = lower_lam[-1], lower_vec[:, -1]
+        return lam, vec
+
+    _slice_calls(monkeypatch, borrow)
+    with pytest.raises(EigensolveError, match="inertia count: .* not distinct eigenpairs") as info:
+        _sliced(monkeypatch, _random_2d_op(points=24), 30)
+    assert info.value.check == "orthonormality"
+
+
+def test_sliced_solve_keeps_exact_ties_whole(monkeypatch):
+    # -Delta + 2.5 on a square: exact pairs on both sides of the slice edges.
+    # The sandwich's middle leaves out the potential, so the first guess of
+    # the top edge counts too few and is rescaled before the slices are cut
+    grid = make_grid(2, (np.pi, np.pi), (24, 24), "dirichlet")
+    spec = CoefficientSpec(CONSTANT, a0=1.0, v0=2.5)
+    op = assemble_schrodinger(sample_coefficients(spec, grid), grid)
+    basis = _sliced(monkeypatch, op, 30)
+    done = basis.completeness
+    assert len(done.slice_sizes) >= 3 and done.count_below == done.solved_below
+    lam = sla.eigh(op.matrix.toarray(), eigvals_only=True)
+    ties = np.flatnonzero(np.diff(lam[: basis.count]) < 1e-8 * lam[1 : basis.count])
+    assert ties.size >= 5
+    counts = np.cumsum(done.slice_sizes)
+    assert [np.count_nonzero(lam < e) for e in done.slice_edges] == [0, *counts]
+    np.testing.assert_allclose(basis.eigenvalues, lam[: basis.count], rtol=1e-12)
+    assert basis.ortho_defect <= 1e-10
+
+
 def test_inertia_count_needs_a_symmetric_factorization(monkeypatch):
     real = eigensolve.spla.splu
 
@@ -751,8 +859,10 @@ def test_narrow_random_window_takes_the_lanczos_route(monkeypatch):
         "dirichlet", 16, 8, kind="random_fourier", seed=3, a_amplitude=0.3, v_amplitude=0.5
     )
     pipe = build_pipeline(cfg)
-    assert calls == {"eigsh": 1, "splu": 1, "eigh": 0}
-    assert pipe.basis_L.completeness.route == "lanczos"
+    # one slice: one count places its top edge, one certifies the window
+    assert calls == {"eigsh": 1, "splu": 2, "eigh": 0}
+    done = pipe.basis_L.completeness
+    assert done.route == "lanczos" and len(done.slice_sizes) == 1
 
 
 def test_wide_harmonic_window_takes_the_dense_route(monkeypatch):

@@ -125,7 +125,9 @@ def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small, flat2d_small)
         assert block.shape == (10,)
         for (i, j), energy in zip(pair_list(4), block):
             assert energy == pytest.approx(gradient_energy(grid, product(src, i, j)), rel=1e-12)
-        np.testing.assert_allclose(block, quadratic_form_values(op_lap, src, 4), rtol=1e-10)
+        np.testing.assert_allclose(
+            block, quadratic_form_values(op_lap, product_matrix(src, 4)), rtol=1e-10
+        )
 
 
 def test_quadratic_form_tag_mismatch(flat1d_small):
@@ -133,7 +135,7 @@ def test_quadratic_form_tag_mismatch(flat1d_small):
     grid, op_lap, src, lap = flat1d_small
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
     with pytest.raises(ValueError):
-        quadratic_chain_report(op_lap, src, f, 4)
+        quadratic_chain_report(op_lap, src, f, product_matrix(src, 4))
 
 
 def test_sparse_quadratic_form_matches_the_spectral_sum():
@@ -143,7 +145,7 @@ def test_sparse_quadratic_form_matches_the_spectral_sum():
     op = assemble_schrodinger(sample_coefficients(spec, g), g)
     bL = lowest_eigenpairs(op, g.node_count, 1e-9)
     co = expansion_coefficients(bL, bL, 6, g.node_count)
-    Q = quadratic_form_values(op, bL, 6)
+    Q = quadratic_form_values(op, product_matrix(bL, 6))
     for (i, j) in pair_list(6):
         assert Q[pair_row(i, j, 6)] == pytest.approx(quadratic_form_value(i, j, co, bL), rel=1e-10)
 
@@ -180,7 +182,7 @@ def test_truncated_form_monotone(flat1d_small):
 def test_chain_bound_flat_1d(flat1d_small):
     grid, _, src, _ = flat1d_small
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
-    rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, 16)
+    rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, product_matrix(src, 16))
     assert rep.ok
     assert np.all(rep.values <= rep.bound)
 
@@ -191,7 +193,7 @@ def test_chain_bound_random_2d():
     f = sample_coefficients(spec, g)
     op = assemble_schrodinger(f, g)
     bL = lowest_eigenpairs(op, 12, 1e-9)
-    rep = quadratic_chain_report(op, bL, f, 12)
+    rep = quadratic_chain_report(op, bL, f, product_matrix(bL, 12))
     assert rep.ok
 
 
