@@ -13,29 +13,24 @@ stored columns against the assembled operator.
 
 Any other operator goes through lowest_eigenpairs, which solves only the
 window it is asked for (grown to close the degenerate cluster at its end)
-by one of two routes, chosen from the shape of the request alone
-(_uses_lanczos):
-
-- dense: LAPACK's eigh with subset_by_index, which counts eigenvalues by
-  Sturm sequences, so the window holds the lowest modes and none is
-  skipped.  Used for wide windows, more than 1/LANCZOS_FRACTION of the
-  unknowns, up to DENSE_CAP unknowns.
-- lanczos: for narrow windows and past DENSE_CAP, the spectrum is cut into
-  slices of about MODES_PER_SLICE eigenvalues each, whose edges are placed
-  by inertia counts (_slice_edges), and each slice gets one shift-inverted
-  eigsh at its centre from a fixed start vector (spectrum slicing, Campos &
-  Roman, Numer. Algorithms 60, 2012).  ARPACK's cost grows like G k^2 in
-  the k pairs of one solve, so slices are cheaper than one solve for the
-  whole window.  Lanczos alone can skip an eigenvalue, and two slices can
-  return the same pair, without any residual or Gram check of the window
-  noticing, so the union of the slices is certified by one inertia count
-  of L - sigma I over every pair counted below sigma (_inertia_count; the
-  completeness check of the spectral transformation Lanczos method,
-  Ericsson & Ruhe, Math. Comp. 35, 1980).
+by spectrum slicing (Campos & Roman, Numer. Algorithms 60, 2012).  The
+spectrum is cut into slices of about MODES_PER_SLICE eigenvalues each, whose
+edges are placed by inertia counts (_slice_edges), and each slice gets one
+shift-inverted eigsh at its centre from a fixed start vector.  One sparse
+LDL^T routine (_ldlt, SuperLU in symmetric mode) serves all three jobs: the
+edge counts, the shift-invert solves of each slice and the final count.
+ARPACK's cost grows like G k^2 in the k pairs of one solve, so slices are
+cheaper than one solve for the whole window.  Lanczos alone can skip an
+eigenvalue, and two slices can return the same pair, without any residual
+or Gram check of the window noticing, so the union of the slices is
+certified by one inertia count of L - sigma I over every pair counted below
+sigma (_inertia_count; the completeness check of the spectral
+transformation Lanczos method, Ericsson & Ruhe, Math. Comp. 35, 1980).
 
 MODES_PER_SLICE, measured on the random-2d operator (lowest_eigenpairs at
-the Weyl cap, with its edge counts and the final count; 2 BLAS threads on
-2 shared cores; median of 6 runs at 64^2, of 2 at 96^2):
+the Weyl cap, with its edge counts and the final count, when each slice's
+eigsh still built its own LU; 2 BLAS threads on 2 shared cores; median of 6
+runs at 64^2, of 2 at 96^2):
 
     modes per slice     64^2, 221 pairs solved     96^2, 473 pairs solved
     all in one          1.00 s (1 slice)           8.76 s (1)
@@ -45,25 +40,10 @@ the Weyl cap, with its edge counts and the final count; 2 BLAS threads on
      80                 0.77 s (3)                 3.41 s (6)
      60                 0.71 s (4)                 3.42 s (8)
 
-Measured crossover (best of 3 at 2 BLAS threads on 2 shared cores, the
-solve for the window plus the CLUSTER_PAD modes; for Lanczos, its edge
-counts and the final inertia count):
-
-    grid          G     modes solved (fraction)   dense    lanczos (slices)
-    2-D random    1024   70 (0.068)               0.10 s   0.09 s (1)
-    2-D random    2304  133 (0.058)               0.86 s   0.32 s (2)
-    2-D random    4096  221 (0.054)               3.76 s   0.75 s (3)
-    1-D harmonic   512  144 (0.281)               0.04 s   0.06 s (2)
-    1-D harmonic  2048  528 (0.258)               1.41 s   0.65 s (7)
-
-2-D windows hold about 5% of the unknowns and take the Lanczos route; 1-D
-windows hold about 25% and stay dense, although at 2048 nodes the sliced
-route is the faster one.  Both routes are deterministic for a fixed
-BLAS thread count.  Residuals are verified against the same
-tolerance on either route.  Eigenvectors are normalized in the grid inner
-product, signs are fixed (first significant component positive) and
-near-degenerate clusters are re-orthonormalized so downstream tensors are
-reproducible.
+The sliced solve is deterministic for a fixed BLAS thread count.
+Eigenvectors are normalized in the grid inner product, signs are fixed
+(first significant component positive) and near-degenerate clusters are
+re-orthonormalized so downstream tensors are reproducible.
 """
 
 from __future__ import annotations
@@ -71,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -86,13 +65,12 @@ from .operator import (
     stencil_eigenvalues,
 )
 
-DENSE_CAP = 5000
+DENSE_CAP = 5000   # read only by perfbench/traced.py's dense_bytes counter
 DEFAULT_TOL = 1e-9
 CLUSTER_REL_GAP = 1e-8
 ORTHO_TOL = 1e-10
 RESIDUAL_BLOCK = 256   # columns per block of the residual certificate
 CLUSTER_PAD = 16       # modes solved past a window to find where its end cluster closes
-LANCZOS_FRACTION = 8   # windows of at most size/8 modes take the Lanczos route
 MODES_PER_SLICE = 80   # eigenpairs per Lanczos spectrum slice (module docstring)
 
 
@@ -115,14 +93,13 @@ class Completeness:
     """How a basis shows that it holds the lowest modes of its operator and
     skipped none.
 
-    route is "closed_form" (every mode, by construction), "dense" (LAPACK's
-    Sturm count, nothing to record) or "lanczos", which carries its slices
-    and its inertia count.  slice_edges e_0 < ... < e_s bound the spectrum
-    slices, and slice_sizes holds the eigenpairs solved in each.  count_below
-    negative pivots of the LDL^T factorization of L - sigma I stand against
-    solved_below solved eigenvalues under sigma, and backward_error,
-    ||P(L - sigma I)P^T - L D L^T||_F, against distance, the gap from sigma
-    to the nearest solved eigenvalue.
+    route is "closed_form" (every mode, by construction) or "lanczos", which
+    carries its slices and its inertia count.  slice_edges e_0 < ... < e_s
+    bound the spectrum slices, and slice_sizes holds the eigenpairs solved in
+    each.  count_below negative pivots of the LDL^T factorization of
+    L - sigma I stand against solved_below solved eigenvalues under sigma,
+    and backward_error, ||P(L - sigma I)P^T - L D L^T||_F, against
+    distance, the gap from sigma to the nearest solved eigenvalue.
     """
 
     route: str
@@ -138,8 +115,6 @@ class Completeness:
         """One line on how a basis of `count` eigenpairs was shown complete."""
         if self.route == "closed_form":
             return f"closed form: all {count} modes"
-        if self.route == "dense":
-            return "index-range dense eigensolve, Sturm-counted by LAPACK"
         return (
             f"{self.count_below} negative LDL^T pivots of L - sigma I at sigma = "
             f"{self.sigma:.6g} for {self.solved_below} solved eigenvalues below it "
@@ -168,7 +143,7 @@ class SpectralBasis:
     the (p_a, p_a) eigenvector matrix of axis a, and modes[a][k] the axis-a
     mode index of eigenpair k, so eigenfunction k is the product of the
     columns axis_vectors[a][:, modes[a][k]].  Both are None for bases from
-    a dense or iterative solve, which store every vector they hold.
+    the sliced Lanczos solve, which store every vector they hold.
     """
 
     grid: Grid
@@ -220,21 +195,22 @@ def lowest_eigenpairs(
     the count grows to cluster_end(eigenvalues, m): the solve runs
     CLUSTER_PAD modes past m, and again with a doubled pad while the cluster
     reaches the end of what was solved.  Only the returned pairs are
-    certified; a Lanczos solve also by its inertia count, taken once over
-    the union of its slices, on the final solve.
+    certified, together with the inertia count taken once over the union of
+    the final solve's slices.  That count puts its shift above the window,
+    under a solved eigenvalue, and eigsh needs k < size, so m is at most
+    size - 2.
     """
-    _check_request(op, m, tol)
-    most = op.size if op.size <= DENSE_CAP else op.size - 1   # Lanczos needs k < size
+    _check_request(op, m, tol, op.size - 2)
+    most = op.size - 1
     pad = CLUSTER_PAD
     while True:
-        solved = max(m, min(m + pad, most))
-        lam, vec, completeness = _solve_lowest(op, solved)
+        solved = min(m + pad, most)
+        lam, vec, slices = _sliced_lowest(op, solved)
         end = cluster_end(lam, m)
         if end < len(lam) or solved >= most:
             break
         pad *= 2
-    if completeness.route == "lanczos":
-        completeness = _inertia_count(op, lam, vec, end, tol, completeness)
+    completeness = _inertia_count(op, lam, vec, end, tol, slices)
     lam = lam[:end]
     vec = np.ascontiguousarray(vec[:, :end])
 
@@ -284,7 +260,7 @@ def laplacian_eigenpairs(
     """
     if op.kind != LAPLACIAN:
         raise ValueError(f"closed form holds for the {LAPLACIAN} only, got {op.kind!r}")
-    _check_request(op, columns, tol)
+    _check_request(op, columns, tol, op.size)
     grid = op.grid
     points = grid.points_per_axis
     axis_vectors, axis_resid, axis_defect = [], [], []
@@ -332,9 +308,9 @@ def _tensor_columns(axis_vectors, modes, points):
     return vec
 
 
-def _check_request(op, m, tol):
-    if not 1 <= m <= op.size:
-        raise ValueError(f"m must satisfy 1 <= m <= {op.size}, got {m}")
+def _check_request(op, m, tol, top):
+    if not 1 <= m <= top:
+        raise ValueError(f"m must satisfy 1 <= m <= {top}, got {m}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
@@ -376,24 +352,6 @@ def _gram_defect(vec, w) -> float:
     return float(np.max(np.abs(gram, out=gram)))
 
 
-def _uses_lanczos(size: int, solved: int) -> bool:
-    """The route rule: Lanczos for narrow windows and past the dense cap."""
-    return solved * LANCZOS_FRACTION <= size or size > DENSE_CAP
-
-
-def _solve_lowest(op, m):
-    """The m lowest eigenvalues (ascending) and eigenvectors of op,
-    unnormalized, and how they were solved: Completeness("dense"), or the
-    Lanczos route's slices, whose count _inertia_count adds."""
-    if _uses_lanczos(op.size, m):
-        return _sliced_lowest(op, m)
-    dense = op.matrix.toarray(order="F")
-    # the index-range solve brackets eigenvalues 0..m-1 by Sturm counts and
-    # computes only their vectors
-    lam, vec = sla.eigh(dense, overwrite_a=True, subset_by_index=(0, m - 1))
-    return lam, vec, Completeness("dense")
-
-
 def _cluster_starts(eigenvalues: np.ndarray) -> np.ndarray:
     """Indices k >= 1 of the ascending eigenvalues that open a degenerate
     cluster: the gap below lambda_k is at least CLUSTER_REL_GAP*(1+|lambda_k|)."""
@@ -417,12 +375,13 @@ def _sliced_lowest(op, m):
     Slice j lies between edges e_{j-1} < e_j whose inertia counts differ by
     k_j (_slice_edges).  Every eigenvalue inside it is nearer its centre
     than any outside it, so eigsh at the centre, asked for the k_j nearest,
-    returns exactly the slice's pairs.  The union is sorted and cut to the
-    m lowest; _inertia_count certifies it.
+    returns exactly the slice's pairs.  Its shift-invert solves use the
+    LDL^T factor of L minus the centre (_ldlt).  The union is sorted and cut
+    to the m lowest, and returned with the slices it came from;
+    _inertia_count certifies it.
     """
     edges, counts = _slice_edges(op, m)
     sizes = np.diff(counts)
-    matrix = op.matrix.tocsc()
     # a fixed start vector keeps reruns bitwise identical (ARPACK's own
     # random start carries state across calls); a generic one, because a
     # constant vector has no component along the modes that are odd about
@@ -430,14 +389,18 @@ def _sliced_lowest(op, m):
     v0 = np.random.default_rng(0).standard_normal(op.size)
     pairs = []
     for lo, hi, k in zip(edges, edges[1:], sizes):
+        centre = 0.5 * (lo + hi)
+        factor = _ldlt(op, centre)[1]
+        inverse = spla.LinearOperator(op.matrix.shape, matvec=factor.solve, dtype=np.float64)
         try:
             pairs.append(spla.eigsh(
-                matrix,
+                op.matrix,
                 k=k,
-                sigma=0.5 * (lo + hi),
+                sigma=centre,
                 which="LM",
                 v0=v0,
                 tol=0,   # iterate to machine precision; certificates checked later
+                OPinv=inverse,
             ))
         except spla.ArpackNoConvergence as exc:
             worst = None
@@ -516,7 +479,11 @@ def _slice_edges(op, top):
 
 def _ldlt(op, sigma):
     """L - sigma I and its sparse LU with diagonal pivots in symmetric mode,
-    checked to be an LDL^T factorization (perm_r == perm_c, D = diag(U))."""
+    checked to be an LDL^T factorization (perm_r == perm_c, D = diag(U)).
+
+    The sliced solve's one factorization: its negative pivots count the
+    eigenvalues below sigma (the slice edges and the final count), and its
+    solve is the shift-invert operator of the slice centred at sigma."""
     shifted = (op.matrix - sigma * sp.identity(op.size, format="csr")).tocsc()
     try:
         lu = spla.splu(

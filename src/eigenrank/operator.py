@@ -115,7 +115,7 @@ class DiscreteOperator:
 
     `kind` records what was assembled (schrodinger or laplacian) and is
     inherited by spectral bases; `coefficients` is the sampled field it was
-    assembled from, whose bounds place the Lanczos route's slices.
+    assembled from, whose bounds place the Lanczos spectrum slices.
     """
 
     grid: Grid

@@ -119,9 +119,9 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     op_lap = assemble_laplacian(grid)
     # flat configurations: L is the Laplacian stencil, so the closed form
     # serves both operators, sharing its arrays and certificates.  Any other
-    # L is solved over its window only, and lowest_eigenpairs certifies that
-    # window complete at every grid size: by the Sturm count of the dense
-    # route or the inertia count of the Lanczos route
+    # L is solved over its window only, in spectrum slices, and
+    # lowest_eigenpairs certifies that window complete at every grid size by
+    # one inertia count
     flat = (op_L.matrix - op_lap.matrix).nnz == 0
     n_max = max(config.sweep_n)
     if config.eri_enabled:
@@ -406,8 +406,8 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     )
 
     # the window of L holds every mode below its end: the closed form has
-    # them all, the dense route counts by Sturm sequences, the Lanczos route
-    # by the inertia of L - sigma I
+    # them all, and the sliced Lanczos solve counts them by the inertia of
+    # L - sigma I
     done = pipe.basis_L.completeness
     values = {key: value for key, value in asdict(done).items() if value is not None}
     record("completeness", True, done.describe(pipe.basis_L.count), **values)
@@ -460,8 +460,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     # one adds its out-of-window mass (Pythagoras).  That mass is measured as
     # the residual of the projection, so a windowed target only confirms
     # Pythagoras for orthonormal vectors, not that the window skipped no
-    # mode: completeness rests on the dense route's Sturm count or the
-    # Lanczos route's inertia count
+    # mode: completeness rests on the sliced Lanczos solve's inertia count
     defects = {}
     for name, coeffs in (("L", pipe.coeffs_l2), ("Laplacian", pipe.coeffs_hm1)):
         sums = np.sum(coeffs.coeffs**2, axis=1)

@@ -10,12 +10,28 @@ runtime-capped criteria account for the shared work they depend on.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from eigenrank.config import load_config
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
-from eigenrank.eigensolve import SpectralBasis, lowest_eigenpairs
+from eigenrank.eigensolve import SpectralBasis, _scaled_residuals, laplacian_eigenpairs
 from eigenrank.pipeline import Pipeline, build_pipeline
+
+
+def dense_basis(op) -> SpectralBasis:
+    """Every eigenpair of a small operator by one dense scipy.linalg.eigh,
+    grid-normalized: the reference for complete bases of non-flat operators,
+    which lowest_eigenpairs does not solve."""
+    lam, vec = sla.eigh(op.matrix.toarray())
+    vec /= np.sqrt(op.grid.quadrature_weight)
+    return SpectralBasis(
+        grid=op.grid,
+        tag=op.kind,
+        eigenvalues=lam,
+        vectors=vec,
+        residuals=_scaled_residuals(op, lam, vec),
+    )
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +54,7 @@ def flat1d_small():
     """Complete flat 1-D spectrum on a 64-point grid, both tags."""
     grid = make_grid(1, np.pi, 64, "dirichlet")
     op = assemble_laplacian(grid)
-    lap = lowest_eigenpairs(op, 64, 1e-9)
+    lap = laplacian_eigenpairs(op, 64, 1e-9)
     src = SpectralBasis(
         grid=grid,
         tag="schrodinger",
@@ -54,7 +70,7 @@ def flat2d_small():
     """Complete flat 2-D spectrum on a 20x20 grid, both tags."""
     grid = make_grid(2, (np.pi, np.pi), (20, 20), "dirichlet")
     op = assemble_laplacian(grid)
-    lap = lowest_eigenpairs(op, grid.node_count, 1e-9)
+    lap = laplacian_eigenpairs(op, grid.node_count, 1e-9)
     src = SpectralBasis(
         grid=grid,
         tag="schrodinger",

@@ -14,7 +14,6 @@ import eigenrank
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config
 from eigenrank import config, eigensolve, pipeline
-from eigenrank.eigensolve import DENSE_CAP
 
 
 def small_config(tmp_path, **overrides):
@@ -311,7 +310,7 @@ class TestCommands:
         assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_flat_2d_runs_past_dense_cap(self, tmp_path):
-        # flat configs run no dense eigensolve, so DENSE_CAP does not bind them
+        # flat configs take both bases from the closed form, at any grid size
         path = small_config(
             tmp_path,
             grid=_2d_grid(72),
@@ -321,14 +320,13 @@ class TestCommands:
         out = tmp_path / "past-cap"
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["grid_nodes"] == 5184 > DENSE_CAP
+        assert summary["grid_nodes"] == 5184
         assert summary["checks"] and all(summary["checks"].values())
         assert summary["eri"]["enabled"]
 
     def test_non_flat_past_dense_cap_is_certified(self, tmp_path):
-        # above DENSE_CAP a non-flat window takes the Lanczos route, solved
-        # in spectrum slices, whose one inertia count certifies that it
-        # skipped no mode
+        # a non-flat window is solved in spectrum slices, whose one inertia
+        # count certifies that it skipped no mode
         path = small_config(
             tmp_path,
             grid=_2d_grid(72),
@@ -340,7 +338,7 @@ class TestCommands:
         out = tmp_path / "o"
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["grid_nodes"] == 5184 > DENSE_CAP
+        assert summary["grid_nodes"] == 5184
         assert summary["checks"] and all(summary["checks"].values())
         done = summary["check_details"]["completeness"]
         assert done["route"] == "lanczos"
@@ -359,8 +357,8 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert all(summary["checks"].values())
         assert summary["v_sup"] == pytest.approx((np.pi / 2) ** 2, rel=0.01)
-        # a wide window (128 of 512 modes) stays on the dense route
-        assert summary["check_details"]["completeness"]["route"] == "dense"
+        # a wide window (128 of 512 modes) is sliced and certified too
+        assert summary["check_details"]["completeness"]["route"] == "lanczos"
 
     def test_periodic_config_runs(self, tmp_path):
         path = small_config(

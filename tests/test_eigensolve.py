@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -28,6 +30,7 @@ from eigenrank.eigensolve import (
     supnorm_growth_fit,
     weyl_fit,
 )
+from conftest import dense_basis
 from rotation import rotate_cluster
 
 
@@ -51,9 +54,9 @@ def test_flat_1d_closed_form_and_certificates():
 def test_shifted_operator_same_vectors():
     g = make_grid(1, np.pi, 64, "dirichlet")
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=3.25), g)
-    b0 = lowest_eigenpairs(assemble_laplacian(g), 16, 1e-9)
+    b0 = laplacian_eigenpairs(assemble_laplacian(g), 16, 1e-9)
     b1 = lowest_eigenpairs(assemble_schrodinger(f, g), 16, 1e-9)
-    np.testing.assert_allclose(b1.eigenvalues, b0.eigenvalues + 3.25, rtol=1e-12)
+    np.testing.assert_allclose(b1.eigenvalues, b0.eigenvalues[:16] + 3.25, rtol=1e-12)
     np.testing.assert_allclose(b1.vectors, b0.vectors, atol=1e-10)
 
 
@@ -100,6 +103,25 @@ def test_m_out_of_range():
         lowest_eigenpairs(op, 17, 1e-9)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, 0, 1e-9)
+    # the inertia count puts its shift under a solved eigenvalue above the
+    # window, and eigsh solves fewer pairs than unknowns: m <= size - 2
+    op = _random_2d_op(points=8)
+    for m in (op.size, op.size - 1):
+        with pytest.raises(ValueError, match=r"1 <= m <= 62, got"):
+            lowest_eigenpairs(op, m, 1e-9)
+    assert lowest_eigenpairs(op, op.size - 2, 1e-9).count == 62
+
+
+def test_wide_flat_stencil_window_fails_loudly():
+    # m = 16 of the flat 64-point stencil solves 32 modes, whose top slice
+    # edge flat(32) = 2/h^2 is the stencil's diagonal: the factorization
+    # there pivots off the diagonal and counts nothing, so the solve stops
+    # rather than return pairs it cannot certify (the pipeline takes this
+    # operator's basis from the closed form)
+    op = assemble_laplacian(make_grid(1, np.pi, 64, "dirichlet"))
+    with pytest.raises(EigensolveError, match="inertia count") as info:
+        lowest_eigenpairs(op, 16, 1e-9)
+    assert info.value.check == "completeness"
 
 
 def test_iterative_path_matches_closed_form():
@@ -195,7 +217,7 @@ class TestWeylFit:
 
     def test_window_too_small(self):
         g = make_grid(1, np.pi, 64, "dirichlet")
-        basis = lowest_eigenpairs(assemble_laplacian(g), 16, 1e-9)
+        basis = laplacian_eigenpairs(assemble_laplacian(g), 16, 1e-9)
         with pytest.raises(ValueError):
             weyl_fit(basis, 1, 4, 10)
         with pytest.raises(ValueError):
@@ -230,11 +252,13 @@ class TestComparability:
     def test_identical_operators_zero_margins(self):
         g = make_grid(1, np.pi, 64, "dirichlet")
         f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), g)
-        bL = lowest_eigenpairs(assemble_schrodinger(f, g), 32, 1e-9)
-        blap = lowest_eigenpairs(assemble_laplacian(g), 32, 1e-9)
+        # L is the flat stencil, so its basis is the closed form, as in the
+        # pipeline
+        blap = laplacian_eigenpairs(assemble_laplacian(g), 32, 1e-9)
+        bL = replace(blap, tag=assemble_schrodinger(f, g).kind)
         rep = comparability_check(bL, blap, f, 32)
         assert rep.ok
-        scale = 1.0 + np.abs(bL.eigenvalues)
+        scale = 1.0 + np.abs(bL.eigenvalues[:32])
         assert np.max(np.abs(rep.lower_margins) / scale) < 1e-10
         assert np.max(np.abs(rep.upper_margins) / scale) < 1e-10
 
@@ -243,7 +267,7 @@ class TestComparability:
         c = 0.75
         f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=c), g)
         bL = lowest_eigenpairs(assemble_schrodinger(f, g), 16, 1e-9)
-        blap = lowest_eigenpairs(assemble_laplacian(g), 16, 1e-9)
+        blap = laplacian_eigenpairs(assemble_laplacian(g), 16, 1e-9)
         rep = comparability_check(bL, blap, f, 16)
         assert rep.ok
         np.testing.assert_allclose(rep.lower_margins, 2 * c, atol=1e-8)
@@ -358,7 +382,7 @@ def test_laplacian_closed_form_matches_dense(dimension, points, boundary):
     g = make_grid(dimension, np.pi, points, boundary)
     op = assemble_laplacian(g)
     closed = laplacian_eigenpairs(op, g.node_count, 1e-9)
-    dense = lowest_eigenpairs(op, g.node_count, 1e-9)
+    dense = dense_basis(op)
     scale = float(np.max(dense.eigenvalues))
     np.testing.assert_allclose(closed.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=1e-12 * scale)
     assert np.max(closed.residuals) <= 1e-9
@@ -836,7 +860,7 @@ def test_inertia_count_passes_exact_degenerate_pairs():
 
 
 def _count_solver_calls(monkeypatch):
-    calls = {"eigsh": 0, "splu": 0, "eigh": 0}
+    calls = {"eigsh": 0, "splu": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -848,8 +872,7 @@ def _count_solver_calls(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(eigensolve.spla, "eigsh")
-    counted(eigensolve.spla, "splu")   # ARPACK binds its own splu at import
-    counted(eigensolve.sla, "eigh")
+    counted(eigensolve.spla, "splu")
     return calls
 
 
@@ -859,17 +882,21 @@ def test_narrow_random_window_takes_the_lanczos_route(monkeypatch):
         "dirichlet", 16, 8, kind="random_fourier", seed=3, a_amplitude=0.3, v_amplitude=0.5
     )
     pipe = build_pipeline(cfg)
-    # one slice: one count places its top edge, one certifies the window
-    assert calls == {"eigsh": 1, "splu": 2, "eigh": 0}
+    # one slice: one count places its top edge, one factor serves the
+    # slice's shift-invert solves, one certifies the window
+    assert calls == {"eigsh": 1, "splu": 3}
     done = pipe.basis_L.completeness
     assert done.route == "lanczos" and len(done.slice_sizes) == 1
 
 
-def test_wide_harmonic_window_takes_the_dense_route(monkeypatch):
+def test_wide_harmonic_window_takes_the_lanczos_route(monkeypatch):
+    # 144 of 512 modes in two slices: one count places the top edge, one the
+    # interior edge, one factor per slice, one certifies the window
     calls = _count_solver_calls(monkeypatch)
     pipe = build_pipeline(load_config("harmonic-1d"))
-    assert calls == {"eigsh": 0, "splu": 0, "eigh": 1}
-    assert pipe.basis_L.completeness.route == "dense"
+    assert calls == {"eigsh": 2, "splu": 5}
+    done = pipe.basis_L.completeness
+    assert done.route == "lanczos" and len(done.slice_sizes) == 2
 
 
 def test_inertia_count_needs_a_small_backward_error(monkeypatch):
@@ -881,6 +908,7 @@ def test_inertia_count_needs_a_small_backward_error(monkeypatch):
         def __init__(self, lu):
             self.L, self.U = lu.L, 1.5 * lu.U
             self.perm_r, self.perm_c = lu.perm_r, lu.perm_c
+            self.solve = lu.solve   # the slices' shift-invert solves stay exact
 
     monkeypatch.setattr(eigensolve.spla, "splu", lambda *a, **k: Inexact(real(*a, **k)))
     with pytest.raises(EigensolveError, match="inertia count: backward error"):

@@ -13,7 +13,7 @@ from eigenrank.operator import (
     assemble_schrodinger,
     sample_coefficients,
 )
-from eigenrank.eigensolve import laplacian_eigenpairs, lowest_eigenpairs
+from eigenrank.eigensolve import laplacian_eigenpairs
 from eigenrank.products import expansion_coefficients, pair_list, pair_row, product_matrix
 from eigenrank.lowrank import hm1_weights, tail_table
 from eigenrank.eri import (
@@ -23,6 +23,7 @@ from eigenrank.eri import (
     fitted_integrals,
     sample_quadruples,
 )
+from conftest import dense_basis
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,8 @@ def exact_eri(i, j, k, l, basis, solver):
 def spectral_green(lap, block):
     """sum_k <rho, psi_k> psi_k / mu_k over a complete Laplacian basis,
     skipping the constant mode; the oracle for the sparse solve."""
-    inv_mu = np.where(np.abs(lap.eigenvalues) > 1e-10, 1.0 / lap.eigenvalues, 0.0)
+    mu = lap.eigenvalues
+    inv_mu = np.divide(1.0, mu, out=np.zeros_like(mu), where=np.abs(mu) > 1e-10)
     proj = lap.grid.quadrature_weight * (lap.vectors.T @ block)
     return lap.vectors @ (inv_mu[:, None] * proj)
 
@@ -98,7 +100,7 @@ class TestGreen:
     def test_flat_1d_sine_inverse(self):
         g = make_grid(1, np.pi, 128, "dirichlet")
         op = assemble_laplacian(g)
-        basis = lowest_eigenpairs(op, 128, 1e-9)
+        basis = laplacian_eigenpairs(op, 128, 1e-9)
         x = g.axis_nodes(0)
         u = GreenSolver(op).solve(np.sin(x))
         # discrete mu_1 = (4/h^2) sin^2(h/2) ~ 1, so u ~ sin x
@@ -117,7 +119,7 @@ class TestGreen:
     def test_periodic_needs_mean_subtraction(self):
         g = make_grid(1, 2 * np.pi, 32, "periodic")
         op = assemble_laplacian(g)
-        basis = lowest_eigenpairs(op, 32, 1e-9)
+        basis = laplacian_eigenpairs(op, 32, 1e-9)
         solver = GreenSolver(op)
         # pure constant: solution is 0
         assert np.max(np.abs(solver.solve(np.ones(32)))) <= 1e-10
@@ -144,7 +146,7 @@ class TestExactERI:
         # independent oracle: coefficients by fsum quadrature, mu by closed form
         g = make_grid(1, np.pi, 96, "dirichlet")
         op = assemble_laplacian(g)
-        basis = lowest_eigenpairs(op, 96, 1e-9)
+        basis = laplacian_eigenpairs(op, 96, 1e-9)
         w = g.quadrature_weight
         h = g.spacing[0]
         sq = basis.vectors[:, 0] ** 2
@@ -293,9 +295,9 @@ class TestBatchedExact:
         # so this exercises the bordered solve on mean-free densities
         g = make_grid(2, (2 * np.pi, 2 * np.pi), (12, 12), "periodic")
         spec = CoefficientSpec(RANDOM_FOURIER, seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
-        src = lowest_eigenpairs(assemble_schrodinger(sample_coefficients(spec, g), g), g.node_count, 1e-9)
+        src = dense_basis(assemble_schrodinger(sample_coefficients(spec, g), g))
         op = assemble_laplacian(g)
-        lap = lowest_eigenpairs(op, g.node_count, 1e-9)
+        lap = laplacian_eigenpairs(op, g.node_count, 1e-9)
         co = expansion_coefficients(src, lap, 6, g.node_count)
         res = eri_benchmark(6, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=0)
         _assert_exact_matches_spectral(res, src, lap)

@@ -5,7 +5,7 @@ import pytest
 
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
-from eigenrank.eigensolve import CLUSTER_REL_GAP, SpectralBasis, lowest_eigenpairs
+from eigenrank.eigensolve import CLUSTER_REL_GAP, SpectralBasis, laplacian_eigenpairs
 from eigenrank.products import (
     expansion_coefficients,
     pair_list,
@@ -446,7 +446,7 @@ def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatc
 
 def test_periodic_hm1_excludes_constant_mode():
     g = make_grid(1, 2 * np.pi, 48, "periodic")
-    basis = lowest_eigenpairs(assemble_laplacian(g), 48, 1e-9)
+    basis = laplacian_eigenpairs(assemble_laplacian(g), 48, 1e-9)
     src = SpectralBasis(
         grid=g, tag="schrodinger", eigenvalues=basis.eigenvalues,
         vectors=basis.vectors, residuals=basis.residuals,

@@ -17,6 +17,7 @@ from eigenrank.operator import (
 )
 from eigenrank.eigensolve import (
     SpectralBasis,
+    laplacian_eigenpairs,
     lowest_eigenpairs,
 )
 from eigenrank.products import (
@@ -27,6 +28,7 @@ from eigenrank.products import (
     quadratic_chain_report,
     quadratic_form_values,
 )
+from conftest import dense_basis
 from rotation import rotate_cluster
 
 
@@ -143,7 +145,7 @@ def test_sparse_quadratic_form_matches_the_spectral_sum():
     g = make_grid(2, (np.pi, np.pi), (10, 10), "dirichlet")
     spec = CoefficientSpec(RANDOM_FOURIER, seed=5, cutoff=3, a_amplitude=0.3, v_amplitude=0.5)
     op = assemble_schrodinger(sample_coefficients(spec, g), g)
-    bL = lowest_eigenpairs(op, g.node_count, 1e-9)
+    bL = dense_basis(op)
     co = expansion_coefficients(bL, bL, 6, g.node_count)
     Q = quadratic_form_values(op, product_matrix(bL, 6))
     for (i, j) in pair_list(6):
@@ -154,8 +156,8 @@ def test_potential_shift_identity():
     g = make_grid(1, np.pi, 96, "dirichlet")
     c = 1.5
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=c), g)
-    bL = lowest_eigenpairs(assemble_schrodinger(f, g), 96, 1e-9)
-    blap = lowest_eigenpairs(assemble_laplacian(g), 96, 1e-9)
+    bL = dense_basis(assemble_schrodinger(f, g))
+    blap = laplacian_eigenpairs(assemble_laplacian(g), 96, 1e-9)
     lap = SpectralBasis(
         grid=g, tag="laplacian", eigenvalues=blap.eigenvalues,
         vectors=blap.vectors, residuals=blap.residuals,
@@ -221,7 +223,7 @@ def test_cluster_rotation_invariance(flat2d_small):
 
 def test_mean_zero_products_periodic():
     g = make_grid(1, 2 * np.pi, 64, "periodic")
-    basis = lowest_eigenpairs(assemble_laplacian(g), 64, 1e-9)
+    basis = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
     src = SpectralBasis(
         grid=g, tag="schrodinger", eigenvalues=basis.eigenvalues,
         vectors=basis.vectors, residuals=basis.residuals,

@@ -1,7 +1,7 @@
 """The resolved window of a non-flat L: the pipeline solves only the M modes
 of the window and expands the L2 family over them, carrying each product's
-out-of-window mass.  On these 16^2 grids the window is narrow, so it takes
-the Lanczos route, certified by its inertia count; a full dense eigh is the
+out-of-window mass.  The window is solved in spectrum slices, certified by
+its inertia count; on these 16^2 grids a full dense eigh is the
 reference."""
 
 import json
@@ -94,14 +94,14 @@ def test_pad_doubles_while_the_end_cluster_reaches_the_solve(shifted_pipe, monke
     op = shifted_pipe.op_L
     reference = lowest_eigenpairs(op, 14, 1e-9)
     solved = []
-    real = eigensolve._solve_lowest
+    real = eigensolve._sliced_lowest
 
     def recording(op, m):
         solved.append(m)
         return real(op, m)
 
     monkeypatch.setattr(eigensolve, "CLUSTER_PAD", 1)
-    monkeypatch.setattr(eigensolve, "_solve_lowest", recording)
+    monkeypatch.setattr(eigensolve, "_sliced_lowest", recording)
     basis = lowest_eigenpairs(op, 14, 1e-9)
     assert solved == [15, 16]
     assert basis.count == 15
