@@ -199,8 +199,8 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
             raise ConfigError("eri.n", f"must be in [1, solver.m={m}], got {eri['n']}")
         if not eri["eps"] > 0:
             raise ConfigError("eri.eps", f"must be positive, got {eri['eps']}")
-        if eri["sample_seed"] < 0:
-            raise ConfigError("eri.sample_seed", f"must be >= 0, got {eri['sample_seed']}")
+        if not 0 <= eri["sample_seed"] < 2**64:
+            raise ConfigError("eri.sample_seed", f"must be in [0, 2**64), got {eri['sample_seed']}")
 
     calib = _read(top["calibration"], "calibration", CALIBRATION)
     for key, value in calib.items():
@@ -231,8 +231,11 @@ def load_config(path_or_preset: str) -> ExperimentConfig:
     """Load a config from a JSON file path, or by preset name."""
     if os.path.exists(path_or_preset):
         name = os.path.splitext(os.path.basename(path_or_preset))[0]
-        with open(path_or_preset) as fh:
-            text = fh.read()
+        try:
+            with open(path_or_preset, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot read {path_or_preset}: {exc}") from exc
     elif path_or_preset in PRESETS:
         name = path_or_preset
         text = resources.files("eigenrank").joinpath(f"presets/{name}.json").read_text()

@@ -79,18 +79,20 @@ def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -
     `weights` (optional, length m) turns the L2 table into the H^-1 table,
     which needs a complete expansion.  Computed by reverse cumulative sums
     that start from the out-of-window mass (0 for a complete expansion), so
-    one pass serves every r and T[p, m] is that mass's square root.
+    one pass serves every r and T[p, m] is that mass's square root.  The
+    table is formed in place in one buffer whose column m - r holds r, and
+    returned as its reversed view.
     """
     if weights is not None and coeffs.outside_mass is not None:
         raise ValueError("H^-1 tails need a complete expansion, got a windowed one")
-    sq = np.zeros((coeffs.coeffs.shape[0], coeffs.m + 1))
-    np.square(coeffs.coeffs, out=sq[:, : coeffs.m])
+    rev = np.empty((coeffs.coeffs.shape[0], coeffs.m + 1))
+    rev[:, 0] = 0.0 if coeffs.outside_mass is None else coeffs.outside_mass
+    np.square(coeffs.coeffs[:, ::-1], out=rev[:, 1:])
     if weights is not None:
-        sq[:, : coeffs.m] *= weights[None, :]
-    if coeffs.outside_mass is not None:
-        sq[:, coeffs.m] = coeffs.outside_mass
-    table = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    return np.sqrt(np.maximum(table, 0.0))
+        rev[:, 1:] *= weights[None, ::-1]
+    np.cumsum(rev, axis=1, out=rev)
+    np.maximum(rev, 0.0, out=rev)
+    return np.sqrt(rev, out=rev)[:, ::-1]
 
 
 def hm1_weights(coeffs: ProductCoefficients, basis_lap: SpectralBasis) -> np.ndarray:

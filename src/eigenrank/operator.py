@@ -259,26 +259,6 @@ def _assemble(field: CoefficientField, kind: str) -> DiscreteOperator:
     return DiscreteOperator(grid=grid, kind=kind, matrix=sp.csr_array(mat), coefficients=field)
 
 
-def gradient_energy(grid: Grid, values: np.ndarray):
-    """Discrete Dirichlet energy ||grad f||^2 = sum_faces (f_p - f_q)^2 / h^2 * weight
-    of each column f of `values`, (G,) or (G, c): a float or a (c,) array.
-
-    Dirichlet boundary faces see a zero ghost value, periodic ones wrap, so
-    this reproduces the quadratic form <-Delta f, f> exactly (summation by
-    parts is an identity here).
-    """
-    u = values.reshape(grid.points_per_axis + values.shape[1:], order="F")
-    nodes = tuple(range(grid.dimension))
-    total = 0.0
-    for axis in nodes:
-        if grid.boundary == DIRICHLET:
-            diff = np.diff(u, axis=axis, prepend=0.0, append=0.0)
-        else:
-            diff = u - np.roll(u, 1, axis=axis)
-        total = total + np.sum(diff**2, axis=nodes) / grid.spacing[axis] ** 2
-    return grid.quadrature_weight * total
-
-
 def _axis_modes(points: int, boundary: str):
     """Angles theta_k, sine flags and mode numbers of the flat 1-D
     stencil's modes.

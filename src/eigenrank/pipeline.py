@@ -11,8 +11,8 @@ CSV).
 The basis of L covers the resolved window M: the Weyl-regime cap, extended
 to close the degenerate cluster at its end.  Flat configurations take it
 from the complete closed form, which stores the solver.m columns read node
-by node; any other L is solved for those M modes only, so its L2 expansion
-is windowed.
+by node, and one complete expansion serves both norms; any other L is
+solved for those M modes only, so its L2 expansion is windowed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .operator import (
     DiscreteOperator,
     assemble_laplacian,
     assemble_schrodinger,
-    gradient_energy,
     sample_coefficients,
     weyl_regime_cap,
 )
@@ -56,6 +55,7 @@ from .products import (
     expansion_coefficients,
     product_matrix,
     quadratic_chain_report,
+    quadratic_form_values,
 )
 from .lowrank import (
     HM1,
@@ -141,9 +141,13 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
             basis_L = lowest_eigenpairs(op_L, cap, config.solver_tol)
             window = basis_L.count
     with _stage(timings, "coefficients"):
-        # complete on flat configs, the window M otherwise
-        coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, basis_L.count)
         coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
+        # flat: L's basis is the Laplacian's, so the L2 expansion is the same
+        # complete one, sharing its arrays; otherwise it covers the window M
+        if flat:
+            coeffs_l2 = replace(coeffs_hm1, target=op_L.kind)
+        else:
+            coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, window)
 
     return Pipeline(
         config=config,
@@ -425,9 +429,11 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"margin {margin:.3e}",
     )
 
+    # ||grad f||^2 two ways: the spectral sum, and <-Delta f, f> straight
+    # from the sparse matrix, which _assemble forms from the face differences
     mu = pipe.basis_lap.eigenvalues[: pipe.coeffs_hm1.m]
     grad_sq = (pipe.coeffs_hm1.coeffs**2) @ mu
-    direct_all = gradient_energy(pipe.grid, prods)
+    direct_all = quadratic_form_values(pipe.op_lap, prods)
     del prods
     # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
     # constant mode) are judged against the family's noise scale, not 0

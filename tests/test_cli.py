@@ -139,6 +139,7 @@ REJECTED = [
     ({"sweep.n": [4, 4]}, "sweep.n"),
     ({"sweep.eps": [0.01, 0.01]}, "sweep.eps"),
     ({"eri.sample_seed": -1}, "eri.sample_seed"),
+    ({"eri.sample_seed": 2**64}, "eri.sample_seed"),   # past the sampler's seed range
     # a value out of CoefficientSpec's range, named by its field; the bad
     # field leads the block so the case's id differs early from seed=True's
     ({"coefficients": {"seed": -1, "kind": "random_fourier", "a_amplitude": 0.3, "v_amplitude": 0.5}},
@@ -163,6 +164,23 @@ def test_rejected_input_names_its_field(tmp_path, capsys, overrides, where):
     assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     message = capsys.readouterr().err
     assert message.startswith(f"config error: {where}: ") and "Traceback" not in message
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("make", ["directory", "latin-1"])
+def test_unreadable_config_file_names_config(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    if make == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.where == "config"
+    assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"config error: config: cannot read {path}")
+    assert "Traceback" not in message
     assert not (tmp_path / "o").exists()
 
 

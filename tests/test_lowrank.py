@@ -11,6 +11,7 @@ from eigenrank.products import (
     pair_list,
     pair_row,
     product_matrix,
+    quadratic_form_values,
 )
 from eigenrank.eri import GreenSolver
 from eigenrank import lowrank
@@ -43,6 +44,34 @@ def flat1d_coeffs(flat1d_small):
 def coeff_row(coeffs, i, j):
     """Expansion coefficients of the product phi_i phi_j."""
     return coeffs.coeffs[pair_row(i, j, coeffs.n)]
+
+
+def _two_copy_table(coeffs, weights=None):
+    """The tail table with its squares, their reversed cumulative sum and
+    the square root as separate arrays: the reference for the one-buffer
+    tail_table."""
+    sq = np.zeros((coeffs.coeffs.shape[0], coeffs.m + 1))
+    np.square(coeffs.coeffs, out=sq[:, : coeffs.m])
+    if weights is not None:
+        sq[:, : coeffs.m] *= weights[None, :]
+    if coeffs.outside_mass is not None:
+        sq[:, coeffs.m] = coeffs.outside_mass
+    table = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
+    return np.sqrt(np.maximum(table, 0.0))
+
+
+def test_tail_table_is_bitwise_the_two_copy_formula(flat1d_coeffs, flat2d_small):
+    grid, _, src, lap, co, co_h = flat1d_coeffs
+    windowed = expansion_coefficients(src, src, 8, 20)
+    assert windowed.outside_mass is not None
+    cases = [(co, None), (co_h, hm1_weights(co_h, lap)), (windowed, None)]
+    grid2, _, src2, lap2 = flat2d_small
+    co2 = expansion_coefficients(src2, lap2, 6, grid2.node_count)
+    cases.append((co2.restrict(4), hm1_weights(co2, lap2)))
+    for coeffs, weights in cases:
+        table = tail_table(coeffs, weights)
+        assert table.shape == (len(pair_list(coeffs.n)), coeffs.m + 1)
+        np.testing.assert_array_equal(table, _two_copy_table(coeffs, weights))
 
 
 def _tail(coeffs, i, j, r, weights=None):
@@ -382,13 +411,11 @@ class TestChainIdentities:
         assert np.all(tail_identity_slack(mu, t_h, t_2**2) <= 1e-10)
 
     def test_h1_identity_against_gradient_quadrature(self, flat1d_coeffs):
-        from eigenrank.operator import gradient_energy
-
-        grid, _, src, lap, co, co_h = flat1d_coeffs
+        grid, op_lap, src, lap, co, co_h = flat1d_coeffs
         mu = lap.eigenvalues[: co_h.m]
         for (i, j) in [(0, 0), (3, 11), (15, 15)]:
             spectral = float(np.dot(mu, coeff_row(co_h, i, j) ** 2))
-            direct = gradient_energy(grid, src.vectors[:, i] * src.vectors[:, j])
+            direct = quadratic_form_values(op_lap, src.vectors[:, i] * src.vectors[:, j])
             assert spectral == pytest.approx(direct, rel=1e-6)
 
 

@@ -12,7 +12,6 @@ from eigenrank.operator import (
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
-    gradient_energy,
     sample_coefficients,
     weyl_regime_cap,
 )
@@ -206,14 +205,16 @@ class TestQuadraticForms:
         rng = np.random.default_rng(1)
         u = rng.standard_normal(g.node_count)
         assert _weighted_energy(g, u, f) == pytest.approx(_form(g, op, u), rel=1e-12)
-        assert gradient_energy(g, u) == pytest.approx(_form(g, lap, u), rel=1e-12)
+        flat = sample_coefficients(CoefficientSpec(CONSTANT), g)
+        assert _weighted_energy(g, u, flat) == pytest.approx(_form(g, lap, u), rel=1e-12)
 
     def test_gradient_energy_periodic(self):
         g = make_grid(1, 2 * np.pi, 32, "periodic")
         lap = assemble_laplacian(g)
         rng = np.random.default_rng(2)
         u = rng.standard_normal(32)
-        assert gradient_energy(g, u) == pytest.approx(_form(g, lap, u), rel=1e-12)
+        flat = sample_coefficients(CoefficientSpec(CONSTANT), g)
+        assert _weighted_energy(g, u, flat) == pytest.approx(_form(g, lap, u), rel=1e-12)
 
 
 def _reference_modes(grid):
@@ -279,13 +280,17 @@ def test_weyl_regime_cap_values():
 
 
 def _weighted_energy(g, u, field):
-    """Dirichlet grid: sum_faces a_f (u_p - u_q)^2 / h^2 * weight, with zero
-    ghost values at the boundary faces, i.e. the form <L0 u, u> read off the
-    faces independently of the assembly."""
+    """sum_faces a_f (u_p - u_q)^2 / h^2 * weight, with zero ghost values at
+    Dirichlet boundary faces and a wrap across periodic ones, i.e. the form
+    <L0 u, u> read off the faces independently of the assembly."""
     vals = u.reshape(g.points_per_axis, order="F")
     total = 0.0
     for axis, a in enumerate(field.a_face):
-        diff = np.diff(vals, axis=axis, prepend=0.0, append=0.0)
+        if g.boundary == "dirichlet":
+            diff = np.diff(vals, axis=axis, prepend=0.0, append=0.0)
+        else:
+            # periodic face j sits between node (j - 1) mod p and node j
+            diff = vals - np.roll(vals, 1, axis=axis)
         # face values are flat in the grid's order, axis 0 fastest
         total += np.sum(a.reshape(diff.shape, order="F") * diff**2) / g.spacing[axis] ** 2
     return g.quadrature_weight * total

@@ -12,7 +12,6 @@ from eigenrank.operator import (
     CoefficientSpec,
     assemble_laplacian,
     assemble_schrodinger,
-    gradient_energy,
     sample_coefficients,
 )
 from eigenrank.eigensolve import (
@@ -114,22 +113,25 @@ def test_quadratic_form_two_paths(flat1d_small):
 
 
 def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small, flat2d_small):
-    grid, _, src, lap = flat1d_small
+    grid, op_lap, src, lap = flat1d_small
     co = expansion_coefficients(src, lap, 4, grid.node_count)
     val = quadratic_form_value(0, 0, co, lap)
-    assert val == pytest.approx(gradient_energy(grid, product(src, 0, 0)), rel=1e-10)
+    f = product(src, 0, 0)
+    assert val == pytest.approx(quadratic_form_values(op_lap, f), rel=1e-10)
+    # the face differences, with zero ghost values past the Dirichlet ends
+    diff = np.diff(f, prepend=0.0, append=0.0)
+    energy = grid.quadrature_weight * np.sum(diff**2) / grid.spacing[0] ** 2
+    assert val == pytest.approx(energy, rel=1e-10)
     # continuum value ||(2/pi) sin 2x||^2 = 2/pi for reference
     assert val == pytest.approx(2 / np.pi, rel=0.01)
-    # a (G, c) block gives one energy per column: the energy of that column
-    # alone, and the sparse form <-Delta f, f>
+    # a (G, c) block gives one value <-Delta f, f> per column: that of the
+    # column alone
     for grid, op_lap, src, _ in (flat1d_small, flat2d_small):
-        block = gradient_energy(grid, product_matrix(src, 4))
+        block = quadratic_form_values(op_lap, product_matrix(src, 4))
         assert block.shape == (10,)
         for (i, j), energy in zip(pair_list(4), block):
-            assert energy == pytest.approx(gradient_energy(grid, product(src, i, j)), rel=1e-12)
-        np.testing.assert_allclose(
-            block, quadratic_form_values(op_lap, product_matrix(src, 4)), rtol=1e-10
-        )
+            alone = quadratic_form_values(op_lap, product(src, i, j))
+            assert energy == pytest.approx(alone, rel=1e-12)
 
 
 def test_quadratic_form_tag_mismatch(flat1d_small):

@@ -12,7 +12,7 @@ import scipy.linalg as sla
 
 from eigenrank.cli import main
 from eigenrank.config import parse_config
-from eigenrank import eigensolve
+from eigenrank import eigensolve, pipeline
 from eigenrank.eigensolve import cluster_end, degenerate_clusters, lowest_eigenpairs
 from eigenrank.lowrank import L2, empirical_rank, scaling_report, tail_table
 from eigenrank.pipeline import build_pipeline
@@ -106,6 +106,29 @@ def test_pad_doubles_while_the_end_cluster_reaches_the_solve(shifted_pipe, monke
     assert solved == [15, 16]
     assert basis.count == 15
     np.testing.assert_allclose(basis.eigenvalues, reference.eigenvalues, rtol=1e-12)
+
+
+def test_flat_pipeline_shares_one_expansion(monkeypatch):
+    targets = []
+
+    def counted(basis_src, basis_target, n, m):
+        targets.append(basis_target.tag)
+        return expansion_coefficients(basis_src, basis_target, n, m)
+
+    monkeypatch.setattr(pipeline, "expansion_coefficients", counted)
+    pipe = build_pipeline(parse_config(_doc({"kind": "constant", "a0": 1.0, "v0": 0.0})))
+    assert targets == ["laplacian"]
+    l2, hm1 = pipe.coeffs_l2, pipe.coeffs_hm1
+    assert l2.coeffs is hm1.coeffs and l2.product_l2_norms is hm1.product_l2_norms
+    assert (l2.target, hm1.target) == ("schrodinger", "laplacian")
+    assert l2.outside_mass is None and l2.m == pipe.grid.node_count
+
+
+def test_non_flat_pipeline_keeps_a_windowed_l2_expansion(random_pipe):
+    l2, hm1 = random_pipe.coeffs_l2, random_pipe.coeffs_hm1
+    assert l2.outside_mass is not None and l2.m == random_pipe.window
+    assert l2.coeffs is not hm1.coeffs
+    assert hm1.outside_mass is None and hm1.m == random_pipe.grid.node_count
 
 
 def test_windowed_l2_tails_match_the_complete_table(random_pipe):
