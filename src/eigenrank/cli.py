@@ -87,6 +87,9 @@ def main(argv=None) -> int:
 
     try:
         status = run(config, args.command, out_dir=args.out, threads=args.threads)
+    except ConfigError as exc:   # an output directory that cannot be made
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, MemoryError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

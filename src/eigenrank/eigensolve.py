@@ -40,10 +40,11 @@ runs at 64^2, of 2 at 96^2):
      80                 0.77 s (3)                 3.41 s (6)
      60                 0.71 s (4)                 3.42 s (8)
 
-The sliced solve is deterministic for a fixed BLAS thread count.
-Eigenvectors are normalized in the grid inner product, signs are fixed
-(first significant component positive) and near-degenerate clusters are
-re-orthonormalized so downstream tensors are reproducible.
+The sliced solve is deterministic for a fixed BLAS thread count: every
+slice starts from one fixed vector, and the solved eigenvectors are
+normalized in the grid inner product and their signs fixed (first
+significant component positive), so reruns give the same tensors bit for
+bit.
 """
 
 from __future__ import annotations
@@ -135,7 +136,9 @@ class SpectralBasis:
     residuals[k] is the scaled certificate
     ||M phi - lambda phi|| / (||phi|| (1 + |lambda|)) for all `count` pairs.
     ortho_defect is the orthonormality certificate, computed once when the
-    basis is built (gram_defect() unless the builder supplies it).
+    basis is built: gram_defect() unless the builder supplies a defect that
+    also covers pairs it does not store (the closed form's per-axis bound,
+    the Lanczos Gram of every pair its inertia count counts).
 
     completeness records how the builder showed that no mode is missing.
 
@@ -199,6 +202,10 @@ def lowest_eigenpairs(
     the final solve's slices.  That count puts its shift above the window,
     under a solved eigenvalue, and eigsh needs k < size, so m is at most
     size - 2.
+
+    The solved columns are grid-normalized and sign-fixed once; the inertia
+    count then judges them, and its residuals and Gram defect over the pairs
+    counted below its shift, a superset of the window, are the basis's.
     """
     _check_request(op, m, tol, op.size - 2)
     most = op.size - 1
@@ -210,16 +217,18 @@ def lowest_eigenpairs(
         if end < len(lam) or solved >= most:
             break
         pad *= 2
-    completeness = _inertia_count(op, lam, vec, end, tol, slices)
-    lam = lam[:end]
-    vec = np.ascontiguousarray(vec[:, :end])
-
-    w = op.grid.quadrature_weight
-    vec /= np.sqrt(w * np.sum(vec * vec, axis=0))
-    _reorthonormalize_clusters(lam, vec, w)
+    vec /= np.sqrt(op.grid.quadrature_weight * np.sum(vec * vec, axis=0))
     _fix_signs(vec)
-    resid = _scaled_residuals(op, lam, vec)
-    return _certified_basis(op, lam, vec, resid, tol, completeness=completeness)
+    resid, defect, completeness = _inertia_count(op, lam, vec, end, tol, slices)
+    return SpectralBasis(
+        grid=op.grid,
+        tag=op.kind,
+        eigenvalues=lam[:end],
+        vectors=np.ascontiguousarray(vec[:, :end]),
+        residuals=resid,
+        ortho_defect=defect,
+        completeness=completeness,
+    )
 
 
 def laplacian_eigenpairs(
@@ -256,7 +265,7 @@ def laplacian_eigenpairs(
 
     residuals[k] is the measured value for the written columns and the
     tensor bound beyond them; ortho_defect is the larger of the measured
-    defect and the tensor bound.  Both are judged once, by _certified_basis.
+    defect and the tensor bound.  Both are judged once, here.
     """
     if op.kind != LAPLACIAN:
         raise ValueError(f"closed form holds for the {LAPLACIAN} only, got {op.kind!r}")
@@ -278,16 +287,25 @@ def laplacian_eigenpairs(
     lam = total[order]
     modes = np.unravel_index(order, points, order="F")
 
-    bound = sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam))
-    gram_bound = float(np.prod([1.0 + delta for delta in axis_defect]) - 1.0)
     vec = _tensor_columns(axis_vectors, [k[:columns] for k in modes], points)
-    resid = bound.copy()
+    resid = sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam))
     resid[:columns] = _scaled_residuals(op, lam[:columns], vec)
-    return _certified_basis(
-        op, lam, vec, resid, tol,
-        gram_bound=gram_bound, axis_vectors=tuple(axis_vectors), modes=modes,
-        completeness=Completeness("closed_form"),
+    if np.max(resid) > tol:
+        raise EigensolveError(
+            "residuals",
+            f"residual {np.max(resid):.3e} exceeds tolerance {tol:.3e}",
+            worst_residual=float(np.max(resid)),
+        )
+    basis = SpectralBasis(   # measures the Gram defect of the stored vectors
+        grid=grid, tag=op.kind, eigenvalues=lam, vectors=vec, residuals=resid,
+        axis_vectors=tuple(axis_vectors), modes=modes, completeness=Completeness("closed_form"),
     )
+    defect = max(basis.ortho_defect, float(np.prod([1.0 + d for d in axis_defect]) - 1.0))
+    if defect > ORTHO_TOL:
+        raise EigensolveError(
+            "orthonormality", f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}"
+        )
+    return replace(basis, ortho_defect=defect)
 
 
 def _tensor_columns(axis_vectors, modes, points):
@@ -315,34 +333,6 @@ def _check_request(op, m, tol, top):
         raise ValueError(f"tol must be positive, got {tol}")
 
 
-def _certified_basis(op, lam, vec, resid, tol, gram_bound=0.0, **structure) -> SpectralBasis:
-    """Check the residual certificates, then measure orthonormality.
-
-    The measured Gram defect of the stored vectors is combined with
-    `gram_bound`, a bound that also covers the pairs not stored as vectors.
-    """
-    if np.max(resid) > tol:
-        raise EigensolveError(
-            "residuals",
-            f"residual {np.max(resid):.3e} exceeds tolerance {tol:.3e}",
-            worst_residual=float(np.max(resid)),
-        )
-    basis = SpectralBasis(   # measures the Gram defect of the stored vectors
-        grid=op.grid,
-        tag=op.kind,
-        eigenvalues=np.asarray(lam, dtype=np.float64),
-        vectors=vec,
-        residuals=resid,
-        **structure,
-    )
-    defect = max(basis.ortho_defect, gram_bound)
-    if defect > ORTHO_TOL:
-        raise EigensolveError(
-            "orthonormality", f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}"
-        )
-    return replace(basis, ortho_defect=defect)
-
-
 def _gram_defect(vec, w) -> float:
     """max |w v_i . v_j - delta_ij| over the columns of vec."""
     gram = vec.T @ vec
@@ -352,18 +342,13 @@ def _gram_defect(vec, w) -> float:
     return float(np.max(np.abs(gram, out=gram)))
 
 
-def _cluster_starts(eigenvalues: np.ndarray) -> np.ndarray:
-    """Indices k >= 1 of the ascending eigenvalues that open a degenerate
-    cluster: the gap below lambda_k is at least CLUSTER_REL_GAP*(1+|lambda_k|)."""
-    lam = np.asarray(eigenvalues)
-    return 1 + np.flatnonzero(np.diff(lam) >= CLUSTER_REL_GAP * (1.0 + np.abs(lam[1:])))
-
-
 def cluster_end(eigenvalues: np.ndarray, m: int) -> int:
     """Smallest k >= m at which a window of k modes does not split a
     degenerate cluster, or len(eigenvalues) if the cluster holding index
-    m-1 runs to the end of the list."""
-    starts = _cluster_starts(eigenvalues)
+    m-1 runs to the end of the list.  A cluster opens at each k >= 1 whose
+    gap below lambda_k is at least CLUSTER_REL_GAP*(1+|lambda_k|)."""
+    lam = np.asarray(eigenvalues)
+    starts = 1 + np.flatnonzero(np.diff(lam) >= CLUSTER_REL_GAP * (1.0 + np.abs(lam[1:])))
     later = starts[starts >= m]
     return int(later[0]) if later.size else len(eigenvalues)
 
@@ -511,24 +496,26 @@ def _count_below(op, sigma) -> int:
     return int(np.count_nonzero(_ldlt(op, sigma)[1].U.diagonal() < 0))
 
 
-def _inertia_count(op, lam, vec, end, tol, slices) -> Completeness:
+def _inertia_count(op, lam, vec, end, tol, slices):
     """Certify that the ascending solved eigenpairs (lam, vec) of op, the
-    union of the Lanczos slices recorded in `slices`, include every
-    eigenvalue of op up to lam[end - 1].
+    grid-normalized union of the Lanczos slices recorded in `slices`,
+    include every eigenvalue of op up to lam[end - 1].  Returns the scaled
+    residuals of the first `end` pairs, the grid Gram defect of every pair
+    counted below sigma, and the Completeness record.
 
-    sigma is the midpoint of the widest gap among lam[end - 1:].  The
-    LDL^T factorization of P (op - sigma I) P^T (_ldlt) has exactly as many
-    negative eigenvalues as D has negative entries (Sylvester).  L D L^T
-    differs from P (op - sigma I) P^T by the measured backward error E,
-    which moves each eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  With
-    ||E||_F below the distance from sigma to the nearest solved eigenvalue,
-    every eigenvalue of op below lam[end - 1] is counted, so a count equal
-    to the number solved below sigma leaves no room for a skipped one,
-    provided each counted pair is a distinct eigenpair: the pairs between
-    the window's end and sigma have their residuals checked here against
-    tol, as the window's are later, and every pair below sigma must be
-    orthonormal, or a ghost copy of one (two slices returning the same
-    pair) could stand in for a skipped one.
+    sigma is the midpoint of the widest gap among lam[end - 1:], with k
+    solved eigenvalues below it.  Each counted pair must be a distinct
+    eigenpair, or a ghost copy of one (two slices returning the same pair)
+    could stand in for a skipped one: the k pairs are judged in one pass,
+    their residuals against tol, then their grid Gram matrix against
+    ORTHO_TOL.  The LDL^T factorization of P (op - sigma I) P^T (_ldlt) has
+    exactly as many negative eigenvalues as D has negative entries
+    (Sylvester).  L D L^T differs from P (op - sigma I) P^T by the measured
+    backward error E, which moves each eigenvalue by at most
+    ||E||_2 <= ||E||_F (Weyl).  With ||E||_F below the distance from sigma
+    to the nearest solved eigenvalue, every eigenvalue of op below
+    lam[end - 1] is counted, so a count equal to k leaves no room for a
+    skipped one.
     """
     gaps = np.diff(lam[end - 1:])
     if not gaps.size:
@@ -539,6 +526,22 @@ def _inertia_count(op, lam, vec, end, tol, slices) -> Completeness:
         )
     k = end + int(np.argmax(gaps))   # lam[k - 1] < sigma < lam[k]
     sigma = 0.5 * (lam[k - 1] + lam[k])
+    resid = _scaled_residuals(op, lam[:k], vec[:, :k])
+    if np.max(resid) > tol:
+        raise EigensolveError(
+            "residuals",
+            f"inertia count: residual {np.max(resid):.3e} of the {k} pairs counted below "
+            f"sigma = {sigma:.6g} exceeds tolerance {tol:.3e}",
+            worst_residual=float(np.max(resid)),
+        )
+    defect = _gram_defect(vec[:, :k], op.grid.quadrature_weight)
+    if defect > ORTHO_TOL:
+        raise EigensolveError(
+            "orthonormality",
+            f"inertia count: the {k} pairs solved below sigma = {sigma:.6g} have "
+            f"orthonormality defect {defect:.3e} above {ORTHO_TOL}, so they are not "
+            "distinct eigenpairs"
+        )
     shifted, lu = _ldlt(op, sigma)
     pivots = lu.U.diagonal()
     count = int(np.count_nonzero(pivots < 0))
@@ -549,22 +552,6 @@ def _inertia_count(op, lam, vec, end, tol, slices) -> Completeness:
     permuted = shifted[order][:, order]
     backward = float(spla.norm(permuted - lu.L @ sp.diags(pivots) @ lu.L.T))
     distance = float(np.min(np.abs(lam - sigma)))
-    extra = _scaled_residuals(op, lam[end:k], vec[:, end:k])
-    if extra.size and np.max(extra) > tol:
-        raise EigensolveError(
-            "residuals",
-            f"inertia count: residual {np.max(extra):.3e} of a counted pair past the "
-            f"window exceeds tolerance {tol:.3e}",
-            worst_residual=float(np.max(extra)),
-        )
-    defect = _gram_defect(vec[:, :k], 1.0)   # eigsh returns unit vectors
-    if defect > ORTHO_TOL:
-        raise EigensolveError(
-            "orthonormality",
-            f"inertia count: the {k} pairs solved below sigma = {sigma:.6g} have "
-            f"orthonormality defect {defect:.3e} above {ORTHO_TOL}, so they are not "
-            "distinct eigenpairs"
-        )
     if count != k:
         raise EigensolveError(
             "completeness",
@@ -578,10 +565,11 @@ def _inertia_count(op, lam, vec, end, tol, slices) -> Completeness:
             f"reaches the distance {distance:.3e} from sigma = {sigma:.6g} to the "
             "nearest solved eigenvalue"
         )
-    return replace(
+    done = replace(
         slices, sigma=float(sigma), count_below=count, solved_below=k,
         backward_error=backward, distance=distance,
     )
+    return resid[:end], defect, done
 
 
 def _scaled_residuals(op, lam, vec):
@@ -595,21 +583,6 @@ def _scaled_residuals(op, lam, vec):
         den = np.sqrt(np.sum(v * v, axis=0)) * (1.0 + np.abs(lv))
         out[cols] = num / den
     return out
-
-
-def degenerate_clusters(eigenvalues: np.ndarray):
-    """Contiguous index groups split where a cluster starts (_cluster_starts)."""
-    bounds = [0, *_cluster_starts(eigenvalues).tolist(), len(eigenvalues)]
-    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-
-
-def _reorthonormalize_clusters(lam, vec, w):
-    for cluster in degenerate_clusters(lam):
-        if len(cluster) < 2:
-            continue
-        block = vec[:, cluster]
-        q, _ = np.linalg.qr(block)
-        vec[:, cluster] = q / np.sqrt(w)
 
 
 def _fix_signs(vec):

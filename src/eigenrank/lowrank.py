@@ -91,7 +91,6 @@ def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -
     if weights is not None:
         rev[:, 1:] *= weights[None, ::-1]
     np.cumsum(rev, axis=1, out=rev)
-    np.maximum(rev, 0.0, out=rev)
     return np.sqrt(rev, out=rev)[:, ::-1]
 
 

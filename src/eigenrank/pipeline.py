@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import COMMANDS, __version__
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .grid import Grid
 from .operator import (
     CoefficientField,
@@ -399,14 +399,21 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = max(float(np.max(pipe.basis_L.residuals)), float(np.max(pipe.basis_lap.residuals)))
     record("residuals", True, f"max scaled residual {worst:.3e}")
 
+    def covered(basis):   # every pair a basis's recorded defect bounds
+        if basis.completeness.route == "lanczos":
+            return f"the Gram of the {basis.completeness.solved_below} pairs counted below sigma"
+        return (
+            f"the larger of the measured Gram of its {basis.materialized} stored "
+            f"vectors and the per-axis bound over all {basis.count} modes"
+        )
+
     defect = max(pipe.basis_L.ortho_defect, pipe.basis_lap.ortho_defect)
     record(
         "orthonormality",
         True,
-        f"max gram defect {defect:.3e}; L basis {pipe.basis_L.ortho_defect:.3e}, "
-        f"Laplacian basis {pipe.basis_lap.ortho_defect:.3e} (the larger of the "
-        f"measured Gram of its {pipe.basis_lap.materialized} stored vectors and "
-        f"the per-axis bound over all {pipe.basis_lap.count} modes)",
+        f"max gram defect {defect:.3e}; L basis {pipe.basis_L.ortho_defect:.3e} "
+        f"({covered(pipe.basis_L)}), Laplacian basis {pipe.basis_lap.ortho_defect:.3e} "
+        f"({covered(pipe.basis_lap)})",
     )
 
     # the window of L holds every mode below its end: the closed form has
@@ -547,13 +554,19 @@ def run(
     """Execute one command; returns the process exit status (0 ok, 1 failed
     check or certificate).
 
-    `threads` is the BLAS thread cap the caller applied (None if none); it
-    is recorded in summary.json only.
+    `out_dir` is the CLI's --out (None: the config's output_dir); a path
+    that cannot be made a directory raises ConfigError naming which, before
+    anything is written.  `threads` is the BLAS thread cap the caller
+    applied (None if none); it is recorded in summary.json only.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r} (commands: {', '.join(COMMANDS)})")
     out = out_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        where = "--out" if out_dir else "config.output_dir"
+        raise ConfigError(where, f"cannot create directory {out!r}: {exc.strerror}") from exc
 
     t0 = time.perf_counter()
     summary: dict = {

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 from eigenrank.config import load_config
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
-from eigenrank.eigensolve import SpectralBasis, _scaled_residuals, laplacian_eigenpairs
+from eigenrank.eigensolve import SpectralBasis, _scaled_residuals, cluster_end, laplacian_eigenpairs
 from eigenrank.pipeline import Pipeline, build_pipeline
 
 
@@ -32,6 +32,17 @@ def dense_basis(op) -> SpectralBasis:
         vectors=vec,
         residuals=_scaled_residuals(op, lam, vec),
     )
+
+
+def degenerate_clusters(eigenvalues) -> list:
+    """The ascending eigenvalues' indices in contiguous groups, one per
+    degenerate cluster (cluster_end's rule)."""
+    clusters, start = [], 0
+    while start < len(eigenvalues):
+        end = cluster_end(eigenvalues, start + 1)
+        clusters.append(list(range(start, end)))
+        start = end
+    return clusters
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import pytest
 import eigenrank
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config
-from eigenrank import config, eigensolve, pipeline
+from eigenrank import config, eigensolve, lowrank, pipeline
 
 
 def small_config(tmp_path, **overrides):
@@ -95,6 +95,17 @@ class TestConfigParsing:
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+class _Huge(int):
+    """10**400, an int past the float range; JSON writes its digits, the
+    test id its short name."""
+
+    def __repr__(self):
+        return "10**400"
+
+
+HUGE = _Huge(10**400)
 HARMONIC = {"kind": "harmonic", "a0": 1.0, "v_scale": 1.0}
 RANDOM = {"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5}
 
@@ -150,6 +161,21 @@ REJECTED = [
     ({"coefficients": {**RANDOM, "a_amplitude": 1.0}}, "coefficients.a_amplitude"),   # >= a0
     ({"coefficients": {**RANDOM, "v_amplitude": -1}}, "coefficients.v_amplitude"),
     ({"coefficients": {**RANDOM, "cutoff": 0}}, "coefficients.cutoff"),
+    # a value out of its block's range
+    ({"grid.dimension": 4}, "grid.dimension"),
+    ({"grid.boundary": "neumann"}, "grid.boundary"),
+    ({"grid.lengths": [1.0, 2.0]}, "grid.lengths"),   # one entry per dimension
+    ({"grid.lengths": [0.0]}, "grid.lengths"),
+    ({"grid.points": [96, 96]}, "grid.points"),
+    ({"grid.points": [4]}, "grid.points"),            # below MIN_POINTS
+    ({"grid.lengths": [HUGE]}, "grid.lengths[0]"),
+    ({"solver.tol": 0.0}, "solver.tol"),
+    ({"sweep.norms": ["h1"]}, "sweep.norms"),
+    ({"eri.n": 0}, "eri.n"),
+    ({"eri.n": 25}, "eri.n"),                         # past solver.m = 24
+    ({"eri.eps": 0.0}, "eri.eps"),
+    ({"calibration.calib_l2": 0.0}, "calibration.calib_l2"),
+    ({"calibration.calib_hm1": -1.0}, "calibration.calib_hm1"),
 ]
 
 
@@ -182,6 +208,44 @@ def test_unreadable_config_file_names_config(tmp_path, capsys, make):
     assert message.startswith(f"config error: config: cannot read {path}")
     assert "Traceback" not in message
     assert not (tmp_path / "o").exists()
+
+
+def test_int_past_the_float_range_is_not_finite(tmp_path):
+    path = small_config(tmp_path, **{"grid.lengths": [HUGE]})
+    with pytest.raises(ConfigError, match=r"^grid\.lengths\[0\]: must be finite, got inf$"):
+        load_config(str(path))
+
+
+def test_config_that_is_not_an_object_names_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([{"name": "unit"}]))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert err.value.where == "config"
+    assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    message = capsys.readouterr().err
+    assert message == "config error: config: expected a JSON object, got list\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option", ["--out", "config.output_dir"])
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "a path under a file"])
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys, option, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = blocker / "run" if under else blocker
+    if option == "--out":
+        argv = ["--out", str(out)]
+        path = small_config(tmp_path)
+    else:
+        argv = []
+        path = small_config(tmp_path, output_dir=str(out))
+    before = sorted(os.listdir(tmp_path))
+    assert main(["spectrum", "--config", str(path), *argv]) == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"config error: {option}: cannot create directory {str(out)!r}: ")
+    assert message.count("\n") == 1 and "Traceback" not in message
+    assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "kept"
 
 
 def test_readme_documents_every_config_field():
@@ -368,6 +432,33 @@ class TestCommands:
 
     def test_usage_error_exit_2(self):
         assert main(["frobnicate", "--config", "x"]) == 2
+
+    def test_zero_threads_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", "flat-1d", "--out", str(out), "--threads", "0"]) == 2
+        assert capsys.readouterr().err == "error: --threads must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_one_thread_is_recorded(self, tmp_path, monkeypatch):
+        # the cap sets these variables for the whole process: monkeypatch
+        # puts them back, and hides threadpoolctl, whose limits would last
+        # past the test
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.setenv(var, "2")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        out = tmp_path / "one"
+        assert main(["spectrum", "--config", str(small_config(tmp_path)), "--out", str(out),
+                     "--threads", "1"]) == 0
+        assert json.loads((out / "summary.json").read_text())["threads"] == 1
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_error_inside_a_command_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", 1)
+        out = tmp_path / "capped"
+        assert main(["verify-all", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 1
+        message = capsys.readouterr().err
+        assert message.startswith("error [verify-all]: oracle matrix would hold ")
+        assert message.count("\n") == 1 and "Traceback" not in message
 
     def test_harmonic_preset_verify_all(self, tmp_path):
         out = tmp_path / "harm"

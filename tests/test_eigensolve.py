@@ -23,14 +23,13 @@ from eigenrank.eigensolve import (
     _scaled_residuals,
     comparability_check,
     SpectralBasis,
-    degenerate_clusters,
     laplacian_eigenpairs,
     lowest_eigenpairs,
     sup_norms,
     supnorm_growth_fit,
     weyl_fit,
 )
-from conftest import dense_basis
+from conftest import degenerate_clusters, dense_basis
 from rotation import rotate_cluster
 
 
@@ -328,12 +327,27 @@ def _small_config(**coefficients):
         {"kind": "random_fourier", "seed": 3, "a_amplitude": 0.3, "v_amplitude": 0.5},
     ],
 )
-def test_stored_gram_defect_matches_fresh(coefficients):
+def test_stored_gram_defect_matches_fresh(monkeypatch, coefficients):
+    counted = []
+    real = eigensolve._inertia_count
+
+    def recording(op, lam, vec, end, tol, slices):
+        resid, defect, done = real(op, lam, vec, end, tol, slices)
+        counted.append(vec[:, : done.solved_below])
+        return resid, defect, done
+
+    monkeypatch.setattr(eigensolve, "_inertia_count", recording)
     pipe = build_pipeline(_small_config(**coefficients))
     for basis in (pipe.basis_L, pipe.basis_lap):
         assert isinstance(basis.ortho_defect, float)
         if basis.axis_vectors is None:
-            assert basis.ortho_defect == basis.gram_defect()
+            # Lanczos: the Gram of every pair the inertia count counted, a
+            # superset of the stored columns
+            (pairs,) = counted
+            w = basis.grid.quadrature_weight
+            assert basis.ortho_defect == eigensolve._gram_defect(pairs, w)
+            assert pairs.shape[1] > basis.materialized
+            assert basis.ortho_defect >= basis.gram_defect()
         else:
             # closed form: the per-axis bound also covers the unstored modes
             h = basis.grid.spacing
@@ -698,8 +712,9 @@ def test_inertia_count_catches_a_skipped_pair(monkeypatch):
 
 
 def test_inertia_count_reports_the_worst_counted_residual(monkeypatch):
-    # the pairs between the window and the shift are counted, so their
-    # residuals are judged there; the error carries the worst of them
+    # every pair below the shift is counted, so the inertia count judges
+    # their residuals, the window's among them, in one pass; the error
+    # carries the worst of them, and the pairs above the shift are not judged
     real = eigensolve.spla.eigsh
     seen = {}
 
@@ -720,8 +735,8 @@ def test_inertia_count_reports_the_worst_counted_residual(monkeypatch):
     k = 16 + int(np.argmax(np.diff(lam[15:])))   # the shift sits in the widest gap
     assert k > 17
     direct = _direct_residuals(op, lam, seen["vec"])
-    assert info.value.worst_residual == pytest.approx(max(direct[16:k]), rel=1e-9)
-    assert max(direct[16:k]) < max(direct)
+    assert info.value.worst_residual == pytest.approx(max(direct[:k]), rel=1e-9)
+    assert max(direct[:k]) < max(direct)
 
 
 def test_inertia_count_catches_a_ghost_pair(monkeypatch):

@@ -13,10 +13,11 @@ import scipy.linalg as sla
 from eigenrank.cli import main
 from eigenrank.config import parse_config
 from eigenrank import eigensolve, pipeline
-from eigenrank.eigensolve import cluster_end, degenerate_clusters, lowest_eigenpairs
+from eigenrank.eigensolve import cluster_end, lowest_eigenpairs
 from eigenrank.lowrank import L2, empirical_rank, scaling_report, tail_table
 from eigenrank.pipeline import build_pipeline
 from eigenrank.products import expansion_coefficients, pair_list, pair_row
+from conftest import degenerate_clusters
 
 RANDOM = {"kind": "random_fourier", "seed": 5, "a_amplitude": 0.3, "v_amplitude": 0.5}
 # -Delta + 2.5: non-flat, with the degenerate pairs of the square's spectrum
@@ -106,6 +107,44 @@ def test_pad_doubles_while_the_end_cluster_reaches_the_solve(shifted_pipe, monke
     assert solved == [15, 16]
     assert basis.count == 15
     np.testing.assert_allclose(basis.eigenvalues, reference.eigenvalues, rtol=1e-12)
+
+
+def test_window_columns_are_the_solved_columns_normalized_and_sign_fixed(
+    shifted_pipe, monkeypatch
+):
+    # the window's exact pairs keep the columns the slices returned: no
+    # step after the grid normalization and the sign fix moves them
+    op = shifted_pipe.op_L
+    solved = []
+    real = eigensolve._sliced_lowest
+
+    def recording(op, m):
+        lam, vec, slices = real(op, m)
+        solved.append(vec.copy())
+        return lam, vec, slices
+
+    monkeypatch.setattr(eigensolve, "_sliced_lowest", recording)
+    basis = lowest_eigenpairs(op, 14, 1e-9)
+    expected = solved[-1]
+    expected /= np.sqrt(op.grid.quadrature_weight * np.sum(expected * expected, axis=0))
+    eigensolve._fix_signs(expected)
+    assert len(degenerate_clusters(basis.eigenvalues)) < basis.count
+    assert np.array_equal(basis.vectors, expected[:, : basis.count])
+
+
+def test_window_takes_one_residual_pass_and_one_gram(shifted_pipe, monkeypatch):
+    calls = {"_scaled_residuals": 0, "_gram_defect": 0}
+    for name in calls:
+        real = getattr(eigensolve, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(eigensolve, name, counted)
+    basis = lowest_eigenpairs(shifted_pipe.op_L, 14, 1e-9)
+    assert calls == {"_scaled_residuals": 1, "_gram_defect": 1}
+    assert basis.completeness.solved_below > basis.count
 
 
 def test_flat_pipeline_shares_one_expansion(monkeypatch):
