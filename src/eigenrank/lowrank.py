@@ -16,6 +16,9 @@ together with three notions of rank at accuracy eps:
                 product with residual <= eps, among those that split
                 no cluster of tied singular values
 
+r_oracle comes from one SVD of the family's triangular factor, built over
+row blocks; no rows x n(n+1)/2 matrix or left singular vectors are formed.
+
 A windowed L2 table (the m modes of a resolved window, m < G) ends at r = m,
 where the tail is the measured out-of-window mass; when no r <= m meets eps,
 r_empirical is reported as m + 1, a lower bound.  A rank cell is `resolved`
@@ -43,7 +46,7 @@ from .products import ProductCoefficients, pair_list, pair_row, product_matrix
 L2 = "l2"
 HM1 = "hm1"
 NULL_MODE_REL_TOL = 1e-10
-ORACLE_ENTRY_CAP = 100_000_000
+ORACLE_BLOCK = 1024   # rows per block of the oracle's streamed QR
 
 
 def null_mode_mask(basis_lap: SpectralBasis) -> np.ndarray:
@@ -151,6 +154,12 @@ def oracle_rank(
     L2: columns are sqrt(weight)-scaled node values of phi_i phi_j.
     H^-1: columns are the rows of `coeffs` (laplacian target, pairs of n)
     scaled 1/sqrt(mu).
+
+    The residuals read only the singular values and right singular vectors,
+    which A = QR gives A and its triangular factor R alike.  So the SVD is
+    taken of R, built over row blocks of ORACLE_BLOCK rows (a streamed QR of
+    the tall family): no rows x n(n+1)/2 matrix and no left singular vector
+    is formed.
     """
     if not all(eps > 0 for eps in eps_list):
         raise ValueError(f"every eps must be positive, got {list(eps_list)}")
@@ -165,21 +174,33 @@ def oracle_rank(
     else:
         raise ValueError(f"unknown norm {norm!r}")
     pairs = pair_list(n)
-    if rows * len(pairs) > ORACLE_ENTRY_CAP:
-        raise MemoryError(
-            f"oracle matrix would hold {rows * len(pairs)} entries (cap {ORACLE_ENTRY_CAP})"
-        )
     mult = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+    sqrt_mult = np.sqrt(mult)
     if norm == L2:
-        A = product_matrix(basis_src, n)
-        A *= math.sqrt(basis_src.grid.quadrature_weight) * np.sqrt(mult)
+        scale = math.sqrt(basis_src.grid.quadrature_weight) * sqrt_mult
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            A = product_matrix(basis_src, n, slice(lo, hi))
+            A *= scale
+            return A
+
     else:
-        A = coeffs.coeffs.T * np.sqrt(hm1_weights(coeffs, basis_lap))[:, None]
-        A *= np.sqrt(mult)
+        sqrt_w = np.sqrt(hm1_weights(coeffs, basis_lap))[:, None]
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            A = coeffs.coeffs[:, lo:hi].T * sqrt_w[lo:hi]
+            A *= sqrt_mult
+            return A
+
+    # the triangular factor R of the family, stacked and re-factored one row
+    # block at a time; a family of at most ORACLE_BLOCK rows is its own R
+    R = block(0, ORACLE_BLOCK)
+    for lo in range(ORACLE_BLOCK, rows, ORACLE_BLOCK):
+        R = np.linalg.qr(np.vstack([R, block(lo, lo + ORACLE_BLOCK)]), mode="r")
 
     # the squared residual of column j after keeping k singular directions is
     # sum_{i>=k} (s_i Vh[i,j])^2; the appended zero row (k = all) meets every eps
-    _, s, Vh = np.linalg.svd(A, full_matrices=False)
+    _, s, Vh = np.linalg.svd(R, full_matrices=False)
     T = (s[:, None] * Vh) ** 2 / mult
     resid_sq = np.zeros((len(s) + 1, len(pairs)))
     resid_sq[:-1] = np.cumsum(T[::-1], axis=0)[::-1]
@@ -300,14 +321,16 @@ def scaling_report(
 
         for n in n_list:
             sub = coeffs.restrict(n) if n != coeffs.n else coeffs
-            table = tail_table(sub, weights)
-            max_tails = np.max(table, axis=0)
-            _, S = sup_norms(basis_src, n)
+            # the oracle runs before the tail table is formed, so its blocks
+            # and the table are never live together
             t = time.perf_counter()
             r_oracles = oracle_rank(
                 basis_src, n, eps_list, norm, basis_lap=basis_lap, coeffs=sub
             )
             oracle_seconds += time.perf_counter() - t
+            table = tail_table(sub, weights)
+            max_tails = np.max(table, axis=0)
+            _, S = sup_norms(basis_src, n)
             cutoffs = []
             for eps, r_orc in zip(eps_list, r_oracles):
                 r_pred = cutoff(norm, eps, n, S, d, calib)

@@ -449,25 +449,36 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = float(np.max(excess))
     record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
-    # Q = <L f, f> of every product, from the sparse matrix (chain.values)
+    # Q = <L f, f> of every product, from the sparse matrix (chain.values).
+    # One (pairs, m+1) tail table is live at a time: each is read for its
+    # identity slack and its tail at r = G (complete tables only: a windowed
+    # L2 table ends at r = M with the out-of-window mass), then released
     Q = chain.values
     lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
-    table_l2 = tail_table(pipe.coeffs_l2)
-    worst_slack = float(np.max(tail_identity_slack(lam, table_l2, Q[:, None])))
+    table = tail_table(pipe.coeffs_l2)
+    worst_slack = float(np.max(tail_identity_slack(lam, table, Q[:, None])))
     record(
         "tail_identity_l2",
         worst_slack <= 1e-10 * (1.0 + float(np.max(np.abs(Q)))),
         f"worst lambda_r*tail^2 - Q = {worst_slack:.3e}",
     )
+    zero_tail_l2 = float(table[:, -1].max()) if pipe.coeffs_l2.outside_mass is None else None
+    mono_l2 = float(np.max(np.diff(np.max(table, axis=0))))
+    del table
 
-    table_hm1 = tail_table(pipe.coeffs_hm1, hm1_weights(pipe.coeffs_hm1, pipe.basis_lap))
-    rhs = tail_table(pipe.coeffs_hm1) ** 2
-    worst_slack = float(np.max(tail_identity_slack(mu, table_hm1, rhs)))
+    rhs = tail_table(pipe.coeffs_hm1)
+    np.square(rhs, out=rhs)
+    table = tail_table(pipe.coeffs_hm1, hm1_weights(pipe.coeffs_hm1, pipe.basis_lap))
+    worst_slack = float(np.max(tail_identity_slack(mu, table, rhs)))
     record(
         "tail_identity_hm1",
         worst_slack <= 1e-10,
         f"worst mu_r*(H^-1 tail)^2 - (L2 tail)^2 = {worst_slack:.3e}",
     )
+    complete = {"H^-1": float(table[:, -1].max())}
+    if zero_tail_l2 is not None:
+        complete["L2"] = zero_tail_l2
+    del table, rhs
 
     # expansions in both targets, L's basis and the Laplacian's; a windowed
     # one adds its out-of-window mass (Pythagoras).  That mass is measured as
@@ -512,13 +523,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         f"report the lower bound r_empirical = {pipe.coeffs_l2.m + 1}",
     )
 
-    # the zero tail at r = G holds on complete tables only: a windowed L2
-    # table ends at r = M with the out-of-window mass
-    complete = {"H^-1": table_hm1}
-    if pipe.coeffs_l2.outside_mass is None:
-        complete["L2"] = table_l2
-    zero_tail = max(float(table[:, -1].max()) for table in complete.values())
-    mono_l2 = float(np.max(np.diff(np.max(table_l2, axis=0))))
+    zero_tail = max(complete.values())
     record(
         "tail_curve_invariants",
         zero_tail <= 1e-10 and mono_l2 <= 1e-14,

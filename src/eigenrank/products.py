@@ -73,14 +73,21 @@ class ProductCoefficients:
         )
 
 
-def product_matrix(basis: SpectralBasis, n: int) -> np.ndarray:
+def product_matrix(basis: SpectralBasis, n: int, nodes: slice = slice(None)) -> np.ndarray:
     """Node values of the n(n+1)/2 distinct products, one pair (i <= j) per
-    column in pair_list(n) order."""
+    column in pair_list(n) order, on the node rows `nodes` (all of them by
+    default).  The pairs (i, i..n-1) of each i are written into one
+    preallocated block by one multiply."""
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
     basis.require_columns(n)
-    V = basis.vectors[:, :n]
-    return np.column_stack([V[:, i] * V[:, j] for i, j in pair_list(n)])
+    V = basis.vectors[nodes, :n]
+    prods = np.empty((V.shape[0], n * (n + 1) // 2))
+    start = 0
+    for i in range(n):
+        np.multiply(V[:, i : i + 1], V[:, i:], out=prods[:, start : start + n - i])
+        start += n - i
+    return prods
 
 
 def expansion_coefficients(

@@ -453,11 +453,14 @@ class TestCommands:
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
     def test_error_inside_a_command_exits_1_without_traceback(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", 1)
-        out = tmp_path / "capped"
+        def refuse(*args, **kwargs):
+            raise ValueError("oracle refused")
+
+        monkeypatch.setattr(lowrank, "oracle_rank", refuse)
+        out = tmp_path / "refused"
         assert main(["verify-all", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 1
         message = capsys.readouterr().err
-        assert message.startswith("error [verify-all]: oracle matrix would hold ")
+        assert message == "error [verify-all]: oracle refused\n"
         assert message.count("\n") == 1 and "Traceback" not in message
 
     def test_harmonic_preset_verify_all(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,20 +274,47 @@ class TestOracle:
         ):
             assert r <= empirical_rank(curve_h, eps)
 
-    def test_memory_guard(self, flat1d_coeffs, monkeypatch):
-        grid, _, src, lap, co, co_h = flat1d_coeffs
-        monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", 1000)
-        with pytest.raises(MemoryError):
-            oracle_rank(src, 16, [1e-6])
-        # the cap counts the matrix actually formed: rows x n(n+1)/2
-        n = 16
-        formed = grid.node_count * n * (n + 1) // 2
-        for norm, kwargs in (("l2", {}), ("hm1", {"basis_lap": lap, "coeffs": co_h})):
-            monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", formed - 1)
-            with pytest.raises(MemoryError):
-                oracle_rank(src, n, [1e-6], norm, **kwargs)
-            monkeypatch.setattr(lowrank, "ORACLE_ENTRY_CAP", formed)
-            oracle_rank(src, n, [1e-6], norm, **kwargs)
+    def test_memory_guard(self):
+        # a tall 2-D family, 36 ORACLE_BLOCKs of rows: the streamed QR holds
+        # a few blocks at a time, never the rows x n(n+1)/2 family
+        grid = make_grid(2, (np.pi, np.pi), (192, 192), "dirichlet")
+        lap = laplacian_eigenpairs(assemble_laplacian(grid), 8, 1e-9)
+        n = 8
+        co = expansion_coefficients(lap, lap, n, grid.node_count)
+        family_bytes = grid.node_count * len(pair_list(n)) * 8
+        for norm, kwargs in (("l2", {}), ("hm1", {"basis_lap": lap, "coeffs": co})):
+            tracemalloc.start()
+            try:
+                oracle_rank(lap, n, [1e-3], norm, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < family_bytes / 4
+
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_streamed_qr_matches_full_svd(self, block, monkeypatch, flat1d_coeffs, random_pipeline):
+        # several stacking steps with a ragged last block: the tall 2-D
+        # family has 144 rows, the wide 1-D one 64 rows and 136 pairs; eps
+        # runs from 1e-2 to 1e-12 and inside each clear drop of the curve
+        monkeypatch.setattr(lowrank, "ORACLE_BLOCK", block)
+        eps_list = [10.0**-k for k in range(2, 13)]
+        grid, _, src1, lap1, _, co_h1 = flat1d_coeffs
+        pipe = random_pipeline
+        cases = [
+            (src1, lap1, co_h1, np.sqrt(grid.quadrature_weight)),
+            (pipe.basis_L, pipe.basis_lap, pipe.coeffs_hm1.restrict(8),
+             np.sqrt(pipe.grid.quadrature_weight)),
+        ]
+        for src, lap, co_h, sqrt_w in cases:
+            n = co_h.n
+            A_l2 = sqrt_w * _ordered_family(src, n)
+            A_h = _ordered_hm1_family(co_h, lap)
+            eps_l2 = eps_list + _eps_inside_steps(A_l2)
+            eps_h = eps_list + _eps_inside_steps(A_h)
+            assert oracle_rank(src, n, eps_l2) == [_reference_rank(A_l2, e) for e in eps_l2]
+            assert oracle_rank(src, n, eps_h, "hm1", basis_lap=lap, coeffs=co_h) == [
+                _reference_rank(A_h, e) for e in eps_h
+            ]
 
     def test_rejects_bad_inputs(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs

@@ -68,6 +68,8 @@ def test_product_function_basics(flat1d_small):
     assert prods.shape == (grid.node_count, 21)
     for i, j in pair_list(6):
         np.testing.assert_array_equal(prods[:, pair_row(j, i, 6)], product(src, i, j))
+    # a row range is the same rows of the full block
+    np.testing.assert_array_equal(product_matrix(src, 6, slice(10, 23)), prods[10:23])
     # (sqrt(2/pi) sin x)^2 peaks at 2/pi
     assert np.max(prods[:, 0]) == pytest.approx(2 / np.pi, rel=0.01)
     # Hoelder: ||phi_i phi_j|| <= ||phi_i||_inf * ||phi_j|| = ||phi_i||_inf
