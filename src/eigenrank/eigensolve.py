@@ -73,6 +73,11 @@ ORTHO_TOL = 1e-10
 RESIDUAL_BLOCK = 256   # columns per block of the residual certificate
 CLUSTER_PAD = 16       # modes solved past a window to find where its end cluster closes
 MODES_PER_SLICE = 80   # eigenpairs per Lanczos spectrum slice (module docstring)
+# a shift where _ldlt breaks down moves up by SHIFT_NUDGE (1 + |sigma|), at
+# most SHIFT_TRIES - 1 times; that sum stays under CLUSTER_REL_GAP / 2, so
+# the final count's shift, put mid-gap at a cluster boundary, stays in it
+SHIFT_NUDGE = 1e-9
+SHIFT_TRIES = 4
 
 
 class EigensolveError(RuntimeError):
@@ -374,8 +379,7 @@ def _sliced_lowest(op, m):
     v0 = np.random.default_rng(0).standard_normal(op.size)
     pairs = []
     for lo, hi, k in zip(edges, edges[1:], sizes):
-        centre = 0.5 * (lo + hi)
-        factor = _ldlt(op, centre)[1]
+        centre, _, factor = _ldlt(op, 0.5 * (lo + hi))
         inverse = spla.LinearOperator(op.matrix.shape, matvec=factor.solve, dtype=np.float64)
         try:
             pairs.append(spla.eigsh(
@@ -438,8 +442,7 @@ def _slice_edges(op, top):
         return 0.5 * (mu[t - 1] + mu[t])
 
     upper = field.a_max * flat(top) + field.v_sup
-    edge = 0.5 * (field.a_min + field.a_max) * flat(top)
-    below = _count_below(op, edge)
+    edge, below = _count_below(op, 0.5 * (field.a_min + field.a_max) * flat(top))
     while below < top:
         if edge >= upper:
             raise EigensolveError(
@@ -448,14 +451,12 @@ def _slice_edges(op, top):
                 f"bound {upper:.6g} on eigenvalue {top}",
             )
         grown = edge * flat(top) / flat(below)
-        edge = grown if edge < grown < upper else upper
-        below = _count_below(op, edge)
+        edge, below = _count_below(op, grown if edge < grown < upper else upper)
     slope = edge / flat(below)
     s = -(-below // MODES_PER_SLICE)
     edges, counts = [field.a_min * mu[0] - field.v_sup], [0]
     for j in range(1, s):
-        inner = slope * flat(j * below // s)
-        count = _count_below(op, inner)
+        inner, count = _count_below(op, slope * flat(j * below // s))
         if counts[-1] < count < below:
             edges.append(inner)
             counts.append(count)
@@ -463,37 +464,47 @@ def _slice_edges(op, top):
 
 
 def _ldlt(op, sigma):
-    """L - sigma I and its sparse LU with diagonal pivots in symmetric mode,
-    checked to be an LDL^T factorization (perm_r == perm_c, D = diag(U)).
+    """The shift used, L minus it and the sparse LU of that with diagonal
+    pivots in symmetric mode, checked to be an LDL^T factorization (perm_r ==
+    perm_c, D = diag(U)).
 
     The sliced solve's one factorization: its negative pivots count the
-    eigenvalues below sigma (the slice edges and the final count), and its
-    solve is the shift-invert operator of the slice centred at sigma."""
-    shifted = (op.matrix - sigma * sp.identity(op.size, format="csr")).tocsc()
-    try:
-        lu = spla.splu(
-            shifted,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise EigensolveError(
-            "completeness", f"inertia count: factorization of L - sigma I failed: {exc}"
-        ) from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise EigensolveError(
-            "completeness",
-            "inertia count: the factorization pivoted off the diagonal "
-            "(perm_r != perm_c), so it is no LDL^T and its pivots count nothing"
-        )
-    return shifted, lu
+    eigenvalues below the shift (the slice edges and the final count), and
+    its solve is the shift-invert operator of the slice centred there.  A
+    shift where the factorization breaks down (a vanishing pivot makes it
+    pivot off the diagonal, as on the flat stencil at its diagonal 2 d / h^2,
+    where the spectrum's midpoint lies, or an eigenvalue makes L minus it
+    singular) is moved up by SHIFT_NUDGE (1 + |sigma|) and tried again, up to
+    SHIFT_TRIES shifts in all; callers measure at the returned shift."""
+    for _ in range(SHIFT_TRIES):
+        shifted = (op.matrix - sigma * sp.identity(op.size, format="csr")).tocsc()
+        try:
+            lu = spla.splu(
+                shifted,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            problem = f"factorization of L - sigma I failed: {exc}"
+        else:
+            if np.array_equal(lu.perm_r, lu.perm_c):
+                return sigma, shifted, lu
+            problem = (
+                "the factorization pivoted off the diagonal (perm_r != perm_c), "
+                "so it is no LDL^T and its pivots count nothing"
+            )
+        sigma += SHIFT_NUDGE * (1.0 + abs(sigma))
+    raise EigensolveError(
+        "completeness", f"inertia count: {problem}, at each of {SHIFT_TRIES} nudged shifts"
+    )
 
 
-def _count_below(op, sigma) -> int:
-    """Eigenvalues of op below sigma, by the negative pivots of its LDL^T
-    (Sylvester's law of inertia)."""
-    return int(np.count_nonzero(_ldlt(op, sigma)[1].U.diagonal() < 0))
+def _count_below(op, sigma) -> tuple[float, int]:
+    """The shift used (_ldlt) and the eigenvalues of op below it, by the
+    negative pivots of its LDL^T (Sylvester's law of inertia)."""
+    sigma, _, lu = _ldlt(op, sigma)
+    return sigma, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
 def _inertia_count(op, lam, vec, end, tol, slices):
@@ -504,7 +515,8 @@ def _inertia_count(op, lam, vec, end, tol, slices):
     counted below sigma, and the Completeness record.
 
     sigma is the midpoint of the widest gap among lam[end - 1:], with k
-    solved eigenvalues below it.  Each counted pair must be a distinct
+    solved eigenvalues below it (nudged within that gap if _ldlt breaks
+    down there).  Each counted pair must be a distinct
     eigenpair, or a ghost copy of one (two slices returning the same pair)
     could stand in for a skipped one: the k pairs are judged in one pass,
     their residuals against tol, then their grid Gram matrix against
@@ -542,7 +554,7 @@ def _inertia_count(op, lam, vec, end, tol, slices):
             f"orthonormality defect {defect:.3e} above {ORTHO_TOL}, so they are not "
             "distinct eigenpairs"
         )
-    shifted, lu = _ldlt(op, sigma)
+    sigma, shifted, lu = _ldlt(op, sigma)
     pivots = lu.U.diagonal()
     count = int(np.count_nonzero(pivots < 0))
     # splu factors Pr A Pc = L U with Pr[perm_r[i], i] = 1, so row perm[i]

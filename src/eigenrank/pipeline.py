@@ -4,9 +4,9 @@ Owns the five CLI commands (spectrum, tail-curves, rank-scan, eri-bench,
 verify-all), the cross-module invariant suite behind verify-all, and all
 file output.  CSVs are written atomically with 17 significant digits so
 identical configs diff bitwise; summary.json echoes the config and every
-calibration constant next to the per-check booleans, plus the stage
-timings, peak RSS, thread cap and library versions (none of which reach a
-CSV).
+calibration constant next to the per-check booleans, plus the wall and
+CPU seconds, stage timings, peak RSS, thread cap, BLAS spin bound and
+library versions (none of which reach a CSV).
 
 The basis of L covers the resolved window M: the Weyl-regime cap, extended
 to close the degenerate cluster at its end.  Flat configurations take it
@@ -202,14 +202,25 @@ def write_csv(path: str, header: list[str], rows, timings: dict) -> None:
 
 
 def _versions() -> dict:
-    """numpy, scipy and BLAS versions; the BLAS entry is None where numpy
-    cannot describe its build (show_config(mode=...) needs numpy >= 1.25)."""
+    """numpy and scipy versions, and the BLAS each was built against
+    (`blas` numpy's, `scipy_blas` scipy's: two separate runtimes)."""
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": _blas_build(np),
+        "scipy_blas": _blas_build(scipy),
+    }
+
+
+def _blas_build(module) -> str | None:
+    """Name and version of the BLAS that numpy or scipy was built against,
+    or None where it cannot describe its build (show_config(mode=...) needs
+    numpy >= 1.25, scipy >= 1.11)."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
-        blas = None
-    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas}
+        return None
+    return f"{blas.get('name')} {blas.get('version')}"
 
 
 # ----------------------------------------------------------------------
@@ -555,6 +566,7 @@ def run(
     command: str,
     out_dir: str | None = None,
     threads: int | None = None,
+    spin_timeout: str | None = None,
 ) -> int:
     """Execute one command; returns the process exit status (0 ok, 1 failed
     check or certificate).
@@ -562,7 +574,9 @@ def run(
     `out_dir` is the CLI's --out (None: the config's output_dir); a path
     that cannot be made a directory raises ConfigError naming which, before
     anything is written.  `threads` is the BLAS thread cap the caller
-    applied (None if none); it is recorded in summary.json only.
+    applied (None if none) and `spin_timeout` the OPENBLAS_THREAD_TIMEOUT in
+    its environment before numpy loaded (None if the caller is not the CLI,
+    which sets one); both are recorded in summary.json only.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r} (commands: {', '.join(COMMANDS)})")
@@ -573,13 +587,14 @@ def run(
         where = "--out" if out_dir else "config.output_dir"
         raise ConfigError(where, f"cannot create directory {out!r}: {exc.strerror}") from exc
 
-    t0 = time.perf_counter()
+    start = time.perf_counter(), _cpu_seconds()
     summary: dict = {
         "command": command,
         "config": config.raw,
         "version": __version__,
         "calibration": {"calib_l2": config.calib_l2, "calib_hm1": config.calib_hm1},
         "threads": threads,
+        "openblas_thread_timeout": spin_timeout,
         "versions": _versions(),
         "basis_dependent": BASIS_DEPENDENT,
     }
@@ -591,7 +606,7 @@ def run(
         summary["check_details"] = {
             exc.check: {"ok": False, "detail": str(exc), "worst_residual": exc.worst_residual}
         }
-        _write_summary(out, summary, t0, {})
+        _write_summary(out, summary, start, {})
         return 1
     summary.update(
         grid_nodes=pipe.grid.node_count,
@@ -630,14 +645,23 @@ def run(
         summary["check_details"] = checks
         if not all(entry["ok"] for entry in checks.values()):
             status = 1
-    _write_summary(out, summary, t0, timings)
+    _write_summary(out, summary, start, timings)
     return status
 
 
-def _write_summary(out: str, summary: dict, t0: float, timings: dict) -> None:
-    """Add the run's seconds since t0, its stage timings and peak RSS, then
-    write summary.json."""
-    summary["seconds"] = time.perf_counter() - t0
+def _cpu_seconds() -> float:
+    """User plus system CPU seconds of the process so far, all its threads."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _write_summary(out: str, summary: dict, start: tuple, timings: dict) -> None:
+    """Add the run's wall and CPU seconds since start = (perf_counter,
+    _cpu_seconds), its stage timings and peak RSS, then write summary.json.
+    CPU seconds above the wall seconds were spent off the main thread."""
+    wall, cpu = start
+    summary["seconds"] = time.perf_counter() - wall
+    summary["cpu_seconds"] = _cpu_seconds() - cpu
     summary["timings"] = timings
     # ru_maxrss is in KiB on Linux
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

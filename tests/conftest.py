@@ -8,15 +8,33 @@ once per session and reused; `build_seconds` on the pipeline lets
 runtime-capped criteria account for the shared work they depend on.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from eigenrank.cli import THREAD_VARS
 from eigenrank.config import load_config
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
 from eigenrank.eigensolve import SpectralBasis, _scaled_residuals, cluster_end, laplacian_eigenpairs
 from eigenrank.pipeline import Pipeline, build_pipeline
+
+
+@pytest.fixture(autouse=True)
+def blas_environment_restored():
+    """cli.main writes the thread cap and the spin bound into os.environ;
+    put them back after each test, so that in-process CLI runs do not reach
+    the child processes of later tests."""
+    names = (*THREAD_VARS, "OPENBLAS_THREAD_TIMEOUT")
+    saved = {var: os.environ.get(var) for var in names}
+    yield
+    for var, value in saved.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 def dense_basis(op) -> SpectralBasis:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import eigenrank
+from eigenrank import cli
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config
 from eigenrank import config, eigensolve, lowrank, pipeline
@@ -440,12 +441,8 @@ class TestCommands:
         assert not out.exists()
 
     def test_one_thread_is_recorded(self, tmp_path, monkeypatch):
-        # the cap sets these variables for the whole process: monkeypatch
-        # puts them back, and hides threadpoolctl, whose limits would last
-        # past the test
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        for var in cli.THREAD_VARS:
             monkeypatch.setenv(var, "2")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
         out = tmp_path / "one"
         assert main(["spectrum", "--config", str(small_config(tmp_path)), "--out", str(out),
                      "--threads", "1"]) == 0
@@ -501,19 +498,26 @@ class TestCommands:
         assert summary["eri"]["enabled"]
 
 
+def _cli_child(args, **env):
+    """Run the command line in a child process, which loads numpy after the
+    CLI has set the BLAS environment; `env` adds to (or, with None, removes
+    from) the parent's environment."""
+    src = str(Path(eigenrank.__file__).resolve().parents[1])
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p))
+    for var, value in env.items():
+        if value is None:
+            child.pop(var, None)
+        else:
+            child[var] = value
+    subprocess.run([sys.executable, "-m", "eigenrank.cli", *args], env=child, check=True)
+
+
 def _rank_tables_at_1_and_2_threads(tmp_path, path, columns):
     # the thread cap must be set before numpy loads, so each run is a child
-    src = str(Path(eigenrank.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     tables = []
     for threads in (1, 2):
         out = tmp_path / f"t{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "eigenrank.cli", "rank-scan", "--config", str(path),
-             "--out", str(out), "--threads", str(threads)],
-            env=env, check=True,
-        )
+        _cli_child(["rank-scan", "--config", str(path), "--out", str(out), "--threads", str(threads)])
         with open(out / "ranks.csv", newline="") as fh:
             tables.append([tuple(row[c] for c in columns) for row in csv.DictReader(fh)])
         assert json.loads((out / "summary.json").read_text())["threads"] == threads
@@ -575,18 +579,40 @@ def test_summary_reports_threads_and_versions(tmp_path):
     summary = json.loads((plain / "summary.json").read_text())
     assert summary["threads"] is None
     assert summary["versions"]["numpy"] == np.__version__
-    assert set(summary["versions"]) == {"numpy", "scipy", "blas"}
+    assert set(summary["versions"]) == {"numpy", "scipy", "blas", "scipy_blas"}
+    assert summary["openblas_thread_timeout"] == os.environ["OPENBLAS_THREAD_TIMEOUT"]
+    assert summary["cpu_seconds"] > 0.0 and summary["seconds"] > 0.0
     # the cap is applied before numpy loads, so a capped run is a child
-    src = str(Path(eigenrank.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in [src, os.environ.get("PYTHONPATH")] if p))
-    subprocess.run(
-        [sys.executable, "-m", "eigenrank.cli", "spectrum", "--config", str(path),
-         "--out", str(capped), "--threads", "1"],
-        env=env, check=True,
-    )
+    _cli_child(["spectrum", "--config", str(path), "--out", str(capped), "--threads", "1"])
     assert json.loads((capped / "summary.json").read_text())["threads"] == 1
     # none of it reaches a CSV
     assert (plain / "spectrum.csv").read_bytes() == (capped / "spectrum.csv").read_bytes()
+
+
+def test_spin_bound_is_recorded_kept_and_moves_no_csv_byte(tmp_path):
+    # the bound is set on every invocation, with or without --threads; a
+    # value already in the environment (here OpenBLAS's own default
+    # exponent) is kept; the spin of idle workers changes no numerics
+    path = small_config(tmp_path)
+    bounded, default = tmp_path / "bounded", tmp_path / "default"
+    _cli_child(["verify-all", "--config", str(path), "--out", str(bounded), "--threads", "2"],
+               OPENBLAS_THREAD_TIMEOUT=None)
+    _cli_child(["verify-all", "--config", str(path), "--out", str(default), "--threads", "2"],
+               OPENBLAS_THREAD_TIMEOUT="28")
+    spins = [json.loads((out / "summary.json").read_text())["openblas_thread_timeout"]
+             for out in (bounded, default)]
+    assert spins == [str(cli.SPIN_TIMEOUT), "28"]
+    names = sorted(p.name for p in bounded.glob("*.csv"))
+    assert names == ["eri.csv", "ranks.csv", "spectrum.csv", "tails.csv"]
+    for name in names:
+        assert (bounded / name).read_bytes() == (default / name).read_bytes(), name
+
+
+def test_summary_of_a_run_not_started_by_the_cli_records_no_spin_bound(tmp_path):
+    out = tmp_path / "direct"
+    assert pipeline.run(load_config(str(small_config(tmp_path))), "spectrum", out_dir=str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["threads"] is None and summary["openblas_thread_timeout"] is None
 
 
 @pytest.mark.parametrize("describe", [TypeError("no mode argument"), KeyError("blas")])
@@ -595,8 +621,10 @@ def test_versions_survive_a_numpy_without_a_build_description(monkeypatch, descr
         raise describe
 
     monkeypatch.setattr(pipeline.np, "show_config", show_config)
+    monkeypatch.setattr(pipeline.scipy, "show_config", show_config)
     versions = pipeline._versions()
-    assert versions["blas"] is None and versions["numpy"] == np.__version__
+    assert versions["blas"] is None and versions["scipy_blas"] is None
+    assert versions["numpy"] == np.__version__
 
 
 def test_csvs_are_written_before_the_checks_run(tmp_path, monkeypatch):

@@ -111,18 +111,6 @@ def test_m_out_of_range():
     assert lowest_eigenpairs(op, op.size - 2, 1e-9).count == 62
 
 
-def test_wide_flat_stencil_window_fails_loudly():
-    # m = 16 of the flat 64-point stencil solves 32 modes, whose top slice
-    # edge flat(32) = 2/h^2 is the stencil's diagonal: the factorization
-    # there pivots off the diagonal and counts nothing, so the solve stops
-    # rather than return pairs it cannot certify (the pipeline takes this
-    # operator's basis from the closed form)
-    op = assemble_laplacian(make_grid(1, np.pi, 64, "dirichlet"))
-    with pytest.raises(EigensolveError, match="inertia count") as info:
-        lowest_eigenpairs(op, 16, 1e-9)
-    assert info.value.check == "completeness"
-
-
 def test_iterative_path_matches_closed_form():
     # above the dense cap; the certificate floor is eps*||M|| ~ 3e-9 here,
     # so ask for the tolerance the grid can actually certify
@@ -858,6 +846,33 @@ def test_inertia_count_needs_a_symmetric_factorization(monkeypatch):
     monkeypatch.setattr(eigensolve.spla, "splu", lambda *a, **k: RowPivoted(real(*a, **k)))
     with pytest.raises(EigensolveError, match=r"inertia count: .*perm_r != perm_c"):
         lowest_eigenpairs(_random_2d_op(), 16, 1e-9)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_shift_on_the_flat_stencil_diagonal_is_nudged(m, monkeypatch):
+    # the 64-point flat spectrum is symmetric about the diagonal 2/h^2, so
+    # the top slice edge (m = 16) and the final count's shift (m = 32) land
+    # on it, where the unpivoted LDL^T meets a zero pivot
+    op = assemble_laplacian(make_grid(1, np.pi, 64, "dirichlet"))
+    real, nudged = eigensolve._ldlt, []
+
+    def recording(op, sigma):
+        used, shifted, lu = real(op, sigma)
+        if used != sigma:
+            nudged.append(sigma)
+        return used, shifted, lu
+
+    monkeypatch.setattr(eigensolve, "_ldlt", recording)
+    basis = lowest_eigenpairs(op, m, 1e-9)
+    assert nudged == [pytest.approx(2 / op.grid.spacing[0] ** 2, rel=1e-12)]
+    done = basis.completeness
+    assert done.count_below == done.solved_below >= basis.count == m
+    assert done.backward_error < done.distance
+    assert np.max(basis.residuals) <= 1e-9 and basis.ortho_defect <= 1e-10
+    lam = sla.eigh(op.matrix.toarray(), eigvals_only=True)
+    assert np.count_nonzero(lam < done.sigma) == done.count_below
+    assert np.min(np.abs(lam - done.sigma)) == pytest.approx(done.distance, rel=1e-9)
+    np.testing.assert_allclose(basis.eigenvalues, lam[:m], rtol=1e-10)
 
 
 def test_inertia_count_passes_exact_degenerate_pairs():
