@@ -11,6 +11,10 @@ come from the axis factors instead.  Its certificates are per-axis bounds
 that cover every tensor mode plus measured residual and Gram checks of the
 stored columns against the assembled operator.
 
+Both builders hand their pairs to one judge, _certify, which alone holds
+residuals to tol and Gram defects to ORTHO_TOL.  The comparability sandwich
+that places the spectrum slices is written once, CoefficientField.sandwich.
+
 Any other operator goes through lowest_eigenpairs, which solves only the
 window it is asked for (grown to close the degenerate cluster at its end)
 by spectrum slicing (Campos & Roman, Numer. Algorithms 60, 2012).  The
@@ -49,7 +53,7 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,8 +88,8 @@ class EigensolveError(RuntimeError):
     """A certificate failed where it was computed.
 
     `check` names it as verify-all does: "residuals", "orthonormality" or
-    "completeness".  worst_residual is the largest scaled residual among the
-    pairs the failing check judged, or None if it judged no residual.
+    "completeness".  worst_residual is the largest scaled residual that the
+    failing judgement measured, or None if it measured none.
     """
 
     def __init__(self, check, message, worst_residual=None):
@@ -130,6 +134,15 @@ class Completeness:
             f"{self.distance:.3e}"
         )
 
+    def covers(self, count: int, stored: int) -> str:
+        """What the ortho_defect of a basis of `count` pairs (`stored` as columns) bounds."""
+        if self.route == "lanczos":
+            return f"the Gram of the {self.solved_below} pairs counted below sigma"
+        return (
+            f"the larger of the measured Gram of its {stored} stored "
+            f"vectors and the per-axis bound over all {count} modes"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
@@ -140,10 +153,10 @@ class SpectralBasis:
     grid inner product, i.e. Euclidean norm quadrature_weight^(-1/2).
     residuals[k] is the scaled certificate
     ||M phi - lambda phi|| / (||phi|| (1 + |lambda|)) for all `count` pairs.
-    ortho_defect is the orthonormality certificate, computed once when the
-    basis is built: gram_defect() unless the builder supplies a defect that
-    also covers pairs it does not store (the closed form's per-axis bound,
-    the Lanczos Gram of every pair its inertia count counts).
+    ortho_defect is the orthonormality certificate, measured once by the
+    builder's judgement (_certify) over the pairs completeness.covers()
+    names: the closed form's stored columns and per-axis bound, or the
+    Lanczos pairs its inertia count counts.
 
     completeness records how the builder showed that no mode is missing.
 
@@ -159,14 +172,10 @@ class SpectralBasis:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    ortho_defect: float | None = None
+    ortho_defect: float
     axis_vectors: tuple | None = None
     modes: tuple | None = None
     completeness: Completeness | None = None
-
-    def __post_init__(self):
-        if self.ortho_defect is None:
-            object.__setattr__(self, "ortho_defect", self.gram_defect())
 
     @property
     def count(self) -> int:
@@ -185,10 +194,6 @@ class SpectralBasis:
                 f"{k} eigenfunctions requested, but the basis stores "
                 f"{self.materialized} of its {self.count} as vectors"
             )
-
-    def gram_defect(self) -> float:
-        """max |<phi_i, phi_j> - delta_ij| over the stored vectors."""
-        return _gram_defect(self.vectors, self.grid.quadrature_weight)
 
 
 def lowest_eigenpairs(
@@ -226,12 +231,8 @@ def lowest_eigenpairs(
     _fix_signs(vec)
     resid, defect, completeness = _inertia_count(op, lam, vec, end, tol, slices)
     return SpectralBasis(
-        grid=op.grid,
-        tag=op.kind,
-        eigenvalues=lam[:end],
-        vectors=np.ascontiguousarray(vec[:, :end]),
-        residuals=resid,
-        ortho_defect=defect,
+        grid=op.grid, tag=op.kind, eigenvalues=lam[:end],
+        vectors=np.ascontiguousarray(vec[:, :end]), residuals=resid, ortho_defect=defect,
         completeness=completeness,
     )
 
@@ -256,21 +257,16 @@ def laplacian_eigenpairs(
     entry of a tensor mode is the product of the axes' first significant
     entries, and positive: the written columns need no flips.
 
-    Certificates, each computed once:
-
-    - per axis a, the residuals r_a[k] = ||A_a v - lambda v|| of the (p, p)
-      factor against the assembled 1-D stencil A_a and its Gram defect
-      delta_a.  Since -Delta is the Kronecker sum of the A_a, a tensor mode
-      of eigenvalue lambda has scaled residual at most
-      sum_a (||r_a|| / ||v_a||) / (1 + |lambda|), and the grid Gram matrix
-      of all tensor modes deviates from the identity by at most
-      prod_a (1 + delta_a) - 1.
-    - the measured residual and Gram defect of the written columns against
-      `op` itself, which ties the closed form to the assembly.
-
-    residuals[k] is the measured value for the written columns and the
-    tensor bound beyond them; ortho_defect is the larger of the measured
-    defect and the tensor bound.  Both are judged once, here.
+    Certificates, judged once by _certify: per axis a, the residuals
+    r_a[k] = ||A_a v - lambda v|| of the (p, p) factor against the assembled
+    1-D stencil A_a and its Gram defect delta_a.  Since -Delta is the
+    Kronecker sum of the A_a, a tensor mode of eigenvalue lambda has scaled
+    residual at most sum_a (||r_a|| / ||v_a||) / (1 + |lambda|), and the
+    grid Gram matrix of all tensor modes deviates from the identity by at
+    most prod_a (1 + delta_a) - 1.  The written columns' residuals and Gram
+    defect are measured against `op` itself, which ties the closed form to
+    the assembly: residuals[k] is the measured value for them and the
+    tensor bound beyond, ortho_defect the larger of both defects.
     """
     if op.kind != LAPLACIAN:
         raise ValueError(f"closed form holds for the {LAPLACIAN} only, got {op.kind!r}")
@@ -293,24 +289,15 @@ def laplacian_eigenpairs(
     modes = np.unravel_index(order, points, order="F")
 
     vec = _tensor_columns(axis_vectors, [k[:columns] for k in modes], points)
-    resid = sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam))
-    resid[:columns] = _scaled_residuals(op, lam[:columns], vec)
-    if np.max(resid) > tol:
-        raise EigensolveError(
-            "residuals",
-            f"residual {np.max(resid):.3e} exceeds tolerance {tol:.3e}",
-            worst_residual=float(np.max(resid)),
-        )
-    basis = SpectralBasis(   # measures the Gram defect of the stored vectors
-        grid=grid, tag=op.kind, eigenvalues=lam, vectors=vec, residuals=resid,
+    resid, defect = _certify(
+        op, lam, vec, tol, "closed form", f"all {lam.size} modes",
+        resid=sum(r[k] for r, k in zip(axis_resid, modes)) / (1.0 + np.abs(lam)),
+        gram_bound=float(np.prod([1.0 + d for d in axis_defect]) - 1.0),
+    )
+    return SpectralBasis(
+        grid=grid, tag=op.kind, eigenvalues=lam, vectors=vec, residuals=resid, ortho_defect=defect,
         axis_vectors=tuple(axis_vectors), modes=modes, completeness=Completeness("closed_form"),
     )
-    defect = max(basis.ortho_defect, float(np.prod([1.0 + d for d in axis_defect]) - 1.0))
-    if defect > ORTHO_TOL:
-        raise EigensolveError(
-            "orthonormality", f"orthonormality defect {defect:.3e} exceeds {ORTHO_TOL}"
-        )
-    return replace(basis, ortho_defect=defect)
 
 
 def _tensor_columns(axis_vectors, modes, points):
@@ -336,6 +323,35 @@ def _check_request(op, m, tol, top):
         raise ValueError(f"m must satisfy 1 <= m <= {top}, got {m}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _certify(op, lam, vec, tol, source, pairs, resid=None, gram_bound=0.0):
+    """Judge eigenpairs of op, the one place where scaled residuals meet tol
+    and then Gram defects meet ORTHO_TOL; returns both.  vec holds the first
+    columns of lam's pairs: their measured residuals overwrite the head of
+    `resid` (a bound on every pair's; None if vec holds them all) and their
+    grid Gram defect is raised to gram_bound (a bound over the rest).  A
+    failure raises EigensolveError with its check and the worst residual,
+    worded from `source` (the certificate) and `pairs` (what it judged)."""
+    stored = vec.shape[1]
+    resid = np.empty(stored) if resid is None else resid
+    resid[:stored] = _scaled_residuals(op, lam[:stored], vec)
+    worst = float(np.max(resid))
+    if worst > tol:
+        raise EigensolveError(
+            "residuals",
+            f"{source}: residual {worst:.3e} exceeds tolerance {tol:.3e} over {pairs}",
+            worst_residual=worst,
+        )
+    defect = max(_gram_defect(vec, op.grid.quadrature_weight), gram_bound)
+    if defect > ORTHO_TOL:
+        raise EigensolveError(
+            "orthonormality",
+            f"{source}: orthonormality defect {defect:.3e} exceeds {ORTHO_TOL} over {pairs}, "
+            "so they are not distinct eigenpairs",
+            worst_residual=worst,
+        )
+    return resid, defect
 
 
 def _gram_defect(vec, w) -> float:
@@ -367,8 +383,8 @@ def _sliced_lowest(op, m):
     than any outside it, so eigsh at the centre, asked for the k_j nearest,
     returns exactly the slice's pairs.  Its shift-invert solves use the
     LDL^T factor of L minus the centre (_ldlt).  The union is sorted and cut
-    to the m lowest, and returned with the slices it came from;
-    _inertia_count certifies it.
+    to the m lowest, and returned with the slices it came from (their edges
+    and sizes); _inertia_count certifies it.
     """
     edges, counts = _slice_edges(op, m)
     sizes = np.diff(counts)
@@ -412,10 +428,7 @@ def _sliced_lowest(op, m):
         vec[:, mine] = vec_j[:, order[mine] - start]
         start += lam_j.size
         pairs[j] = None
-    slices = Completeness(
-        "lanczos", slice_edges=tuple(map(float, edges)), slice_sizes=tuple(map(int, sizes))
-    )
-    return lam[order], vec, slices
+    return lam[order], vec, (edges, sizes)
 
 
 def _slice_edges(op, top):
@@ -423,16 +436,16 @@ def _slice_edges(op, top):
     0 = c_0 < ... < c_s, with c_s >= top and s = ceil(c_s / MODES_PER_SLICE).
 
     The guesses come from the flat spectrum mu and the comparability
-    sandwich a_min mu_k - v_sup <= lambda_k <= a_max mu_k + v_sup, read at
-    flat(t), a point of the flat spectrum between two of its clusters with
-    at least t modes below it.  e_0 is the sandwich's lower end at k = 1,
-    below every eigenvalue, so it needs no count.  The top edge starts at
-    the sandwich's middle, (a_min + a_max) / 2 * flat(top); while it counts
-    fewer than `top`, it is rescaled by flat(top) / flat(count), up to the
-    sandwich's upper end a_max flat(top) + v_sup, which counts at least
-    that many.  Its count c_s then fixes slope = e_s / flat(c_s), and
-    interior edge j sits at slope * flat(j c_s / s), near an equal-count
-    quantile; an interior edge that adds no eigenvalue is dropped.
+    sandwich (CoefficientField.sandwich) read at flat(t), a point of the
+    flat spectrum between two of its clusters with at least t modes below
+    it.  e_0 is the sandwich's lower end at mu_1, below every eigenvalue, so
+    it needs no count.  The top edge starts at the sandwich's middle,
+    (a_min + a_max) / 2 * flat(top); while it counts fewer than `top`, it is
+    rescaled by flat(top) / flat(count), up to the sandwich's upper end at
+    flat(top), which counts at least that many.  Its count c_s then fixes
+    slope = e_s / flat(c_s), and interior edge j sits at
+    slope * flat(j c_s / s), near an equal-count quantile; an interior edge
+    that adds no eigenvalue is dropped.
     """
     field = op.coefficients
     mu = np.sort(stencil_eigenvalues(op.grid))
@@ -441,7 +454,7 @@ def _slice_edges(op, top):
         t = min(cluster_end(mu, t), mu.size - 1)
         return 0.5 * (mu[t - 1] + mu[t])
 
-    upper = field.a_max * flat(top) + field.v_sup
+    upper = field.sandwich(flat(top))[1]
     edge, below = _count_below(op, 0.5 * (field.a_min + field.a_max) * flat(top))
     while below < top:
         if edge >= upper:
@@ -454,7 +467,7 @@ def _slice_edges(op, top):
         edge, below = _count_below(op, grown if edge < grown < upper else upper)
     slope = edge / flat(below)
     s = -(-below // MODES_PER_SLICE)
-    edges, counts = [field.a_min * mu[0] - field.v_sup], [0]
+    edges, counts = [field.sandwich(mu[0])[0]], [0]
     for j in range(1, s):
         inner, count = _count_below(op, slope * flat(j * below // s))
         if counts[-1] < count < below:
@@ -509,25 +522,24 @@ def _count_below(op, sigma) -> tuple[float, int]:
 
 def _inertia_count(op, lam, vec, end, tol, slices):
     """Certify that the ascending solved eigenpairs (lam, vec) of op, the
-    grid-normalized union of the Lanczos slices recorded in `slices`,
-    include every eigenvalue of op up to lam[end - 1].  Returns the scaled
-    residuals of the first `end` pairs, the grid Gram defect of every pair
-    counted below sigma, and the Completeness record.
+    grid-normalized union of the Lanczos slices whose edges and sizes are
+    `slices`, include every eigenvalue of op up to lam[end - 1].  Returns
+    the scaled residuals of the first `end` pairs, the grid Gram defect of
+    every pair counted below sigma, and the Completeness record.
 
     sigma is the midpoint of the widest gap among lam[end - 1:], with k
     solved eigenvalues below it (nudged within that gap if _ldlt breaks
-    down there).  Each counted pair must be a distinct
-    eigenpair, or a ghost copy of one (two slices returning the same pair)
-    could stand in for a skipped one: the k pairs are judged in one pass,
-    their residuals against tol, then their grid Gram matrix against
-    ORTHO_TOL.  The LDL^T factorization of P (op - sigma I) P^T (_ldlt) has
-    exactly as many negative eigenvalues as D has negative entries
-    (Sylvester).  L D L^T differs from P (op - sigma I) P^T by the measured
-    backward error E, which moves each eigenvalue by at most
-    ||E||_2 <= ||E||_F (Weyl).  With ||E||_F below the distance from sigma
-    to the nearest solved eigenvalue, every eigenvalue of op below
-    lam[end - 1] is counted, so a count equal to k leaves no room for a
-    skipped one.
+    down there).  Each counted pair must be a distinct eigenpair, or a
+    ghost copy of one (two slices returning the same pair) could stand in
+    for a skipped one: _certify judges the k pairs in one pass, their
+    residuals, then their grid Gram matrix.  The LDL^T factorization of
+    P (op - sigma I) P^T (_ldlt) has exactly as many negative eigenvalues as
+    D has negative entries (Sylvester).  L D L^T differs from
+    P (op - sigma I) P^T by the measured backward error E, which moves each
+    eigenvalue by at most ||E||_2 <= ||E||_F (Weyl).  With ||E||_F below the
+    distance from sigma to the nearest solved eigenvalue, every eigenvalue
+    of op below lam[end - 1] is counted, so a count equal to k leaves no
+    room for a skipped one.
     """
     gaps = np.diff(lam[end - 1:])
     if not gaps.size:
@@ -538,22 +550,10 @@ def _inertia_count(op, lam, vec, end, tol, slices):
         )
     k = end + int(np.argmax(gaps))   # lam[k - 1] < sigma < lam[k]
     sigma = 0.5 * (lam[k - 1] + lam[k])
-    resid = _scaled_residuals(op, lam[:k], vec[:, :k])
-    if np.max(resid) > tol:
-        raise EigensolveError(
-            "residuals",
-            f"inertia count: residual {np.max(resid):.3e} of the {k} pairs counted below "
-            f"sigma = {sigma:.6g} exceeds tolerance {tol:.3e}",
-            worst_residual=float(np.max(resid)),
-        )
-    defect = _gram_defect(vec[:, :k], op.grid.quadrature_weight)
-    if defect > ORTHO_TOL:
-        raise EigensolveError(
-            "orthonormality",
-            f"inertia count: the {k} pairs solved below sigma = {sigma:.6g} have "
-            f"orthonormality defect {defect:.3e} above {ORTHO_TOL}, so they are not "
-            "distinct eigenpairs"
-        )
+    resid, defect = _certify(
+        op, lam[:k], vec[:, :k], tol, "inertia count",
+        f"the {k} pairs counted below sigma = {sigma:.6g}",
+    )
     sigma, shifted, lu = _ldlt(op, sigma)
     pivots = lu.U.diagonal()
     count = int(np.count_nonzero(pivots < 0))
@@ -577,9 +577,11 @@ def _inertia_count(op, lam, vec, end, tol, slices):
             f"reaches the distance {distance:.3e} from sigma = {sigma:.6g} to the "
             "nearest solved eigenvalue"
         )
-    done = replace(
-        slices, sigma=float(sigma), count_below=count, solved_below=k,
+    edges, sizes = slices
+    done = Completeness(
+        "lanczos", sigma=float(sigma), count_below=count, solved_below=k,
         backward_error=backward, distance=distance,
+        slice_edges=tuple(map(float, edges)), slice_sizes=tuple(map(int, sizes)),
     )
     return resid[:end], defect, done
 
@@ -677,10 +679,10 @@ def supnorm_growth_fit(basis: SpectralBasis, k_min: int, k_max: int) -> tuple[fl
 
 @dataclass(frozen=True)
 class ComparabilityReport:
-    """Slack margins for a_min*mu_k - v_sup <= lambda_k <= a_max*mu_k + v_sup."""
+    """Slack margins of lambda_k in the sandwich (CoefficientField.sandwich)."""
 
-    lower_margins: np.ndarray   # lambda_k - (a_min mu_k - v_sup)
-    upper_margins: np.ndarray   # (a_max mu_k + v_sup) - lambda_k
+    lower_margins: np.ndarray   # lambda_k - lower bound
+    upper_margins: np.ndarray   # upper bound - lambda_k
     ok: bool
     worst: float
 
@@ -691,15 +693,15 @@ def comparability_check(
     field: CoefficientField,
     k_max: int,
 ) -> ComparabilityReport:
-    """Check the min-max eigenvalue sandwich between L and -Delta."""
+    """Check the min-max eigenvalue sandwich (CoefficientField.sandwich)
+    between L and -Delta."""
     if basis_L.grid != basis_lap.grid:
         raise ValueError("bases live on different grids")
     if k_max > min(basis_L.count, basis_lap.count):
         raise ValueError(f"k_max {k_max} exceeds available eigenpairs")
     lam = basis_L.eigenvalues[:k_max]
-    mu = basis_lap.eigenvalues[:k_max]
-    lower = lam - (field.a_min * mu - field.v_sup)
-    upper = (field.a_max * mu + field.v_sup) - lam
+    low, high = field.sandwich(basis_lap.eigenvalues[:k_max])
+    lower, upper = lam - low, high - lam
     tol = -1e-8 * (1.0 + np.abs(lam))
     ok = bool(np.all(lower >= tol) and np.all(upper >= tol))
     worst = float(min(np.min(lower), np.min(upper)))

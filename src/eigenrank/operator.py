@@ -108,6 +108,11 @@ class CoefficientField:
     a_max: float
     v_sup: float
 
+    def sandwich(self, mu):
+        """Min-max bounds a_min mu - v_sup, a_max mu + v_sup on the eigenvalue
+        of L at the index of the flat eigenvalue mu (the form sandwich above)."""
+        return self.a_min * mu - self.v_sup, self.a_max * mu + self.v_sup
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:

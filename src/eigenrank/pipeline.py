@@ -410,22 +410,12 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = max(float(np.max(pipe.basis_L.residuals)), float(np.max(pipe.basis_lap.residuals)))
     record("residuals", True, f"max scaled residual {worst:.3e}")
 
-    def covered(basis):   # every pair a basis's recorded defect bounds
-        if basis.completeness.route == "lanczos":
-            return f"the Gram of the {basis.completeness.solved_below} pairs counted below sigma"
-        return (
-            f"the larger of the measured Gram of its {basis.materialized} stored "
-            f"vectors and the per-axis bound over all {basis.count} modes"
-        )
-
     defect = max(pipe.basis_L.ortho_defect, pipe.basis_lap.ortho_defect)
-    record(
-        "orthonormality",
-        True,
-        f"max gram defect {defect:.3e}; L basis {pipe.basis_L.ortho_defect:.3e} "
-        f"({covered(pipe.basis_L)}), Laplacian basis {pipe.basis_lap.ortho_defect:.3e} "
-        f"({covered(pipe.basis_lap)})",
+    each = ", ".join(
+        f"{name} basis {b.ortho_defect:.3e} ({b.completeness.covers(b.count, b.materialized)})"
+        for name, b in (("L", pipe.basis_L), ("Laplacian", pipe.basis_lap))
     )
+    record("orthonormality", True, f"max gram defect {defect:.3e}; {each}")
 
     # the window of L holds every mode below its end: the closed form has
     # them all, and the sliced Lanczos solve counts them by the inertia of

@@ -18,7 +18,13 @@ from eigenrank.cli import THREAD_VARS
 from eigenrank.config import load_config
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
-from eigenrank.eigensolve import SpectralBasis, _scaled_residuals, cluster_end, laplacian_eigenpairs
+from eigenrank.eigensolve import (
+    SpectralBasis,
+    _gram_defect,
+    _scaled_residuals,
+    cluster_end,
+    laplacian_eigenpairs,
+)
 from eigenrank.pipeline import Pipeline, build_pipeline
 
 
@@ -49,6 +55,7 @@ def dense_basis(op) -> SpectralBasis:
         eigenvalues=lam,
         vectors=vec,
         residuals=_scaled_residuals(op, lam, vec),
+        ortho_defect=_gram_defect(vec, op.grid.quadrature_weight),
     )
 
 
@@ -90,6 +97,7 @@ def flat1d_small():
         eigenvalues=lap.eigenvalues.copy(),
         vectors=lap.vectors.copy(),
         residuals=lap.residuals.copy(),
+        ortho_defect=lap.ortho_defect,
     )
     return grid, op, src, lap
 
@@ -106,5 +114,6 @@ def flat2d_small():
         eigenvalues=lap.eigenvalues.copy(),
         vectors=lap.vectors.copy(),
         residuals=lap.residuals.copy(),
+        ortho_defect=lap.ortho_defect,
     )
     return grid, op, src, lap

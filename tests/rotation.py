@@ -6,7 +6,7 @@ one by hand probes which reported quantities depend only on eigenspaces.
 
 import numpy as np
 
-from eigenrank.eigensolve import SpectralBasis
+from eigenrank.eigensolve import SpectralBasis, _gram_defect
 
 
 def rotate_cluster(basis: SpectralBasis, indices, rotation=None, seed=0) -> SpectralBasis:
@@ -30,4 +30,5 @@ def rotate_cluster(basis: SpectralBasis, indices, rotation=None, seed=0) -> Spec
         eigenvalues=basis.eigenvalues.copy(),
         vectors=vec,
         residuals=basis.residuals.copy(),
+        ortho_defect=_gram_defect(vec, basis.grid.quadrature_weight),
     )

@@ -14,6 +14,7 @@ import numpy as np
 from eigenrank.config import load_config
 from eigenrank.cli import main
 from eigenrank.eigensolve import (
+    _gram_defect,
     comparability_check,
     laplacian_eigenpairs,
     lowest_eigenpairs,
@@ -55,7 +56,7 @@ def test_criterion_01_discrete_spectrum_exactness():
     k = np.arange(1, 65)
     closed = (4.0 / h**2) * np.sin(k * h / 2.0) ** 2
     rel = float(np.max(np.abs(basis.eigenvalues - closed) / closed))
-    defect = basis.gram_defect()
+    defect = _gram_defect(basis.vectors, grid.quadrature_weight)
     elapsed = time.perf_counter() - t0
     announce(
         1,

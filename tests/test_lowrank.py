@@ -504,7 +504,7 @@ def test_periodic_hm1_excludes_constant_mode():
     basis = laplacian_eigenpairs(assemble_laplacian(g), 48, 1e-9)
     src = SpectralBasis(
         grid=g, tag="schrodinger", eigenvalues=basis.eigenvalues,
-        vectors=basis.vectors, residuals=basis.residuals,
+        vectors=basis.vectors, residuals=basis.residuals, ortho_defect=basis.ortho_defect,
     )
     co = expansion_coefficients(src, basis, 4, 48)
     # no blow-up from the zero mode, and the full tail is finite

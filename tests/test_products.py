@@ -164,7 +164,7 @@ def test_potential_shift_identity():
     blap = laplacian_eigenpairs(assemble_laplacian(g), 96, 1e-9)
     lap = SpectralBasis(
         grid=g, tag="laplacian", eigenvalues=blap.eigenvalues,
-        vectors=blap.vectors, residuals=blap.residuals,
+        vectors=blap.vectors, residuals=blap.residuals, ortho_defect=blap.ortho_defect,
     )
     co_L = expansion_coefficients(bL, bL, 4, 96)
     co_lap = expansion_coefficients(bL, lap, 4, 96)
@@ -230,7 +230,7 @@ def test_mean_zero_products_periodic():
     basis = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
     src = SpectralBasis(
         grid=g, tag="schrodinger", eigenvalues=basis.eigenvalues,
-        vectors=basis.vectors, residuals=basis.residuals,
+        vectors=basis.vectors, residuals=basis.residuals, ortho_defect=basis.ortho_defect,
     )
     co = expansion_coefficients(src, basis, 6, 64)
     k0 = int(np.argmin(np.abs(basis.eigenvalues)))   # the constant mode

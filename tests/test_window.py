@@ -179,6 +179,7 @@ def test_windowed_l2_tails_match_the_complete_table(random_pipe):
     full = type(pipe.basis_L)(
         grid=pipe.grid, tag="schrodinger", eigenvalues=lam, vectors=vec,
         residuals=np.zeros(G),
+        ortho_defect=eigensolve._gram_defect(vec, pipe.grid.quadrature_weight),
     )
     complete = expansion_coefficients(pipe.basis_L, full, co.n, G)
     assert complete.outside_mass is None
