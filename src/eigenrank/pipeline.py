@@ -61,7 +61,6 @@ from .lowrank import (
     HM1,
     L2,
     ScalingReport,
-    hm1_weights,
     scaling_report,
     tail_identity_slack,
     tail_table,
@@ -136,10 +135,9 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     with _stage(timings, "basis_L"):
         if flat:
             basis_L = replace(basis_lap, tag=op_L.kind)
-            window = cluster_end(basis_lap.eigenvalues, cap)
         else:
             basis_L = lowest_eigenpairs(op_L, cap, config.solver_tol)
-            window = basis_L.count
+    window = cluster_end(basis_L.eigenvalues, cap)
     with _stage(timings, "coefficients"):
         coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
         # flat: L's basis is the Laplacian's, so the L2 expansion is the same
@@ -425,7 +423,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     record("completeness", True, done.describe(pipe.basis_L.count), **values)
 
     # node values of the products, read by the chain bound and the H^1
-    # identity, and released before the tail tables are formed, so the
+    # identity, and released before the tail table is formed, so the
     # block does not add to the checks' peak memory
     prods = product_matrix(pipe.basis_L, pipe.n_max)
     chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, prods)
@@ -450,36 +448,18 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     worst = float(np.max(excess))
     record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
-    # Q = <L f, f> of every product, from the sparse matrix (chain.values).
-    # One (pairs, m+1) tail table is live at a time: each is read for its
-    # identity slack and its tail at r = G (complete tables only: a windowed
-    # L2 table ends at r = M with the out-of-window mass), then released
+    # Q = <L f, f> of every product, from the sparse matrix (chain.values),
+    # against the eigenvalue-weighted L2 tails of the spectral expansion
     Q = chain.values
     lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
     table = tail_table(pipe.coeffs_l2)
     worst_slack = float(np.max(tail_identity_slack(lam, table, Q[:, None])))
+    del table
     record(
         "tail_identity_l2",
         worst_slack <= 1e-10 * (1.0 + float(np.max(np.abs(Q)))),
         f"worst lambda_r*tail^2 - Q = {worst_slack:.3e}",
     )
-    zero_tail_l2 = float(table[:, -1].max()) if pipe.coeffs_l2.outside_mass is None else None
-    mono_l2 = float(np.max(np.diff(np.max(table, axis=0))))
-    del table
-
-    rhs = tail_table(pipe.coeffs_hm1)
-    np.square(rhs, out=rhs)
-    table = tail_table(pipe.coeffs_hm1, hm1_weights(pipe.coeffs_hm1, pipe.basis_lap))
-    worst_slack = float(np.max(tail_identity_slack(mu, table, rhs)))
-    record(
-        "tail_identity_hm1",
-        worst_slack <= 1e-10,
-        f"worst mu_r*(H^-1 tail)^2 - (L2 tail)^2 = {worst_slack:.3e}",
-    )
-    complete = {"H^-1": float(table[:, -1].max())}
-    if zero_tail_l2 is not None:
-        complete["L2"] = zero_tail_l2
-    del table, rhs
 
     # expansions in both targets, L's basis and the Laplacian's; a windowed
     # one adds its out-of-window mass (Pythagoras).  That mass is measured as
@@ -509,29 +489,19 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
         ),
     )
 
-    k_cmp = min(cfg.solver_m, pipe.basis_L.count, pipe.basis_lap.count)
-    comp = comparability_check(pipe.basis_L, pipe.basis_lap, pipe.field_, k_cmp)
-    record("comparability", comp.ok, f"k<={k_cmp}, worst margin {comp.worst:.3e}")
+    # config caps solver.m at the Weyl cap, below the count of either basis
+    comp = comparability_check(pipe.basis_L, pipe.basis_lap, pipe.field_, cfg.solver_m)
+    record("comparability", comp.ok, f"k<={cfg.solver_m}, worst margin {comp.worst:.3e}")
 
     # a table of m modes reports r_empirical = m + 1 when it misses eps: a
     # lower bound (windowed L2 only), against which no oracle rank is bounded
     modes = {L2: pipe.coeffs_l2.m, HM1: pipe.coeffs_hm1.m}
-    exact = [rep for rep in scaling.rank_reports if rep.r_empirical <= modes[rep.norm]]
-    record(
-        "oracle_dominance",
-        all(rep.r_oracle <= rep.r_empirical for rep in exact),
-        f"{len(exact)} of {len(scaling.rank_reports)} sweep cells; the others "
-        f"report the lower bound r_empirical = {pipe.coeffs_l2.m + 1}",
-    )
-
-    zero_tail = max(complete.values())
-    record(
-        "tail_curve_invariants",
-        zero_tail <= 1e-10 and mono_l2 <= 1e-14,
-        f"tail at r=G {zero_tail:.3e} ({' and '.join(complete)} tables; "
-        f"L2 table over {pipe.coeffs_l2.m} of {pipe.grid.node_count} modes), "
-        f"worst increase {mono_l2:.3e}",
-    )
+    cells = scaling.rank_reports
+    exact = [rep for rep in cells if rep.r_empirical <= modes[rep.norm]]
+    detail = f"{len(exact)} of {len(cells)} sweep cells"
+    if len(exact) < len(cells):
+        detail += f"; the others report the lower bound r_empirical = {pipe.coeffs_l2.m + 1}"
+    record("oracle_dominance", all(rep.r_oracle <= rep.r_empirical for rep in exact), detail)
 
     if eri is not None:
         # roundoff in both sides grows with the integrals, so the slack does too

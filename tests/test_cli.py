@@ -266,6 +266,13 @@ def test_readme_documents_every_config_field():
     assert documented == fields
 
 
+# every check verify-all runs without ERI; eri_certificate joins them when ERI is on
+CHECKS = {
+    "residuals", "orthonormality", "completeness", "quadratic_chain", "h1_identity",
+    "tail_identity_l2", "parseval", "comparability", "oracle_dominance",
+}
+
+
 def _2d_grid(points):
     return {
         "dimension": 2,
@@ -307,7 +314,10 @@ class TestCommands:
         out = tmp_path / "verify-out"
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["checks"] and all(summary["checks"].values())
+        assert set(summary["checks"]) == CHECKS | {"eri_certificate"}
+        assert all(summary["checks"].values())
+        # a complete table bounds every cell, so no lower bound is named
+        assert summary["check_details"]["oracle_dominance"]["detail"] == "8 of 8 sweep cells"
         for name in ("spectrum.csv", "tails.csv", "ranks.csv", "eri.csv"):
             assert (out / name).exists()
 
@@ -422,7 +432,8 @@ class TestCommands:
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["grid_nodes"] == 5184
-        assert summary["checks"] and all(summary["checks"].values())
+        assert set(summary["checks"]) == CHECKS
+        assert all(summary["checks"].values())
         done = summary["check_details"]["completeness"]
         assert done["route"] == "lanczos"
         assert done["count_below"] == done["solved_below"] >= summary["resolved_window"]

@@ -225,6 +225,21 @@ class TestBenchmark:
         assert res.max_abs_error <= res.certificate + 1e-12
         assert res.fitted_ops < res.exact_ops
 
+    def test_sampled_classes_past_the_exhaustive_n(self, flat2d_small):
+        # n = 13 has 4186 quadruple classes, so the benchmark evaluates the
+        # SAMPLE_COUNT of them that sample_seed draws
+        grid, op, src, lap = flat2d_small
+        n = 13
+        assert n > eri_module.EXHAUSTIVE_MAX_N
+        co = expansion_coefficients(src, lap, n, grid.node_count)
+        res = eri_benchmark(n, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=3)
+        assert res.quadruples == sample_quadruples(n, eri_module.SAMPLE_COUNT, 3)
+        assert len(res.quadruples) == eri_module.SAMPLE_COUNT < len(canonical_quadruples(n))
+        slack = 1e-12 * np.maximum(1.0, np.abs(res.exact))
+        assert np.all(np.abs(res.exact - res.fitted) <= res.certificates + slack)
+        other = eri_benchmark(n, 1e-2, src, lap, op, co, calib_hm1=1.0, sample_seed=4)
+        assert other.quadruples != res.quadruples
+
     def test_fitted_symmetric_under_pair_swap(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
         fit = fitted_pair_gram(co, hm1_weights(co, lap), 30)

@@ -3,11 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eigenrank.grid import make_grid
 from eigenrank.operator import assemble_laplacian
 from eigenrank.eigensolve import CLUSTER_REL_GAP, SpectralBasis, laplacian_eigenpairs
 from eigenrank.products import (
+    ProductCoefficients,
     expansion_coefficients,
     pair_list,
     pair_row,
@@ -445,6 +449,112 @@ class TestChainIdentities:
             spectral = float(np.dot(mu, coeff_row(co_h, i, j) ** 2))
             direct = quadratic_form_values(op_lap, src.vectors[:, i] * src.vectors[:, j])
             assert spectral == pytest.approx(direct, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# tail_table and tail_identity_slack on random inputs: the guarantees that
+# hold for every coefficient array, out-of-window mass and ascending spectrum
+# ----------------------------------------------------------------------
+
+_finite = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def _expansions(draw, windowed=None):
+    """A ProductCoefficients of random shape and values; complete, or
+    windowed with a random non-negative out-of-window mass per pair."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12))
+    pairs = n * (n + 1) // 2
+    coeffs = draw(hnp.arrays(np.float64, (pairs, m), elements=st.floats(-1e3, 1e3, **_finite)))
+    if windowed is None:
+        windowed = draw(st.booleans())
+    outside = (
+        draw(hnp.arrays(np.float64, pairs, elements=st.floats(0.0, 1e6, **_finite)))
+        if windowed
+        else None
+    )
+    norms = np.sqrt(np.sum(coeffs**2, axis=1) + (0.0 if outside is None else outside))
+    return ProductCoefficients(
+        n=n, m=m, target="laplacian", coeffs=coeffs, product_l2_norms=norms,
+        outside_mass=outside,
+    )
+
+
+@st.composite
+def _ascending_spectra(draw, m, null_mode=None):
+    """m ascending eigenvalues, ties allowed; with a null mode the first is
+    exactly 0 and the rest positive, as on a periodic Laplacian."""
+    if null_mode is None:
+        null_mode = draw(st.booleans())
+    start = draw(st.floats(1e-3, 1e3, **_finite))
+    steps = draw(hnp.arrays(np.float64, m, elements=st.floats(0.0, 1e2, **_finite)))
+    mu = start + np.cumsum(steps) - steps[0]
+    if null_mode:
+        mu[0] = 0.0
+    return mu
+
+
+def _weights(mu):
+    """H^-1 weights 1/mu, 0 on the null mode (hm1_weights without a basis)."""
+    return np.where(mu > 0.0, 1.0 / np.where(mu > 0.0, mu, 1.0), 0.0)
+
+
+def _reference_table_sq(coeffs, weights):
+    """Squared tails by math.fsum of each pair's discarded terms."""
+    w = np.ones(coeffs.m) if weights is None else weights
+    outside = np.zeros(len(coeffs.coeffs)) if coeffs.outside_mass is None else coeffs.outside_mass
+    return np.array([
+        [math.fsum([*(w[r:] * row[r:] ** 2), mass]) for r in range(coeffs.m + 1)]
+        for row, mass in zip(coeffs.coeffs, outside)
+    ])
+
+
+class TestTailProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_table_is_the_discarded_mass(self, data):
+        # every entry is the square root of the discarded (weighted) terms
+        # plus the out-of-window mass, each row is non-increasing in r, and
+        # the last column is that mass's square root: exactly 0 when complete
+        windowed = data.draw(st.booleans())
+        co = data.draw(_expansions(windowed=windowed))
+        weights = None
+        if not windowed and data.draw(st.booleans()):
+            weights = _weights(data.draw(_ascending_spectra(co.m)))
+        table = tail_table(co, weights)
+        assert table.shape == (len(co.coeffs), co.m + 1)
+        last = 0.0 if co.outside_mass is None else np.sqrt(co.outside_mass)
+        np.testing.assert_array_equal(table[:, -1], np.broadcast_to(last, table[:, -1].shape))
+        assert np.all(np.diff(table, axis=1) <= 0.0)
+        np.testing.assert_allclose(
+            table**2, _reference_table_sq(co, weights), rtol=1e-12, atol=1e-290
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_hm1_identity_slack_is_never_positive(self, data):
+        # mu_{r-1} sum_{k>=r} c_k^2 / mu_k <= sum_{k>=r} c_k^2 for every
+        # coefficient array once mu ascends; the null mode's weight 0 only
+        # lowers the left side
+        co = data.draw(_expansions(windowed=False))
+        mu = data.draw(_ascending_spectra(co.m))
+        l2 = tail_table(co)
+        slack = tail_identity_slack(mu, tail_table(co, _weights(mu)), l2**2)
+        assert np.all(slack <= 1e-12 * l2[:, 0] ** 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_l2_identity_slack_is_never_positive(self, data):
+        # lambda_{r-1} tail_r^2 <= Q = sum_k lambda_k c_k^2 plus the
+        # out-of-window energy, which is at least lambda_{m-1} times its mass
+        co = data.draw(_expansions())
+        lam = data.draw(_ascending_spectra(co.m + 1, null_mode=False))
+        Q = (co.coeffs**2) @ lam[:-1]
+        if co.outside_mass is not None:
+            Q = Q + lam[-1] * co.outside_mass
+        slack = tail_identity_slack(lam[:-1], tail_table(co), Q[:, None])
+        assert np.all(slack <= 1e-12 * Q)
 
 
 def test_scaling_report_flat1d(flat1d_coeffs):

@@ -232,6 +232,14 @@ def test_resolved_flag_follows_the_tail_at_the_window(tmp_path):
         if resolved == "0":
             unresolved.append({"n": int(n), "eps": float(eps), "norm": norm, "r_empirical": int(r_emp)})
     assert summary["unresolved_cells"] == unresolved
+    # the windowed L2 cells past M report the lower bound M + 1, which the
+    # oracle check skips and names
+    lower = [cell for cell in unresolved if cell["norm"] == L2 and cell["r_empirical"] == M + 1]
+    assert lower
+    assert summary["check_details"]["oracle_dominance"]["detail"] == (
+        f"{len(rows) - len(lower)} of {len(rows)} sweep cells; "
+        f"the others report the lower bound r_empirical = {M + 1}"
+    )
     # the L2 rows of tails.csv end at the window
     l2_r = [int(line.split(",")[3]) for line in (out / "tails.csv").read_text().splitlines()[1:]
             if line.startswith("l2,")]
