@@ -22,7 +22,7 @@ from importlib import resources
 
 from . import PRESETS
 from .eigensolve import DEFAULT_TOL
-from .grid import DIRICHLET, MIN_POINTS, PERIODIC, Grid, make_grid
+from .grid import DIRICHLET, Grid, GridError, make_grid
 from .lowrank import HM1, L2
 from .operator import KIND_FIELDS, CoefficientError, CoefficientSpec, weyl_regime_cap
 
@@ -147,19 +147,10 @@ def parse_config(doc: dict, name: str = "config") -> ExperimentConfig:
     top = _read(doc, "config", {"name": (str, name), **CONFIG})
 
     g = _read(top["grid"], "grid", GRID)
-    d = g["dimension"]
-    if d not in (1, 2, 3):
-        raise ConfigError("grid.dimension", f"must be 1, 2 or 3, got {d}")
-    if g["boundary"] not in (DIRICHLET, PERIODIC):
-        raise ConfigError("grid.boundary", f"must be dirichlet or periodic, got {g['boundary']!r}")
-    for key in ("lengths", "points"):
-        if len(g[key]) != d:
-            raise ConfigError(f"grid.{key}", f"must have {d} entries, got {len(g[key])}")
-    if any(L <= 0 for L in g["lengths"]):
-        raise ConfigError("grid.lengths", f"must be positive, got {list(g['lengths'])}")
-    if any(p < MIN_POINTS for p in g["points"]):
-        raise ConfigError("grid.points", f"must be >= {MIN_POINTS}, got {list(g['points'])}")
-    grid = make_grid(d, g["lengths"], g["points"], g["boundary"])
+    try:
+        grid = make_grid(g["dimension"], g["lengths"], g["points"], g["boundary"])
+    except GridError as exc:
+        raise ConfigError(f"grid.{exc.field}", str(exc)) from exc
 
     kind = top["coefficients"].get("kind")
     if not isinstance(kind, str) or kind not in COEFFICIENTS:

@@ -168,7 +168,6 @@ class SpectralBasis:
     """
 
     grid: Grid
-    tag: str
     eigenvalues: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
@@ -231,9 +230,8 @@ def lowest_eigenpairs(
     _fix_signs(vec)
     resid, defect, completeness = _inertia_count(op, lam, vec, end, tol, slices)
     return SpectralBasis(
-        grid=op.grid, tag=op.kind, eigenvalues=lam[:end],
-        vectors=np.ascontiguousarray(vec[:, :end]), residuals=resid, ortho_defect=defect,
-        completeness=completeness,
+        grid=op.grid, eigenvalues=lam[:end], vectors=np.ascontiguousarray(vec[:, :end]),
+        residuals=resid, ortho_defect=defect, completeness=completeness,
     )
 
 
@@ -295,7 +293,7 @@ def laplacian_eigenpairs(
         gram_bound=float(np.prod([1.0 + d for d in axis_defect]) - 1.0),
     )
     return SpectralBasis(
-        grid=grid, tag=op.kind, eigenvalues=lam, vectors=vec, residuals=resid, ortho_defect=defect,
+        grid=grid, eigenvalues=lam, vectors=vec, residuals=resid, ortho_defect=defect,
         axis_vectors=tuple(axis_vectors), modes=modes, completeness=Completeness("closed_form"),
     )
 

@@ -141,7 +141,6 @@ def eri_benchmark(
     n: int,
     eps: float,
     basis_L: SpectralBasis,
-    basis_lap: SpectralBasis,
     op_lap: DiscreteOperator,
     coeffs: ProductCoefficients,
     calib_hm1: float,
@@ -171,7 +170,7 @@ def eri_benchmark(
     else:
         quads = sample_quadruples(n, SAMPLE_COUNT, sample_seed)
 
-    weights = hm1_weights(sub, basis_lap)
+    weights = hm1_weights(sub)
     table = tail_table(sub, weights)
     pair_tails = table[:, r]
 

@@ -21,6 +21,14 @@ PERIODIC = "periodic"
 MIN_POINTS = 8
 
 
+class GridError(ValueError):
+    """A make_grid argument out of range; `field` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field} {message}")
+        self.field = field
+
+
 @dataclass(frozen=True)
 class Grid:
     """Discretized box [0,L0] x ... with uniform spacing per axis.
@@ -73,27 +81,26 @@ class Grid:
 
 
 def make_grid(dimension, lengths, points, boundary) -> Grid:
-    """Build a grid, validating dimension, lengths and resolution.
+    """Build a grid, validating dimension, boundary, lengths and resolution
+    (GridError names the offending argument).
 
     `lengths` and `points` may be scalars (broadcast to every axis) or
     per-axis sequences.
     """
     if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+        raise GridError("dimension", f"must be 1, 2 or 3, got {dimension}")
     if boundary not in (DIRICHLET, PERIODIC):
-        raise ValueError(f"boundary must be '{DIRICHLET}' or '{PERIODIC}', got {boundary!r}")
+        raise GridError("boundary", f"must be '{DIRICHLET}' or '{PERIODIC}', got {boundary!r}")
 
     lengths_t = _per_axis(lengths, dimension, float, "lengths")
     points_t = _per_axis(points, dimension, int, "points")
 
-    for L in lengths_t:
-        if not L > 0:
-            raise ValueError(f"lengths must be positive, got {lengths_t}")
-    for p in points_t:
-        if p < MIN_POINTS:
-            raise ValueError(
-                f"points must be >= {MIN_POINTS} per axis (too coarse below that), got {points_t}"
-            )
+    if not all(L > 0 for L in lengths_t):
+        raise GridError("lengths", f"must be positive, got {lengths_t}")
+    if any(p < MIN_POINTS for p in points_t):
+        raise GridError(
+            "points", f"must be >= {MIN_POINTS} per axis (too coarse below that), got {points_t}"
+        )
 
     if boundary == DIRICHLET:
         spacing = tuple(L / (p + 1) for L, p in zip(lengths_t, points_t))
@@ -118,5 +125,5 @@ def _per_axis(value, d, cast, name):
         return tuple(cast(value) for _ in range(d))
     items = tuple(cast(v) for v in value)
     if len(items) != d:
-        raise ValueError(f"{name} must have {d} entries, got {len(items)}")
+        raise GridError(name, f"must have {d} entries, got {len(items)}")
     return items

@@ -39,41 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PERIODIC
 from .eigensolve import CLUSTER_REL_GAP, SpectralBasis, sup_norms
 from .products import ProductCoefficients, pair_list, pair_row, product_matrix
 
 L2 = "l2"
 HM1 = "hm1"
-NULL_MODE_REL_TOL = 1e-10
 ORACLE_BLOCK = 1024   # rows per block of the oracle's streamed QR
-
-
-def null_mode_mask(basis_lap: SpectralBasis) -> np.ndarray:
-    """True for eigenvalues treated as the (excluded) constant mode.
-
-    Periodic Laplacians have an exact zero mode which the mean-subtracted
-    H^-1 norm removes; Dirichlet spectra are strictly positive and keep
-    every mode.
-    """
-    mu = basis_lap.eigenvalues
-    if basis_lap.grid.boundary == PERIODIC:
-        return np.abs(mu) <= NULL_MODE_REL_TOL * (1.0 + float(np.max(np.abs(mu))))
-    return np.zeros(mu.shape, dtype=bool)
-
-
-def _check_laplacian_target(coeffs: ProductCoefficients, basis_lap: SpectralBasis):
-    if coeffs.target != "laplacian":
-        raise ValueError(f"H^-1 tails need laplacian-target coefficients, got {coeffs.target!r}")
-    if basis_lap.tag != "laplacian":
-        raise ValueError(f"expected a laplacian basis, got tag {basis_lap.tag!r}")
-    if basis_lap.count < coeffs.m:
-        raise ValueError("basis provides fewer eigenvalues than stored coefficients")
-    mu = basis_lap.eigenvalues[: coeffs.m]
-    mask = null_mode_mask(basis_lap)[: coeffs.m]
-    if np.any(mu[~mask] <= 0):
-        raise ValueError("nonpositive Laplacian eigenvalue outside the excluded constant mode")
-    return mu, mask
 
 
 def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -> np.ndarray:
@@ -97,9 +68,12 @@ def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -
     return np.sqrt(rev, out=rev)[:, ::-1]
 
 
-def hm1_weights(coeffs: ProductCoefficients, basis_lap: SpectralBasis) -> np.ndarray:
-    mu, mask = _check_laplacian_target(coeffs, basis_lap)
-    return np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, mu))
+def hm1_weights(coeffs: ProductCoefficients) -> np.ndarray:
+    """Weights 1/mu_k of the H^-1 tails over the expansion's target modes,
+    0 on the constant mode of periodic grids, whose closed-form eigenvalue
+    is exactly 0."""
+    mu = coeffs.eigenvalues
+    return np.divide(1.0, mu, out=np.zeros_like(mu), where=mu != 0.0)
 
 
 def empirical_rank(max_tails: np.ndarray, eps: float) -> int:
@@ -133,7 +107,6 @@ def oracle_rank(
     n: int,
     eps_list,
     norm: str = L2,
-    basis_lap: SpectralBasis | None = None,
     coeffs: ProductCoefficients | None = None,
 ) -> list[int]:
     """Smallest subspace dimension leaving every product residual <= eps,
@@ -166,8 +139,8 @@ def oracle_rank(
     if norm == L2:
         rows = basis_src.grid.node_count
     elif norm == HM1:
-        if basis_lap is None or coeffs is None:
-            raise ValueError("H^-1 oracle needs the Laplacian basis and its coefficients")
+        if coeffs is None:
+            raise ValueError("H^-1 oracle needs the Laplacian-target coefficients")
         if coeffs.n != n:
             raise ValueError(f"coefficients hold the pairs of n={coeffs.n}, expected n={n}")
         rows = coeffs.m
@@ -185,7 +158,7 @@ def oracle_rank(
             return A
 
     else:
-        sqrt_w = np.sqrt(hm1_weights(coeffs, basis_lap))[:, None]
+        sqrt_w = np.sqrt(hm1_weights(coeffs))[:, None]
 
         def block(lo: int, hi: int) -> np.ndarray:
             A = coeffs.coeffs[:, lo:hi].T * sqrt_w[lo:hi]
@@ -286,7 +259,6 @@ class ScalingReport:
 
 def scaling_report(
     basis_src: SpectralBasis,
-    basis_lap: SpectralBasis | None,
     coeffs_l2: ProductCoefficients | None,
     coeffs_hm1: ProductCoefficients | None,
     n_list,
@@ -315,7 +287,7 @@ def scaling_report(
             coeffs, weights, calib = coeffs_l2, None, calib_l2
         elif norm == HM1:
             coeffs, calib = coeffs_hm1, calib_hm1
-            weights = hm1_weights(coeffs, basis_lap)
+            weights = hm1_weights(coeffs)
         else:
             raise ValueError(f"unknown norm {norm!r}")
 
@@ -324,9 +296,7 @@ def scaling_report(
             # the oracle runs before the tail table is formed, so its blocks
             # and the table are never live together
             t = time.perf_counter()
-            r_oracles = oracle_rank(
-                basis_src, n, eps_list, norm, basis_lap=basis_lap, coeffs=sub
-            )
+            r_oracles = oracle_rank(basis_src, n, eps_list, norm, coeffs=sub)
             oracle_seconds += time.perf_counter() - t
             table = tail_table(sub, weights)
             max_tails = np.max(table, axis=0)

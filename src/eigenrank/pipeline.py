@@ -23,7 +23,7 @@ import resource
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy
@@ -109,8 +109,12 @@ def _stage(timings: dict, name: str):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t
 
 
-def build_pipeline(config: ExperimentConfig) -> Pipeline:
+def build_pipeline(config: ExperimentConfig, timings: dict | None = None) -> Pipeline:
+    """Solve and expand one configuration.  Each build stage adds its wall
+    seconds to `timings` (a new dict if None) as it ends, raising or not, so
+    a caller that passes its own dict keeps the stages of a failed build."""
     t0 = time.perf_counter()
+    timings = {} if timings is None else timings
     grid = config.grid
     G = grid.node_count
     fld = sample_coefficients(config.coefficients, grid)
@@ -129,23 +133,16 @@ def build_pipeline(config: ExperimentConfig) -> Pipeline:
     # ERI products, which config validation keeps at or below solver.m (the
     # closed form's sup norms come from its axis factors)
     cap = weyl_regime_cap(grid)
-    timings = {}
     with _stage(timings, "basis_lap"):
         basis_lap = laplacian_eigenpairs(op_lap, config.solver_m, config.solver_tol)
     with _stage(timings, "basis_L"):
-        if flat:
-            basis_L = replace(basis_lap, tag=op_L.kind)
-        else:
-            basis_L = lowest_eigenpairs(op_L, cap, config.solver_tol)
+        basis_L = basis_lap if flat else lowest_eigenpairs(op_L, cap, config.solver_tol)
     window = cluster_end(basis_L.eigenvalues, cap)
     with _stage(timings, "coefficients"):
         coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
         # flat: L's basis is the Laplacian's, so the L2 expansion is the same
-        # complete one, sharing its arrays; otherwise it covers the window M
-        if flat:
-            coeffs_l2 = replace(coeffs_hm1, target=op_L.kind)
-        else:
-            coeffs_l2 = expansion_coefficients(basis_L, basis_L, n_max, window)
+        # complete one; otherwise it covers the window M
+        coeffs_l2 = coeffs_hm1 if flat else expansion_coefficients(basis_L, basis_L, n_max, window)
 
     return Pipeline(
         config=config,
@@ -272,7 +269,6 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
     with _stage(pipe.timings, "tails"):
         report = scaling_report(
             pipe.basis_L,
-            pipe.basis_lap,
             pipe.coeffs_l2,
             pipe.coeffs_hm1,
             cfg.sweep_n,
@@ -354,7 +350,6 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
         cfg.eri_n,
         cfg.eri_eps,
         pipe.basis_L,
-        pipe.basis_lap,
         pipe.op_lap,
         pipe.coeffs_hm1,
         calib_hm1=cfg.calib_hm1,
@@ -437,8 +432,7 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
 
     # ||grad f||^2 two ways: the spectral sum, and <-Delta f, f> straight
     # from the sparse matrix, which _assemble forms from the face differences
-    mu = pipe.basis_lap.eigenvalues[: pipe.coeffs_hm1.m]
-    grad_sq = (pipe.coeffs_hm1.coeffs**2) @ mu
+    grad_sq = (pipe.coeffs_hm1.coeffs**2) @ pipe.coeffs_hm1.eigenvalues
     direct_all = quadratic_form_values(pipe.op_lap, prods)
     del prods
     # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
@@ -451,9 +445,8 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     # Q = <L f, f> of every product, from the sparse matrix (chain.values),
     # against the eigenvalue-weighted L2 tails of the spectral expansion
     Q = chain.values
-    lam = pipe.basis_L.eigenvalues[: pipe.coeffs_l2.m]
     table = tail_table(pipe.coeffs_l2)
-    worst_slack = float(np.max(tail_identity_slack(lam, table, Q[:, None])))
+    worst_slack = float(np.max(tail_identity_slack(pipe.coeffs_l2.eigenvalues, table, Q[:, None])))
     del table
     record(
         "tail_identity_l2",
@@ -558,15 +551,18 @@ def run(
         "versions": _versions(),
         "basis_dependent": BASIS_DEPENDENT,
     }
+    # the build stages, the stages below and the CSV writes (output); a
+    # failed build leaves the stages that ran, the failing one included
+    timings: dict = {}
     try:
-        pipe = build_pipeline(config)
+        pipe = build_pipeline(config, timings)
     except EigensolveError as exc:
         # a certificate failed where it was computed: report it as its check
         summary["checks"] = {exc.check: False}
         summary["check_details"] = {
             exc.check: {"ok": False, "detail": str(exc), "worst_residual": exc.worst_residual}
         }
-        _write_summary(out, summary, start, {})
+        _write_summary(out, summary, start, timings)
         return 1
     summary.update(
         grid_nodes=pipe.grid.node_count,
@@ -576,8 +572,6 @@ def run(
         build_seconds=pipe.build_seconds,
     )
 
-    # the build stages, the stages below and the CSV writes (output)
-    timings = pipe.timings
     timings["output"] = 0.0
 
     status = 0

@@ -45,7 +45,8 @@ class ProductCoefficients:
     """Expansion coefficients of all products phi_i phi_j, i <= j < n.
 
     coeffs[p, k] = <phi_i phi_j, psi_k> for pair p = pair_row(i, j, n) and
-    target index k < m.  product_l2_norms[p] = ||phi_i phi_j||_L2.
+    target index k < m, and eigenvalues[k] the eigenvalue of psi_k (a view
+    of the target basis's).  product_l2_norms[p] = ||phi_i phi_j||_L2.
     outside_mass[p] is the squared L2 norm of the product's component
     outside the m target modes for a windowed expansion (m < G), and None
     for a complete one.
@@ -53,7 +54,7 @@ class ProductCoefficients:
 
     n: int
     m: int
-    target: str
+    eigenvalues: np.ndarray
     coeffs: np.ndarray
     product_l2_norms: np.ndarray
     outside_mass: np.ndarray | None = None
@@ -66,7 +67,7 @@ class ProductCoefficients:
         return ProductCoefficients(
             n=n,
             m=self.m,
-            target=self.target,
+            eigenvalues=self.eigenvalues,
             coeffs=self.coeffs[rows],
             product_l2_norms=self.product_l2_norms[rows],
             outside_mass=None if self.outside_mass is None else self.outside_mass[rows],
@@ -124,7 +125,7 @@ def expansion_coefficients(
     return ProductCoefficients(
         n=n,
         m=m,
-        target=basis_target.tag,
+        eigenvalues=basis_target.eigenvalues[:m],
         coeffs=coeffs,
         product_l2_norms=norms,
         outside_mass=outside,

@@ -51,7 +51,6 @@ def dense_basis(op) -> SpectralBasis:
     vec /= np.sqrt(op.grid.quadrature_weight)
     return SpectralBasis(
         grid=op.grid,
-        tag=op.kind,
         eigenvalues=lam,
         vectors=vec,
         residuals=_scaled_residuals(op, lam, vec),
@@ -87,13 +86,13 @@ def random2d_pipeline() -> Pipeline:
 
 @pytest.fixture(scope="session")
 def flat1d_small():
-    """Complete flat 1-D spectrum on a 64-point grid, both tags."""
+    """Complete flat 1-D spectrum on a 64-point grid: a dense copy as the
+    source basis, and the closed-form Laplacian basis."""
     grid = make_grid(1, np.pi, 64, "dirichlet")
     op = assemble_laplacian(grid)
     lap = laplacian_eigenpairs(op, 64, 1e-9)
     src = SpectralBasis(
         grid=grid,
-        tag="schrodinger",
         eigenvalues=lap.eigenvalues.copy(),
         vectors=lap.vectors.copy(),
         residuals=lap.residuals.copy(),
@@ -104,13 +103,13 @@ def flat1d_small():
 
 @pytest.fixture(scope="session")
 def flat2d_small():
-    """Complete flat 2-D spectrum on a 20x20 grid, both tags."""
+    """Complete flat 2-D spectrum on a 20x20 grid: a dense copy as the
+    source basis, and the closed-form Laplacian basis."""
     grid = make_grid(2, (np.pi, np.pi), (20, 20), "dirichlet")
     op = assemble_laplacian(grid)
     lap = laplacian_eigenpairs(op, grid.node_count, 1e-9)
     src = SpectralBasis(
         grid=grid,
-        tag="schrodinger",
         eigenvalues=lap.eigenvalues.copy(),
         vectors=lap.vectors.copy(),
         residuals=lap.residuals.copy(),

@@ -26,7 +26,6 @@ def rotate_cluster(basis: SpectralBasis, indices, rotation=None, seed=0) -> Spec
     vec[:, indices] = vec[:, indices] @ rotation
     return SpectralBasis(
         grid=basis.grid,
-        tag=basis.tag,
         eigenvalues=basis.eigenvalues.copy(),
         vectors=vec,
         residuals=basis.residuals.copy(),

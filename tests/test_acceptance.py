@@ -137,7 +137,7 @@ def test_criterion_05_tail_decay_envelopes(
         # a windowed L2 table (random-2d) is fitted up to its window M
         rs_l2 = [r for r in geometric_r_samples(co_l2.m) if 0 < r <= min(co_l2.m, G // 2)]
         curve_l2 = np.max(tail_table(co_l2), axis=0)
-        curve_h = np.max(tail_table(co_h, hm1_weights(co_h, pipe.basis_lap)), axis=0)
+        curve_h = np.max(tail_table(co_h, hm1_weights(co_h)), axis=0)
         s_l2 = tail_slope(rs_l2, [curve_l2[r] for r in rs_l2])
         s_h = tail_slope(rs, [curve_h[r] for r in rs])
         ok = ok and s_l2 <= -1.0 / d + 0.1 and s_h <= -2.0 / d + 0.1
@@ -154,7 +154,7 @@ def test_criterion_06_hm1_beats_l2(flat2d_pipeline):
     co_l2 = flat2d_pipeline.coeffs_l2.restrict(16)
     co_h = flat2d_pipeline.coeffs_hm1.restrict(16)
     curve_l2 = np.max(tail_table(co_l2), axis=0)
-    curve_h = np.max(tail_table(co_h, hm1_weights(co_h, flat2d_pipeline.basis_lap)), axis=0)
+    curve_h = np.max(tail_table(co_h, hm1_weights(co_h)), axis=0)
     ok = True
     details = []
     for eps in (1e-2, 1e-3):
@@ -183,7 +183,7 @@ def test_criterion_08_eri_certificate(flat2d_pipeline):
     pipe = flat2d_pipeline
     eps = 1e-2
     result = eri_benchmark(
-        8, eps, pipe.basis_L, pipe.basis_lap, pipe.op_lap, pipe.coeffs_hm1,
+        8, eps, pipe.basis_L, pipe.op_lap, pipe.coeffs_hm1,
         calib_hm1=cfg.calib_hm1, sample_seed=cfg.eri_sample_seed,
     )
     violations = 0

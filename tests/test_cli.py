@@ -708,6 +708,8 @@ def test_failed_certificate_exits_1_and_names_its_check(tmp_path, capsys):
     assert detail["worst_residual"] > 1e-18
     assert f"residual {detail['worst_residual']:.3e} exceeds" in detail["detail"]
     assert not (out / "spectrum.csv").exists()
+    # the stage that raised keeps its wall seconds
+    assert "basis_lap" in summary["timings"]
 
 
 def test_skipped_lanczos_pair_fails_completeness(tmp_path, monkeypatch):
@@ -736,3 +738,5 @@ def test_skipped_lanczos_pair_fails_completeness(tmp_path, monkeypatch):
     detail = summary["check_details"]["completeness"]
     assert detail["ok"] is False and detail["detail"].startswith("inertia count:")
     assert detail["worst_residual"] is None
+    # the stages that ran, the failing one included, keep their wall seconds
+    assert {"basis_lap", "basis_L"} <= set(summary["timings"])

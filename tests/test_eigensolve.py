@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -308,10 +306,9 @@ class TestComparability:
         # L is the flat stencil, so its basis is the closed form, as in the
         # pipeline
         blap = laplacian_eigenpairs(assemble_laplacian(g), 32, 1e-9)
-        bL = replace(blap, tag=assemble_schrodinger(f, g).kind)
-        rep = comparability_check(bL, blap, f, 32)
+        rep = comparability_check(blap, blap, f, 32)
         assert rep.ok
-        scale = 1.0 + np.abs(bL.eigenvalues[:32])
+        scale = 1.0 + np.abs(blap.eigenvalues[:32])
         assert np.max(np.abs(rep.lower_margins) / scale) < 1e-10
         assert np.max(np.abs(rep.upper_margins) / scale) < 1e-10
 
@@ -442,7 +439,10 @@ def test_laplacian_closed_form_matches_dense(dimension, points, boundary):
     np.testing.assert_allclose(closed.eigenvalues, dense.eigenvalues, rtol=1e-12, atol=1e-12 * scale)
     assert np.max(closed.residuals) <= 1e-9
     assert closed.ortho_defect <= 1e-10
-    assert closed.tag == "laplacian"
+    # the constant mode of a periodic grid is exactly 0; Dirichlet spectra are positive
+    null = closed.eigenvalues == 0.0
+    assert np.array_equal(null, np.arange(g.node_count) < (boundary == "periodic"))
+    assert np.all(closed.eigenvalues[~null] > 0.0)
     # vectors may differ inside degenerate clusters; their spans may not
     clusters = degenerate_clusters(dense.eigenvalues)
     assert clusters == degenerate_clusters(closed.eigenvalues)
@@ -494,9 +494,8 @@ def test_scaled_residuals_blocks_match_one_pass():
 
 def test_flat_pipeline_shares_the_laplacian_basis():
     pipe = build_pipeline(_small_config(kind="constant", a0=1.0, v0=0.0))
-    assert pipe.basis_lap.tag == "laplacian"
-    assert np.shares_memory(pipe.basis_L.vectors, pipe.basis_lap.vectors)
-    assert pipe.basis_lap.ortho_defect == pipe.basis_L.ortho_defect
+    assert pipe.basis_L is pipe.basis_lap
+    assert pipe.coeffs_l2 is pipe.coeffs_hm1
 
 
 def _2d_config(boundary, points, m, **coefficients):
@@ -530,17 +529,13 @@ def test_flat_2d_pipeline_takes_both_bases_from_the_closed_form(monkeypatch, bou
     assert M == m and pipe.basis_L.count == G   # solver.m stored columns, every mode
     assert np.array_equal(pipe.basis_L.vectors, closed.vectors[:, :M])
     assert np.array_equal(pipe.basis_L.eigenvalues, closed.eigenvalues)
-    assert pipe.basis_L.tag == "schrodinger"
-    assert pipe.basis_lap.tag == "laplacian"
-    for name in ("vectors", "eigenvalues", "residuals", "axis_vectors", "modes"):
-        assert getattr(pipe.basis_L, name) is getattr(pipe.basis_lap, name)
-    assert pipe.basis_L.ortho_defect == pipe.basis_lap.ortho_defect
+    assert pipe.basis_L is pipe.basis_lap
 
 
 def _untensored(basis):
     # the same vectors without the axis factors, so products takes the GEMM
     return SpectralBasis(
-        grid=basis.grid, tag=basis.tag, eigenvalues=basis.eigenvalues,
+        grid=basis.grid, eigenvalues=basis.eigenvalues,
         vectors=basis.vectors, residuals=basis.residuals, ortho_defect=basis.ortho_defect,
     )
 
@@ -650,7 +645,7 @@ def test_non_flat_pipeline_solves_once(monkeypatch):
     )
     pipe = build_pipeline(cfg)
     assert calls == ["schrodinger"]
-    assert pipe.basis_L.tag == "schrodinger"
+    assert pipe.basis_L is not pipe.basis_lap
     assert not np.shares_memory(pipe.basis_L.vectors, pipe.basis_lap.vectors)
 
 

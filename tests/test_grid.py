@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenrank.grid import make_grid
+from eigenrank.grid import GridError, make_grid
 
 
 def inner(grid, f, g):
@@ -56,6 +56,24 @@ def test_node_ordering_axis0_fastest():
 def test_make_grid_rejects(kwargs):
     with pytest.raises(ValueError):
         make_grid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((0, 1.0, 8, "dirichlet"), "dimension"),
+        ((2, 1.0, 8, "neumann"), "boundary"),
+        ((2, (1.0,), 8, "dirichlet"), "lengths"),
+        ((2, 1.0, (8, 8, 8), "dirichlet"), "points"),
+        ((1, -1.0, 8, "dirichlet"), "lengths"),
+        ((1, 1.0, 7, "dirichlet"), "points"),
+    ],
+)
+def test_make_grid_names_the_offending_field(args, field):
+    # config maps the field to its path, grid.<field>
+    with pytest.raises(GridError) as err:
+        make_grid(*args)
+    assert err.value.field == field and str(err.value).startswith(f"{field} must ")
 
 
 def test_inner_constant_approaches_length():

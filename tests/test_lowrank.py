@@ -69,10 +69,10 @@ def test_tail_table_is_bitwise_the_two_copy_formula(flat1d_coeffs, flat2d_small)
     grid, _, src, lap, co, co_h = flat1d_coeffs
     windowed = expansion_coefficients(src, src, 8, 20)
     assert windowed.outside_mass is not None
-    cases = [(co, None), (co_h, hm1_weights(co_h, lap)), (windowed, None)]
+    cases = [(co, None), (co_h, hm1_weights(co_h)), (windowed, None)]
     grid2, _, src2, lap2 = flat2d_small
     co2 = expansion_coefficients(src2, lap2, 6, grid2.node_count)
-    cases.append((co2.restrict(4), hm1_weights(co2, lap2)))
+    cases.append((co2.restrict(4), hm1_weights(co2)))
     for coeffs, weights in cases:
         table = tail_table(coeffs, weights)
         assert table.shape == (len(pair_list(coeffs.n)), coeffs.m + 1)
@@ -89,7 +89,7 @@ class TestTails:
     def test_endpoints(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         table = tail_table(co)
-        table_h = tail_table(co_h, hm1_weights(co_h, lap))
+        table_h = tail_table(co_h, hm1_weights(co_h))
         assert table.shape == (co.coeffs.shape[0], grid.node_count + 1)
         assert table[0, 0] == pytest.approx(co.product_l2_norms[0], rel=1e-12)
         assert np.all(table[:, grid.node_count] == 0.0)
@@ -102,7 +102,7 @@ class TestTails:
 
     def test_table_matches_pointwise(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        w = hm1_weights(co_h, lap)
+        w = hm1_weights(co_h)
         table, table_h = tail_table(co), tail_table(co_h, w)
         for (i, j) in [(0, 0), (2, 7), (15, 15)]:
             for r in (0, 3, 17, grid.node_count):
@@ -120,7 +120,7 @@ class TestTails:
     def test_hm1_bounded_by_l2_over_sqrt_mu(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         row = pair_row(3, 5, 16)
-        table, table_h = tail_table(co_h), tail_table(co_h, hm1_weights(co_h, lap))
+        table, table_h = tail_table(co_h), tail_table(co_h, hm1_weights(co_h))
         for r in (0, 4, 32, 63):
             bound = table[row, r] / math.sqrt(lap.eigenvalues[r])
             assert table_h[row, r] <= bound * (1 + 1e-12)
@@ -129,16 +129,11 @@ class TestTails:
         # independent route: ||f||_{H^-1}^2 = <f, u> with -Delta u = f by sparse solve
         grid, op, src, lap, co, co_h = flat1d_coeffs
         solver = GreenSolver(op)
-        table_h = tail_table(co_h, hm1_weights(co_h, lap))
+        table_h = tail_table(co_h, hm1_weights(co_h))
         for (i, j) in [(0, 0), (1, 4), (7, 7)]:
             f = src.vectors[:, i] * src.vectors[:, j]
             direct = math.sqrt(grid.quadrature_weight * float(np.dot(f, solver.solve(f))))
             assert table_h[pair_row(i, j, 16), 0] == pytest.approx(direct, rel=1e-8)
-
-    def test_hm1_requires_laplacian_target(self, flat1d_coeffs):
-        grid, _, src, lap, co, co_h = flat1d_coeffs
-        with pytest.raises(ValueError):
-            hm1_weights(co, lap)
 
 
 class TestCutoffs:
@@ -169,15 +164,15 @@ class TestCutoffs:
         sweep = dict(
             n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], d=1, window=co.m
         )
-        first = scaling_report(src, lap, co, co_h, calib_l2=1.0, calib_hm1=1.0, **sweep)
+        first = scaling_report(src, co, co_h, calib_l2=1.0, calib_hm1=1.0, **sweep)
         calib = {
             norm: max(rep.implied_constant for rep in first.rank_reports if rep.norm == norm)
             for norm in ("l2", "hm1")
         }
         second = scaling_report(
-            src, lap, co, co_h, calib_l2=calib["l2"], calib_hm1=calib["hm1"], **sweep
+            src, co, co_h, calib_l2=calib["l2"], calib_hm1=calib["hm1"], **sweep
         )
-        weights = {"l2": None, "hm1": hm1_weights(co_h, lap)}
+        weights = {"l2": None, "hm1": hm1_weights(co_h)}
         for rep in second.rank_reports:
             assert rep.r_predicted >= rep.r_empirical
             sub = {"l2": co, "hm1": co_h}[rep.norm].restrict(rep.n)
@@ -191,9 +186,9 @@ def _ordered_family(basis, n):
     return (V[:, :, None] * V[:, None, :]).reshape(V.shape[0], n * n)
 
 
-def _ordered_hm1_family(coeffs, basis_lap):
+def _ordered_hm1_family(coeffs):
     rows = [pair_row(i, j, coeffs.n) for i in range(coeffs.n) for j in range(coeffs.n)]
-    return (coeffs.coeffs[rows] * np.sqrt(hm1_weights(coeffs, basis_lap))[None, :]).T
+    return (coeffs.coeffs[rows] * np.sqrt(hm1_weights(coeffs))[None, :]).T
 
 
 def _reference_worst(A):
@@ -269,12 +264,12 @@ class TestOracle:
     def test_dominated_by_empirical(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         curve = np.max(tail_table(co), axis=0)
-        curve_h = np.max(tail_table(co_h, hm1_weights(co_h, lap)), axis=0)
+        curve_h = np.max(tail_table(co_h, hm1_weights(co_h)), axis=0)
         eps_list = [1e-2, 1e-4]
         for eps, r in zip(eps_list, oracle_rank(src, 16, eps_list)):
             assert r <= empirical_rank(curve, eps)
         for eps, r in zip(
-            eps_list, oracle_rank(src, 16, eps_list, "hm1", basis_lap=lap, coeffs=co_h)
+            eps_list, oracle_rank(src, 16, eps_list, "hm1", coeffs=co_h)
         ):
             assert r <= empirical_rank(curve_h, eps)
 
@@ -286,7 +281,7 @@ class TestOracle:
         n = 8
         co = expansion_coefficients(lap, lap, n, grid.node_count)
         family_bytes = grid.node_count * len(pair_list(n)) * 8
-        for norm, kwargs in (("l2", {}), ("hm1", {"basis_lap": lap, "coeffs": co})):
+        for norm, kwargs in (("l2", {}), ("hm1", {"coeffs": co})):
             tracemalloc.start()
             try:
                 oracle_rank(lap, n, [1e-3], norm, **kwargs)
@@ -302,32 +297,29 @@ class TestOracle:
         # runs from 1e-2 to 1e-12 and inside each clear drop of the curve
         monkeypatch.setattr(lowrank, "ORACLE_BLOCK", block)
         eps_list = [10.0**-k for k in range(2, 13)]
-        grid, _, src1, lap1, _, co_h1 = flat1d_coeffs
+        grid, _, src1, _, _, co_h1 = flat1d_coeffs
         pipe = random_pipeline
         cases = [
-            (src1, lap1, co_h1, np.sqrt(grid.quadrature_weight)),
-            (pipe.basis_L, pipe.basis_lap, pipe.coeffs_hm1.restrict(8),
-             np.sqrt(pipe.grid.quadrature_weight)),
+            (src1, co_h1, np.sqrt(grid.quadrature_weight)),
+            (pipe.basis_L, pipe.coeffs_hm1.restrict(8), np.sqrt(pipe.grid.quadrature_weight)),
         ]
-        for src, lap, co_h, sqrt_w in cases:
+        for src, co_h, sqrt_w in cases:
             n = co_h.n
             A_l2 = sqrt_w * _ordered_family(src, n)
-            A_h = _ordered_hm1_family(co_h, lap)
+            A_h = _ordered_hm1_family(co_h)
             eps_l2 = eps_list + _eps_inside_steps(A_l2)
             eps_h = eps_list + _eps_inside_steps(A_h)
             assert oracle_rank(src, n, eps_l2) == [_reference_rank(A_l2, e) for e in eps_l2]
-            assert oracle_rank(src, n, eps_h, "hm1", basis_lap=lap, coeffs=co_h) == [
+            assert oracle_rank(src, n, eps_h, "hm1", coeffs=co_h) == [
                 _reference_rank(A_h, e) for e in eps_h
             ]
 
     def test_rejects_bad_inputs(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         with pytest.raises(ValueError):
-            oracle_rank(src, 16, [1e-3], "hm1", basis_lap=lap)
+            oracle_rank(src, 16, [1e-3], "hm1")
         with pytest.raises(ValueError):
-            oracle_rank(src, 16, [1e-3], "hm1", coeffs=co_h)
-        with pytest.raises(ValueError):
-            oracle_rank(src, 8, [1e-3], "hm1", basis_lap=lap, coeffs=co_h)
+            oracle_rank(src, 8, [1e-3], "hm1", coeffs=co_h)
         with pytest.raises(ValueError):
             oracle_rank(src, 8, [1e-3, 0.0])
 
@@ -336,12 +328,12 @@ class TestOracle:
         n = 4
         co = expansion_coefficients(src, lap, n, grid.node_count)
         r0_l2 = oracle_rank(src, n, [1e-3])
-        r0_h = oracle_rank(src, n, [1e-3], "hm1", basis_lap=lap, coeffs=co)
+        r0_h = oracle_rank(src, n, [1e-3], "hm1", coeffs=co)
         rot = rotate_cluster(src, [1, 2], seed=5)
         lap_rot = rotate_cluster(lap, [1, 2], seed=5)
         co_rot = expansion_coefficients(rot, lap_rot, n, grid.node_count)
         assert oracle_rank(rot, n, [1e-3]) == r0_l2
-        assert oracle_rank(rot, n, [1e-3], "hm1", basis_lap=lap_rot, coeffs=co_rot) == r0_h
+        assert oracle_rank(rot, n, [1e-3], "hm1", coeffs=co_rot) == r0_h
 
     def test_reads_only_cutoffs_that_close_a_cluster(self, flat2d_pipeline):
         # flat-2d, n = 8: s_17 = s_18 (0-based), so a cutoff at k = 18 keeps
@@ -361,27 +353,27 @@ class TestOracle:
         for n in (4, 8, 16):
             sub = co_h.restrict(n)
             A_l2 = sqrt_w * _ordered_family(src, n)
-            A_h = _ordered_hm1_family(sub, lap)
+            A_h = _ordered_hm1_family(sub)
             assert oracle_rank(src, n, ORACLE_EPS) == [
                 _reference_rank(A_l2, eps) for eps in ORACLE_EPS
             ]
-            assert oracle_rank(src, n, ORACLE_EPS, "hm1", basis_lap=lap, coeffs=sub) == [
+            assert oracle_rank(src, n, ORACLE_EPS, "hm1", coeffs=sub) == [
                 _reference_rank(A_h, eps) for eps in ORACLE_EPS
             ]
 
     def test_matches_per_eps_ordered_reference_random(self, random_pipeline):
         pipe = random_pipeline
-        src, lap = pipe.basis_L, pipe.basis_lap
+        src = pipe.basis_L
         sqrt_w = np.sqrt(pipe.grid.quadrature_weight)
         for n in pipe.config.sweep_n:
             sub = pipe.coeffs_hm1.restrict(n)
             A_l2 = sqrt_w * _ordered_family(src, n)
-            A_h = _ordered_hm1_family(sub, lap)
+            A_h = _ordered_hm1_family(sub)
             eps_l2 = ORACLE_EPS + _eps_inside_steps(A_l2)
             eps_h = ORACLE_EPS + _eps_inside_steps(A_h)
             assert len(eps_l2) > len(ORACLE_EPS) + n and len(eps_h) > len(ORACLE_EPS) + n
             assert oracle_rank(src, n, eps_l2) == [_reference_rank(A_l2, eps) for eps in eps_l2]
-            assert oracle_rank(src, n, eps_h, "hm1", basis_lap=lap, coeffs=sub) == [
+            assert oracle_rank(src, n, eps_h, "hm1", coeffs=sub) == [
                 _reference_rank(A_h, eps) for eps in eps_h
             ]
 
@@ -392,8 +384,8 @@ class TestOracle:
         cases = [
             (sqrt_w * _ordered_family(src, 16), sqrt_w * product_matrix(src, 16), 16),
             (
-                _ordered_hm1_family(co_h, lap),
-                (co_h.coeffs * np.sqrt(hm1_weights(co_h, lap))[None, :]).T,
+                _ordered_hm1_family(co_h),
+                (co_h.coeffs * np.sqrt(hm1_weights(co_h))[None, :]).T,
                 16,
             ),
             (
@@ -438,7 +430,7 @@ class TestChainIdentities:
     def test_hm1_tail_lower_bound_identity(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         mu = lap.eigenvalues[: co_h.m]
-        t_h = tail_table(co_h, hm1_weights(co_h, lap))
+        t_h = tail_table(co_h, hm1_weights(co_h))
         t_2 = tail_table(co_h)
         assert np.all(tail_identity_slack(mu, t_h, t_2**2) <= 1e-10)
 
@@ -476,8 +468,8 @@ def _expansions(draw, windowed=None):
     )
     norms = np.sqrt(np.sum(coeffs**2, axis=1) + (0.0 if outside is None else outside))
     return ProductCoefficients(
-        n=n, m=m, target="laplacian", coeffs=coeffs, product_l2_norms=norms,
-        outside_mass=outside,
+        n=n, m=m, eigenvalues=draw(_ascending_spectra(m)), coeffs=coeffs,
+        product_l2_norms=norms, outside_mass=outside,
     )
 
 
@@ -493,11 +485,6 @@ def _ascending_spectra(draw, m, null_mode=None):
     if null_mode:
         mu[0] = 0.0
     return mu
-
-
-def _weights(mu):
-    """H^-1 weights 1/mu, 0 on the null mode (hm1_weights without a basis)."""
-    return np.where(mu > 0.0, 1.0 / np.where(mu > 0.0, mu, 1.0), 0.0)
 
 
 def _reference_table_sq(coeffs, weights):
@@ -521,7 +508,7 @@ class TestTailProperties:
         co = data.draw(_expansions(windowed=windowed))
         weights = None
         if not windowed and data.draw(st.booleans()):
-            weights = _weights(data.draw(_ascending_spectra(co.m)))
+            weights = hm1_weights(co)
         table = tail_table(co, weights)
         assert table.shape == (len(co.coeffs), co.m + 1)
         last = 0.0 if co.outside_mass is None else np.sqrt(co.outside_mass)
@@ -538,9 +525,8 @@ class TestTailProperties:
         # coefficient array once mu ascends; the null mode's weight 0 only
         # lowers the left side
         co = data.draw(_expansions(windowed=False))
-        mu = data.draw(_ascending_spectra(co.m))
         l2 = tail_table(co)
-        slack = tail_identity_slack(mu, tail_table(co, _weights(mu)), l2**2)
+        slack = tail_identity_slack(co.eigenvalues, tail_table(co, hm1_weights(co)), l2**2)
         assert np.all(slack <= 1e-12 * l2[:, 0] ** 2)
 
     @settings(max_examples=200, deadline=None)
@@ -560,7 +546,7 @@ class TestTailProperties:
 def test_scaling_report_flat1d(flat1d_coeffs):
     grid, _, src, lap, co, co_h = flat1d_coeffs
     report = scaling_report(
-        src, lap, co, co_h,
+        src, co, co_h,
         n_list=[4, 8, 16],
         eps_list=[1e-2, 1e-3],
         norms=["l2", "hm1"],
@@ -602,23 +588,48 @@ def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatc
     monkeypatch.setattr(lowrank, "oracle_rank", counting)
     n_list, norms = [4, 8, 16], ["l2", "hm1"]
     report = scaling_report(
-        src, lap, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms, d=1,
+        src, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms, d=1,
         calib_l2=1.0, calib_hm1=1.0, window=co.m,
     )
     assert sorted(calls) == sorted((n, norm) for n in n_list for norm in norms)
     assert len(report.rank_reports) == len(n_list) * len(norms) * len(ORACLE_EPS)
 
 
+@pytest.mark.parametrize(
+    "dimension, points",
+    [(1, 16), (2, (8, 10)), (3, (8, 8, 9))],
+)
+@pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+def test_hm1_weights_drop_exactly_the_constant_mode(dimension, points, boundary):
+    # the closed form gives the periodic constant mode mu = 0.0 exactly, so
+    # the weights are 0.0 there and, everywhere else, bit for bit those of
+    # a tolerance test for the null mode
+    grid = make_grid(dimension, np.pi, points, boundary)
+    basis = laplacian_eigenpairs(assemble_laplacian(grid), 1, 1e-9)
+    co = expansion_coefficients(basis, basis, 1, grid.node_count)
+    mu = basis.eigenvalues
+    if boundary == "periodic":
+        mask = np.abs(mu) <= 1e-10 * (1.0 + float(np.max(np.abs(mu))))
+    else:
+        mask = np.zeros(mu.shape, dtype=bool)
+    reference = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, mu))
+    weights = hm1_weights(co)
+    assert np.array_equal(mask, mu == 0.0)
+    assert int(np.sum(mask)) == (boundary == "periodic")
+    assert np.array_equal(weights, reference)
+    assert np.all(weights[mask] == 0.0) and not np.any(np.signbit(weights))
+
+
 def test_periodic_hm1_excludes_constant_mode():
     g = make_grid(1, 2 * np.pi, 48, "periodic")
     basis = laplacian_eigenpairs(assemble_laplacian(g), 48, 1e-9)
     src = SpectralBasis(
-        grid=g, tag="schrodinger", eigenvalues=basis.eigenvalues,
+        grid=g, eigenvalues=basis.eigenvalues,
         vectors=basis.vectors, residuals=basis.residuals, ortho_defect=basis.ortho_defect,
     )
     co = expansion_coefficients(src, basis, 4, 48)
     # no blow-up from the zero mode, and the full tail is finite
-    val = tail_table(co, hm1_weights(co, basis))[0, 0]
+    val = tail_table(co, hm1_weights(co))[0, 0]
     assert np.isfinite(val) and val > 0
 
 
@@ -637,7 +648,7 @@ def test_preset_calibration_covers_every_resolved_cell(request, preset):
     pipe = request.getfixturevalue(fixture) if fixture else build_pipeline(load_config(preset))
     cfg = pipe.config
     report = scaling_report(
-        pipe.basis_L, pipe.basis_lap, pipe.coeffs_l2, pipe.coeffs_hm1,
+        pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
         cfg.sweep_n, cfg.sweep_eps, cfg.sweep_norms, pipe.grid.dimension,
         calib_l2=cfg.calib_l2, calib_hm1=cfg.calib_hm1, window=pipe.window,
     )

@@ -163,7 +163,7 @@ def test_potential_shift_identity():
     bL = dense_basis(assemble_schrodinger(f, g))
     blap = laplacian_eigenpairs(assemble_laplacian(g), 96, 1e-9)
     lap = SpectralBasis(
-        grid=g, tag="laplacian", eigenvalues=blap.eigenvalues,
+        grid=g, eigenvalues=blap.eigenvalues,
         vectors=blap.vectors, residuals=blap.residuals, ortho_defect=blap.ortho_defect,
     )
     co_L = expansion_coefficients(bL, bL, 4, 96)
@@ -229,7 +229,7 @@ def test_mean_zero_products_periodic():
     g = make_grid(1, 2 * np.pi, 64, "periodic")
     basis = laplacian_eigenpairs(assemble_laplacian(g), 64, 1e-9)
     src = SpectralBasis(
-        grid=g, tag="schrodinger", eigenvalues=basis.eigenvalues,
+        grid=g, eigenvalues=basis.eigenvalues,
         vectors=basis.vectors, residuals=basis.residuals, ortho_defect=basis.ortho_defect,
     )
     co = expansion_coefficients(src, basis, 6, 64)

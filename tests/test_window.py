@@ -15,6 +15,7 @@ from eigenrank.config import parse_config
 from eigenrank import eigensolve, pipeline
 from eigenrank.eigensolve import cluster_end, lowest_eigenpairs
 from eigenrank.lowrank import L2, empirical_rank, scaling_report, tail_table
+from eigenrank.operator import stencil_eigenvalues
 from eigenrank.pipeline import build_pipeline
 from eigenrank.products import expansion_coefficients, pair_list, pair_row
 from conftest import degenerate_clusters
@@ -151,16 +152,28 @@ def test_flat_pipeline_shares_one_expansion(monkeypatch):
     targets = []
 
     def counted(basis_src, basis_target, n, m):
-        targets.append(basis_target.tag)
+        targets.append(basis_target)
         return expansion_coefficients(basis_src, basis_target, n, m)
 
     monkeypatch.setattr(pipeline, "expansion_coefficients", counted)
     pipe = build_pipeline(parse_config(_doc({"kind": "constant", "a0": 1.0, "v0": 0.0})))
-    assert targets == ["laplacian"]
+    assert len(targets) == 1 and targets[0] is pipe.basis_lap
+    assert pipe.basis_L is pipe.basis_lap and pipe.coeffs_l2 is pipe.coeffs_hm1
+    assert pipe.coeffs_l2.outside_mass is None and pipe.coeffs_l2.m == pipe.grid.node_count
+
+
+def test_expansions_carry_their_target_spectrum(random2d_pipeline):
+    # random-2d: the windowed L2 expansion carries the window of L's
+    # spectrum, the complete H^-1 one the closed-form spectrum of -Delta,
+    # each as a view of its target basis's eigenvalues
+    pipe = random2d_pipeline
     l2, hm1 = pipe.coeffs_l2, pipe.coeffs_hm1
-    assert l2.coeffs is hm1.coeffs and l2.product_l2_norms is hm1.product_l2_norms
-    assert (l2.target, hm1.target) == ("schrodinger", "laplacian")
-    assert l2.outside_mass is None and l2.m == pipe.grid.node_count
+    assert np.array_equal(l2.eigenvalues, pipe.basis_L.eigenvalues[: pipe.window])
+    assert np.array_equal(hm1.eigenvalues, np.sort(stencil_eigenvalues(pipe.grid)))
+    assert np.shares_memory(l2.eigenvalues, pipe.basis_L.eigenvalues)
+    assert np.shares_memory(hm1.eigenvalues, pipe.basis_lap.eigenvalues)
+    sub = hm1.restrict(4)
+    assert sub.eigenvalues is hm1.eigenvalues
 
 
 def test_non_flat_pipeline_keeps_a_windowed_l2_expansion(random_pipe):
@@ -177,7 +190,7 @@ def test_windowed_l2_tails_match_the_complete_table(random_pipe):
     assert co.m == M and co.outside_mass is not None
     lam, vec = _complete(pipe)
     full = type(pipe.basis_L)(
-        grid=pipe.grid, tag="schrodinger", eigenvalues=lam, vectors=vec,
+        grid=pipe.grid, eigenvalues=lam, vectors=vec,
         residuals=np.zeros(G),
         ortho_defect=eigensolve._gram_defect(vec, pipe.grid.quadrature_weight),
     )
@@ -205,7 +218,7 @@ def test_unresolved_cell_reports_a_lower_bound(random_pipe):
     assert empirical_rank(curve, tiny) == M + 1
     assert empirical_rank(curve, loose) <= M
     report = scaling_report(
-        pipe.basis_L, pipe.basis_lap, pipe.coeffs_l2, pipe.coeffs_hm1,
+        pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
         [pipe.coeffs_l2.n], [loose, tiny], [L2], 2,
         calib_l2=pipe.config.calib_l2, calib_hm1=pipe.config.calib_hm1, window=M,
     )
