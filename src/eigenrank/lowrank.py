@@ -16,8 +16,11 @@ together with three notions of rank at accuracy eps:
                 product with residual <= eps, among those that split
                 no cluster of tied singular values
 
-r_oracle comes from one SVD of the family's triangular factor, built over
-row blocks; no rows x n(n+1)/2 matrix or left singular vectors are formed.
+r_oracle comes from one eigendecomposition of the family's pair Gram
+matrix, accumulated over row blocks, with each singular value re-read as
+||A v_i|| in a second pass (a streamed QR and one SVD where eps lies below
+what the Gram resolves, see GRAM_FLOOR); no rows x n(n+1)/2 matrix or left
+singular vectors are formed.
 
 A windowed L2 table (the m modes of a resolved window, m < G) ends at r = m,
 where the tail is the measured out-of-window mass; when no r <= m meets eps,
@@ -44,7 +47,40 @@ from .products import ProductCoefficients, pair_list, pair_row, product_matrix
 
 L2 = "l2"
 HM1 = "hm1"
-ORACLE_BLOCK = 1024   # rows per block of the oracle's streamed QR
+ORACLE_BLOCK = 1024   # rows per block of the oracle's Gram, second pass and QR
+GRAM_FLOOR = 100.0
+"""How far above the Gram's roundoff the smallest eps of an oracle call must
+lie: the pair Gram A^T A resolves squared residuals only to about u theta_0
+(u = machine epsilon, theta_0 = s_0^2 its largest eigenvalue), so a call
+with eps^2 < GRAM_FLOOR u theta_0 takes the streamed QR and SVD instead.
+
+Measured against the SVD on the presets (every n, both norms; numpy 2.4,
+scipy 1.17, OpenBLAS), at the k that close a cluster and where the squared
+worst-pair curve lies above the floor:
+
+    preset        smallest eps^2 / floor    worst relative error of the
+                  (eps 1e-6)                squared curve, Gram against SVD
+    flat-1d       4.4                       1.1e-12
+    harmonic-1d   4.4                       1.4e-3
+    flat-2d       22                        5.1e-14
+    random-2d     22                        1.1e-3
+
+The squared curve's absolute error stayed at or below 0.16 u theta_0
+wherever it was read: 1.6e-3 of eps^2 at the floor, less above it, so the
+curve itself is off by at most about 0.08% there.  This is the Gram
+route's accuracy contract: its rank is the SVD's unless eps lies within
+about 0.1% of a value the worst-pair curve takes at a k that closes a
+cluster (the tests probe harmonic-1d 0.1% either side of each such value
+from the floor up).  A user eps that close to a curve value can read a
+different r_oracle than an SVD would; the QR route is accurate to roundoff.
+
+Below the floor it degrades.  On harmonic-1d, n = 32, L2 (s_0 = 3.22,
+theta_0 = 10.3, sqrt(u) s_0 = 4.8e-8, floor eps 4.8e-7) the worst-pair
+curve matches the SVD's to 0.15% at 3.6e-7 and to 0.8% at 8.4e-8, and reads
+1.7e-8 against 9.9e-9 at 1e-8; without the QR route the L2 ranks at
+(n, eps) = (16, 1e-8) and (32, 1e-8) read 35 and 141 against the SVD's 37
+and 67.
+"""
 
 
 def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -> np.ndarray:
@@ -110,7 +146,7 @@ def oracle_rank(
     coeffs: ProductCoefficients | None = None,
 ) -> list[int]:
     """Smallest subspace dimension leaving every product residual <= eps,
-    for each eps in `eps_list`, all read off one SVD.
+    for each eps in `eps_list`, all read off one decomposition.
 
     The candidate subspaces are spans of left singular vectors of the
     product family; the per-column acceptance criterion mirrors the
@@ -122,17 +158,28 @@ def oracle_rank(
     squared residual is divided by its multiplicity (2 off the diagonal) to
     give the product's own.  Only cutoffs that close a cluster of tied
     singular values are candidates: inside one, the residuals depend on the
-    basis the SVD picked.
+    basis the decomposition picked.
 
     L2: columns are sqrt(weight)-scaled node values of phi_i phi_j.
     H^-1: columns are the rows of `coeffs` (laplacian target, pairs of n)
     scaled 1/sqrt(mu).
 
-    The residuals read only the singular values and right singular vectors,
-    which A = QR gives A and its triangular factor R alike.  So the SVD is
-    taken of R, built over row blocks of ORACLE_BLOCK rows (a streamed QR of
-    the tall family): no rows x n(n+1)/2 matrix and no left singular vector
-    is formed.
+    The residuals read only the singular values s and right singular
+    vectors V, and the pair Gram A^T A has V as its eigenvectors.  The Gram
+    is summed over row blocks of ORACLE_BLOCK rows (one GEMM each) and
+    decomposed by one eigh; a second pass over the same blocks re-reads
+    s_i = ||A v_i|| for the leading min(rows, pairs) directions, accurate
+    to about u s_0 where sqrt(theta_i) is only accurate to sqrt(u) s_0.  A
+    call whose smallest eps lies below the Gram's floor (GRAM_FLOOR) takes
+    the SVD of the family's triangular factor R instead, built by a
+    streamed QR over the same blocks; the Gram's largest diagonal entry, a
+    lower bound on theta_0, sends most such calls there before the eigh.
+    Neither route forms a rows x n(n+1)/2 matrix or a left singular vector.
+
+    Accuracy: the QR route reads the SVD's ranks to roundoff.  The Gram
+    route reads the same ranks unless eps lies within about 0.1% of a value
+    the worst-pair curve takes at a cluster-closing k (the measured table
+    is GRAM_FLOOR's docstring).
     """
     if not all(eps > 0 for eps in eps_list):
         raise ValueError(f"every eps must be positive, got {list(eps_list)}")
@@ -165,22 +212,51 @@ def oracle_rank(
             A *= sqrt_mult
             return A
 
-    # the triangular factor R of the family, stacked and re-factored one row
-    # block at a time; a family of at most ORACLE_BLOCK rows is its own R
-    R = block(0, ORACLE_BLOCK)
-    for lo in range(ORACLE_BLOCK, rows, ORACLE_BLOCK):
-        R = np.linalg.qr(np.vstack([R, block(lo, lo + ORACLE_BLOCK)]), mode="r")
+    starts = range(0, rows, ORACLE_BLOCK)
+    gram = np.zeros((len(pairs), len(pairs)))
+    for lo in starts:
+        A = block(lo, lo + ORACLE_BLOCK)
+        gram += A.T @ A
+    del A
+    floor = GRAM_FLOOR * np.finfo(float).eps
+    eps_sq = min(eps_list, default=math.inf) ** 2
+    # theta_0 is at least the Gram's largest diagonal entry, so a call below
+    # the floor on that alone takes the QR route without the eigh
+    gram_route = eps_sq >= floor * np.max(gram.diagonal())
+    if gram_route:
+        theta, V = np.linalg.eigh(gram)
+        gram_route = eps_sq >= floor * theta[-1]
+    del gram
+    if gram_route:
+        # the leading directions first, as many as the SVD returns
+        V = V[:, : -min(rows, len(pairs)) - 1 : -1]
+        s_sq = np.zeros(V.shape[1])
+        for lo in starts:
+            AV = block(lo, lo + ORACLE_BLOCK) @ V
+            s_sq += np.einsum("ij,ij->j", AV, AV)
+        s = np.sqrt(s_sq)
+        # T[i, j] = (s_i V[j, i])^2 / mult_j, formed in V's buffer
+        V *= s
+        np.square(V, out=V)
+        V /= mult[:, None]
+        T = V.T
+    else:
+        # the triangular factor R of the family, stacked and re-factored one
+        # row block at a time; a family of at most ORACLE_BLOCK rows is its own R
+        R = block(0, ORACLE_BLOCK)
+        for lo in starts[1:]:
+            R = np.linalg.qr(np.vstack([R, block(lo, lo + ORACLE_BLOCK)]), mode="r")
+        _, s, Vh = np.linalg.svd(R, full_matrices=False)
+        T = (s[:, None] * Vh) ** 2 / mult
 
     # the squared residual of column j after keeping k singular directions is
-    # sum_{i>=k} (s_i Vh[i,j])^2; the appended zero row (k = all) meets every eps
-    _, s, Vh = np.linalg.svd(R, full_matrices=False)
-    T = (s[:, None] * Vh) ** 2 / mult
+    # sum_{i>=k} T[i, j]; the appended zero row (k = all) meets every eps
     resid_sq = np.zeros((len(s) + 1, len(pairs)))
-    resid_sq[:-1] = np.cumsum(T[::-1], axis=0)[::-1]
+    np.cumsum(T[::-1], axis=0, out=resid_sq[-2::-1])
     worst = np.sqrt(np.max(resid_sq, axis=1))
     # a k that splits a cluster of tied singular values keeps whichever part
-    # of it the SVD happened to return, so the curve is read only at k that
-    # close one (the CLUSTER_REL_GAP rule, relative to s_0)
+    # of it the decomposition happened to return, so the curve is read only
+    # at k that close one (the CLUSTER_REL_GAP rule, relative to s_0)
     closes = np.ones(len(s) + 1, dtype=bool)
     closes[1:-1] = s[:-1] - s[1:] >= CLUSTER_REL_GAP * s[0]
     return [int(np.argmax(closes & (worst <= eps))) for eps in eps_list]

@@ -264,7 +264,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
 
 
 def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
-    """The sweep, timed as two stages: the oracle SVDs and the rest (tails)."""
+    """The sweep, timed as two stages: the oracle and the rest (tails)."""
     cfg = pipe.config
     with _stage(pipe.timings, "tails"):
         report = scaling_report(

@@ -75,6 +75,11 @@ def flat1d_pipeline() -> Pipeline:
 
 
 @pytest.fixture(scope="session")
+def harmonic1d_pipeline() -> Pipeline:
+    return build_pipeline(load_config("harmonic-1d"))
+
+
+@pytest.fixture(scope="session")
 def flat2d_pipeline() -> Pipeline:
     return build_pipeline(load_config("flat-2d"))
 

@@ -209,6 +209,10 @@ def _reference_rank(A, eps):
     return int(hits[0]) if hits.size else int(len(worst) - 1)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the oracle took the streamed QR and SVD")
+
+
 def _eps_inside_steps(A, rel_gap=1e-6):
     """One eps inside each clear drop of the reference curve, so the rank
     is checked at every k the curve resolves above roundoff."""
@@ -274,7 +278,7 @@ class TestOracle:
             assert r <= empirical_rank(curve_h, eps)
 
     def test_memory_guard(self):
-        # a tall 2-D family, 36 ORACLE_BLOCKs of rows: the streamed QR holds
+        # a tall 2-D family, 36 ORACLE_BLOCKs of rows: the oracle holds
         # a few blocks at a time, never the rows x n(n+1)/2 family
         grid = make_grid(2, (np.pi, np.pi), (192, 192), "dirichlet")
         lap = laplacian_eigenpairs(assemble_laplacian(grid), 8, 1e-9)
@@ -290,29 +294,126 @@ class TestOracle:
                 tracemalloc.stop()
             assert peak < family_bytes / 4
 
-    @pytest.mark.parametrize("block", [7, 100])
-    def test_streamed_qr_matches_full_svd(self, block, monkeypatch, flat1d_coeffs, random_pipeline):
-        # several stacking steps with a ragged last block: the tall 2-D
-        # family has 144 rows, the wide 1-D one 64 rows and 136 pairs; eps
-        # runs from 1e-2 to 1e-12 and inside each clear drop of the curve
-        monkeypatch.setattr(lowrank, "ORACLE_BLOCK", block)
-        eps_list = [10.0**-k for k in range(2, 13)]
+    @staticmethod
+    def _ragged_cases(flat1d_coeffs, random_pipeline):
+        # the tall 2-D family has 144 rows, the wide 1-D one 64 rows and 136
+        # pairs, so blocks of 7 and 100 rows stack several times and end ragged
         grid, _, src1, _, _, co_h1 = flat1d_coeffs
         pipe = random_pipeline
-        cases = [
+        for src, co_h, sqrt_w in [
             (src1, co_h1, np.sqrt(grid.quadrature_weight)),
             (pipe.basis_L, pipe.coeffs_hm1.restrict(8), np.sqrt(pipe.grid.quadrature_weight)),
-        ]
-        for src, co_h, sqrt_w in cases:
+        ]:
             n = co_h.n
-            A_l2 = sqrt_w * _ordered_family(src, n)
-            A_h = _ordered_hm1_family(co_h)
-            eps_l2 = eps_list + _eps_inside_steps(A_l2)
-            eps_h = eps_list + _eps_inside_steps(A_h)
-            assert oracle_rank(src, n, eps_l2) == [_reference_rank(A_l2, e) for e in eps_l2]
-            assert oracle_rank(src, n, eps_h, "hm1", coeffs=co_h) == [
-                _reference_rank(A_h, e) for e in eps_h
-            ]
+            yield src, n, "l2", {}, sqrt_w * _ordered_family(src, n)
+            yield src, n, "hm1", {"coeffs": co_h}, _ordered_hm1_family(co_h)
+
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_gram_route_matches_full_svd_over_ragged_blocks(
+        self, block, monkeypatch, flat1d_coeffs, random_pipeline
+    ):
+        # eps from 1e-2 down to the Gram's floor and inside each clear drop of
+        # the curve above it; the SVD and the QR stay out of the oracle
+        monkeypatch.setattr(lowrank, "ORACLE_BLOCK", block)
+        for src, n, norm, kwargs, A in self._ragged_cases(flat1d_coeffs, random_pipeline):
+            s0 = np.linalg.norm(A, 2)
+            floor = math.sqrt(lowrank.GRAM_FLOOR * np.finfo(float).eps) * s0
+            eps_list = [e for e in [10.0**-k for k in range(2, 13)] + _eps_inside_steps(A)
+                        if e >= floor]
+            assert len(eps_list) > 5
+            expected = [_reference_rank(A, e) for e in eps_list]
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", _refuse)
+                m.setattr(np.linalg, "qr", _refuse)
+                assert oracle_rank(src, n, eps_list, norm, **kwargs) == expected
+
+    @pytest.mark.parametrize("block", [7, 100])
+    def test_qr_route_matches_full_svd_over_ragged_blocks(
+        self, block, monkeypatch, flat1d_coeffs, random_pipeline
+    ):
+        # eps reaches 1e-12, below every family's Gram floor, so each call
+        # takes the streamed QR and the SVD
+        monkeypatch.setattr(lowrank, "ORACLE_BLOCK", block)
+        eps_list = [10.0**-k for k in range(2, 13)]
+        for src, n, norm, kwargs, A in self._ragged_cases(flat1d_coeffs, random_pipeline):
+            eps = eps_list + _eps_inside_steps(A)
+            assert oracle_rank(src, n, eps, norm, **kwargs) == [_reference_rank(A, e) for e in eps]
+
+    def test_eps_below_the_gram_floor_matches_the_svd(self, harmonic1d_pipeline):
+        # harmonic-1d, n = 32: the Gram alone resolves the L2 curve only to
+        # about sqrt(u) s_0 = 4.8e-8 and reads 141 at eps 1e-8
+        pipe = harmonic1d_pipeline
+        src, co_h = pipe.basis_L, pipe.coeffs_hm1
+        A = np.sqrt(pipe.grid.quadrature_weight) * _ordered_family(src, 32)
+        assert oracle_rank(src, 32, [1e-8]) == [_reference_rank(A, 1e-8)] == [67]
+        assert oracle_rank(src, 32, [1e-10], "hm1", coeffs=co_h) == [
+            _reference_rank(_ordered_hm1_family(co_h), 1e-10)
+        ] == [512]
+
+    @pytest.mark.parametrize("norm", ["l2", "hm1"])
+    def test_gram_route_accuracy_just_above_the_floor(self, norm, harmonic1d_pipeline, monkeypatch):
+        # the accuracy contract of GRAM_FLOOR on harmonic-1d, the preset with
+        # the largest measured error: from the floor up, the rank is the
+        # SVD's once eps lies 0.1% or more from every value the worst-pair
+        # curve takes at a k that closes a cluster (each value is probed
+        # 0.1% above and below)
+        pipe = harmonic1d_pipeline
+        nearest = math.inf
+        for n in pipe.config.sweep_n:
+            co_h = pipe.coeffs_hm1.restrict(n)
+            if norm == "l2":
+                A, kwargs = np.sqrt(pipe.grid.quadrature_weight) * _ordered_family(pipe.basis_L, n), {}
+            else:
+                A, kwargs = _ordered_hm1_family(co_h), {"coeffs": co_h}
+            worst = _reference_worst(A)
+            s = np.linalg.svd(A, compute_uv=False)
+            closes = np.concatenate([[True], s[:-1] - s[1:] >= CLUSTER_REL_GAP * s[0], [True]])
+            floor = math.sqrt(lowrank.GRAM_FLOOR * np.finfo(float).eps) * s[0]
+            eps_list = [e for w in worst[closes] for e in (w * 1.001, w * 0.999) if e >= floor]
+            nearest = min(nearest, min(eps_list) / floor)
+            expected = [int(np.argmax(closes & (worst <= e))) for e in eps_list]
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", _refuse)
+                m.setattr(np.linalg, "qr", _refuse)
+                assert oracle_rank(pipe.basis_L, n, eps_list, norm, **kwargs) == expected
+        # n = 8 probes within 2.5x of the floor, where the contract is tightest
+        assert nearest < 2.5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cluster_rule_reads_small_singular_values_like_the_svd(self, seed):
+        # a synthetic H^-1 family (unit weights) whose singular values come
+        # in pairs from 3.0e-6 down to 4e-7, each pair split by the
+        # CLUSTER_REL_GAP threshold 1e-8 plus or minus 1e-11: only a singular
+        # value accurate to about u s_0 judges every pair as the SVD does
+        # (sqrt(theta) is off by about u s_0^2 / (2 s), some 3e-10 here)
+        rng = np.random.default_rng(seed)
+        n, rows = 5, 40
+        pairs = pair_list(n)
+        s = [1.0]
+        for k in range(6):
+            a = 4e-7 * 1.5 ** (5 - k)
+            s += [a, a - CLUSTER_REL_GAP * (1 + (1e-3 if k % 2 else -1e-3))]
+        s += [0.0] * (len(pairs) - len(s))
+        U = np.linalg.qr(rng.standard_normal((rows, len(pairs))))[0]
+        V = np.linalg.qr(rng.standard_normal((len(pairs), len(pairs))))[0]
+        mult = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+        co = ProductCoefficients(
+            n=n, m=rows, eigenvalues=np.ones(rows),
+            coeffs=((U * s) @ V.T / np.sqrt(mult)).T, product_l2_norms=np.ones(len(pairs)),
+        )
+        A = _ordered_hm1_family(co)
+        # eps inside every drop of the curve above the Gram floor by 10% or more
+        floor = math.sqrt(lowrank.GRAM_FLOOR * np.finfo(float).eps)
+        eps_list = [e for e in _eps_inside_steps(A, rel_gap=0.1) if e >= floor]
+        assert len(eps_list) >= 6
+        assert oracle_rank(None, n, eps_list, "hm1", coeffs=co) == [
+            _reference_rank(A, e) for e in eps_list
+        ]
+
+    def test_empty_eps_list(self, flat1d_coeffs):
+        grid, _, src, lap, co, co_h = flat1d_coeffs
+        assert oracle_rank(src, 8, []) == []
+        assert oracle_rank(src, 16, [], "hm1", coeffs=co_h) == []
 
     def test_rejects_bad_inputs(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
@@ -593,6 +694,22 @@ def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatc
     )
     assert sorted(calls) == sorted((n, norm) for n in n_list for norm in norms)
     assert len(report.rank_reports) == len(n_list) * len(norms) * len(ORACLE_EPS)
+
+
+def test_scaling_report_on_a_preset_sweep_takes_the_gram_route(flat1d_pipeline, monkeypatch):
+    # the presets' smallest eps, 1e-6, lies above every cell's Gram floor
+    pipe = flat1d_pipeline
+    cfg = pipe.config
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
+    monkeypatch.setattr(np.linalg, "qr", _refuse)
+    report = scaling_report(
+        pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1, cfg.sweep_n, cfg.sweep_eps,
+        cfg.sweep_norms, 1, cfg.calib_l2, cfg.calib_hm1, window=pipe.window,
+    )
+    assert len(report.rank_reports) == len(cfg.sweep_n) * len(cfg.sweep_eps) * len(cfg.sweep_norms)
+    for rep in report.rank_reports:
+        if rep.norm == "l2":
+            assert rep.r_oracle <= 2 * rep.n - 1
 
 
 @pytest.mark.parametrize(
