@@ -160,7 +160,7 @@ def eri_benchmark(
         raise ValueError("the Laplacian operator lives on a different grid")
     if coeffs.n < n:
         raise ValueError(f"coefficients cover n={coeffs.n} < requested n={n}")
-    sub = coeffs.restrict(n) if coeffs.n != n else coeffs
+    sub = coeffs.restrict(n)
     _, S = sup_norms(basis_L, n)
     d = basis_L.grid.dimension
     r = min(cutoff(HM1, eps, n, S, d, calib_hm1), sub.m)

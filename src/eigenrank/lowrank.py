@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .eigensolve import CLUSTER_REL_GAP, SpectralBasis, sup_norms
-from .products import ProductCoefficients, pair_list, pair_row, product_matrix
+from .products import ProductCoefficients, pair_list, product_matrix
 
 L2 = "l2"
 HM1 = "hm1"
@@ -300,17 +300,6 @@ def tail_slope(r_values, tails, floor: float = 1e-13) -> float:
 
 
 @dataclass(frozen=True)
-class TailCurve:
-    """Sampled tail-vs-r curve for one pair, or the worst-pair aggregate."""
-
-    norm: str
-    n: int
-    i: int | None                 # None marks the max-over-pairs aggregate
-    j: int | None
-    samples: list[tuple[int, float]]
-
-
-@dataclass(frozen=True)
 class RankReport:
     """Per-(n, eps, norm) rank comparison."""
 
@@ -327,10 +316,10 @@ class RankReport:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    rank_reports: list[RankReport]
-    tail_curves: list[TailCurve]
-    slopes: dict = field(default_factory=dict)   # norm -> worst-pair log-log slope
-    oracle_seconds: float = 0.0                  # wall time spent in oracle_rank
+    rank_reports: list[RankReport]   # the rows of ranks.csv, in its column order
+    tail_rows: list[tuple]           # the rows of tails.csv: (norm, i, j, r, tail)
+    slopes: dict                     # norm -> worst-pair log-log slope
+    oracle_seconds: float            # wall time spent in oracle_rank
 
 
 def scaling_report(
@@ -340,21 +329,22 @@ def scaling_report(
     n_list,
     eps_list,
     norms,
-    d: int,
     calib_l2: float,
     calib_hm1: float,
     window: int,
-    curve_n: int | None = None,
 ) -> ScalingReport:
-    """Sweep (n, eps, norm) cells; emit rank reports, tail curves and slopes.
+    """Sweep (n, eps, norm) cells; return the rows of ranks.csv and
+    tails.csv, and the tail slopes.
 
     `window` is the resolved window M (every table holds at least M modes):
     a cell is resolved when its worst-pair tail at r = M is at most eps.
-    The tail curves of n = curve_n are sampled, and their worst-pair slope
-    is fitted over r <= G/2.
+    The tails of n = max(n_list) are sampled, pairs 1-based and i = j = 0
+    the worst-pair aggregate, whose slope is fitted over r <= G/2.
     """
+    d = basis_src.grid.dimension
+    curve_n = max(n_list)
     reports: list[RankReport] = []
-    curves: list[TailCurve] = []
+    rows: list[tuple] = []
     slopes: dict[str, float] = {}
     oracle_seconds = 0.0
 
@@ -368,7 +358,7 @@ def scaling_report(
             raise ValueError(f"unknown norm {norm!r}")
 
         for n in n_list:
-            sub = coeffs.restrict(n) if n != coeffs.n else coeffs
+            sub = coeffs.restrict(n)
             # the oracle runs before the tail table is formed, so its blocks
             # and the table are never live together
             t = time.perf_counter()
@@ -396,24 +386,14 @@ def scaling_report(
                 )
                 cutoffs.append(r_pred)
 
-            if curve_n is not None and n == curve_n:
-                r_samples = [r for r in geometric_r_samples(coeffs.m, extra=cutoffs)]
-                agg = [(r, float(max_tails[r])) for r in r_samples]
-                curves.append(TailCurve(norm=norm, n=n, i=None, j=None, samples=agg))
-                for (i, j) in pair_list(n):
-                    row = table[pair_row(i, j, n)]
-                    curves.append(
-                        TailCurve(
-                            norm=norm,
-                            n=n,
-                            i=i,
-                            j=j,
-                            samples=[(r, float(row[r])) for r in r_samples],
-                        )
-                    )
+            if n == curve_n:
+                r_samples = geometric_r_samples(coeffs.m, extra=cutoffs)
+                rows += [(norm, 0, 0, r, float(max_tails[r])) for r in r_samples]
+                for (i, j), row in zip(pair_list(n), table):
+                    rows += [(norm, i + 1, j + 1, r, float(row[r])) for r in r_samples]
                 fit_r = [r for r in r_samples if 0 < r <= basis_src.grid.node_count // 2]
                 slopes[norm] = tail_slope(fit_r, [max_tails[r] for r in fit_r])
 
     return ScalingReport(
-        rank_reports=reports, tail_curves=curves, slopes=slopes, oracle_seconds=oracle_seconds
+        rank_reports=reports, tail_rows=rows, slopes=slopes, oracle_seconds=oracle_seconds
     )

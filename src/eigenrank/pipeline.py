@@ -23,7 +23,7 @@ import resource
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 import scipy
@@ -263,7 +263,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
         summary["weyl_fit"] = {"skipped": "fewer than 8 modes inside the safe window"}
 
 
-def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
+def _scaling(pipe: Pipeline) -> ScalingReport:
     """The sweep, timed as two stages: the oracle and the rest (tails)."""
     cfg = pipe.config
     with _stage(pipe.timings, "tails"):
@@ -274,11 +274,9 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
             cfg.sweep_n,
             cfg.sweep_eps,
             cfg.sweep_norms,
-            pipe.grid.dimension,
             calib_l2=cfg.calib_l2,
             calib_hm1=cfg.calib_hm1,
             window=pipe.window,
-            curve_n=curve_n,
         )
     pipe.timings["oracle"] = report.oracle_seconds
     pipe.timings["tails"] -= report.oracle_seconds
@@ -286,16 +284,10 @@ def _scaling(pipe: Pipeline, curve_n: int | None = None) -> ScalingReport:
 
 
 def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
-    rows = []
-    for curve in report.tail_curves:
-        i = 0 if curve.i is None else curve.i + 1
-        j = 0 if curve.j is None else curve.j + 1
-        for r, value in curve.samples:
-            rows.append((curve.norm, i, j, r, value))
     write_csv(
         os.path.join(out_dir, "tails.csv"),
         ["norm", "i", "j", "r", "tail"],
-        rows,
+        report.tail_rows,
         pipe.timings,
     )
     summary["tail_slopes"] = {
@@ -305,22 +297,10 @@ def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: Scaling
 
 
 def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
-    rows = [
-        (
-            rep.n,
-            rep.eps,
-            rep.norm,
-            rep.r_predicted,
-            rep.r_empirical,
-            rep.r_oracle,
-            rep.max_sup,
-            rep.implied_constant,
-            int(rep.resolved),
-        )
-        for rep in report.rank_reports
-    ]
-    # the column stays named r_paper so rank tables diff cleanly across
-    # implementations sharing this file format
+    # RankReport's fields are ranks.csv's columns in order (_fmt writes the
+    # bool resolved as 1 or 0); r_predicted stays named r_paper so rank
+    # tables diff cleanly across implementations sharing this file format
+    rows = [astuple(rep) for rep in report.rank_reports]
     write_csv(
         os.path.join(out_dir, "ranks.csv"),
         [
@@ -578,7 +558,7 @@ def run(
     if command == "spectrum":
         cmd_spectrum(pipe, out, summary)
     elif command == "tail-curves":
-        report = _scaling(pipe, curve_n=max(config.sweep_n))
+        report = _scaling(pipe)
         cmd_tail_curves(pipe, out, summary, report)
     elif command == "rank-scan":
         report = _scaling(pipe)
@@ -588,7 +568,7 @@ def run(
             cmd_eri_bench(pipe, out, summary)
     else:  # verify-all
         cmd_spectrum(pipe, out, summary)
-        report = _scaling(pipe, curve_n=max(config.sweep_n))
+        report = _scaling(pipe)
         cmd_tail_curves(pipe, out, summary, report)
         cmd_rank_scan(pipe, out, summary, report)
         with _stage(timings, "eri"):

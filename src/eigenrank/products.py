@@ -60,9 +60,12 @@ class ProductCoefficients:
     outside_mass: np.ndarray | None = None
 
     def restrict(self, n: int) -> "ProductCoefficients":
-        """Coefficients of the sub-family with both indices below n."""
+        """Coefficients of the sub-family with both indices below n (self
+        itself at n = self.n)."""
         if not 1 <= n <= self.n:
             raise ValueError(f"n must satisfy 1 <= n <= {self.n}, got {n}")
+        if n == self.n:
+            return self
         rows = [pair_row(i, j, self.n) for i, j in pair_list(n)]
         return ProductCoefficients(
             n=n,

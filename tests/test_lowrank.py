@@ -162,7 +162,7 @@ class TestCutoffs:
         # calibration, makes every predicted rank at least the empirical one
         grid, _, src, lap, co, co_h = flat1d_coeffs
         sweep = dict(
-            n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], d=1, window=co.m
+            n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], window=co.m
         )
         first = scaling_report(src, co, co_h, calib_l2=1.0, calib_hm1=1.0, **sweep)
         calib = {
@@ -651,20 +651,28 @@ def test_scaling_report_flat1d(flat1d_coeffs):
         n_list=[4, 8, 16],
         eps_list=[1e-2, 1e-3],
         norms=["l2", "hm1"],
-        d=1,
         calib_l2=1.0,
         calib_hm1=1.0,
         window=co.m,
-        curve_n=16,
     )
     assert len(report.rank_reports) == 12
     for rep in report.rank_reports:
         assert rep.r_oracle <= rep.r_empirical
         if rep.norm == "l2":
             assert rep.r_oracle <= 2 * rep.n - 1
-    # aggregate + per-pair curves for both norms at n=16
-    aggregates = [c for c in report.tail_curves if c.i is None]
-    assert {c.norm for c in aggregates} == {"l2", "hm1"}
+    # for both norms, the worst-pair aggregate (i = j = 0) and every 1-based
+    # pair of n = 16, sampled at the same r; the aggregate is the worst pair's
+    for norm in ("l2", "hm1"):
+        rows = [row for row in report.tail_rows if row[0] == norm]
+        aggregate = {r: tail for _, i, j, r, tail in rows if i == j == 0}
+        assert aggregate
+        by_pair = {}
+        for _, i, j, r, tail in rows:
+            if i or j:
+                by_pair.setdefault((i, j), {})[r] = tail
+        assert sorted(by_pair) == [(i + 1, j + 1) for i, j in pair_list(16)]
+        for r, tail in aggregate.items():
+            assert tail == max(curve[r] for curve in by_pair.values())
     # the -1/d envelope needs the preset-scale grid (acceptance suite);
     # at 64 points the plateau up to r ~ 2n dominates, so only sanity-check
     assert report.slopes["l2"] < 0
@@ -689,7 +697,7 @@ def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatc
     monkeypatch.setattr(lowrank, "oracle_rank", counting)
     n_list, norms = [4, 8, 16], ["l2", "hm1"]
     report = scaling_report(
-        src, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms, d=1,
+        src, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms,
         calib_l2=1.0, calib_hm1=1.0, window=co.m,
     )
     assert sorted(calls) == sorted((n, norm) for n in n_list for norm in norms)
@@ -704,7 +712,7 @@ def test_scaling_report_on_a_preset_sweep_takes_the_gram_route(flat1d_pipeline, 
     monkeypatch.setattr(np.linalg, "qr", _refuse)
     report = scaling_report(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1, cfg.sweep_n, cfg.sweep_eps,
-        cfg.sweep_norms, 1, cfg.calib_l2, cfg.calib_hm1, window=pipe.window,
+        cfg.sweep_norms, cfg.calib_l2, cfg.calib_hm1, window=pipe.window,
     )
     assert len(report.rank_reports) == len(cfg.sweep_n) * len(cfg.sweep_eps) * len(cfg.sweep_norms)
     for rep in report.rank_reports:
@@ -766,7 +774,7 @@ def test_preset_calibration_covers_every_resolved_cell(request, preset):
     cfg = pipe.config
     report = scaling_report(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
-        cfg.sweep_n, cfg.sweep_eps, cfg.sweep_norms, pipe.grid.dimension,
+        cfg.sweep_n, cfg.sweep_eps, cfg.sweep_norms,
         calib_l2=cfg.calib_l2, calib_hm1=cfg.calib_hm1, window=pipe.window,
     )
     resolved = [rep for rep in report.rank_reports if rep.resolved]

@@ -4,6 +4,7 @@ out-of-window mass.  The window is solved in spectrum slices, certified by
 its inertia count; on these 16^2 grids a full dense eigh is the
 reference."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from eigenrank.cli import main
 from eigenrank.config import parse_config
 from eigenrank import eigensolve, pipeline
 from eigenrank.eigensolve import cluster_end, lowest_eigenpairs
-from eigenrank.lowrank import L2, empirical_rank, scaling_report, tail_table
+from eigenrank.lowrank import L2, RankReport, empirical_rank, scaling_report, tail_table
 from eigenrank.operator import stencil_eigenvalues
 from eigenrank.pipeline import build_pipeline
 from eigenrank.products import expansion_coefficients, pair_list, pair_row
@@ -210,6 +211,48 @@ def test_windowed_l2_tails_match_the_complete_table(random_pipe):
     np.testing.assert_array_equal(tail_table(sub), tail_table(co)[rows])
 
 
+def test_restrict_is_the_family_itself_at_its_own_n(random_pipe):
+    # the windowed L2 expansion and the complete H^-1 one
+    for co in (random_pipe.coeffs_l2, random_pipe.coeffs_hm1):
+        assert co.restrict(co.n) is co
+        for n in (1, 4, co.n - 1):
+            rows = [pair_row(i, j, co.n) for i, j in pair_list(n)]
+            sub = co.restrict(n)
+            assert (sub.n, sub.m) == (n, co.m) and sub.eigenvalues is co.eigenvalues
+            np.testing.assert_array_equal(sub.coeffs, co.coeffs[rows])
+            np.testing.assert_array_equal(sub.product_l2_norms, co.product_l2_norms[rows])
+            if co.outside_mass is None:
+                assert sub.outside_mass is None
+            else:
+                np.testing.assert_array_equal(sub.outside_mass, co.outside_mass[rows])
+
+
+def test_ranks_csv_columns_are_the_rank_report_fields(tmp_path, random_pipe):
+    # an eps either side of the worst-pair L2 tail at the window, so the
+    # resolved column holds both values
+    pipe, cfg = random_pipe, random_pipe.config
+    at_window = float(np.max(tail_table(pipe.coeffs_l2), axis=0)[pipe.window])
+    report = scaling_report(
+        pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
+        cfg.sweep_n, [2.0 * at_window, 0.5 * at_window], cfg.sweep_norms,
+        calib_l2=cfg.calib_l2, calib_hm1=cfg.calib_hm1, window=pipe.window,
+    )
+    pipeline.cmd_rank_scan(pipe, str(tmp_path), {}, report)
+    header, *rows = (tmp_path / "ranks.csv").read_text().strip().splitlines()
+    names = [field.name for field in dataclasses.fields(RankReport)]
+    assert header.split(",") == ["r_paper" if name == "r_predicted" else name for name in names]
+    assert len(rows) == len(report.rank_reports)
+    assert any(rep.resolved for rep in report.rank_reports)
+    assert not all(rep.resolved for rep in report.rank_reports)
+    for row, rep in zip(rows, report.rank_reports):
+        for name, cell in zip(names, row.split(",")):
+            value = getattr(rep, name)
+            if isinstance(value, bool):
+                assert cell == ("1" if value else "0")
+            else:
+                assert type(value)(cell) == value
+
+
 def test_unresolved_cell_reports_a_lower_bound(random_pipe):
     pipe = random_pipe
     M = pipe.window
@@ -219,7 +262,7 @@ def test_unresolved_cell_reports_a_lower_bound(random_pipe):
     assert empirical_rank(curve, loose) <= M
     report = scaling_report(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
-        [pipe.coeffs_l2.n], [loose, tiny], [L2], 2,
+        [pipe.coeffs_l2.n], [loose, tiny], [L2],
         calib_l2=pipe.config.calib_l2, calib_hm1=pipe.config.calib_hm1, window=M,
     )
     by_eps = {rep.eps: rep for rep in report.rank_reports}
@@ -271,3 +314,13 @@ def test_rerun_is_bitwise_identical(tmp_path, random_pipe):
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
     for name in ("spectrum.csv", "tails.csv", "ranks.csv", "eri.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_every_command_writes_the_sweep_of_verify_all(tmp_path):
+    # rank-scan, tail-curves and verify-all make the same sweep call
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(_doc(RANDOM)))
+    for command in ("verify-all", "rank-scan", "tail-curves"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    for name, command in (("ranks.csv", "rank-scan"), ("tails.csv", "tail-curves")):
+        assert (tmp_path / command / name).read_bytes() == (tmp_path / "verify-all" / name).read_bytes()
