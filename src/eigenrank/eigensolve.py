@@ -49,6 +49,21 @@ slice starts from one fixed vector, and the solved eigenvectors are
 normalized in the grid inner product and their signs fixed (first
 significant component positive), so reruns give the same tensors bit for
 bit.
+
+Working set.  What a run keeps is formed whole: the stored vectors of each
+basis here, and in products the coefficient arrays and the one product
+block that a stored target's GEMM needs.  Every other array of G x k or
+pairs x G entries, here and in products, lowrank and the pipeline's checks,
+is formed BLOCK columns, pairs or node rows at a time (blocks).  The Lanczos
+slices join one union as each is solved, and the union is sorted and cut in
+place (_gather_columns), so the vectors are never held twice.  Sums over
+node rows run row after row at every width (row_sums), so a sum taken in
+blocks has the bits of one sum over the whole array.  A block that is a
+GEMM (a closed-form target's pair block, a node-row block of the
+out-of-window residual) can differ from one whole GEMM in its last bits, as
+OpenBLAS picks its kernel by the shape; at BLOCK = 32 every CSV of the
+presets, the CI configs, flat 256^2 and random 128^2 has the bits of whole
+arrays.
 """
 
 from __future__ import annotations
@@ -74,7 +89,7 @@ DENSE_CAP = 5000   # read only by perfbench/traced.py's dense_bytes counter
 DEFAULT_TOL = 1e-9
 CLUSTER_REL_GAP = 1e-8
 ORTHO_TOL = 1e-10
-RESIDUAL_BLOCK = 256   # columns per block of the residual certificate
+BLOCK = 32   # columns, pairs or node rows per block of a temporary (module docstring)
 CLUSTER_PAD = 16       # modes solved past a window to find where its end cluster closes
 MODES_PER_SLICE = 80   # eigenpairs per Lanczos spectrum slice (module docstring)
 # a shift where _ldlt breaks down moves up by SHIFT_NUDGE (1 + |sigma|), at
@@ -212,9 +227,11 @@ def lowest_eigenpairs(
     under a solved eigenvalue, and eigsh needs k < size, so m is at most
     size - 2.
 
-    The solved columns are grid-normalized and sign-fixed once; the inertia
-    count then judges them, and its residuals and Gram defect over the pairs
-    counted below its shift, a superset of the window, are the basis's.
+    The solved columns are grid-normalized and sign-fixed once, a column
+    block at a time; the inertia count then judges them, and its residuals
+    and Gram defect over the pairs counted below its shift, a superset of
+    the window, are the basis's.  The window's columns are then moved to
+    the front of the union's buffer (_gather_columns), which the basis keeps.
     """
     _check_request(op, m, tol, op.size - 2)
     most = op.size - 1
@@ -226,11 +243,13 @@ def lowest_eigenpairs(
         if end < len(lam) or solved >= most:
             break
         pad *= 2
-    vec /= np.sqrt(op.grid.quadrature_weight * np.sum(vec * vec, axis=0))
-    _fix_signs(vec)
+    for cols in blocks(vec.shape[1]):
+        v = vec[:, cols]
+        v /= np.sqrt(op.grid.quadrature_weight * row_sums(v * v))
+        _fix_signs(v)
     resid, defect, completeness = _inertia_count(op, lam, vec, end, tol, slices)
     return SpectralBasis(
-        grid=op.grid, eigenvalues=lam[:end], vectors=np.ascontiguousarray(vec[:, :end]),
+        grid=op.grid, eigenvalues=lam[:end], vectors=_gather_columns(vec, slice(0, end)),
         residuals=resid, ortho_defect=defect, completeness=completeness,
     )
 
@@ -296,6 +315,36 @@ def laplacian_eigenpairs(
         grid=grid, eigenvalues=lam, vectors=vec, residuals=resid, ortho_defect=defect,
         axis_vectors=tuple(axis_vectors), modes=modes, completeness=Completeness("closed_form"),
     )
+
+
+def blocks(total: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK indices that cover range(total)."""
+    return [slice(lo, min(lo + BLOCK, total)) for lo in range(0, total, BLOCK)]
+
+
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum over the rows of x, added one row after another at every width.
+
+    numpy reduces a C-ordered array of two or more columns over axis 0 row
+    after row, but a single column pairwise; cumsum keeps that one in row
+    order too, so a block of columns sums to the bits of the whole array's.
+    A 1-D x is summed as numpy sums it."""
+    if x.ndim == 2 and x.shape[1] == 1:
+        return np.cumsum(x, axis=0)[-1]
+    return np.sum(x, axis=0)
+
+
+def _gather_columns(buffer, columns):
+    """buffer[:, columns] as a C-ordered array over the start of the
+    C-ordered buffer itself, written one block of node rows at a time, so
+    no second array of its rows is formed.  Each row block is written at or
+    before the memory of its own rows (numpy copies a block that overlaps
+    its destination first), so no row is overwritten before it is read."""
+    rows, width = buffer.shape[0], buffer[0, columns].size
+    out = buffer.reshape(-1)[: rows * width].reshape(rows, width)
+    for block in blocks(rows):
+        out[block] = buffer[block][:, columns]
+    return out
 
 
 def _tensor_columns(axis_vectors, modes, points):
@@ -383,6 +432,12 @@ def _sliced_lowest(op, m):
     LDL^T factor of L minus the centre (_ldlt).  The union is sorted and cut
     to the m lowest, and returned with the slices it came from (their edges
     and sizes); _inertia_count certifies it.
+
+    Each slice's pairs are copied into the union as soon as its eigsh
+    returns, and the slice's arrays dropped before the next solve.  The
+    union holds as many pairs as the solves returned (a solve that skipped
+    one returns fewer, which the inertia count catches), and is sorted and
+    cut in place (_gather_columns).
     """
     edges, counts = _slice_edges(op, m)
     sizes = np.diff(counts)
@@ -391,42 +446,43 @@ def _sliced_lowest(op, m):
     # constant vector has no component along the modes that are odd about
     # the centre of a symmetric box
     v0 = np.random.default_rng(0).standard_normal(op.size)
-    pairs = []
+    lam = np.empty(counts[-1])
+    vec = np.empty((op.size, counts[-1]))
+    got = 0
     for lo, hi, k in zip(edges, edges[1:], sizes):
-        centre, _, factor = _ldlt(op, 0.5 * (lo + hi))
-        inverse = spla.LinearOperator(op.matrix.shape, matvec=factor.solve, dtype=np.float64)
-        try:
-            pairs.append(spla.eigsh(
-                op.matrix,
-                k=k,
-                sigma=centre,
-                which="LM",
-                v0=v0,
-                tol=0,   # iterate to machine precision; certificates checked later
-                OPinv=inverse,
-            ))
-        except spla.ArpackNoConvergence as exc:
-            worst = None
-            if exc.eigenvalues is not None and len(exc.eigenvalues):
-                worst = float(np.max(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
-            raise EigensolveError(
-                "residuals",
-                f"Lanczos failed to converge within the iteration budget: {exc}",
-                worst_residual=worst,
-            ) from exc
-    lam = np.concatenate([lam_j for lam_j, _ in pairs])
-    order = np.argsort(lam, kind="stable")[:m]
-    # gather the m lowest columns slice by slice, freeing each slice's
-    # vectors once read, so no second copy of the union is held (a 128^2
-    # random verify-all peaked at 492 MB with one, 415 MB without)
-    vec = np.empty((op.size, order.size))
-    start = 0
-    for j, (lam_j, vec_j) in enumerate(pairs):
-        mine = np.flatnonzero((order >= start) & (order < start + lam_j.size))
-        vec[:, mine] = vec_j[:, order[mine] - start]
-        start += lam_j.size
-        pairs[j] = None
-    return lam[order], vec, (edges, sizes)
+        lam_j, vec_j = _solve_slice(op, 0.5 * (lo + hi), k, v0)
+        lam[got : got + lam_j.size] = lam_j
+        vec[:, got : got + lam_j.size] = vec_j
+        got += lam_j.size
+        del lam_j, vec_j
+    order = np.argsort(lam[:got], kind="stable")[:m]
+    return lam[order], _gather_columns(vec, order), (edges, sizes)
+
+
+def _solve_slice(op, centre, k, v0):
+    """The k eigenpairs of op nearest `centre` by eigsh, shift-inverted by
+    the LDL^T factor of L minus it (_ldlt), started from v0."""
+    centre, _, factor = _ldlt(op, centre)
+    inverse = spla.LinearOperator(op.matrix.shape, matvec=factor.solve, dtype=np.float64)
+    try:
+        return spla.eigsh(
+            op.matrix,
+            k=k,
+            sigma=centre,
+            which="LM",
+            v0=v0,
+            tol=0,   # iterate to machine precision; certificates checked later
+            OPinv=inverse,
+        )
+    except spla.ArpackNoConvergence as exc:
+        worst = None
+        if exc.eigenvalues is not None and len(exc.eigenvalues):
+            worst = float(np.max(_scaled_residuals(op, exc.eigenvalues, exc.eigenvectors)))
+        raise EigensolveError(
+            "residuals",
+            f"Lanczos failed to converge within the iteration budget: {exc}",
+            worst_residual=worst,
+        ) from exc
 
 
 def _slice_edges(op, top):
@@ -585,14 +641,13 @@ def _inertia_count(op, lam, vec, end, tol, slices):
 
 
 def _scaled_residuals(op, lam, vec):
-    # column blocks keep the temporaries at G x RESIDUAL_BLOCK
     out = np.empty(vec.shape[1])
-    for start in range(0, vec.shape[1], RESIDUAL_BLOCK):
-        cols = slice(start, start + RESIDUAL_BLOCK)
+    for cols in blocks(vec.shape[1]):
         v, lv = vec[:, cols], lam[cols]
-        R = op.matrix @ v - v * lv[None, :]
-        num = np.sqrt(np.sum(R * R, axis=0))
-        den = np.sqrt(np.sum(v * v, axis=0)) * (1.0 + np.abs(lv))
+        R = op.matrix @ v
+        R -= v * lv[None, :]
+        num = np.sqrt(row_sums(np.square(R, out=R)))
+        den = np.sqrt(row_sums(np.square(v, out=R))) * (1.0 + np.abs(lv))
         out[cols] = num / den
     return out
 
@@ -648,13 +703,16 @@ def sup_norms(basis: SpectralBasis, n: int):
     A closed-form mode's |prod_a v_a(x_a)| separates, so its sup is the
     product of the per-axis sups max|v_a| in _tensor_columns' order (from
     axis 0); rounding is monotone, so that is the max over its column bit
-    for bit, stored or not.  Any other basis reads its stored columns.
+    for bit, stored or not.  Any other basis reads its stored columns, a
+    column block at a time.
     """
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
     if basis.axis_vectors is None:
         basis.require_columns(n)
-        per_k = np.max(np.abs(basis.vectors[:, :n]), axis=0)
+        per_k = np.empty(n)
+        for cols in blocks(n):
+            per_k[cols] = np.max(np.abs(basis.vectors[:, cols]), axis=0)
     else:
         per_k = np.ones(n)
         for vec_a, k in zip(basis.axis_vectors, basis.modes):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import CLUSTER_REL_GAP, SpectralBasis, sup_norms
+from .eigensolve import CLUSTER_REL_GAP, SpectralBasis, blocks, sup_norms
 from .products import ProductCoefficients, pair_list, product_matrix
 
 L2 = "l2"
@@ -83,8 +83,11 @@ and 67.
 """
 
 
-def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -> np.ndarray:
-    """T[p, r] = tail of pair p after r modes, for every r = 0..m at once.
+def tail_table(
+    coeffs: ProductCoefficients, weights: np.ndarray | None = None, pairs: slice = slice(None)
+) -> np.ndarray:
+    """T[p, r] = tail of pair p after r modes, for every r = 0..m at once,
+    for the pair rows `pairs` (all of them by default).
 
     `weights` (optional, length m) turns the L2 table into the H^-1 table,
     which needs a complete expansion.  Computed by reverse cumulative sums
@@ -92,16 +95,40 @@ def tail_table(coeffs: ProductCoefficients, weights: np.ndarray | None = None) -
     one pass serves every r and T[p, m] is that mass's square root.  The
     table is formed in place in one buffer whose column m - r holds r, and
     returned as its reversed view.
+
+    Each row is squared in the units of its row_scales power of two, as
+    LAPACK's dnrm2 scales before it squares, and scaled back after the
+    square root: a row of small entries then never squares into the
+    subnormal range, and since the scale is exact, a row whose squares are
+    normal floats reads the same bits as unscaled.
     """
     if weights is not None and coeffs.outside_mass is not None:
         raise ValueError("H^-1 tails need a complete expansion, got a windowed one")
-    rev = np.empty((coeffs.coeffs.shape[0], coeffs.m + 1))
-    rev[:, 0] = 0.0 if coeffs.outside_mass is None else coeffs.outside_mass
-    np.square(coeffs.coeffs[:, ::-1], out=rev[:, 1:])
+    C = coeffs.coeffs[pairs]
+    outside = 0.0 if coeffs.outside_mass is None else coeffs.outside_mass[pairs]
+    largest = np.maximum(np.max(C, axis=1), -np.min(C, axis=1))
+    scale = row_scales(np.maximum(largest, np.sqrt(outside)))
+    rev = np.empty((C.shape[0], coeffs.m + 1))
+    rev[:, 0] = outside * scale * scale   # s^2 alone can overflow
+    np.multiply(C[:, ::-1], scale[:, None], out=rev[:, 1:])
+    np.square(rev[:, 1:], out=rev[:, 1:])
     if weights is not None:
         rev[:, 1:] *= weights[None, ::-1]
     np.cumsum(rev, axis=1, out=rev)
-    return np.sqrt(rev, out=rev)[:, ::-1]
+    np.sqrt(rev, out=rev)
+    rev /= scale[:, None]
+    return rev[:, ::-1]
+
+
+def row_scales(largest: np.ndarray) -> np.ndarray:
+    """The power of two s >= 1 for each row whose largest magnitude is
+    `largest` that brings it into [1/2, 1) when it lies below 1/2 (1 for a
+    larger or an all-zero row).  Scaling by s is exact, and a tail or slack
+    is homogeneous in its row (degree 1 and 2), so a row read in s units
+    keeps its normal-float squares' bits.  Rows are never scaled down: that
+    could push a small out-of-window mass beside large coefficients into
+    the subnormal range."""
+    return np.ldexp(1.0, -np.minimum(np.frexp(largest)[1], 0))
 
 
 def hm1_weights(coeffs: ProductCoefficients) -> np.ndarray:
@@ -281,7 +308,10 @@ def tail_identity_slack(eigenvalues: np.ndarray, tails: np.ndarray, rhs: np.ndar
     <= 0 up to roundoff whenever rhs bounds the eigenvalue-weighted tail:
     the quadratic form Q = sum_k lambda_k c_k^2 for the L2 tails against
     L's basis (`rhs` of shape (pairs, 1)), and the squared L2 tail against
-    the Laplacian basis for the H^-1 tails.
+    the Laplacian basis for the H^-1 tails.  Tails and rhs share their
+    units: a row of tails given in row_scales units s (times s) with its
+    rhs times s^2 has its slack times s^2, exactly while the squares are
+    normal floats, so tiny rows are compared in those units.
     """
     r = np.array([r for r in geometric_r_samples(tails.shape[1] - 1) if r >= 1])
     rhs = np.broadcast_to(rhs, tails.shape)
@@ -339,7 +369,8 @@ def scaling_report(
     `window` is the resolved window M (every table holds at least M modes):
     a cell is resolved when its worst-pair tail at r = M is at most eps.
     The tails of n = max(n_list) are sampled, pairs 1-based and i = j = 0
-    the worst-pair aggregate, whose slope is fitted over r <= G/2.
+    the worst-pair aggregate, whose slope is fitted over r <= G/2.  Each
+    tail table is read one block of pairs at a time (eigensolve.blocks).
     """
     d = basis_src.grid.dimension
     curve_n = max(n_list)
@@ -364,12 +395,19 @@ def scaling_report(
             t = time.perf_counter()
             r_oracles = oracle_rank(basis_src, n, eps_list, norm, coeffs=sub)
             oracle_seconds += time.perf_counter() - t
-            table = tail_table(sub, weights)
-            max_tails = np.max(table, axis=0)
             _, S = sup_norms(basis_src, n)
-            cutoffs = []
-            for eps, r_orc in zip(eps_list, r_oracles):
-                r_pred = cutoff(norm, eps, n, S, d, calib)
+            cutoffs = [cutoff(norm, eps, n, S, d, calib) for eps in eps_list]
+            r_samples = geometric_r_samples(coeffs.m, extra=cutoffs)
+            pairs = pair_list(n)
+            max_tails = np.zeros(sub.m + 1)
+            pair_rows = []
+            for cols in blocks(len(pairs)):
+                table = tail_table(sub, weights, cols)
+                np.maximum(max_tails, np.max(table, axis=0), out=max_tails)
+                if n == curve_n:
+                    for (i, j), tails in zip(pairs[cols], table[:, r_samples].tolist()):
+                        pair_rows += [(norm, i + 1, j + 1, r, t) for r, t in zip(r_samples, tails)]
+            for eps, r_pred, r_orc in zip(eps_list, cutoffs, r_oracles):
                 r_emp = empirical_rank(max_tails, eps)
                 reports.append(
                     RankReport(
@@ -384,13 +422,10 @@ def scaling_report(
                         resolved=bool(max_tails[window] <= eps),
                     )
                 )
-                cutoffs.append(r_pred)
 
             if n == curve_n:
-                r_samples = geometric_r_samples(coeffs.m, extra=cutoffs)
                 rows += [(norm, 0, 0, r, float(max_tails[r])) for r in r_samples]
-                for (i, j), row in zip(pair_list(n), table):
-                    rows += [(norm, i + 1, j + 1, r, float(row[r])) for r in r_samples]
+                rows += pair_rows
                 fit_r = [r for r in r_samples if 0 < r <= basis_src.grid.node_count // 2]
                 slopes[norm] = tail_slope(fit_r, [max_tails[r] for r in fit_r])
 

@@ -42,6 +42,7 @@ from .operator import (
 from .eigensolve import (
     EigensolveError,
     SpectralBasis,
+    blocks,
     cluster_end,
     comparability_check,
     laplacian_eigenpairs,
@@ -96,25 +97,38 @@ class Pipeline:
     cap: int        # weyl_regime_cap: the window before its end cluster closes, the fits' top
     window: int     # the resolved window M of basis_L
     build_seconds: float
-    timings: dict   # wall seconds by stage name: the build stages, then run()'s
+    timings: Stages   # the build stages, then run()'s
+
+
+class Stages(dict):
+    """Wall seconds by stage name, and in peak_rss_mb the process's peak
+    RSS in MB as each stage last ended."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak_rss_mb: dict[str, float] = {}
 
 
 @contextmanager
-def _stage(timings: dict, name: str):
-    """Add the wall seconds of the block to timings[name]."""
+def _stage(timings: Stages, name: str):
+    """Add the wall seconds of the block to timings[name] and read the
+    process's peak RSS into timings.peak_rss_mb[name] as it ends.  The peak
+    never falls, so a repeated stage keeps its larger reading."""
     t = time.perf_counter()
     try:
         yield
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - t
+        timings.peak_rss_mb[name] = _peak_rss_mb()
 
 
-def build_pipeline(config: ExperimentConfig, timings: dict | None = None) -> Pipeline:
+def build_pipeline(config: ExperimentConfig, timings: Stages | None = None) -> Pipeline:
     """Solve and expand one configuration.  Each build stage adds its wall
-    seconds to `timings` (a new dict if None) as it ends, raising or not, so
-    a caller that passes its own dict keeps the stages of a failed build."""
+    seconds and peak RSS to `timings` (new Stages if None) as it ends,
+    raising or not, so a caller that passes its own keeps the stages of a
+    failed build."""
     t0 = time.perf_counter()
-    timings = {} if timings is None else timings
+    timings = Stages() if timings is None else timings
     grid = config.grid
     G = grid.node_count
     fld = sample_coefficients(config.coefficients, grid)
@@ -139,10 +153,12 @@ def build_pipeline(config: ExperimentConfig, timings: dict | None = None) -> Pip
         basis_L = basis_lap if flat else lowest_eigenpairs(op_L, cap, config.solver_tol)
     window = cluster_end(basis_L.eigenvalues, cap)
     with _stage(timings, "coefficients"):
+        # flat: L's basis is the Laplacian's, so the L2 expansion is the
+        # complete H^-1 one; otherwise it covers the window M, and is built
+        # first, so its whole product block is freed before the H^-1
+        # coefficients are formed
+        coeffs_l2 = None if flat else expansion_coefficients(basis_L, basis_L, n_max, window)
         coeffs_hm1 = expansion_coefficients(basis_L, basis_lap, n_max, G)
-        # flat: L's basis is the Laplacian's, so the L2 expansion is the same
-        # complete one; otherwise it covers the window M
-        coeffs_l2 = coeffs_hm1 if flat else expansion_coefficients(basis_L, basis_L, n_max, window)
 
     return Pipeline(
         config=config,
@@ -152,7 +168,7 @@ def build_pipeline(config: ExperimentConfig, timings: dict | None = None) -> Pip
         op_lap=op_lap,
         basis_L=basis_L,
         basis_lap=basis_lap,
-        coeffs_l2=coeffs_l2,
+        coeffs_l2=coeffs_hm1 if flat else coeffs_l2,
         coeffs_hm1=coeffs_hm1,
         n_max=n_max,
         cap=cap,
@@ -187,7 +203,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows, timings: dict) -> None:
+def write_csv(path: str, header: list[str], rows, timings: Stages) -> None:
     """Write one CSV and add its wall seconds to timings["output"]."""
     with _stage(timings, "output"):
         lines = [",".join(header)]
@@ -264,7 +280,8 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
 
 
 def _scaling(pipe: Pipeline) -> ScalingReport:
-    """The sweep, timed as two stages: the oracle and the rest (tails)."""
+    """The sweep, timed as two stages: the oracle and the rest (tails).  The
+    oracle runs inside the sweep, so it shares the sweep's peak RSS."""
     cfg = pipe.config
     with _stage(pipe.timings, "tails"):
         report = scaling_report(
@@ -280,6 +297,7 @@ def _scaling(pipe: Pipeline) -> ScalingReport:
         )
     pipe.timings["oracle"] = report.oracle_seconds
     pipe.timings["tails"] -= report.oracle_seconds
+    pipe.timings.peak_rss_mb["oracle"] = pipe.timings.peak_rss_mb["tails"]
     return report
 
 
@@ -397,11 +415,11 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     values = {key: value for key, value in asdict(done).items() if value is not None}
     record("completeness", True, done.describe(pipe.basis_L.count), **values)
 
-    # node values of the products, read by the chain bound and the H^1
-    # identity, and released before the tail table is formed, so the
-    # block does not add to the checks' peak memory
-    prods = product_matrix(pipe.basis_L, pipe.n_max)
-    chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, prods)
+    # every per-pair value below is formed one block of pairs at a time
+    # (eigensolve.blocks), so no array of pairs x G is formed
+    n = pipe.n_max
+    pair_blocks = blocks(n * (n + 1) // 2)
+    chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, n)
     margin = chain.bound - float(np.max(chain.values))
     record(
         "quadratic_chain",
@@ -412,9 +430,16 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
 
     # ||grad f||^2 two ways: the spectral sum, and <-Delta f, f> straight
     # from the sparse matrix, which _assemble forms from the face differences
-    grad_sq = (pipe.coeffs_hm1.coeffs**2) @ pipe.coeffs_hm1.eigenvalues
-    direct_all = quadratic_form_values(pipe.op_lap, prods)
-    del prods
+    grad_sq = np.empty(chain.values.size)
+    direct_all = np.empty(chain.values.size)
+    for cols in pair_blocks:
+        # summed per pair, as the Parseval sums are, not by a GEMV whose
+        # kernel would depend on the block's shape
+        terms = np.square(pipe.coeffs_hm1.coeffs[cols])
+        terms *= pipe.coeffs_hm1.eigenvalues
+        grad_sq[cols] = np.sum(terms, axis=1)
+        prods = product_matrix(pipe.basis_L, n, pairs=cols)
+        direct_all[cols] = quadratic_form_values(pipe.op_lap, prods)
     # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
     # constant mode) are judged against the family's noise scale, not 0
     atol = 1e-9 * (1.0 + float(np.max(direct_all)))
@@ -425,9 +450,12 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     # Q = <L f, f> of every product, from the sparse matrix (chain.values),
     # against the eigenvalue-weighted L2 tails of the spectral expansion
     Q = chain.values
-    table = tail_table(pipe.coeffs_l2)
-    worst_slack = float(np.max(tail_identity_slack(pipe.coeffs_l2.eigenvalues, table, Q[:, None])))
-    del table
+    worst_slack = max(
+        float(np.max(tail_identity_slack(
+            pipe.coeffs_l2.eigenvalues, tail_table(pipe.coeffs_l2, pairs=cols), Q[cols, None]
+        )))
+        for cols in pair_blocks
+    )
     record(
         "tail_identity_l2",
         worst_slack <= 1e-10 * (1.0 + float(np.max(np.abs(Q)))),
@@ -441,7 +469,9 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     # mode: completeness rests on the sliced Lanczos solve's inertia count
     defects = {}
     for name, coeffs in (("L", pipe.coeffs_l2), ("Laplacian", pipe.coeffs_hm1)):
-        sums = np.sum(coeffs.coeffs**2, axis=1)
+        sums = np.empty(coeffs.coeffs.shape[0])
+        for cols in pair_blocks:
+            sums[cols] = np.sum(np.square(coeffs.coeffs[cols]), axis=1)
         if coeffs.outside_mass is not None:
             sums = sums + coeffs.outside_mass
         norms_sq = coeffs.product_l2_norms**2
@@ -533,7 +563,7 @@ def run(
     }
     # the build stages, the stages below and the CSV writes (output); a
     # failed build leaves the stages that ran, the failing one included
-    timings: dict = {}
+    timings = Stages()
     try:
         pipe = build_pipeline(config, timings)
     except EigensolveError as exc:
@@ -589,7 +619,13 @@ def _cpu_seconds() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def _write_summary(out: str, summary: dict, start: tuple, timings: dict) -> None:
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (ru_maxrss is in KiB
+    on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _write_summary(out: str, summary: dict, start: tuple, timings: Stages) -> None:
     """Add the run's wall and CPU seconds since start = (perf_counter,
     _cpu_seconds), its stage timings and peak RSS, then write summary.json.
     CPU seconds above the wall seconds were spent off the main thread."""
@@ -597,8 +633,8 @@ def _write_summary(out: str, summary: dict, start: tuple, timings: dict) -> None
     summary["seconds"] = time.perf_counter() - wall
     summary["cpu_seconds"] = _cpu_seconds() - cpu
     summary["timings"] = timings
-    # ru_maxrss is in KiB on Linux
-    summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    summary["stage_peak_rss_mb"] = timings.peak_rss_mb
+    summary["peak_rss_mb"] = _peak_rss_mb()
     _write_atomic(
         os.path.join(out, "summary.json"),
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

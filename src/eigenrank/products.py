@@ -14,16 +14,25 @@ An expansion over fewer than G target modes is a window: it also carries
 each product's out-of-window mass ||f - sum_{k<m} c_k psi_k||^2, measured
 as the norm of that residual (not as ||f||^2 - sum c_k^2, which cancels), so
 tails past the window stay exact sums of nonnegative terms.
+
+Working set (eigensolve's rule, one constant eigensolve.BLOCK).  An
+expansion keeps its coefficient array whole and forms every other array of
+G x pairs in blocks: a closed-form target contracts the products one block
+of BLOCK pairs at a time, and the out-of-window residual is formed BLOCK
+node rows at a time.  The one other array of that size is a stored target's
+product block, kept whole for its one GEMM (cut into pair blocks, that GEMM
+sums some coefficients in another order) and read by node rows after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .operator import SCHRODINGER, CoefficientField, DiscreteOperator
-from .eigensolve import SpectralBasis, sup_norms
+from .eigensolve import SpectralBasis, blocks, row_sums, sup_norms
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -77,19 +86,27 @@ class ProductCoefficients:
         )
 
 
-def product_matrix(basis: SpectralBasis, n: int, nodes: slice = slice(None)) -> np.ndarray:
+def product_matrix(
+    basis: SpectralBasis, n: int, nodes: slice = slice(None), pairs: slice = slice(None)
+) -> np.ndarray:
     """Node values of the n(n+1)/2 distinct products, one pair (i <= j) per
-    column in pair_list(n) order, on the node rows `nodes` (all of them by
-    default).  The pairs (i, i..n-1) of each i are written into one
-    preallocated block by one multiply."""
+    column in pair_list(n) order, on the node rows `nodes` and the pair
+    columns `pairs` (all of them by default).  The pairs (i, j) of each i
+    that the columns hold are written into one preallocated block by one
+    multiply."""
     if not 1 <= n <= basis.count:
         raise ValueError(f"n must satisfy 1 <= n <= {basis.count}, got {n}")
     basis.require_columns(n)
     V = basis.vectors[nodes, :n]
-    prods = np.empty((V.shape[0], n * (n + 1) // 2))
-    start = 0
+    lo, hi, _ = pairs.indices(n * (n + 1) // 2)
+    prods = np.empty((V.shape[0], max(hi - lo, 0)))
+    start = 0   # the row of pair (i, i)
     for i in range(n):
-        np.multiply(V[:, i : i + 1], V[:, i:], out=prods[:, start : start + n - i])
+        first, last = max(lo, start), min(hi, start + n - i)
+        if first < last:
+            j = i + first - start
+            out = prods[:, first - lo : last - lo]
+            np.multiply(V[:, i : i + 1], V[:, j : j + last - first], out=out)
         start += n - i
     return prods
 
@@ -104,6 +121,8 @@ def expansion_coefficients(
 
     For m < G the target's first m eigenfunctions must be stored as
     columns: the out-of-window mass is the norm of the residual against them.
+    Apart from the result and a stored target's one product block, every
+    array of G x pairs is formed in blocks (module docstring).
     """
     if basis_src.grid != basis_target.grid:
         raise ValueError("source and target bases live on different grids")
@@ -115,29 +134,57 @@ def expansion_coefficients(
     windowed = m < basis_src.grid.node_count
     if basis_target.axis_vectors is None or windowed:
         basis_target.require_columns(m)
-    prods = product_matrix(basis_src, n)                    # (G, pairs)
+    pairs = n * (n + 1) // 2
     if basis_target.axis_vectors is None:
-        coeffs = w * (prods.T @ basis_target.vectors[:, :m])    # (pairs, m)
+        prods = product_matrix(basis_src, n)                    # (G, pairs)
+        coeffs = prods.T @ basis_target.vectors[:, :m]          # (pairs, m)
+        coeffs *= w
+        sums = np.zeros(pairs)
+        for rows in blocks(prods.shape[0]):
+            sums = _add_rows(sums, np.square(prods[rows]))
+        product_rows = prods.__getitem__
     else:
-        coeffs = w * _tensor_coefficients(prods, basis_target, m)
-    norms = np.sqrt(w * np.sum(prods * prods, axis=0))
+        coeffs = np.empty((pairs, m))
+        sums = np.empty(pairs)
+        for cols in blocks(pairs):
+            prods = product_matrix(basis_src, n, pairs=cols)
+            coeffs[cols] = _tensor_coefficients(prods, basis_target, m)
+            coeffs[cols] *= w
+            sums[cols] = row_sums(np.square(prods))
+        product_rows = partial(product_matrix, basis_src, n)
     outside = None
     if windowed:
-        resid = prods - basis_target.vectors[:, :m] @ coeffs.T
-        outside = w * np.sum(resid * resid, axis=0)
+        # the residual f - sum_k c_k psi_k, BLOCK node rows at a time
+        V = basis_target.vectors[:, :m]
+        outside = np.zeros(pairs)
+        for rows in blocks(V.shape[0]):
+            resid = V[rows] @ coeffs.T
+            np.subtract(product_rows(rows), resid, out=resid)
+            outside = _add_rows(outside, np.square(resid, out=resid))
+        outside *= w
     return ProductCoefficients(
         n=n,
         m=m,
         eigenvalues=basis_target.eigenvalues[:m],
         coeffs=coeffs,
-        product_l2_norms=norms,
+        product_l2_norms=np.sqrt(w * sums),
         outside_mass=outside,
     )
 
 
+def _add_rows(total, rows):
+    """total plus the rows of `rows` added one after another (row_sums), so
+    that node-row blocks added in turn give the bits of one whole sum."""
+    part = np.empty((rows.shape[0] + 1, total.size))
+    part[0] = total
+    part[1:] = rows
+    return row_sums(part)
+
+
 def _tensor_coefficients(prods: np.ndarray, basis: SpectralBasis, m: int) -> np.ndarray:
     """sum over nodes of prods[:, p] * psi_k for the first m modes of a
-    closed-form basis, contracting one axis factor at a time."""
+    closed-form basis, contracting one axis factor at a time; its
+    temporaries are each the size of the block prods."""
     points = basis.grid.points_per_axis
     # node (i0, i1, ...) is row i0 + p0*i1 + ..., so the C-order node axes
     # run i_{d-1}, ..., i0; contracting the leading one each time appends
@@ -155,7 +202,7 @@ def quadratic_form_values(op: DiscreteOperator, prods: np.ndarray) -> np.ndarray
     no complete basis)."""
     if prods.shape[0] != op.size:
         raise ValueError(f"{prods.shape[0]} node values per column for {op.size} nodes")
-    return op.grid.quadrature_weight * np.sum(prods * (op.matrix @ prods), axis=0)
+    return op.grid.quadrature_weight * row_sums(prods * (op.matrix @ prods))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +225,15 @@ def quadratic_chain_report(
     op_L: DiscreteOperator,
     basis_L: SpectralBasis,
     field: CoefficientField,
-    prods: np.ndarray,
+    n: int,
 ) -> QuadraticChainReport:
-    """Evaluate the traced bound for every pair i <= j < n, whose products
-    are the columns of prods = product_matrix(basis_L, n)."""
+    """Evaluate the traced bound for every pair i <= j < n, forming the
+    products one pair block at a time."""
     if op_L.kind != SCHRODINGER:
         raise ValueError(f"chain bound applies to the {SCHRODINGER} operator, got {op_L.kind!r}")
-    n = int(np.sqrt(2 * prods.shape[1]))   # n(n+1)/2 pairs: n^2 < 2 pairs < (n+1)^2
-    values = quadratic_form_values(op_L, prods)
+    values = np.empty(n * (n + 1) // 2)
+    for cols in blocks(values.size):
+        values[cols] = quadratic_form_values(op_L, product_matrix(basis_L, n, pairs=cols))
     lam_n = basis_L.eigenvalues[n - 1]
     _, S = sup_norms(basis_L, n)
     grad_bound = 2.0 * np.sqrt((lam_n + field.v_sup) / field.a_min) * S

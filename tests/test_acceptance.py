@@ -70,9 +70,7 @@ def test_criterion_02_quadratic_chain(flat1d_pipeline, random2d_pipeline):
     details = []
     ok = True
     for pipe in (flat1d_pipeline, random2d_pipeline):
-        rep = quadratic_chain_report(
-            pipe.op_L, pipe.basis_L, pipe.field_, product_matrix(pipe.basis_L, 16)
-        )
+        rep = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, 16)
         violations = int(np.sum(rep.values > rep.bound))
         ok = ok and violations == 0
         details.append(

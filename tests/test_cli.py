@@ -661,6 +661,21 @@ def test_verify_all_reports_stage_timings(tmp_path):
     assert all(t >= 0.0 for t in summary["timings"].values())
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify-all"])
+def test_summary_reports_the_peak_rss_of_each_stage(tmp_path, command):
+    # the process's peak as each stage ended: the stages of timings, none
+    # above the run's peak
+    path = small_config(tmp_path)
+    out = tmp_path / "peaks"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    peaks = summary["stage_peak_rss_mb"]
+    assert set(peaks) == set(summary["timings"])
+    assert all(0.0 < mb <= summary["peak_rss_mb"] for mb in peaks.values())
+    # ru_maxrss never falls, so the build stages read in the order they ran
+    assert peaks["basis_lap"] <= peaks["basis_L"] <= peaks["coefficients"] <= peaks["output"]
+
+
 def test_summary_names_the_basis_dependent_columns(tmp_path):
     path = small_config(tmp_path)
     out = tmp_path / "labelled"

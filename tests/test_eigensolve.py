@@ -384,7 +384,8 @@ def test_stored_gram_defect_matches_fresh(monkeypatch, coefficients):
 
     def recording(op, lam, vec, end, tol, slices):
         resid, defect, done = real(op, lam, vec, end, tol, slices)
-        counted.append(vec[:, : done.solved_below])
+        # a copy: the union's buffer is reused in place once counted
+        counted.append(vec[:, : done.solved_below].copy())
         return resid, defect, done
 
     monkeypatch.setattr(eigensolve, "_inertia_count", recording)

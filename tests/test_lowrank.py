@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,6 +30,7 @@ from eigenrank.lowrank import (
     hm1_weights,
     oracle_rank,
     rank_base,
+    row_scales,
     scaling_report,
     tail_identity_slack,
     tail_slope,
@@ -620,15 +621,23 @@ class TestTailProperties:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data())
-    def test_hm1_identity_slack_is_never_positive(self, data):
+    @given(co=_expansions(windowed=False))
+    # a row whose squares are subnormal floats unless it is scaled
+    @example(co=ProductCoefficients(
+        n=1, m=2, eigenvalues=np.array([91.0, 91.0]), coeffs=np.array([[0.0, 1.63979681e-159]]),
+        product_l2_norms=np.array([1.63979681e-159]), outside_mass=None,
+    ))
+    def test_hm1_identity_slack_is_never_positive(self, co):
         # mu_{r-1} sum_{k>=r} c_k^2 / mu_k <= sum_{k>=r} c_k^2 for every
         # coefficient array once mu ascends; the null mode's weight 0 only
-        # lowers the left side
-        co = data.draw(_expansions(windowed=False))
+        # lowers the left side.  Both sides and the bound are read in the
+        # row_scales units of each row's largest L2 tail
         l2 = tail_table(co)
-        slack = tail_identity_slack(co.eigenvalues, tail_table(co, hm1_weights(co)), l2**2)
-        assert np.all(slack <= 1e-12 * l2[:, 0] ** 2)
+        s = row_scales(l2[:, 0])[:, None]
+        slack = tail_identity_slack(
+            co.eigenvalues, s * tail_table(co, hm1_weights(co)), (s * l2) ** 2
+        )
+        assert np.all(slack <= 1e-12 * (s[:, 0] * l2[:, 0]) ** 2)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

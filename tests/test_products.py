@@ -141,7 +141,7 @@ def test_quadratic_form_tag_mismatch(flat1d_small):
     grid, op_lap, src, lap = flat1d_small
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
     with pytest.raises(ValueError):
-        quadratic_chain_report(op_lap, src, f, product_matrix(src, 4))
+        quadratic_chain_report(op_lap, src, f, 4)
 
 
 def test_sparse_quadratic_form_matches_the_spectral_sum():
@@ -188,7 +188,7 @@ def test_truncated_form_monotone(flat1d_small):
 def test_chain_bound_flat_1d(flat1d_small):
     grid, _, src, _ = flat1d_small
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
-    rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, product_matrix(src, 16))
+    rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, 16)
     assert rep.ok
     assert np.all(rep.values <= rep.bound)
 
@@ -199,7 +199,7 @@ def test_chain_bound_random_2d():
     f = sample_coefficients(spec, g)
     op = assemble_schrodinger(f, g)
     bL = lowest_eigenpairs(op, 12, 1e-9)
-    rep = quadratic_chain_report(op, bL, f, product_matrix(bL, 12))
+    rep = quadratic_chain_report(op, bL, f, 12)
     assert rep.ok
 
 
