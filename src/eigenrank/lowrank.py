@@ -37,17 +37,20 @@ is the smallest sufficient calibration.
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .eigensolve import CLUSTER_REL_GAP, SpectralBasis, blocks, sup_norms
 from .products import ProductCoefficients, pair_list, product_matrix
 
 L2 = "l2"
 HM1 = "hm1"
-ORACLE_BLOCK = 1024   # rows per block of the oracle's Gram, second pass and QR
+ORACLE_BLOCK = 1024   # rows per block of the oracle's Gram, second pass and QR: the
+                      # Gram route holds one block at a time beside pairs^2 arrays
 GRAM_FLOOR = 100.0
 """How far above the Gram's roundoff the smallest eps of an oracle call must
 lie: the pair Gram A^T A resolves squared residuals only to about u theta_0
@@ -55,22 +58,24 @@ lie: the pair Gram A^T A resolves squared residuals only to about u theta_0
 with eps^2 < GRAM_FLOOR u theta_0 takes the streamed QR and SVD instead.
 
 Measured against the SVD on the presets (every n, both norms; numpy 2.4,
-scipy 1.17, OpenBLAS), at the k that close a cluster and where the squared
-worst-pair curve lies above the floor:
+scipy 1.17, OpenBLAS, LAPACK dsyevr), at the k that close a cluster and
+where the squared worst-pair curve lies above the floor:
 
     preset        smallest eps^2 / floor    worst relative error of the
                   (eps 1e-6)                squared curve, Gram against SVD
     flat-1d       4.4                       1.1e-12
-    harmonic-1d   4.4                       1.4e-3
-    flat-2d       22                        5.1e-14
-    random-2d     22                        1.1e-3
+    harmonic-1d   4.4                       1.1e-4
+    flat-2d       22                        9.3e-14
+    random-2d     22                        6.8e-4
 
-The squared curve's absolute error stayed at or below 0.16 u theta_0
-wherever it was read: 1.6e-3 of eps^2 at the floor, less above it, so the
-curve itself is off by at most about 0.08% there.  This is the Gram
-route's accuracy contract: its rank is the SVD's unless eps lies within
-about 0.1% of a value the worst-pair curve takes at a k that closes a
-cluster (the tests probe harmonic-1d 0.1% either side of each such value
+(dsyevd, measured the same way: 1.1e-12, 1.7e-3, 1.8e-13 and 1.2e-3; the
+two drivers' eigenvalues differ by at most 2.4e-15 theta_0.)  Within 1000x
+of the floor the squared curve's absolute error stayed at or below
+0.21 u theta_0 (0.50 with dsyevd): 2.1e-3 of eps^2 at the floor, less
+above it, so the curve itself is off by at most about 0.1% there.  This is
+the Gram route's accuracy contract: its rank is the SVD's unless eps lies
+within about 0.1% of a value the worst-pair curve takes at a k that closes
+a cluster (the tests probe harmonic-1d 0.1% either side of each such value
 from the floor up).  A user eps that close to a curve value can read a
 different r_oracle than an SVD would; the QR route is accurate to roundoff.
 
@@ -194,11 +199,18 @@ def oracle_rank(
     The residuals read only the singular values s and right singular
     vectors V, and the pair Gram A^T A has V as its eigenvectors.  The Gram
     is summed over row blocks of ORACLE_BLOCK rows (one GEMM each) and
-    decomposed by one eigh; a second pass over the same blocks re-reads
-    s_i = ||A v_i|| for the leading min(rows, pairs) directions, accurate
-    to about u s_0 where sqrt(theta_i) is only accurate to sqrt(u) s_0.  A
-    call whose smallest eps lies below the Gram's floor (GRAM_FLOOR) takes
-    the SVD of the family's triangular factor R instead, built by a
+    decomposed in place by one LAPACK dsyevr, whose workspace is O(pairs);
+    a second pass over the same blocks re-reads s_i = ||A v_i|| for the
+    leading min(rows, pairs) directions, a contiguous slice of the
+    eigenvectors, accurate to about u s_0 where sqrt(theta_i) is only
+    accurate to sqrt(u) s_0.  The squared residuals are formed in the
+    eigenvectors' buffer and summed one row of pairs at a time.  So the
+    route holds at most two pairs^2 arrays, the Gram and the eigenvectors
+    that dsyevr writes beside it, and once the Gram is freed the
+    eigenvectors with one row block; everything else is O(pairs).
+
+    A call whose smallest eps lies below the Gram's floor (GRAM_FLOOR)
+    takes the SVD of the family's triangular factor R instead, built by a
     streamed QR over the same blocks; the Gram's largest diagonal entry, a
     lower bound on theta_0, sends most such calls there before the eigh.
     Neither route forms a rows x n(n+1)/2 matrix or a left singular vector.
@@ -251,22 +263,27 @@ def oracle_rank(
     # the floor on that alone takes the QR route without the eigh
     gram_route = eps_sq >= floor * np.max(gram.diagonal())
     if gram_route:
-        theta, V = np.linalg.eigh(gram)
+        # dsyevr in place on the Gram's transpose (the same symmetric matrix,
+        # Fortran-ordered so LAPACK takes it without a copy): its workspace
+        # is 26 pairs doubles against dsyevd's 2 pairs^2
+        theta, V = scipy.linalg.eigh(gram.T, overwrite_a=True, check_finite=False, driver="evr")
         gram_route = eps_sq >= floor * theta[-1]
     del gram
     if gram_route:
-        # the leading directions first, as many as the SVD returns
-        V = V[:, : -min(rows, len(pairs)) - 1 : -1]
+        # the leading directions, as many as the SVD returns, in LAPACK's
+        # ascending order: a contiguous slice, so no GEMM copies it
+        V = V[:, len(pairs) - min(rows, len(pairs)) :]
         s_sq = np.zeros(V.shape[1])
         for lo in starts:
             AV = block(lo, lo + ORACLE_BLOCK) @ V
             s_sq += np.einsum("ij,ij->j", AV, AV)
         s = np.sqrt(s_sq)
-        # T[i, j] = (s_i V[j, i])^2 / mult_j, formed in V's buffer
+        # T[i, j] = (s_i V[j, i])^2 / mult_j, formed in V's buffer and read
+        # with the leading direction first
         V *= s
         np.square(V, out=V)
         V /= mult[:, None]
-        T = V.T
+        s, T = s[::-1], V.T[::-1]
     else:
         # the triangular factor R of the family, stacked and re-factored one
         # row block at a time; a family of at most ORACLE_BLOCK rows is its own R
@@ -275,12 +292,25 @@ def oracle_rank(
             R = np.linalg.qr(np.vstack([R, block(lo, lo + ORACLE_BLOCK)]), mode="r")
         _, s, Vh = np.linalg.svd(R, full_matrices=False)
         T = (s[:, None] * Vh) ** 2 / mult
+    return _read_ranks(s, T, eps_list)
 
-    # the squared residual of column j after keeping k singular directions is
-    # sum_{i>=k} T[i, j]; the appended zero row (k = all) meets every eps
-    resid_sq = np.zeros((len(s) + 1, len(pairs)))
-    np.cumsum(T[::-1], axis=0, out=resid_sq[-2::-1])
-    worst = np.sqrt(np.max(resid_sq, axis=1))
+
+def _read_ranks(s: np.ndarray, T: np.ndarray, eps_list) -> list[int]:
+    """The oracle's rank for each eps from the singular values s (largest
+    first) and T[i, j], the squared part of product j along direction i.
+
+    The squared residual of product j after keeping k directions is
+    sum_{i>=k} T[i, j].  It is summed as a running sum over T's rows from
+    the last up, in the order np.cumsum(T[::-1], axis=0) adds them, so the
+    worst-pair curve has that formula's bits while only one row of pairs
+    is held; the curve ends at 0 (k = all), which meets every eps.
+    """
+    worst_sq = np.zeros(len(s) + 1)
+    resid_sq = np.zeros(T.shape[1])
+    for k in range(len(s) - 1, -1, -1):
+        resid_sq += T[k]
+        worst_sq[k] = np.max(resid_sq)
+    worst = np.sqrt(worst_sq)
     # a k that splits a cluster of tied singular values keeps whichever part
     # of it the decomposition happened to return, so the curve is read only
     # at k that close one (the CLUSTER_REL_GAP rule, relative to s_0)
@@ -350,6 +380,7 @@ class ScalingReport:
     tail_rows: list[tuple]           # the rows of tails.csv: (norm, i, j, r, tail)
     slopes: dict                     # norm -> worst-pair log-log slope
     oracle_seconds: float            # wall time spent in oracle_rank
+    oracle_peak_rss_mb: float        # the process's peak RSS as the last oracle_rank returned
 
 
 def scaling_report(
@@ -378,6 +409,7 @@ def scaling_report(
     rows: list[tuple] = []
     slopes: dict[str, float] = {}
     oracle_seconds = 0.0
+    oracle_peak_rss_mb = 0.0
 
     for norm in norms:
         if norm == L2:
@@ -395,6 +427,7 @@ def scaling_report(
             t = time.perf_counter()
             r_oracles = oracle_rank(basis_src, n, eps_list, norm, coeffs=sub)
             oracle_seconds += time.perf_counter() - t
+            oracle_peak_rss_mb = _peak_rss_mb()
             _, S = sup_norms(basis_src, n)
             cutoffs = [cutoff(norm, eps, n, S, d, calib) for eps in eps_list]
             r_samples = geometric_r_samples(coeffs.m, extra=cutoffs)
@@ -430,5 +463,12 @@ def scaling_report(
                 slopes[norm] = tail_slope(fit_r, [max_tails[r] for r in fit_r])
 
     return ScalingReport(
-        rank_reports=reports, tail_rows=rows, slopes=slopes, oracle_seconds=oracle_seconds
+        rank_reports=reports, tail_rows=rows, slopes=slopes,
+        oracle_seconds=oracle_seconds, oracle_peak_rss_mb=oracle_peak_rss_mb,
     )
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (ru_maxrss is in KiB
+    on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

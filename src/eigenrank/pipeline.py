@@ -62,6 +62,7 @@ from .lowrank import (
     HM1,
     L2,
     ScalingReport,
+    _peak_rss_mb,
     scaling_report,
     tail_identity_slack,
     tail_table,
@@ -281,7 +282,8 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
 
 def _scaling(pipe: Pipeline) -> ScalingReport:
     """The sweep, timed as two stages: the oracle and the rest (tails).  The
-    oracle runs inside the sweep, so it shares the sweep's peak RSS."""
+    oracle's peak RSS is the process's as its last call returned, the
+    tails' as the sweep ended."""
     cfg = pipe.config
     with _stage(pipe.timings, "tails"):
         report = scaling_report(
@@ -297,7 +299,7 @@ def _scaling(pipe: Pipeline) -> ScalingReport:
         )
     pipe.timings["oracle"] = report.oracle_seconds
     pipe.timings["tails"] -= report.oracle_seconds
-    pipe.timings.peak_rss_mb["oracle"] = pipe.timings.peak_rss_mb["tails"]
+    pipe.timings.peak_rss_mb["oracle"] = report.oracle_peak_rss_mb
     return report
 
 
@@ -617,12 +619,6 @@ def _cpu_seconds() -> float:
     """User plus system CPU seconds of the process so far, all its threads."""
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return usage.ru_utime + usage.ru_stime
-
-
-def _peak_rss_mb() -> float:
-    """The process's peak resident set so far, in MB (ru_maxrss is in KiB
-    on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _write_summary(out: str, summary: dict, start: tuple, timings: Stages) -> None:

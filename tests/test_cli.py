@@ -674,6 +674,10 @@ def test_summary_reports_the_peak_rss_of_each_stage(tmp_path, command):
     assert all(0.0 < mb <= summary["peak_rss_mb"] for mb in peaks.values())
     # ru_maxrss never falls, so the build stages read in the order they ran
     assert peaks["basis_lap"] <= peaks["basis_L"] <= peaks["coefficients"] <= peaks["output"]
+    if command == "verify-all":
+        # the oracle reads as its last call returns, inside the sweep that
+        # the tails' reading ends
+        assert 0.0 < peaks["oracle"] <= peaks["tails"]
 
 
 def test_summary_names_the_basis_dependent_columns(tmp_path):

@@ -411,6 +411,46 @@ class TestOracle:
             _reference_rank(A, e) for e in eps_list
         ]
 
+    def test_running_sum_reads_the_cumsum_formula_bit_for_bit(
+        self, monkeypatch, flat1d_coeffs, harmonic1d_pipeline
+    ):
+        # the worst-pair curve summed one row of pairs at a time, against the
+        # (k+1) x pairs cumsum it replaced, on the (s, T) of oracle calls on
+        # both routes: flat-1d n = 16 (64 rows, 136 pairs) and harmonic-1d
+        # n = 32 (512 rows, 528 pairs), where min(rows, pairs) = rows
+        def cumsum_ranks(s, T, eps_list):
+            resid_sq = np.zeros((len(s) + 1, T.shape[1]))
+            np.cumsum(T[::-1], axis=0, out=resid_sq[-2::-1])
+            worst = np.sqrt(np.max(resid_sq, axis=1))
+            closes = np.ones(len(s) + 1, dtype=bool)
+            closes[1:-1] = s[:-1] - s[1:] >= CLUSTER_REL_GAP * s[0]
+            return worst, [int(np.argmax(closes & (worst <= eps))) for eps in eps_list]
+
+        calls = []
+        real = lowrank._read_ranks
+
+        def recording(s, T, eps_list):
+            ranks = real(s, T, eps_list)
+            calls.append((s.copy(), T.copy(), list(eps_list), ranks))
+            return ranks
+
+        monkeypatch.setattr(lowrank, "_read_ranks", recording)
+        _, _, src, _, _, co_h = flat1d_coeffs
+        for eps_list in ([1e-2, 1e-4, 1e-6], [1e-4, 1e-12]):
+            oracle_rank(src, 16, eps_list)
+            oracle_rank(src, 16, eps_list, "hm1", coeffs=co_h)
+        oracle_rank(harmonic1d_pipeline.basis_L, 32, [1e-2, 1e-4, 1e-6])
+        assert [T.shape for _, T, _, _ in calls[-2:]] == [(64, 136), (512, 528)]
+        for s, T, eps_list, ranks in calls:
+            worst, expected = cumsum_ranks(s, T, eps_list)
+            assert ranks == expected
+            # an eps at each value of the curve and at the float just below
+            # it reads another rank wherever two non-increasing curves differ,
+            # so with every k closing a cluster the ranks pin every bit
+            probes = np.concatenate([worst, np.nextafter(worst, 0.0)]).tolist()
+            for s_read in (s, np.arange(len(s), 0.0, -1.0)):
+                assert real(s_read, T, probes) == cumsum_ranks(s_read, T, probes)[1]
+
     def test_empty_eps_list(self, flat1d_coeffs):
         grid, _, src, lap, co, co_h = flat1d_coeffs
         assert oracle_rank(src, 8, []) == []
