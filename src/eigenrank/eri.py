@@ -86,16 +86,18 @@ class GreenSolver:
 
 
 def fitted_integrals(
-    coeffs: ProductCoefficients, weights: np.ndarray, r: int, rows: np.ndarray
+    coeffs: ProductCoefficients, weights: np.ndarray, r: int, family, rows: np.ndarray
 ) -> np.ndarray:
     """Rank-r surrogate of the pair Gram entries (rows[q, 0], rows[q, 1]):
     sum_{t<r} c[i,j,t] c[k,l,t] weights[t], with `weights` from hm1_weights.
+    `family` selects the pairs' rows of `coeffs` (ProductCoefficients.family_rows,
+    or a slice), and `rows` indexes the pairs it selects.
 
-    The rows are scaled by sqrt(weights) once (pairs * r multiplies) and
-    each entry is one r-term dot product of two scaled rows (r per entry),
-    so swapping the two pairs of an entry gives the same bits.
+    The family's rows are scaled by sqrt(weights) once (pairs * r
+    multiplies) and each entry is one r-term dot product of two scaled rows
+    (r per entry), so swapping the two pairs of an entry gives the same bits.
     """
-    D = coeffs.coeffs[:, :r] * np.sqrt(weights[:r])
+    D = coeffs.coeffs[family, :r] * np.sqrt(weights[:r])
     return np.sum(D[rows[:, 0]] * D[rows[:, 1]], axis=1)
 
 
@@ -160,22 +162,20 @@ def eri_benchmark(
         raise ValueError("the Laplacian operator lives on a different grid")
     if coeffs.n < n:
         raise ValueError(f"coefficients cover n={coeffs.n} < requested n={n}")
-    sub = coeffs.restrict(n)
+    family = coeffs.family_rows(n)
     _, S = sup_norms(basis_L, n)
     d = basis_L.grid.dimension
-    r = min(cutoff(HM1, eps, n, S, d, calib_hm1), sub.m)
+    r = min(cutoff(HM1, eps, n, S, d, calib_hm1), coeffs.m)
 
     if n <= EXHAUSTIVE_MAX_N:
         quads = canonical_quadruples(n)
     else:
         quads = sample_quadruples(n, SAMPLE_COUNT, sample_seed)
 
-    weights = hm1_weights(sub)
-    table = tail_table(sub, weights)
-    pair_tails = table[:, r]
+    weights = hm1_weights(coeffs)
+    pair_tails = tail_table(coeffs, weights, family)[:, r]
 
     G = basis_L.grid.node_count
-    n_pairs = sub.coeffs.shape[0]
 
     t0 = time.perf_counter()
     prods = product_matrix(basis_L, n)                      # (G, pairs)
@@ -185,7 +185,7 @@ def eri_benchmark(
     exact_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fitted = fitted_integrals(sub, weights, r, rows)
+    fitted = fitted_integrals(coeffs, weights, r, family, rows)
     fitted_seconds = time.perf_counter() - t0
 
     err = np.abs(exact - fitted)
@@ -202,7 +202,7 @@ def eri_benchmark(
         mean_abs_error=float(np.mean(err)),
         certificate=worst_tail**2,
         exact_ops=len(quads) * G,
-        fitted_ops=len(quads) * r + n_pairs * r,
+        fitted_ops=len(quads) * r + len(family) * r,
         exact_seconds=exact_seconds,
         fitted_seconds=fitted_seconds,
     )

@@ -22,6 +22,10 @@ matrix, accumulated over row blocks, with each singular value re-read as
 what the Gram resolves, see GRAM_FLOOR); no rows x n(n+1)/2 matrix or left
 singular vectors are formed.
 
+The families are nested: the pairs of n are rows of the expansion of any
+larger n (ProductCoefficients.family_rows), so every n is read in place
+from the one expansion at n_max, and a sweep forms each norm's table once.
+
 A windowed L2 table (the m modes of a resolved window, m < G) ends at r = m,
 where the tail is the measured out-of-window mass; when no r <= m meets eps,
 r_empirical is reported as m + 1, a lower bound.  A rank cell is `resolved`
@@ -37,8 +41,6 @@ is the smallest sufficient calibration.
 from __future__ import annotations
 
 import math
-import resource
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,10 +91,12 @@ and 67.
 
 
 def tail_table(
-    coeffs: ProductCoefficients, weights: np.ndarray | None = None, pairs: slice = slice(None)
+    coeffs: ProductCoefficients, weights: np.ndarray | None = None, pairs=slice(None)
 ) -> np.ndarray:
     """T[p, r] = tail of pair p after r modes, for every r = 0..m at once,
-    for the pair rows `pairs` (all of them by default).
+    for the pair rows `pairs`, a slice or an index array of rows (all of
+    them by default).  Each row of T is formed from its own pair alone, so
+    a row reads the same bits in any selection of rows.
 
     `weights` (optional, length m) turns the L2 table into the H^-1 table,
     which needs a complete expansion.  Computed by reverse cumulative sums
@@ -193,8 +197,9 @@ def oracle_rank(
     basis the decomposition picked.
 
     L2: columns are sqrt(weight)-scaled node values of phi_i phi_j.
-    H^-1: columns are the rows of `coeffs` (laplacian target, pairs of n)
-    scaled 1/sqrt(mu).
+    H^-1: columns are the rows of the pairs of n in `coeffs` (Laplacian
+    target, any family of at least n), gathered one row block at a time
+    and scaled 1/sqrt(mu).
 
     The residuals read only the singular values s and right singular
     vectors V, and the pair Gram A^T A has V as its eigenvectors.  The Gram
@@ -227,8 +232,7 @@ def oracle_rank(
     elif norm == HM1:
         if coeffs is None:
             raise ValueError("H^-1 oracle needs the Laplacian-target coefficients")
-        if coeffs.n != n:
-            raise ValueError(f"coefficients hold the pairs of n={coeffs.n}, expected n={n}")
+        family = coeffs.family_rows(n)   # raises unless n <= coeffs.n
         rows = coeffs.m
     else:
         raise ValueError(f"unknown norm {norm!r}")
@@ -247,7 +251,9 @@ def oracle_rank(
         sqrt_w = np.sqrt(hm1_weights(coeffs))[:, None]
 
         def block(lo: int, hi: int) -> np.ndarray:
-            A = coeffs.coeffs[:, lo:hi].T * sqrt_w[lo:hi]
+            # the gathered rows are a fresh copy, so they are scaled in place
+            A = coeffs.coeffs[family, lo:hi].T
+            A *= sqrt_w[lo:hi]
             A *= sqrt_mult
             return A
 
@@ -348,13 +354,14 @@ def tail_identity_slack(eigenvalues: np.ndarray, tails: np.ndarray, rhs: np.ndar
     return np.max(eigenvalues[r - 1] * tails[:, r] ** 2 - rhs[:, r], axis=1)
 
 
-def tail_slope(r_values, tails, floor: float = 1e-13) -> float:
-    """Log-log slope of tail vs r, ignoring r=0 and roundoff-floor samples."""
+def tail_slope(r_values, tails, floor: float = 1e-13) -> float | None:
+    """Log-log slope of tail vs r, ignoring r=0 and roundoff-floor samples;
+    None when fewer than two samples are left to fit."""
     r = np.asarray(r_values, dtype=float)
     t = np.asarray(tails, dtype=float)
     keep = (r > 0) & (t > floor)
     if np.sum(keep) < 2:
-        raise ValueError("not enough samples above the roundoff floor for a slope fit")
+        return None
     slope, _ = np.polyfit(np.log(r[keep]), np.log(t[keep]), 1)
     return float(slope)
 
@@ -378,9 +385,6 @@ class RankReport:
 class ScalingReport:
     rank_reports: list[RankReport]   # the rows of ranks.csv, in its column order
     tail_rows: list[tuple]           # the rows of tails.csv: (norm, i, j, r, tail)
-    slopes: dict                     # norm -> worst-pair log-log slope
-    oracle_seconds: float            # wall time spent in oracle_rank
-    oracle_peak_rss_mb: float        # the process's peak RSS as the last oracle_rank returned
 
 
 def scaling_report(
@@ -390,26 +394,33 @@ def scaling_report(
     n_list,
     eps_list,
     norms,
+    oracle_ranks: dict,
     calib_l2: float,
     calib_hm1: float,
     window: int,
 ) -> ScalingReport:
     """Sweep (n, eps, norm) cells; return the rows of ranks.csv and
-    tails.csv, and the tail slopes.
+    tails.csv.
 
-    `window` is the resolved window M (every table holds at least M modes):
-    a cell is resolved when its worst-pair tail at r = M is at most eps.
-    The tails of n = max(n_list) are sampled, pairs 1-based and i = j = 0
-    the worst-pair aggregate, whose slope is fitted over r <= G/2.  Each
-    tail table is read one block of pairs at a time (eigensolve.blocks).
+    `oracle_ranks[(norm, n)]` holds the oracle_rank of each eps in
+    `eps_list`.  `window` is the resolved window M (every table holds at
+    least M modes): a cell is resolved when its worst-pair tail at r = M is
+    at most eps.  The tails of n = max(n_list) are sampled, pairs 1-based
+    and i = j = 0 the worst-pair aggregate.
+
+    The families are nested, so each norm's tail table is formed once, over
+    the pairs of max(n_list) read in place from the coefficients (of any
+    family of at least that n), one block of pairs at a time
+    (eigensolve.blocks); each n keeps a running max over the rows whose
+    larger index lies below n.
     """
     d = basis_src.grid.dimension
     curve_n = max(n_list)
+    pairs = pair_list(curve_n)
+    larger = np.array([j for _, j in pairs])
+    sups = {n: sup_norms(basis_src, n)[1] for n in n_list}
     reports: list[RankReport] = []
     rows: list[tuple] = []
-    slopes: dict[str, float] = {}
-    oracle_seconds = 0.0
-    oracle_peak_rss_mb = 0.0
 
     for norm in norms:
         if norm == L2:
@@ -420,28 +431,22 @@ def scaling_report(
         else:
             raise ValueError(f"unknown norm {norm!r}")
 
-        for n in n_list:
-            sub = coeffs.restrict(n)
-            # the oracle runs before the tail table is formed, so its blocks
-            # and the table are never live together
-            t = time.perf_counter()
-            r_oracles = oracle_rank(basis_src, n, eps_list, norm, coeffs=sub)
-            oracle_seconds += time.perf_counter() - t
-            oracle_peak_rss_mb = _peak_rss_mb()
-            _, S = sup_norms(basis_src, n)
-            cutoffs = [cutoff(norm, eps, n, S, d, calib) for eps in eps_list]
-            r_samples = geometric_r_samples(coeffs.m, extra=cutoffs)
-            pairs = pair_list(n)
-            max_tails = np.zeros(sub.m + 1)
-            pair_rows = []
-            for cols in blocks(len(pairs)):
-                table = tail_table(sub, weights, cols)
-                np.maximum(max_tails, np.max(table, axis=0), out=max_tails)
-                if n == curve_n:
-                    for (i, j), tails in zip(pairs[cols], table[:, r_samples].tolist()):
-                        pair_rows += [(norm, i + 1, j + 1, r, t) for r, t in zip(r_samples, tails)]
-            for eps, r_pred, r_orc in zip(eps_list, cutoffs, r_oracles):
-                r_emp = empirical_rank(max_tails, eps)
+        cutoffs = {n: [cutoff(norm, eps, n, sups[n], d, calib) for eps in eps_list] for n in n_list}
+        r_samples = geometric_r_samples(coeffs.m, extra=cutoffs[curve_n])
+        family = coeffs.family_rows(curve_n)
+        max_tails = np.zeros((len(n_list), coeffs.m + 1))
+        pair_rows = []
+        for cols in blocks(len(pairs)):
+            table = tail_table(coeffs, weights, family[cols])
+            for n, curve in zip(n_list, max_tails):
+                inside = (larger[cols] < n)[:, None]
+                np.maximum(curve, np.max(table, axis=0, where=inside, initial=0.0), out=curve)
+            for (i, j), tails in zip(pairs[cols], table[:, r_samples].tolist()):
+                pair_rows += [(norm, i + 1, j + 1, r, t) for r, t in zip(r_samples, tails)]
+
+        for n, curve in zip(n_list, max_tails):
+            for eps, r_pred, r_orc in zip(eps_list, cutoffs[n], oracle_ranks[norm, n]):
+                r_emp = empirical_rank(curve, eps)
                 reports.append(
                     RankReport(
                         n=n,
@@ -450,25 +455,12 @@ def scaling_report(
                         r_predicted=r_pred,
                         r_empirical=r_emp,
                         r_oracle=r_orc,
-                        max_sup=S,
-                        implied_constant=r_emp / rank_base(norm, eps, n, S, d),
-                        resolved=bool(max_tails[window] <= eps),
+                        max_sup=sups[n],
+                        implied_constant=r_emp / rank_base(norm, eps, n, sups[n], d),
+                        resolved=bool(curve[window] <= eps),
                     )
                 )
+        worst = max_tails[list(n_list).index(curve_n)]
+        rows += [(norm, 0, 0, r, float(worst[r])) for r in r_samples] + pair_rows
 
-            if n == curve_n:
-                rows += [(norm, 0, 0, r, float(max_tails[r])) for r in r_samples]
-                rows += pair_rows
-                fit_r = [r for r in r_samples if 0 < r <= basis_src.grid.node_count // 2]
-                slopes[norm] = tail_slope(fit_r, [max_tails[r] for r in fit_r])
-
-    return ScalingReport(
-        rank_reports=reports, tail_rows=rows, slopes=slopes,
-        oracle_seconds=oracle_seconds, oracle_peak_rss_mb=oracle_peak_rss_mb,
-    )
-
-
-def _peak_rss_mb() -> float:
-    """The process's peak resident set so far, in MB (ru_maxrss is in KiB
-    on Linux)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return ScalingReport(rank_reports=reports, tail_rows=rows)

@@ -62,9 +62,10 @@ from .lowrank import (
     HM1,
     L2,
     ScalingReport,
-    _peak_rss_mb,
+    oracle_rank,
     scaling_report,
     tail_identity_slack,
+    tail_slope,
     tail_table,
 )
 from .eri import ERIResult, eri_benchmark
@@ -281,26 +282,28 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
 
 
 def _scaling(pipe: Pipeline) -> ScalingReport:
-    """The sweep, timed as two stages: the oracle and the rest (tails).  The
-    oracle's peak RSS is the process's as its last call returned, the
-    tails' as the sweep ended."""
+    """The sweep, timed as two stages run one after the other: the oracle's
+    ranks of every (norm, n), then the rest (tails)."""
     cfg = pipe.config
+    with _stage(pipe.timings, "oracle"):
+        ranks = {
+            (norm, n): oracle_rank(pipe.basis_L, n, cfg.sweep_eps, norm, coeffs=pipe.coeffs_hm1)
+            for norm in cfg.sweep_norms
+            for n in cfg.sweep_n
+        }
     with _stage(pipe.timings, "tails"):
-        report = scaling_report(
+        return scaling_report(
             pipe.basis_L,
             pipe.coeffs_l2,
             pipe.coeffs_hm1,
             cfg.sweep_n,
             cfg.sweep_eps,
             cfg.sweep_norms,
+            ranks,
             calib_l2=cfg.calib_l2,
             calib_hm1=cfg.calib_hm1,
             window=pipe.window,
         )
-    pipe.timings["oracle"] = report.oracle_seconds
-    pipe.timings["tails"] -= report.oracle_seconds
-    pipe.timings.peak_rss_mb["oracle"] = report.oracle_peak_rss_mb
-    return report
 
 
 def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
@@ -310,9 +313,16 @@ def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: Scaling
         report.tail_rows,
         pipe.timings,
     )
-    summary["tail_slopes"] = {
-        norm: slope for norm, slope in report.slopes.items()
-    }
+    # each norm's slope is fitted to the worst-pair aggregate (its i = j = 0
+    # rows) over 0 < r <= G/2; null with fewer than two samples above the floor
+    top = pipe.grid.node_count // 2
+    summary["tail_slopes"] = {}
+    for norm in pipe.config.sweep_norms:
+        curve = {
+            r: tail for name, i, j, r, tail in report.tail_rows
+            if name == norm and i == j == 0 and 0 < r <= top
+        }
+        summary["tail_slopes"][norm] = tail_slope(list(curve), list(curve.values()))
     summary["tail_curve_n"] = max(pipe.config.sweep_n)
 
 
@@ -613,6 +623,12 @@ def run(
             status = 1
     _write_summary(out, summary, start, timings)
     return status
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB (ru_maxrss is in KiB
+    on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _cpu_seconds() -> float:

@@ -68,22 +68,13 @@ class ProductCoefficients:
     product_l2_norms: np.ndarray
     outside_mass: np.ndarray | None = None
 
-    def restrict(self, n: int) -> "ProductCoefficients":
-        """Coefficients of the sub-family with both indices below n (self
-        itself at n = self.n)."""
+    def family_rows(self, n: int) -> np.ndarray:
+        """Rows of the sub-family with both indices below n in these arrays,
+        in pair_list(n) order: the family of n read in place."""
         if not 1 <= n <= self.n:
             raise ValueError(f"n must satisfy 1 <= n <= {self.n}, got {n}")
-        if n == self.n:
-            return self
-        rows = [pair_row(i, j, self.n) for i, j in pair_list(n)]
-        return ProductCoefficients(
-            n=n,
-            m=self.m,
-            eigenvalues=self.eigenvalues,
-            coeffs=self.coeffs[rows],
-            product_l2_norms=self.product_l2_norms[rows],
-            outside_mass=None if self.outside_mass is None else self.outside_mass[rows],
-        )
+        # the pairs (i, j) of each i are consecutive rows from pair (i, i) on
+        return np.concatenate([pair_row(i, i, self.n) + np.arange(n - i) for i in range(n)])
 
 
 def product_matrix(

@@ -25,7 +25,9 @@ from eigenrank.eigensolve import (
     cluster_end,
     laplacian_eigenpairs,
 )
+from eigenrank.lowrank import oracle_rank, scaling_report
 from eigenrank.pipeline import Pipeline, build_pipeline
+from eigenrank.products import ProductCoefficients, pair_list, pair_row
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +69,34 @@ def degenerate_clusters(eigenvalues) -> list:
         clusters.append(list(range(start, end)))
         start = end
     return clusters
+
+
+def gather(coeffs, n) -> ProductCoefficients:
+    """A copy of the sub-family with both indices below n, its rows gathered
+    from `coeffs` with pair_row: the reference for reading it in place."""
+    rows = [pair_row(i, j, coeffs.n) for i, j in pair_list(n)]
+    return ProductCoefficients(
+        n=n,
+        m=coeffs.m,
+        eigenvalues=coeffs.eigenvalues,
+        coeffs=coeffs.coeffs[rows],
+        product_l2_norms=coeffs.product_l2_norms[rows],
+        outside_mass=None if coeffs.outside_mass is None else coeffs.outside_mass[rows],
+    )
+
+
+def sweep(basis_src, coeffs_l2, coeffs_hm1, n_list, eps_list, norms, calib_l2, calib_hm1, window):
+    """scaling_report with the oracle ranks of every (norm, n) cell, as the
+    pipeline's sweep forms them."""
+    ranks = {
+        (norm, n): oracle_rank(basis_src, n, eps_list, norm, coeffs=coeffs_hm1)
+        for norm in norms
+        for n in n_list
+    }
+    return scaling_report(
+        basis_src, coeffs_l2, coeffs_hm1, n_list, eps_list, norms, ranks,
+        calib_l2=calib_l2, calib_hm1=calib_hm1, window=window,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -40,6 +40,7 @@ from eigenrank.lowrank import (
 )
 from eigenrank.eri import eri_benchmark
 from rotation import rotate_cluster
+from conftest import gather
 
 
 def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -129,8 +130,8 @@ def test_criterion_05_tail_decay_envelopes(
     for pipe in pipes:
         d = pipe.grid.dimension
         G = pipe.grid.node_count
-        co_l2 = pipe.coeffs_l2.restrict(16)
-        co_h = pipe.coeffs_hm1.restrict(16)
+        co_l2 = gather(pipe.coeffs_l2, 16)
+        co_h = gather(pipe.coeffs_hm1, 16)
         rs = [r for r in geometric_r_samples(G) if 0 < r <= G // 2]
         # a windowed L2 table (random-2d) is fitted up to its window M
         rs_l2 = [r for r in geometric_r_samples(co_l2.m) if 0 < r <= min(co_l2.m, G // 2)]
@@ -149,8 +150,8 @@ def test_criterion_05_tail_decay_envelopes(
 
 
 def test_criterion_06_hm1_beats_l2(flat2d_pipeline):
-    co_l2 = flat2d_pipeline.coeffs_l2.restrict(16)
-    co_h = flat2d_pipeline.coeffs_hm1.restrict(16)
+    co_l2 = gather(flat2d_pipeline.coeffs_l2, 16)
+    co_h = gather(flat2d_pipeline.coeffs_hm1, 16)
     curve_l2 = np.max(tail_table(co_l2), axis=0)
     curve_h = np.max(tail_table(co_h, hm1_weights(co_h)), axis=0)
     ok = True
@@ -217,7 +218,7 @@ def test_criterion_09_degeneracy_invariance(flat2d_pipeline):
     cluster = [1, 2]
     assert abs(src.eigenvalues[1] - src.eigenvalues[2]) < 1e-8 * (1 + src.eigenvalues[1])
     rot = rotate_cluster(src, cluster, seed=2718)
-    co = pipe.coeffs_l2.restrict(n)
+    co = gather(pipe.coeffs_l2, n)
     co_rot = expansion_coefficients(rot, rot, n, G)
 
     def ordered_aggregate(coeffs, r):

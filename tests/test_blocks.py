@@ -8,11 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eigenrank import eigensolve
+from eigenrank import eigensolve, pipeline
 from eigenrank.config import parse_config
 from eigenrank.eigensolve import cluster_end, laplacian_eigenpairs, lowest_eigenpairs, sup_norms
 from eigenrank.grid import make_grid
-from eigenrank.lowrank import scaling_report
 from eigenrank.operator import (
     RANDOM_FOURIER,
     CoefficientSpec,
@@ -22,6 +21,7 @@ from eigenrank.operator import (
 )
 from eigenrank.pipeline import build_pipeline, run_checks
 from eigenrank.products import expansion_coefficients
+from conftest import sweep
 
 # whole arrays, one column or pair or node row, and a width that leaves a
 # ragged last block of every dimension of the configs below
@@ -44,7 +44,7 @@ def _pipeline(coefficients):
 
 
 def _sweep(pipe):
-    return scaling_report(
+    return sweep(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1, [4, 8], [1e-2, 1e-3], ["l2", "hm1"],
         calib_l2=1.0, calib_hm1=1.0, window=pipe.window,
     )
@@ -92,20 +92,24 @@ def test_block_width_moves_no_bit_of_the_build(config, monkeypatch):
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
-def test_block_width_moves_no_bit_of_the_sweep_or_checks(config, monkeypatch):
+def test_block_width_moves_no_bit_of_the_sweep_or_checks(config, monkeypatch, tmp_path):
     # one set of coefficients: the tail tables read in pair blocks (the
-    # tail rows, max_tails and the ranks read off them) and the checks'
-    # per-pair sums come out the same at every width
+    # tail rows, max_tails and the ranks read off them, and the slopes that
+    # tail-curves fits to the rows) and the checks' per-pair sums come out
+    # the same at every width
     pipe = _pipeline(CONFIGS[config])
-    sweeps, checks = [], []
+    sweeps, slopes, checks = [], [], []
     for width in WIDTHS:
         monkeypatch.setattr(eigensolve, "BLOCK", width)
         sweeps.append(_sweep(pipe))
+        summary = {}
+        pipeline.cmd_tail_curves(pipe, str(tmp_path), summary, sweeps[-1])
+        slopes.append(summary["tail_slopes"])
         checks.append(run_checks(pipe, sweeps[-1], None))
-    for sweep, check in zip(sweeps[1:], checks[1:]):
-        assert sweep.tail_rows == sweeps[0].tail_rows
-        assert sweep.rank_reports == sweeps[0].rank_reports
-        assert sweep.slopes == sweeps[0].slopes
+    for report, slope, check in zip(sweeps[1:], slopes[1:], checks[1:]):
+        assert report.tail_rows == sweeps[0].tail_rows
+        assert report.rank_reports == sweeps[0].rank_reports
+        assert slope == slopes[0]
         assert check == checks[0]
 
 

@@ -14,7 +14,7 @@ import eigenrank
 from eigenrank import cli
 from eigenrank.cli import main
 from eigenrank.config import ConfigError, load_config
-from eigenrank import config, eigensolve, lowrank, pipeline
+from eigenrank import config, eigensolve, pipeline
 
 
 def small_config(tmp_path, **overrides):
@@ -464,7 +464,7 @@ class TestCommands:
         def refuse(*args, **kwargs):
             raise ValueError("oracle refused")
 
-        monkeypatch.setattr(lowrank, "oracle_rank", refuse)
+        monkeypatch.setattr(pipeline, "oracle_rank", refuse)
         out = tmp_path / "refused"
         assert main(["verify-all", "--config", str(small_config(tmp_path)), "--out", str(out)]) == 1
         message = capsys.readouterr().err
@@ -489,6 +489,27 @@ class TestCommands:
         assert main(["verify-all", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert all(summary["checks"].values())
+
+    def test_periodic_sweep_of_one_pair_runs_every_command(self, tmp_path):
+        # n = 1: phi_0^2 is the constant mode, so its worst-pair tail is
+        # roundoff from r = 1 on and leaves no slope to fit; rank-scan fits
+        # none, and tail-curves and verify-all report each as null
+        path = small_config(
+            tmp_path,
+            **{"grid.boundary": "periodic", "grid.lengths": [6.283185307179586],
+               "sweep.n": [1], "eri": {"enabled": False}},
+        )
+        for command in ("rank-scan", "tail-curves", "verify-all"):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            if command == "rank-scan":
+                assert "tail_slopes" not in summary
+                assert (out / "ranks.csv").exists()
+            else:
+                assert summary["tail_slopes"] == {"l2": None, "hm1": None}
+                assert (out / "tails.csv").exists()
+        assert summary["checks"] and all(summary["checks"].values())
 
     def test_periodic_random_2d_verify_all(self, tmp_path):
         # non-flat periodic: the Laplacian basis comes from the closed form
@@ -675,8 +696,7 @@ def test_summary_reports_the_peak_rss_of_each_stage(tmp_path, command):
     # ru_maxrss never falls, so the build stages read in the order they ran
     assert peaks["basis_lap"] <= peaks["basis_L"] <= peaks["coefficients"] <= peaks["output"]
     if command == "verify-all":
-        # the oracle reads as its last call returns, inside the sweep that
-        # the tails' reading ends
+        # the oracle stage ends before the tails stage starts
         assert 0.0 < peaks["oracle"] <= peaks["tails"]
 
 

@@ -23,7 +23,7 @@ from eigenrank.eri import (
     fitted_integrals,
     sample_quadruples,
 )
-from conftest import dense_basis
+from conftest import dense_basis, gather
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def fitted_pair_gram(co, weights, r):
     """Every pair Gram entry of the rank-r fit, one fitted_integrals call."""
     P = co.coeffs.shape[0]
     rows = np.array([(p, q) for p in range(P) for q in range(P)]).reshape(-1, 2)
-    return fitted_integrals(co, weights, r, rows).reshape(P, P)
+    return fitted_integrals(co, weights, r, slice(None), rows).reshape(P, P)
 
 
 def exact_eri(i, j, k, l, basis, solver):
@@ -256,15 +256,31 @@ class TestBenchmark:
         seen = []
         real = fitted_integrals
 
-        def recording(coeffs, weights, r, rows):
-            seen.append((coeffs.coeffs.shape[0], r, len(rows)))
-            return real(coeffs, weights, r, rows)
+        def recording(coeffs, weights, r, family, rows):
+            seen.append((len(family), r, len(rows)))
+            return real(coeffs, weights, r, family, rows)
 
         monkeypatch.setattr(eri_module, "fitted_integrals", recording)
         res = eri_benchmark(8, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
         (pairs, r, entries), = seen
         assert entries == len(res.quadruples) and r == res.r
         assert res.fitted_ops == entries * r + pairs * r
+        # a family narrower than its expansion scales its own pairs only
+        res = eri_benchmark(6, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
+        pairs, r, entries = seen[-1]
+        assert pairs == len(pair_list(6)) and entries == len(res.quadruples) and r == res.r
+        assert res.fitted_ops == entries * r + pairs * r
+
+    def test_benchmark_reads_its_family_in_place(self, eri_setup):
+        # n = 6 read from the expansion of 8 is, bit for bit, the benchmark
+        # on the family's rows gathered into their own expansion
+        grid, op, src, lap, co, solver = eri_setup
+        wide = eri_benchmark(6, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
+        own = eri_benchmark(6, 1e-2, src, op, gather(co, 6), calib_hm1=1.0, sample_seed=0)
+        assert (wide.r, wide.quadruples, wide.fitted_ops) == (own.r, own.quadruples, own.fitted_ops)
+        for name in ("exact", "fitted", "certificates"):
+            np.testing.assert_array_equal(getattr(wide, name), getattr(own, name))
+        assert wide.certificate == own.certificate
 
     def test_exact_matrix_psd(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,7 +23,8 @@ from eigenrank.eri import GreenSolver
 from eigenrank import lowrank
 from eigenrank import PRESETS
 from eigenrank.config import load_config, parse_config
-from eigenrank.pipeline import build_pipeline
+from eigenrank import pipeline
+from eigenrank.pipeline import Stages, build_pipeline
 from eigenrank.lowrank import (
     cutoff,
     empirical_rank,
@@ -31,12 +33,12 @@ from eigenrank.lowrank import (
     oracle_rank,
     rank_base,
     row_scales,
-    scaling_report,
     tail_identity_slack,
     tail_slope,
     tail_table,
 )
 from rotation import rotate_cluster
+from conftest import gather, sweep
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +75,7 @@ def test_tail_table_is_bitwise_the_two_copy_formula(flat1d_coeffs, flat2d_small)
     cases = [(co, None), (co_h, hm1_weights(co_h)), (windowed, None)]
     grid2, _, src2, lap2 = flat2d_small
     co2 = expansion_coefficients(src2, lap2, 6, grid2.node_count)
-    cases.append((co2.restrict(4), hm1_weights(co2)))
+    cases.append((gather(co2, 4), hm1_weights(co2)))
     for coeffs, weights in cases:
         table = tail_table(coeffs, weights)
         assert table.shape == (len(pair_list(coeffs.n)), coeffs.m + 1)
@@ -162,23 +164,27 @@ class TestCutoffs:
         # the largest implied constant of a sweep, fed back as the
         # calibration, makes every predicted rank at least the empirical one
         grid, _, src, lap, co, co_h = flat1d_coeffs
-        sweep = dict(
+        cells = dict(
             n_list=[4, 8, 16], eps_list=[1e-1, 1e-2], norms=["l2", "hm1"], window=co.m
         )
-        first = scaling_report(src, co, co_h, calib_l2=1.0, calib_hm1=1.0, **sweep)
+        first = sweep(src, co, co_h, calib_l2=1.0, calib_hm1=1.0, **cells)
         calib = {
             norm: max(rep.implied_constant for rep in first.rank_reports if rep.norm == norm)
             for norm in ("l2", "hm1")
         }
-        second = scaling_report(
-            src, co, co_h, calib_l2=calib["l2"], calib_hm1=calib["hm1"], **sweep
+        second = sweep(
+            src, co, co_h, calib_l2=calib["l2"], calib_hm1=calib["hm1"], **cells
         )
         weights = {"l2": None, "hm1": hm1_weights(co_h)}
         for rep in second.rank_reports:
             assert rep.r_predicted >= rep.r_empirical
-            sub = {"l2": co, "hm1": co_h}[rep.norm].restrict(rep.n)
+            sub = gather({"l2": co, "hm1": co_h}[rep.norm], rep.n)
             curve = np.max(tail_table(sub, weights[rep.norm]), axis=0)
             assert curve[min(rep.r_predicted, sub.m)] <= rep.eps
+            # each n's worst-pair curve, read from the table of the widest n,
+            # is the curve of its own family
+            assert rep.r_empirical == empirical_rank(curve, rep.eps)
+            assert rep.resolved == bool(curve[co.m] <= rep.eps)
 
 
 def _ordered_family(basis, n):
@@ -303,7 +309,7 @@ class TestOracle:
         pipe = random_pipeline
         for src, co_h, sqrt_w in [
             (src1, co_h1, np.sqrt(grid.quadrature_weight)),
-            (pipe.basis_L, pipe.coeffs_hm1.restrict(8), np.sqrt(pipe.grid.quadrature_weight)),
+            (pipe.basis_L, gather(pipe.coeffs_hm1, 8), np.sqrt(pipe.grid.quadrature_weight)),
         ]:
             n = co_h.n
             yield src, n, "l2", {}, sqrt_w * _ordered_family(src, n)
@@ -361,11 +367,11 @@ class TestOracle:
         pipe = harmonic1d_pipeline
         nearest = math.inf
         for n in pipe.config.sweep_n:
-            co_h = pipe.coeffs_hm1.restrict(n)
             if norm == "l2":
                 A, kwargs = np.sqrt(pipe.grid.quadrature_weight) * _ordered_family(pipe.basis_L, n), {}
             else:
-                A, kwargs = _ordered_hm1_family(co_h), {"coeffs": co_h}
+                A = _ordered_hm1_family(gather(pipe.coeffs_hm1, n))
+                kwargs = {"coeffs": pipe.coeffs_hm1}
             worst = _reference_worst(A)
             s = np.linalg.svd(A, compute_uv=False)
             closes = np.concatenate([[True], s[:-1] - s[1:] >= CLUSTER_REL_GAP * s[0], [True]])
@@ -461,9 +467,37 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_rank(src, 16, [1e-3], "hm1")
         with pytest.raises(ValueError):
-            oracle_rank(src, 8, [1e-3], "hm1", coeffs=co_h)
+            oracle_rank(src, co_h.n + 1, [1e-3], "hm1", coeffs=co_h)
         with pytest.raises(ValueError):
             oracle_rank(src, 8, [1e-3, 0.0])
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    def test_hm1_family_read_in_place_is_the_gathered_family_bit_for_bit(
+        self, block, monkeypatch, flat1d_coeffs, random_pipeline
+    ):
+        # the H^-1 oracle of n read from a wider family has the (s, T) of the
+        # oracle on that family's rows gathered into their own expansion, on
+        # the Gram route (eps 1e-3) and the QR route (1e-12), in ragged
+        # blocks of 7 rows and in one block
+        monkeypatch.setattr(lowrank, "ORACLE_BLOCK", block)
+        calls = []
+        real = lowrank._read_ranks
+
+        def recording(s, T, eps_list):
+            calls.append((s.copy(), T.copy()))
+            return real(s, T, eps_list)
+
+        monkeypatch.setattr(lowrank, "_read_ranks", recording)
+        *_, src1, _, _, co_h1 = flat1d_coeffs
+        for src, co_h in [(src1, co_h1), (random_pipeline.basis_L, random_pipeline.coeffs_hm1)]:
+            for n in (1, 4, co_h.n - 1):
+                for eps in (1e-3, 1e-12):
+                    wide = oracle_rank(src, n, [eps], "hm1", coeffs=co_h)
+                    own = oracle_rank(src, n, [eps], "hm1", coeffs=gather(co_h, n))
+                    assert wide == own
+                    (s_wide, T_wide), (s_own, T_own) = calls[-2:]
+                    np.testing.assert_array_equal(s_wide, s_own)
+                    np.testing.assert_array_equal(T_wide, T_own)
 
     def test_rotation_invariance(self, flat2d_small):
         grid, _, src, lap = flat2d_small
@@ -493,13 +527,12 @@ class TestOracle:
         grid, _, src, lap, co, co_h = flat1d_coeffs
         sqrt_w = np.sqrt(grid.quadrature_weight)
         for n in (4, 8, 16):
-            sub = co_h.restrict(n)
             A_l2 = sqrt_w * _ordered_family(src, n)
-            A_h = _ordered_hm1_family(sub)
+            A_h = _ordered_hm1_family(gather(co_h, n))
             assert oracle_rank(src, n, ORACLE_EPS) == [
                 _reference_rank(A_l2, eps) for eps in ORACLE_EPS
             ]
-            assert oracle_rank(src, n, ORACLE_EPS, "hm1", coeffs=sub) == [
+            assert oracle_rank(src, n, ORACLE_EPS, "hm1", coeffs=co_h) == [
                 _reference_rank(A_h, eps) for eps in ORACLE_EPS
             ]
 
@@ -508,14 +541,13 @@ class TestOracle:
         src = pipe.basis_L
         sqrt_w = np.sqrt(pipe.grid.quadrature_weight)
         for n in pipe.config.sweep_n:
-            sub = pipe.coeffs_hm1.restrict(n)
             A_l2 = sqrt_w * _ordered_family(src, n)
-            A_h = _ordered_hm1_family(sub)
+            A_h = _ordered_hm1_family(gather(pipe.coeffs_hm1, n))
             eps_l2 = ORACLE_EPS + _eps_inside_steps(A_l2)
             eps_h = ORACLE_EPS + _eps_inside_steps(A_h)
             assert len(eps_l2) > len(ORACLE_EPS) + n and len(eps_h) > len(ORACLE_EPS) + n
             assert oracle_rank(src, n, eps_l2) == [_reference_rank(A_l2, eps) for eps in eps_l2]
-            assert oracle_rank(src, n, eps_h, "hm1", coeffs=sub) == [
+            assert oracle_rank(src, n, eps_h, "hm1", coeffs=pipe.coeffs_hm1) == [
                 _reference_rank(A_h, eps) for eps in eps_h
             ]
 
@@ -695,7 +727,7 @@ class TestTailProperties:
 
 def test_scaling_report_flat1d(flat1d_coeffs):
     grid, _, src, lap, co, co_h = flat1d_coeffs
-    report = scaling_report(
+    report = sweep(
         src, co, co_h,
         n_list=[4, 8, 16],
         eps_list=[1e-2, 1e-3],
@@ -710,7 +742,9 @@ def test_scaling_report_flat1d(flat1d_coeffs):
         if rep.norm == "l2":
             assert rep.r_oracle <= 2 * rep.n - 1
     # for both norms, the worst-pair aggregate (i = j = 0) and every 1-based
-    # pair of n = 16, sampled at the same r; the aggregate is the worst pair's
+    # pair of n = 16, sampled at the same r; the aggregate is the worst pair's,
+    # and its slope is fitted over 0 < r <= G/2 as tail-curves fits it
+    slopes = {}
     for norm in ("l2", "hm1"):
         rows = [row for row in report.tail_rows if row[0] == norm]
         aggregate = {r: tail for _, i, j, r, tail in rows if i == j == 0}
@@ -722,10 +756,12 @@ def test_scaling_report_flat1d(flat1d_coeffs):
         assert sorted(by_pair) == [(i + 1, j + 1) for i, j in pair_list(16)]
         for r, tail in aggregate.items():
             assert tail == max(curve[r] for curve in by_pair.values())
+        fit = [r for r in aggregate if 0 < r <= grid.node_count // 2]
+        slopes[norm] = tail_slope(fit, [aggregate[r] for r in fit])
     # the -1/d envelope needs the preset-scale grid (acceptance suite);
     # at 64 points the plateau up to r ~ 2n dominates, so only sanity-check
-    assert report.slopes["l2"] < 0
-    assert report.slopes["hm1"] < report.slopes["l2"]
+    assert slopes["l2"] < 0
+    assert slopes["hm1"] < slopes["l2"]
     # linear growth of the oracle rank in n at fixed eps
     l2_16 = [rep for rep in report.rank_reports if rep.norm == "l2" and rep.eps == 1e-2]
     ns = np.array([rep.n for rep in l2_16])
@@ -734,23 +770,24 @@ def test_scaling_report_flat1d(flat1d_coeffs):
     assert slope <= 2.1
 
 
-def test_scaling_report_one_oracle_call_per_n_and_norm(flat1d_coeffs, monkeypatch):
-    grid, _, src, lap, co, co_h = flat1d_coeffs
+def test_scaling_makes_one_oracle_call_per_n_and_norm(flat1d_pipeline, monkeypatch):
+    # every call runs in the oracle stage, which ends before the tails
+    # stage starts
+    pipe = dataclasses.replace(flat1d_pipeline, timings=Stages())
+    cfg = pipe.config
     calls = []
-    real = lowrank.oracle_rank
+    real = pipeline.oracle_rank
 
     def counting(basis_src, n, eps_list, norm="l2", **kwargs):
+        assert not pipe.timings
         calls.append((n, norm))
         return real(basis_src, n, eps_list, norm, **kwargs)
 
-    monkeypatch.setattr(lowrank, "oracle_rank", counting)
-    n_list, norms = [4, 8, 16], ["l2", "hm1"]
-    report = scaling_report(
-        src, co, co_h, n_list=n_list, eps_list=ORACLE_EPS, norms=norms,
-        calib_l2=1.0, calib_hm1=1.0, window=co.m,
-    )
-    assert sorted(calls) == sorted((n, norm) for n in n_list for norm in norms)
-    assert len(report.rank_reports) == len(n_list) * len(norms) * len(ORACLE_EPS)
+    monkeypatch.setattr(pipeline, "oracle_rank", counting)
+    report = pipeline._scaling(pipe)
+    assert sorted(calls) == sorted((n, norm) for n in cfg.sweep_n for norm in cfg.sweep_norms)
+    assert len(report.rank_reports) == len(cfg.sweep_n) * len(cfg.sweep_norms) * len(cfg.sweep_eps)
+    assert list(pipe.timings) == ["oracle", "tails"]
 
 
 def test_scaling_report_on_a_preset_sweep_takes_the_gram_route(flat1d_pipeline, monkeypatch):
@@ -759,7 +796,7 @@ def test_scaling_report_on_a_preset_sweep_takes_the_gram_route(flat1d_pipeline, 
     cfg = pipe.config
     monkeypatch.setattr(np.linalg, "svd", _refuse)
     monkeypatch.setattr(np.linalg, "qr", _refuse)
-    report = scaling_report(
+    report = sweep(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1, cfg.sweep_n, cfg.sweep_eps,
         cfg.sweep_norms, cfg.calib_l2, cfg.calib_hm1, window=pipe.window,
     )
@@ -821,7 +858,7 @@ def test_preset_calibration_covers_every_resolved_cell(request, preset):
     fixture = PRESET_FIXTURES.get(preset)
     pipe = request.getfixturevalue(fixture) if fixture else build_pipeline(load_config(preset))
     cfg = pipe.config
-    report = scaling_report(
+    report = sweep(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
         cfg.sweep_n, cfg.sweep_eps, cfg.sweep_norms,
         calib_l2=cfg.calib_l2, calib_hm1=cfg.calib_hm1, window=pipe.window,

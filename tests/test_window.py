@@ -15,11 +15,11 @@ from eigenrank.cli import main
 from eigenrank.config import parse_config
 from eigenrank import eigensolve, pipeline
 from eigenrank.eigensolve import cluster_end, lowest_eigenpairs
-from eigenrank.lowrank import L2, RankReport, empirical_rank, scaling_report, tail_table
+from eigenrank.lowrank import L2, RankReport, empirical_rank, tail_table
 from eigenrank.operator import stencil_eigenvalues
 from eigenrank.pipeline import build_pipeline
 from eigenrank.products import expansion_coefficients, pair_list, pair_row
-from conftest import degenerate_clusters
+from conftest import degenerate_clusters, gather, sweep
 
 RANDOM = {"kind": "random_fourier", "seed": 5, "a_amplitude": 0.3, "v_amplitude": 0.5}
 # -Delta + 2.5: non-flat, with the degenerate pairs of the square's spectrum
@@ -173,7 +173,7 @@ def test_expansions_carry_their_target_spectrum(random2d_pipeline):
     assert np.array_equal(hm1.eigenvalues, np.sort(stencil_eigenvalues(pipe.grid)))
     assert np.shares_memory(l2.eigenvalues, pipe.basis_L.eigenvalues)
     assert np.shares_memory(hm1.eigenvalues, pipe.basis_lap.eigenvalues)
-    sub = hm1.restrict(4)
+    sub = gather(hm1, 4)
     assert sub.eigenvalues is hm1.eigenvalues
 
 
@@ -205,26 +205,26 @@ def test_windowed_l2_tails_match_the_complete_table(random_pipe):
     # Pythagoras: window plus outside mass is the whole norm
     total = np.sum(co.coeffs**2, axis=1) + co.outside_mass
     np.testing.assert_allclose(total, co.product_l2_norms**2, rtol=1e-12)
-    # restrict keeps each pair's mass
-    sub = co.restrict(4)
+    # the family of 4, gathered or read in place, keeps each pair's mass
+    sub = gather(co, 4)
     rows = [pair_row(i, j, co.n) for i, j in pair_list(4)]
     np.testing.assert_array_equal(tail_table(sub), tail_table(co)[rows])
+    np.testing.assert_array_equal(tail_table(co, pairs=co.family_rows(4)), tail_table(co)[rows])
 
 
-def test_restrict_is_the_family_itself_at_its_own_n(random_pipe):
+def test_family_rows_are_the_family_itself_at_its_own_n(random_pipe):
     # the windowed L2 expansion and the complete H^-1 one
     for co in (random_pipe.coeffs_l2, random_pipe.coeffs_hm1):
-        assert co.restrict(co.n) is co
+        np.testing.assert_array_equal(co.family_rows(co.n), np.arange(co.coeffs.shape[0]))
         for n in (1, 4, co.n - 1):
             rows = [pair_row(i, j, co.n) for i, j in pair_list(n)]
-            sub = co.restrict(n)
-            assert (sub.n, sub.m) == (n, co.m) and sub.eigenvalues is co.eigenvalues
-            np.testing.assert_array_equal(sub.coeffs, co.coeffs[rows])
-            np.testing.assert_array_equal(sub.product_l2_norms, co.product_l2_norms[rows])
-            if co.outside_mass is None:
-                assert sub.outside_mass is None
-            else:
-                np.testing.assert_array_equal(sub.outside_mass, co.outside_mass[rows])
+            family = co.family_rows(n)
+            assert family.shape == (n * (n + 1) // 2,)
+            np.testing.assert_array_equal(family, rows)
+            np.testing.assert_array_equal(co.coeffs[family], gather(co, n).coeffs)
+        for n in (0, co.n + 1):
+            with pytest.raises(ValueError):
+                co.family_rows(n)
 
 
 def test_ranks_csv_columns_are_the_rank_report_fields(tmp_path, random_pipe):
@@ -232,7 +232,7 @@ def test_ranks_csv_columns_are_the_rank_report_fields(tmp_path, random_pipe):
     # resolved column holds both values
     pipe, cfg = random_pipe, random_pipe.config
     at_window = float(np.max(tail_table(pipe.coeffs_l2), axis=0)[pipe.window])
-    report = scaling_report(
+    report = sweep(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
         cfg.sweep_n, [2.0 * at_window, 0.5 * at_window], cfg.sweep_norms,
         calib_l2=cfg.calib_l2, calib_hm1=cfg.calib_hm1, window=pipe.window,
@@ -260,7 +260,7 @@ def test_unresolved_cell_reports_a_lower_bound(random_pipe):
     tiny, loose = 0.5 * float(curve[M]), 2.0 * float(curve[M])
     assert empirical_rank(curve, tiny) == M + 1
     assert empirical_rank(curve, loose) <= M
-    report = scaling_report(
+    report = sweep(
         pipe.basis_L, pipe.coeffs_l2, pipe.coeffs_hm1,
         [pipe.coeffs_l2.n], [loose, tiny], [L2],
         calib_l2=pipe.config.calib_l2, calib_hm1=pipe.config.calib_hm1, window=M,
