@@ -21,6 +21,10 @@ and its error is certified by Cauchy-Schwarz on the discarded sum:
 |exact - fitted| <= t(ij) t(kl), with t the H^-1 tail of a pair after r
 modes.  A wrong or incomplete spectral side therefore shows up as a
 certificate violation.
+
+Each quadruple class is named by the pair rows of (ij) and (kl), so both
+sides read their entries by index, and the benchmark reports the measured
+seconds of each side.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import PERIODIC
-from .eigensolve import SpectralBasis, sup_norms
+from .eigensolve import SpectralBasis, blocks, sup_norms
 from .operator import LAPLACIAN, DiscreteOperator
-from .products import ProductCoefficients, pair_list, pair_row, product_matrix
+from .products import ProductCoefficients, product_matrix
 from .lowrank import HM1, cutoff, hm1_weights, tail_table
 
 SAMPLE_COUNT = 500        # quadruples sampled when n > EXHAUSTIVE_MAX_N
@@ -101,24 +105,20 @@ def fitted_integrals(
     return np.sum(D[rows[:, 0]] * D[rows[:, 1]], axis=1)
 
 
-def canonical_quadruples(n: int) -> list[tuple[int, int, int, int]]:
-    """One representative (i<=j, k<=l, row(ij) <= row(kl)) per symmetry class."""
-    pairs = pair_list(n)
-    quads = []
-    for p, (i, j) in enumerate(pairs):
-        for (k, l) in pairs[p:]:
-            quads.append((i, j, k, l))
-    return quads
-
-
-def sample_quadruples(n: int, count: int, seed: int) -> list[tuple[int, int, int, int]]:
-    """Deterministic sample of canonical quadruples (all of them if few)."""
-    quads = canonical_quadruples(n)
-    if len(quads) <= count:
-        return quads
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    idx = rng.choice(len(quads), size=count, replace=False)
-    return [quads[t] for t in sorted(idx)]
+def quadruple_classes(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One representative (i<=j, k<=l, row(ij) <= row(kl)) of each symmetry
+    class of quadruples, in class order: every class for n <= EXHAUSTIVE_MAX_N,
+    else the SAMPLE_COUNT of them that `seed` draws.  Returns the (Q, 4)
+    array of (i, j, k, l) and the (Q, 2) array of their pair rows in
+    pair_list(n) order."""
+    pairs = np.stack(np.triu_indices(n), axis=1)       # pair_list(n) order
+    p, q = np.triu_indices(len(pairs))
+    if n > EXHAUSTIVE_MAX_N:
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        drawn = np.sort(rng.choice(p.size, size=SAMPLE_COUNT, replace=False))
+        p, q = p[drawn], q[drawn]
+    rows = np.stack([p, q], axis=1)
+    return pairs[rows].reshape(-1, 4), rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +126,13 @@ class ERIResult:
     n: int
     r: int
     eps: float
-    quadruples: list
+    quadruples: np.ndarray        # (Q, 4) ints, the (i, j, k, l) of each class evaluated
     exact: np.ndarray
     fitted: np.ndarray
     certificates: np.ndarray      # t(ij) t(kl) per quadruple, t the H^-1 tail after r modes
     max_abs_error: float
     mean_abs_error: float
     certificate: float            # (worst-pair tail)^2 bounds every error
-    exact_ops: int
-    fitted_ops: int
     exact_seconds: float
     fitted_seconds: float
 
@@ -148,39 +146,31 @@ def eri_benchmark(
     calib_hm1: float,
     sample_seed: int,
 ) -> ERIResult:
-    """Exact vs density-fitted integrals on a deterministic quadruple sample.
+    """Exact vs density-fitted integrals on the quadruple classes of
+    quadruple_classes(n, sample_seed), all of them or a seeded sample.
 
-    r comes from the calibrated H^-1 cutoff; for n <= EXHAUSTIVE_MAX_N all
-    quadruple classes are evaluated, larger n falls back to a seeded sample.
-    The exact integrals come from one sparse LU of `op_lap` (GreenSolver);
-    `exact_seconds` includes its factorization.  The modeled costs follow
-    the evaluation counts: quadruples*G multiply-adds for the exact pairing
-    versus r per quadruple (plus the r-term fit data per pair) for the
-    surrogate.
+    r comes from the calibrated H^-1 cutoff.  The exact integrals come from
+    one sparse LU of `op_lap` (GreenSolver); `exact_seconds` times that
+    factorization, the solve and the pairing, `fitted_seconds` the surrogate.
+    The pair tails are read one eigensolve.BLOCK of pairs at a time, so no
+    whole tail table is formed.
     """
     if op_lap.grid != basis_L.grid:
         raise ValueError("the Laplacian operator lives on a different grid")
-    if coeffs.n < n:
-        raise ValueError(f"coefficients cover n={coeffs.n} < requested n={n}")
     family = coeffs.family_rows(n)
     _, S = sup_norms(basis_L, n)
     d = basis_L.grid.dimension
     r = min(cutoff(HM1, eps, n, S, d, calib_hm1), coeffs.m)
-
-    if n <= EXHAUSTIVE_MAX_N:
-        quads = canonical_quadruples(n)
-    else:
-        quads = sample_quadruples(n, SAMPLE_COUNT, sample_seed)
+    quads, rows = quadruple_classes(n, sample_seed)
 
     weights = hm1_weights(coeffs)
-    pair_tails = tail_table(coeffs, weights, family)[:, r]
-
-    G = basis_L.grid.node_count
+    pair_tails = np.concatenate(
+        [tail_table(coeffs, weights, family[b])[:, r] for b in blocks(len(family))]
+    )
 
     t0 = time.perf_counter()
     prods = product_matrix(basis_L, n)                      # (G, pairs)
     pair_gram = basis_L.grid.quadrature_weight * (prods.T @ GreenSolver(op_lap).solve(prods))
-    rows = np.array([(pair_row(i, j, n), pair_row(k, l, n)) for (i, j, k, l) in quads])
     exact = pair_gram[rows[:, 0], rows[:, 1]]
     exact_seconds = time.perf_counter() - t0
 
@@ -201,8 +191,6 @@ def eri_benchmark(
         max_abs_error=float(np.max(err)),
         mean_abs_error=float(np.mean(err)),
         certificate=worst_tail**2,
-        exact_ops=len(quads) * G,
-        fitted_ops=len(quads) * r + len(family) * r,
         exact_seconds=exact_seconds,
         fitted_seconds=fitted_seconds,
     )

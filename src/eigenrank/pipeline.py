@@ -368,7 +368,7 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
     rows = [
         (i + 1, j + 1, k + 1, l + 1, exact, fitted, abs(exact - fitted), cert)
         for (i, j, k, l), exact, fitted, cert in zip(
-            result.quadruples, result.exact, result.fitted, result.certificates
+            result.quadruples.tolist(), result.exact, result.fitted, result.certificates
         )
     ]
     write_csv(
@@ -386,9 +386,6 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
         "max_abs_error": result.max_abs_error,
         "mean_abs_error": result.mean_abs_error,
         "certificate": result.certificate,
-        "exact_ops": result.exact_ops,
-        "fitted_ops": result.fitted_ops,
-        "op_ratio": result.fitted_ops / result.exact_ops,
         "exact_seconds": result.exact_seconds,
         "fitted_seconds": result.fitted_seconds,
     }

@@ -189,7 +189,9 @@ def test_criterion_08_eri_certificate(flat2d_pipeline):
     for e, f, cert in zip(result.exact, result.fitted, result.certificates):
         if abs(e - f) > cert + 1e-12:
             violations += 1
-    cost_ratio = result.fitted_ops / result.exact_ops
+    # multiply-adds: r per quadruple plus r per pair fitted, against G per quadruple exact
+    quads, pairs, G = len(result.quadruples), 8 * 9 // 2, pipe.basis_L.grid.node_count
+    cost_ratio = (quads * result.r + pairs * result.r) / (quads * G)
     elapsed = time.perf_counter() - t0 + pipe.build_seconds
     ok = (
         violations == 0

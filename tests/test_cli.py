@@ -351,8 +351,7 @@ class TestCommands:
         eri = summary["eri"]
         assert set(eri) == {
             "enabled", "n", "r", "eps", "quadruples", "max_abs_error", "mean_abs_error",
-            "certificate", "exact_ops", "fitted_ops", "op_ratio", "exact_seconds",
-            "fitted_seconds",
+            "certificate", "exact_seconds", "fitted_seconds",
         }
         assert eri["enabled"] and eri["n"] == 4 and eri["quadruples"] == len(rows)
         # diagonal quadruples attain their certificate, so it holds up to roundoff

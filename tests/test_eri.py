@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,7 @@ from eigenrank.operator import (
 from eigenrank.eigensolve import laplacian_eigenpairs
 from eigenrank.products import expansion_coefficients, pair_list, pair_row, product_matrix
 from eigenrank.lowrank import hm1_weights, tail_table
-from eigenrank.eri import (
-    GreenSolver,
-    canonical_quadruples,
-    eri_benchmark,
-    fitted_integrals,
-    sample_quadruples,
-)
+from eigenrank.eri import GreenSolver, eri_benchmark, fitted_integrals, quadruple_classes
 from conftest import dense_basis, gather
 
 
@@ -49,6 +44,31 @@ def fitted_pair_gram(co, weights, r):
     P = co.coeffs.shape[0]
     rows = np.array([(p, q) for p in range(P) for q in range(P)]).reshape(-1, 2)
     return fitted_integrals(co, weights, r, slice(None), rows).reshape(P, P)
+
+
+def canonical_quadruples(n):
+    """One representative (i<=j, k<=l, row(ij) <= row(kl)) per symmetry class,
+    by nested loops over pair_list: the reference for quadruple_classes."""
+    pairs = pair_list(n)
+    return [(i, j, k, l) for p, (i, j) in enumerate(pairs) for (k, l) in pairs[p:]]
+
+
+def sample_quadruples(n, count, seed):
+    """The sorted seeded sample of `count` canonical quadruples: the
+    reference for quadruple_classes past EXHAUSTIVE_MAX_N."""
+    quads = canonical_quadruples(n)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return [quads[t] for t in sorted(rng.choice(len(quads), size=count, replace=False))]
+
+
+def fitted_ops(res, pairs):
+    """Multiply-adds of the fitted side: r per quadruple plus r per pair scaled."""
+    return len(res.quadruples) * res.r + pairs * res.r
+
+
+def exact_ops(res, grid):
+    """Multiply-adds of pairing every quadruple over the G grid nodes."""
+    return len(res.quadruples) * grid.node_count
 
 
 def exact_eri(i, j, k, l, basis, solver):
@@ -207,14 +227,42 @@ class TestFittedERI:
 class TestQuadrupleSampling:
     def test_canonical_count(self):
         # P = n(n+1)/2 pairs; P(P+1)/2 canonical quadruples
-        assert len(canonical_quadruples(4)) == 10 * 11 // 2
-        assert len(canonical_quadruples(8)) == 36 * 37 // 2
+        assert quadruple_classes(4, 0)[0].shape == (10 * 11 // 2, 4)
+        assert quadruple_classes(8, 0)[0].shape == (36 * 37 // 2, 4)
 
     def test_sampling_deterministic(self):
-        a = sample_quadruples(16, 100, seed=5)
-        b = sample_quadruples(16, 100, seed=5)
-        assert a == b
-        assert len(a) == 100
+        a = quadruple_classes(16, 5)
+        b = quadruple_classes(16, 5)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+        assert len(a[0]) == len(a[1]) == eri_module.SAMPLE_COUNT
+
+    @pytest.mark.parametrize("n", list(range(1, 14)) + [16])
+    def test_classes_are_the_nested_loop_enumeration(self, n):
+        # every class up to EXHAUSTIVE_MAX_N, the seeded sample past it (13, 16)
+        quads, rows = quadruple_classes(n, 20240801)
+        if n <= eri_module.EXHAUSTIVE_MAX_N:
+            want = canonical_quadruples(n)
+        else:
+            want = sample_quadruples(n, eri_module.SAMPLE_COUNT, 20240801)
+            assert len(want) == eri_module.SAMPLE_COUNT < len(canonical_quadruples(n))
+        assert quads.dtype.kind == rows.dtype.kind == "i"
+        np.testing.assert_array_equal(quads, np.array(want).reshape(-1, 4))
+        np.testing.assert_array_equal(
+            rows, [(pair_row(i, j, n), pair_row(k, l, n)) for (i, j, k, l) in want]
+        )
+
+    def test_sampled_classes_form_no_list_of_every_class(self):
+        # n = 64 has 2080 pairs and 2,164,160 classes; as Python tuples they
+        # took 167 MB, as two index arrays of classes they take about 37 MB
+        tracemalloc.start()
+        try:
+            quads, rows = quadruple_classes(64, 20240801)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert quads.shape == (eri_module.SAMPLE_COUNT, 4)
+        assert peak < 64 * 2**20
 
 
 class TestBenchmark:
@@ -225,7 +273,21 @@ class TestBenchmark:
         for e, f, cert in zip(res.exact, res.fitted, res.certificates):
             assert abs(e - f) <= cert + 1e-12
         assert res.max_abs_error <= res.certificate + 1e-12
-        assert res.fitted_ops < res.exact_ops
+        assert fitted_ops(res, len(pair_list(8))) < exact_ops(res, grid)
+
+    def test_pair_tails_read_in_blocks_are_the_whole_table_column(self, eri_setup):
+        # n = 8 has 36 pairs, more than one BLOCK, so the tails span two blocks
+        grid, op, src, lap, co, solver = eri_setup
+        res = eri_benchmark(8, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
+        tails = tail_table(co, hm1_weights(co), co.family_rows(8))[:, res.r]
+        _, rows = quadruple_classes(8, 0)
+        np.testing.assert_array_equal(res.certificates, tails[rows[:, 0]] * tails[rows[:, 1]])
+        assert res.certificate == float(np.max(tails)) ** 2
+
+    def test_rejects_n_past_its_expansion(self, eri_setup):
+        grid, op, src, lap, co, solver = eri_setup
+        with pytest.raises(ValueError, match="n must satisfy"):
+            eri_benchmark(co.n + 1, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
 
     def test_sampled_classes_past_the_exhaustive_n(self, flat2d_small):
         # n = 13 has 4186 quadruple classes, so the benchmark evaluates the
@@ -235,12 +297,14 @@ class TestBenchmark:
         assert n > eri_module.EXHAUSTIVE_MAX_N
         co = expansion_coefficients(src, lap, n, grid.node_count)
         res = eri_benchmark(n, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=3)
-        assert res.quadruples == sample_quadruples(n, eri_module.SAMPLE_COUNT, 3)
+        np.testing.assert_array_equal(
+            res.quadruples, sample_quadruples(n, eri_module.SAMPLE_COUNT, 3)
+        )
         assert len(res.quadruples) == eri_module.SAMPLE_COUNT < len(canonical_quadruples(n))
         slack = 1e-12 * np.maximum(1.0, np.abs(res.exact))
         assert np.all(np.abs(res.exact - res.fitted) <= res.certificates + slack)
         other = eri_benchmark(n, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=4)
-        assert other.quadruples != res.quadruples
+        assert not np.array_equal(other.quadruples, res.quadruples)
 
     def test_fitted_symmetric_under_pair_swap(self, eri_setup):
         grid, op, src, lap, co, solver = eri_setup
@@ -251,7 +315,7 @@ class TestBenchmark:
 
     def test_benchmark_forms_only_the_evaluated_entries(self, eri_setup, monkeypatch):
         # the fitted side's work is quadruples*r dot-product terms plus
-        # pairs*r scalings, the fitted_ops model; no pairs x pairs matrix
+        # pairs*r scalings (fitted_ops); no pairs x pairs matrix
         grid, op, src, lap, co, solver = eri_setup
         seen = []
         real = fitted_integrals
@@ -264,12 +328,12 @@ class TestBenchmark:
         res = eri_benchmark(8, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
         (pairs, r, entries), = seen
         assert entries == len(res.quadruples) and r == res.r
-        assert res.fitted_ops == entries * r + pairs * r
+        assert fitted_ops(res, len(pair_list(8))) == entries * r + pairs * r
         # a family narrower than its expansion scales its own pairs only
         res = eri_benchmark(6, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
         pairs, r, entries = seen[-1]
         assert pairs == len(pair_list(6)) and entries == len(res.quadruples) and r == res.r
-        assert res.fitted_ops == entries * r + pairs * r
+        assert fitted_ops(res, len(pair_list(6))) == entries * r + pairs * r
 
     def test_benchmark_reads_its_family_in_place(self, eri_setup):
         # n = 6 read from the expansion of 8 is, bit for bit, the benchmark
@@ -277,7 +341,10 @@ class TestBenchmark:
         grid, op, src, lap, co, solver = eri_setup
         wide = eri_benchmark(6, 1e-2, src, op, co, calib_hm1=1.0, sample_seed=0)
         own = eri_benchmark(6, 1e-2, src, op, gather(co, 6), calib_hm1=1.0, sample_seed=0)
-        assert (wide.r, wide.quadruples, wide.fitted_ops) == (own.r, own.quadruples, own.fitted_ops)
+        assert wide.r == own.r
+        np.testing.assert_array_equal(wide.quadruples, own.quadruples)
+        own_pairs = len(gather(co, 6).family_rows(6))
+        assert fitted_ops(wide, len(co.family_rows(6))) == fitted_ops(own, own_pairs)
         for name in ("exact", "fitted", "certificates"):
             np.testing.assert_array_equal(getattr(wide, name), getattr(own, name))
         assert wide.certificate == own.certificate
