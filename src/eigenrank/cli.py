@@ -12,14 +12,33 @@ codes: 0 success, 1 failed check or eigen-certificate (summary.json names
 it), 2 bad usage or configuration (the message names the field).
 
 Heavy imports happen after the BLAS environment is set (_configure_blas),
-so the thread cap and the spin bound reach both BLAS runtimes.
+so the thread cap and the spin bound reach both BLAS runtimes.  Once they
+are done, main freezes the collector's heap (gc.freeze): the ~41.9k
+objects the cyclic collector tracks by then, nearly all of them numpy's
+and scipy's module state, move to its permanent generation, which no
+collection walks.  Unfrozen, every full collection walks them: the one at
+interpreter shutdown and, on flat-1d and harmonic-1d, one mid-run.  The
+collector stays enabled, so cycles made during the run are still
+reclaimed, and the frozen objects were alive until exit anyway.  A library
+`import eigenrank` freezes nothing.  Measured on 2 shared cores (CPython
+3.11, numpy 2.4, scipy 1.17), medians of 8 or 10 processes:
+
+                                                  unfrozen   frozen
+    teardown after `import eigenrank.pipeline`    43 ms      11 ms
+    teardown after verify-all, each preset        42-45 ms   11 ms
+    mid-run full collection, flat-1d/harmonic-1d  10/10 ms   none
+
+The tracemalloc peak of a verify-all rose by 2-3 kB on each preset, and
+perfbench's median peak_rss_mb moved by at most 0.03 MB.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+import time
 
 from . import COMMANDS, PRESETS
 
@@ -94,6 +113,7 @@ def _configure_blas(threads: int | None) -> str:
 
 
 def main(argv=None) -> int:
+    entered = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -115,9 +135,15 @@ def main(argv=None) -> int:
 
     from .pipeline import run
 
+    gc.freeze()   # every heavy module is loaded: see the module docstring
     try:
         status = run(
-            config, args.command, out_dir=args.out, threads=args.threads, spin_timeout=spin_timeout
+            config,
+            args.command,
+            out_dir=args.out,
+            threads=args.threads,
+            spin_timeout=spin_timeout,
+            startup_seconds=time.perf_counter() - entered,
         )
     except ConfigError as exc:   # an output directory that cannot be made
         print(f"config error: {exc}", file=sys.stderr)

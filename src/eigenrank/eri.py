@@ -110,13 +110,22 @@ def quadruple_classes(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     class of quadruples, in class order: every class for n <= EXHAUSTIVE_MAX_N,
     else the SAMPLE_COUNT of them that `seed` draws.  Returns the (Q, 4)
     array of (i, j, k, l) and the (Q, 2) array of their pair rows in
-    pair_list(n) order."""
+    pair_list(n) order.
+
+    A sample draws linear class indices and maps each to its (p, q) through
+    the row starts of the upper triangle, so no array of every class is
+    formed."""
     pairs = np.stack(np.triu_indices(n), axis=1)       # pair_list(n) order
-    p, q = np.triu_indices(len(pairs))
-    if n > EXHAUSTIVE_MAX_N:
+    if n <= EXHAUSTIVE_MAX_N:
+        p, q = np.triu_indices(len(pairs))
+    else:
+        count = len(pairs)
+        t = np.arange(count)
+        starts = t * count - t * (t - 1) // 2     # class index of (t, t)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        drawn = np.sort(rng.choice(p.size, size=SAMPLE_COUNT, replace=False))
-        p, q = p[drawn], q[drawn]
+        drawn = np.sort(rng.choice(count * (count + 1) // 2, size=SAMPLE_COUNT, replace=False))
+        p = np.searchsorted(starts, drawn, side="right") - 1
+        q = p + drawn - starts[p]
     rows = np.stack([p, q], axis=1)
     return pairs[rows].reshape(-1, 4), rows
 

@@ -5,8 +5,8 @@ verify-all), the cross-module invariant suite behind verify-all, and all
 file output.  CSVs are written atomically with 17 significant digits so
 identical configs diff bitwise; summary.json echoes the config and every
 calibration constant next to the per-check booleans, plus the wall and
-CPU seconds, stage timings, peak RSS, thread cap, BLAS spin bound and
-library versions (none of which reach a CSV).
+CPU seconds, the CLI's startup seconds, stage timings, peak RSS, thread
+cap, BLAS spin bound and library versions (none of which reach a CSV).
 
 The basis of L covers the resolved window M: the Weyl-regime cap, extended
 to close the degenerate cluster at its end.  Flat configurations take it
@@ -24,6 +24,7 @@ import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
+from itertools import starmap
 
 import numpy as np
 import scipy
@@ -184,12 +185,10 @@ def build_pipeline(config: ExperimentConfig, timings: Stages | None = None) -> P
 # file output helpers
 # ----------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+# the row formats a CSV declares per column: text, integer (bools as 1 or
+# 0), and float to 17 significant digits (integer-valued floats without a
+# point, -0.0 as -0)
+TEXT, INT, FLOAT = "{}", "{:d}", "{:.17g}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -205,13 +204,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows, timings: Stages) -> None:
-    """Write one CSV and add its wall seconds to timings["output"]."""
+def write_csv(path: str, columns: dict[str, str], rows, timings: Stages) -> None:
+    """Write one CSV, its header the names of `columns` and every row
+    through the one row format their values (TEXT, INT or FLOAT) make, and
+    add its wall seconds to timings["output"]."""
     with _stage(timings, "output"):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(x) for x in row))
-        _write_atomic(path, "\n".join(lines) + "\n")
+        line = ",".join(columns.values()) + "\n"
+        _write_atomic(path, ",".join(columns) + "\n" + "".join(starmap(line.format, rows)))
 
 
 def _versions() -> dict:
@@ -255,7 +254,7 @@ def cmd_spectrum(pipe: Pipeline, out_dir: str, summary: dict) -> None:
     ]
     write_csv(
         os.path.join(out_dir, "spectrum.csv"),
-        ["k", "lambda_L", "mu_lap", "sup_norm", "residual"],
+        {"k": INT, "lambda_L": FLOAT, "mu_lap": FLOAT, "sup_norm": FLOAT, "residual": FLOAT},
         rows,
         pipe.timings,
     )
@@ -309,34 +308,34 @@ def _scaling(pipe: Pipeline) -> ScalingReport:
 def cmd_tail_curves(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
     write_csv(
         os.path.join(out_dir, "tails.csv"),
-        ["norm", "i", "j", "r", "tail"],
+        {"norm": TEXT, "i": INT, "j": INT, "r": INT, "tail": FLOAT},
         report.tail_rows,
         pipe.timings,
     )
     # each norm's slope is fitted to the worst-pair aggregate (its i = j = 0
     # rows) over 0 < r <= G/2; null with fewer than two samples above the floor
     top = pipe.grid.node_count // 2
-    summary["tail_slopes"] = {}
-    for norm in pipe.config.sweep_norms:
-        curve = {
-            r: tail for name, i, j, r, tail in report.tail_rows
-            if name == norm and i == j == 0 and 0 < r <= top
-        }
-        summary["tail_slopes"][norm] = tail_slope(list(curve), list(curve.values()))
+    curves = {norm: {} for norm in pipe.config.sweep_norms}
+    for norm, i, j, r, tail in report.tail_rows:
+        if i == j == 0 and 0 < r <= top:
+            curves[norm][r] = tail
+    summary["tail_slopes"] = {
+        norm: tail_slope(list(curve), list(curve.values())) for norm, curve in curves.items()
+    }
     summary["tail_curve_n"] = max(pipe.config.sweep_n)
 
 
 def cmd_rank_scan(pipe: Pipeline, out_dir: str, summary: dict, report: ScalingReport) -> None:
-    # RankReport's fields are ranks.csv's columns in order (_fmt writes the
+    # RankReport's fields are ranks.csv's columns in order (INT writes the
     # bool resolved as 1 or 0); r_predicted stays named r_paper so rank
     # tables diff cleanly across implementations sharing this file format
     rows = [astuple(rep) for rep in report.rank_reports]
     write_csv(
         os.path.join(out_dir, "ranks.csv"),
-        [
-            "n", "eps", "norm", "r_paper", "r_empirical", "r_oracle", "max_sup",
-            "implied_constant", "resolved",
-        ],
+        {
+            "n": INT, "eps": FLOAT, "norm": TEXT, "r_paper": INT, "r_empirical": INT,
+            "r_oracle": INT, "max_sup": FLOAT, "implied_constant": FLOAT, "resolved": INT,
+        },
         rows,
         pipe.timings,
     )
@@ -373,7 +372,10 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
     ]
     write_csv(
         os.path.join(out_dir, "eri.csv"),
-        ["i", "j", "k", "l", "exact", "fitted", "abs_err", "certificate"],
+        {
+            "i": INT, "j": INT, "k": INT, "l": INT,
+            "exact": FLOAT, "fitted": FLOAT, "abs_err": FLOAT, "certificate": FLOAT,
+        },
         rows,
         pipe.timings,
     )
@@ -539,6 +541,7 @@ def run(
     out_dir: str | None = None,
     threads: int | None = None,
     spin_timeout: str | None = None,
+    startup_seconds: float | None = None,
 ) -> int:
     """Execute one command; returns the process exit status (0 ok, 1 failed
     check or certificate).
@@ -548,7 +551,9 @@ def run(
     anything is written.  `threads` is the BLAS thread cap the caller
     applied (None if none) and `spin_timeout` the OPENBLAS_THREAD_TIMEOUT in
     its environment before numpy loaded (None if the caller is not the CLI,
-    which sets one); both are recorded in summary.json only.
+    which sets one); `startup_seconds` is the CLI's wall time from its entry
+    to this call, the config load and the heavy imports (None if the caller
+    is not the CLI).  All three are recorded in summary.json only.
     """
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r} (commands: {', '.join(COMMANDS)})")
@@ -567,6 +572,7 @@ def run(
         "calibration": {"calib_l2": config.calib_l2, "calib_hm1": config.calib_hm1},
         "threads": threads,
         "openblas_thread_timeout": spin_timeout,
+        "startup_seconds": startup_seconds,
         "versions": _versions(),
         "basis_dependent": BASIS_DEPENDENT,
     }

@@ -8,6 +8,7 @@ once per session and reused; `build_seconds` on the pipeline lets
 runtime-capped criteria account for the shared work they depend on.
 """
 
+import gc
 import os
 
 import numpy as np
@@ -43,6 +44,16 @@ def blas_environment_restored():
             os.environ.pop(var, None)
         else:
             os.environ[var] = value
+
+
+@pytest.fixture(autouse=True)
+def import_heap_unfrozen():
+    """cli.main freezes every object alive when its imports are done;
+    unfreeze them after each test, so that objects of the test session
+    frozen by an in-process CLI run stay collectable and each test starts
+    with nothing frozen."""
+    yield
+    gc.unfreeze()
 
 
 def dense_basis(op) -> SpectralBasis:

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +646,74 @@ def test_summary_of_a_run_not_started_by_the_cli_records_no_spin_bound(tmp_path)
     assert pipeline.run(load_config(str(small_config(tmp_path))), "spectrum", out_dir=str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["threads"] is None and summary["openblas_thread_timeout"] is None
+
+
+def test_startup_seconds_are_recorded_for_a_cli_run_only(tmp_path):
+    path = small_config(tmp_path)
+    by_cli, by_library = tmp_path / "cli", tmp_path / "library"
+    assert main(["spectrum", "--config", str(path), "--out", str(by_cli)]) == 0
+    assert pipeline.run(load_config(str(path)), "spectrum", out_dir=str(by_library)) == 0
+    startup = json.loads((by_cli / "summary.json").read_text())["startup_seconds"]
+    assert isinstance(startup, float) and startup >= 0.0
+    assert json.loads((by_library / "summary.json").read_text())["startup_seconds"] is None
+
+
+class Cycle:
+    def __init__(self):
+        self.me = self
+
+
+def test_cli_freezes_the_import_heap_and_still_collects_cycles(tmp_path):
+    path = small_config(tmp_path)
+    assert main(["verify-all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() > 0
+    ref = weakref.ref(Cycle())
+    assert ref() is not None     # only the cycle keeps it alive
+    gc.collect()
+    assert ref() is None
+
+
+def test_importing_the_library_freezes_nothing():
+    src = str(Path(eigenrank.__file__).resolve().parents[1])
+    code = "import gc, eigenrank.pipeline; print(gc.get_freeze_count())"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def _fmt(x) -> str:
+    """The per-value CSV formatter the declared row formats replace."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def test_declared_row_formats_write_the_bytes_of_per_value_formatting(tmp_path):
+    floats = [
+        0.0, -0.0, 5e-324, 1e-310, 1.7976931348623157e308, float("nan"), float("inf"),
+        1.0, -3.0, 2.0**53, 1e16, 1e17, 0.1, 1 / 3, np.float64(-0.0), np.float64(5e-324),
+        np.float64(1e-310), np.float64(1.7976931348623157e308), np.float64("nan"), np.float64(7.0),
+        np.float64(-2.5e-7),
+    ]
+    ints = [0, 1, -7, 2**40, np.int64(12), np.int64(-3), True, False, np.bool_(True), np.bool_(False)]
+    texts = ["l2", "hm1", ""]
+    rows = [
+        (texts[k % len(texts)], ints[k % len(ints)], ints[(k + 3) % len(ints)], x)
+        for k, x in enumerate(floats * 2)
+    ]
+    columns = {"norm": pipeline.TEXT, "i": pipeline.INT, "flag": pipeline.INT, "value": pipeline.FLOAT}
+    out = tmp_path / "rows.csv"
+    timings = pipeline.Stages()
+    pipeline.write_csv(str(out), columns, rows, timings)
+    want = "norm,i,flag,value\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    assert out.read_bytes() == want.encode()
+    assert timings["output"] >= 0.0
+    # an empty body is the header alone
+    pipeline.write_csv(str(out), columns, [], timings)
+    assert out.read_bytes() == b"norm,i,flag,value\n"
 
 
 @pytest.mark.parametrize("describe", [TypeError("no mode argument"), KeyError("blas")])

@@ -254,7 +254,8 @@ class TestQuadrupleSampling:
 
     def test_sampled_classes_form_no_list_of_every_class(self):
         # n = 64 has 2080 pairs and 2,164,160 classes; as Python tuples they
-        # took 167 MB, as two index arrays of classes they take about 37 MB
+        # took 167 MB, as two index arrays of classes about 37 MB; the drawn
+        # class indices mapped through the row starts take about 0.1 MB
         tracemalloc.start()
         try:
             quads, rows = quadruple_classes(64, 20240801)
@@ -262,7 +263,21 @@ class TestQuadrupleSampling:
         finally:
             tracemalloc.stop()
         assert quads.shape == (eri_module.SAMPLE_COUNT, 4)
-        assert peak < 64 * 2**20
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [13, 20, 64])
+    def test_sample_is_the_draw_from_every_class_array(self, n):
+        # the reference forms both index arrays of every class and reads the
+        # same seeded draw of linear class indices from them
+        pairs = np.stack(np.triu_indices(n), axis=1)
+        p, q = np.triu_indices(len(pairs))
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(20240801)))
+        drawn = np.sort(rng.choice(p.size, size=eri_module.SAMPLE_COUNT, replace=False))
+        want = np.stack([p[drawn], q[drawn]], axis=1)
+        quads, rows = quadruple_classes(n, 20240801)
+        assert rows.dtype == want.dtype
+        np.testing.assert_array_equal(rows, want)
+        np.testing.assert_array_equal(quads, pairs[want].reshape(-1, 4))
 
 
 class TestBenchmark:
