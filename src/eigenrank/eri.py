@@ -39,7 +39,7 @@ import scipy.sparse.linalg as spla
 from .grid import PERIODIC
 from .eigensolve import SpectralBasis, blocks, sup_norms
 from .operator import LAPLACIAN, DiscreteOperator
-from .products import ProductCoefficients, product_matrix
+from .products import ProductCoefficients, pair_list, pair_row, product_matrix
 from .lowrank import HM1, cutoff, hm1_weights, tail_table
 
 SAMPLE_COUNT = 500        # quadruples sampled when n > EXHAUSTIVE_MAX_N
@@ -115,18 +115,17 @@ def quadruple_classes(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     A sample draws linear class indices and maps each to its (p, q) through
     the row starts of the upper triangle, so no array of every class is
     formed."""
-    pairs = np.stack(np.triu_indices(n), axis=1)       # pair_list(n) order
+    pairs = pair_list(n)
+    count = len(pairs)
     if n <= EXHAUSTIVE_MAX_N:
-        p, q = np.triu_indices(len(pairs))
+        rows = pair_list(count)
     else:
-        count = len(pairs)
         t = np.arange(count)
-        starts = t * count - t * (t - 1) // 2     # class index of (t, t)
+        starts = pair_row(t, t, count)     # class index of (t, t)
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         drawn = np.sort(rng.choice(count * (count + 1) // 2, size=SAMPLE_COUNT, replace=False))
         p = np.searchsorted(starts, drawn, side="right") - 1
-        q = p + drawn - starts[p]
-    rows = np.stack([p, q], axis=1)
+        rows = np.stack([p, p + drawn - starts[p]], axis=1)
     return pairs[rows].reshape(-1, 4), rows
 
 

@@ -237,7 +237,7 @@ def oracle_rank(
     else:
         raise ValueError(f"unknown norm {norm!r}")
     pairs = pair_list(n)
-    mult = np.array([1.0 if i == j else 2.0 for i, j in pairs])
+    mult = np.where(pairs[:, 0] == pairs[:, 1], 1.0, 2.0)
     sqrt_mult = np.sqrt(mult)
     if norm == L2:
         scale = math.sqrt(basis_src.grid.quadrature_weight) * sqrt_mult
@@ -417,7 +417,7 @@ def scaling_report(
     d = basis_src.grid.dimension
     curve_n = max(n_list)
     pairs = pair_list(curve_n)
-    larger = np.array([j for _, j in pairs])
+    larger = pairs[:, 1]
     sups = {n: sup_norms(basis_src, n)[1] for n in n_list}
     reports: list[RankReport] = []
     rows: list[tuple] = []
@@ -441,7 +441,7 @@ def scaling_report(
             for n, curve in zip(n_list, max_tails):
                 inside = (larger[cols] < n)[:, None]
                 np.maximum(curve, np.max(table, axis=0, where=inside, initial=0.0), out=curve)
-            for (i, j), tails in zip(pairs[cols], table[:, r_samples].tolist()):
+            for (i, j), tails in zip(pairs[cols].tolist(), table[:, r_samples].tolist()):
                 pair_rows += [(norm, i + 1, j + 1, r, t) for r, t in zip(r_samples, tails)]
 
         for n, curve in zip(n_list, max_tails):

@@ -54,9 +54,9 @@ from .eigensolve import (
 )
 from .products import (
     ProductCoefficients,
+    chain_bound,
     expansion_coefficients,
     product_matrix,
-    quadratic_chain_report,
     quadratic_form_values,
 )
 from .lowrank import (
@@ -355,15 +355,16 @@ def cmd_eri_bench(pipe: Pipeline, out_dir: str, summary: dict) -> ERIResult | No
     if not cfg.eri_enabled:
         summary["eri"] = {"enabled": False}
         return None
-    result = eri_benchmark(
-        cfg.eri_n,
-        cfg.eri_eps,
-        pipe.basis_L,
-        pipe.op_lap,
-        pipe.coeffs_hm1,
-        calib_hm1=cfg.calib_hm1,
-        sample_seed=cfg.eri_sample_seed,
-    )
+    with _stage(pipe.timings, "eri"):
+        result = eri_benchmark(
+            cfg.eri_n,
+            cfg.eri_eps,
+            pipe.basis_L,
+            pipe.op_lap,
+            pipe.coeffs_hm1,
+            calib_hm1=cfg.calib_hm1,
+            sample_seed=cfg.eri_sample_seed,
+        )
     rows = [
         (i + 1, j + 1, k + 1, l + 1, exact, fitted, abs(exact - fitted), cert)
         for (i, j, k, l), exact, fitted, cert in zip(
@@ -426,47 +427,51 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     values = {key: value for key, value in asdict(done).items() if value is not None}
     record("completeness", True, done.describe(pipe.basis_L.count), **values)
 
-    # every per-pair value below is formed one block of pairs at a time
-    # (eigensolve.blocks), so no array of pairs x G is formed
+    # one pass over the pairs of n_max, one block of pairs at a time
+    # (eigensolve.blocks): each block's products are formed once, and no
+    # array of pairs x G is formed
     n = pipe.n_max
-    pair_blocks = blocks(n * (n + 1) // 2)
-    chain = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, n)
-    margin = chain.bound - float(np.max(chain.values))
+    targets = {"L": pipe.coeffs_l2, "Laplacian": pipe.coeffs_hm1}
+    Q = np.empty(n * (n + 1) // 2)      # <L f, f> from the sparse matrix
+    direct = np.empty(Q.size)           # <-Delta f, f> from the sparse matrix
+    grad_sq = np.empty(Q.size)          # sum_k mu_k c_k^2
+    slack = np.empty(Q.size)            # worst lambda_r tail_r^2 - Q
+    sums = {name: np.empty(Q.size) for name in targets}
+    for cols in blocks(Q.size):
+        prods = product_matrix(pipe.basis_L, n, pairs=cols)
+        Q[cols] = quadratic_form_values(pipe.op_L, prods)
+        direct[cols] = quadratic_form_values(pipe.op_lap, prods)
+        del prods   # freed before the next block forms
+        # summed per pair, as the Parseval sums are, not by a GEMV whose
+        # kernel would depend on the block's shape
+        grad_sq[cols] = np.sum(
+            np.square(pipe.coeffs_hm1.coeffs[cols]) * pipe.coeffs_hm1.eigenvalues, axis=1
+        )
+        # Q against the eigenvalue-weighted L2 tails of the spectral expansion
+        slack[cols] = tail_identity_slack(
+            pipe.coeffs_l2.eigenvalues, tail_table(pipe.coeffs_l2, pairs=cols), Q[cols, None]
+        )
+        for name, coeffs in targets.items():
+            sums[name][cols] = np.sum(np.square(coeffs.coeffs[cols]), axis=1)
+
+    bound = chain_bound(pipe.basis_L, pipe.field_, n)
+    worst_q = float(np.max(Q))
     record(
         "quadratic_chain",
-        chain.ok,
-        f"n={chain.n}, bound {chain.bound:.6g}, worst value {float(np.max(chain.values)):.6g}, "
-        f"margin {margin:.3e}",
+        bool(np.all(Q <= bound * (1.0 + 1e-12) + 1e-12)),
+        f"n={n}, bound {bound:.6g}, worst value {worst_q:.6g}, margin {bound - worst_q:.3e}",
     )
 
     # ||grad f||^2 two ways: the spectral sum, and <-Delta f, f> straight
-    # from the sparse matrix, which _assemble forms from the face differences
-    grad_sq = np.empty(chain.values.size)
-    direct_all = np.empty(chain.values.size)
-    for cols in pair_blocks:
-        # summed per pair, as the Parseval sums are, not by a GEMV whose
-        # kernel would depend on the block's shape
-        terms = np.square(pipe.coeffs_hm1.coeffs[cols])
-        terms *= pipe.coeffs_hm1.eigenvalues
-        grad_sq[cols] = np.sum(terms, axis=1)
-        prods = product_matrix(pipe.basis_L, n, pairs=cols)
-        direct_all[cols] = quadratic_form_values(pipe.op_lap, prods)
+    # from the sparse matrix, which _assemble forms from the face differences.
     # rtol 1e-6 plus an absolute floor so zero-gradient products (periodic
     # constant mode) are judged against the family's noise scale, not 0
-    atol = 1e-9 * (1.0 + float(np.max(direct_all)))
-    excess = np.abs(direct_all - grad_sq) / (1e-6 * direct_all + atol)
+    atol = 1e-9 * (1.0 + float(np.max(direct)))
+    excess = np.abs(direct - grad_sq) / (1e-6 * direct + atol)
     worst = float(np.max(excess))
     record("h1_identity", worst <= 1.0, f"worst deviation at {worst:.3e} of tolerance")
 
-    # Q = <L f, f> of every product, from the sparse matrix (chain.values),
-    # against the eigenvalue-weighted L2 tails of the spectral expansion
-    Q = chain.values
-    worst_slack = max(
-        float(np.max(tail_identity_slack(
-            pipe.coeffs_l2.eigenvalues, tail_table(pipe.coeffs_l2, pairs=cols), Q[cols, None]
-        )))
-        for cols in pair_blocks
-    )
+    worst_slack = float(np.max(slack))
     record(
         "tail_identity_l2",
         worst_slack <= 1e-10 * (1.0 + float(np.max(np.abs(Q)))),
@@ -479,14 +484,12 @@ def run_checks(pipe: Pipeline, scaling: ScalingReport, eri: ERIResult | None) ->
     # Pythagoras for orthonormal vectors, not that the window skipped no
     # mode: completeness rests on the sliced Lanczos solve's inertia count
     defects = {}
-    for name, coeffs in (("L", pipe.coeffs_l2), ("Laplacian", pipe.coeffs_hm1)):
-        sums = np.empty(coeffs.coeffs.shape[0])
-        for cols in pair_blocks:
-            sums[cols] = np.sum(np.square(coeffs.coeffs[cols]), axis=1)
+    for name, coeffs in targets.items():
+        total = sums[name]
         if coeffs.outside_mass is not None:
-            sums = sums + coeffs.outside_mass
+            total = total + coeffs.outside_mass
         norms_sq = coeffs.product_l2_norms**2
-        defects[name] = float(np.max(np.abs(sums - norms_sq) / np.maximum(norms_sq, 1e-300)))
+        defects[name] = float(np.max(np.abs(total - norms_sq) / np.maximum(norms_sq, 1e-300)))
     rel = max(defects.values())
     windowed = pipe.coeffs_l2.outside_mass is not None
     record(
@@ -597,8 +600,6 @@ def run(
         build_seconds=pipe.build_seconds,
     )
 
-    timings["output"] = 0.0
-
     status = 0
     if command == "spectrum":
         cmd_spectrum(pipe, out, summary)
@@ -609,15 +610,13 @@ def run(
         report = _scaling(pipe)
         cmd_rank_scan(pipe, out, summary, report)
     elif command == "eri-bench":
-        with _stage(timings, "eri"):
-            cmd_eri_bench(pipe, out, summary)
+        cmd_eri_bench(pipe, out, summary)
     else:  # verify-all
         cmd_spectrum(pipe, out, summary)
         report = _scaling(pipe)
         cmd_tail_curves(pipe, out, summary, report)
         cmd_rank_scan(pipe, out, summary, report)
-        with _stage(timings, "eri"):
-            eri = cmd_eri_bench(pipe, out, summary)
+        eri = cmd_eri_bench(pipe, out, summary)
         with _stage(timings, "checks"):
             checks = run_checks(pipe, report, eri)
         summary["checks"] = {name: entry["ok"] for name, entry in checks.items()}

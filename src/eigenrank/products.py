@@ -31,20 +31,21 @@ from functools import partial
 
 import numpy as np
 
-from .operator import SCHRODINGER, CoefficientField, DiscreteOperator
+from .operator import CoefficientField, DiscreteOperator
 from .eigensolve import SpectralBasis, blocks, row_sums, sup_norms
 
 
-def pair_list(n: int) -> list[tuple[int, int]]:
-    """Upper-triangle pairs (i, j), i <= j < n, lexicographic."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+def pair_list(n: int) -> np.ndarray:
+    """The (n(n+1)/2, 2) array of upper-triangle pairs (i, j), i <= j < n,
+    lexicographic: the pair order of every family."""
+    return np.stack(np.triu_indices(n), axis=1)
 
 
-def pair_row(i: int, j: int, n: int) -> int:
-    """Row of pair (i, j) in the pair_list(n) ordering."""
-    if i > j:
-        i, j = j, i
-    if not 0 <= i <= j < n:
+def pair_row(i, j, n: int):
+    """Row of pair (i, j) in the pair_list(n) ordering, or the array of rows
+    of index arrays i and j."""
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    if not np.all((0 <= i) & (j < n)):
         raise IndexError(f"pair ({i}, {j}) out of range for n={n}")
     return i * n - (i * (i - 1)) // 2 + (j - i)
 
@@ -73,8 +74,8 @@ class ProductCoefficients:
         in pair_list(n) order: the family of n read in place."""
         if not 1 <= n <= self.n:
             raise ValueError(f"n must satisfy 1 <= n <= {self.n}, got {n}")
-        # the pairs (i, j) of each i are consecutive rows from pair (i, i) on
-        return np.concatenate([pair_row(i, i, self.n) + np.arange(n - i) for i in range(n)])
+        i, j = pair_list(n).T
+        return pair_row(i, j, self.n)
 
 
 def product_matrix(
@@ -196,38 +197,14 @@ def quadratic_form_values(op: DiscreteOperator, prods: np.ndarray) -> np.ndarray
     return op.grid.quadrature_weight * row_sums(prods * (op.matrix @ prods))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticChainReport:
-    """Per-pair values and the fully traced upper bound for the key estimate
+def chain_bound(basis_L: SpectralBasis, field: CoefficientField, n: int) -> float:
+    """The fully traced upper bound of the key estimate
 
         <L(phi_i phi_j), phi_i phi_j>  <=  v_sup S^2 + a_max (2 sqrt((lambda_n + v_sup)/a_min) S)^2
 
-    with S = max_{i<n} ||phi_i||_inf.  Every constant in the chain is carried
-    explicitly so a failure pinpoints which step broke.
-    """
-
-    n: int
-    values: np.ndarray       # (pairs,) quadratic form values
-    bound: float
-    ok: bool
-
-
-def quadratic_chain_report(
-    op_L: DiscreteOperator,
-    basis_L: SpectralBasis,
-    field: CoefficientField,
-    n: int,
-) -> QuadraticChainReport:
-    """Evaluate the traced bound for every pair i <= j < n, forming the
-    products one pair block at a time."""
-    if op_L.kind != SCHRODINGER:
-        raise ValueError(f"chain bound applies to the {SCHRODINGER} operator, got {op_L.kind!r}")
-    values = np.empty(n * (n + 1) // 2)
-    for cols in blocks(values.size):
-        values[cols] = quadratic_form_values(op_L, product_matrix(basis_L, n, pairs=cols))
+    for every pair i <= j < n, with S = max_{i<n} ||phi_i||_inf and L the
+    Schrodinger operator of `field` whose eigenbasis is basis_L."""
     lam_n = basis_L.eigenvalues[n - 1]
     _, S = sup_norms(basis_L, n)
     grad_bound = 2.0 * np.sqrt((lam_n + field.v_sup) / field.a_min) * S
-    bound = field.v_sup * S**2 + field.a_max * grad_bound**2
-    ok = bool(np.all(values <= bound * (1.0 + 1e-12) + 1e-12))
-    return QuadraticChainReport(n=n, values=values, bound=float(bound), ok=ok)
+    return float(field.v_sup * S**2 + field.a_max * grad_bound**2)

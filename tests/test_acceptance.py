@@ -22,11 +22,11 @@ from eigenrank.eigensolve import (
 from eigenrank.operator import assemble_laplacian
 from eigenrank.grid import make_grid
 from eigenrank.products import (
+    chain_bound,
     expansion_coefficients,
     pair_list,
     pair_row,
     product_matrix,
-    quadratic_chain_report,
     quadratic_form_values,
 )
 from eigenrank.lowrank import (
@@ -71,12 +71,13 @@ def test_criterion_02_quadratic_chain(flat1d_pipeline, random2d_pipeline):
     details = []
     ok = True
     for pipe in (flat1d_pipeline, random2d_pipeline):
-        rep = quadratic_chain_report(pipe.op_L, pipe.basis_L, pipe.field_, 16)
-        violations = int(np.sum(rep.values > rep.bound))
+        values = quadratic_form_values(pipe.op_L, product_matrix(pipe.basis_L, 16))
+        bound = chain_bound(pipe.basis_L, pipe.field_, 16)
+        violations = int(np.sum(values > bound))
         ok = ok and violations == 0
         details.append(
-            f"{pipe.config.name}: worst {float(np.max(rep.values)):.4g} "
-            f"vs bound {rep.bound:.4g}, {violations} violations"
+            f"{pipe.config.name}: worst {float(np.max(values)):.4g} "
+            f"vs bound {bound:.4g}, {violations} violations"
         )
     announce(2, "traced quadratic-form chain", ok, "; ".join(details))
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eigenrank import eigensolve, pipeline
+from eigenrank import eigensolve, pipeline, products
 from eigenrank.config import parse_config
 from eigenrank.eigensolve import cluster_end, laplacian_eigenpairs, lowest_eigenpairs, sup_norms
 from eigenrank.grid import make_grid
@@ -20,7 +20,7 @@ from eigenrank.operator import (
     sample_coefficients,
 )
 from eigenrank.pipeline import build_pipeline, run_checks
-from eigenrank.products import expansion_coefficients
+from eigenrank.products import expansion_coefficients, product_matrix
 from conftest import sweep
 
 # whole arrays, one column or pair or node row, and a width that leaves a
@@ -111,6 +111,25 @@ def test_block_width_moves_no_bit_of_the_sweep_or_checks(config, monkeypatch, tm
         assert report.rank_reports == sweeps[0].rank_reports
         assert slope == slopes[0]
         assert check == checks[0]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_checks_form_each_product_block_once(config, monkeypatch):
+    # every per-pair check reads the one product block of its pairs,
+    # whether it is called through products or through pipeline
+    pipe = _pipeline(CONFIGS[config])
+    report = _sweep(pipe)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("pairs"))
+        return product_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(products, "product_matrix", counted)
+    monkeypatch.setattr(pipeline, "product_matrix", counted)
+    run_checks(pipe, report, None)
+    n = pipe.n_max
+    assert calls == eigensolve.blocks(n * (n + 1) // 2)
 
 
 def _traced(fn):

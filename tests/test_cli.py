@@ -751,17 +751,28 @@ def test_verify_all_reports_stage_timings(tmp_path):
     assert all(t >= 0.0 for t in summary["timings"].values())
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify-all"])
-def test_summary_reports_the_peak_rss_of_each_stage(tmp_path, command):
+@pytest.mark.parametrize(
+    "command, eri",
+    [
+        pytest.param("spectrum", True, id="spectrum"),
+        pytest.param("verify-all", True, id="verify-all"),
+        pytest.param("eri-bench", False, id="eri-bench-eri-off"),
+    ],
+)
+def test_summary_reports_the_peak_rss_of_each_stage(tmp_path, command, eri):
     # the process's peak as each stage ended: the stages of timings, none
     # above the run's peak
-    path = small_config(tmp_path)
+    path = small_config(tmp_path, **({} if eri else {"eri": {"enabled": False}}))
     out = tmp_path / "peaks"
     assert main([command, "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     peaks = summary["stage_peak_rss_mb"]
     assert set(peaks) == set(summary["timings"])
     assert all(0.0 < mb <= summary["peak_rss_mb"] for mb in peaks.values())
+    if not eri:
+        # eri-bench with ERI off runs no benchmark and writes no CSV
+        assert set(peaks) == {"basis_lap", "basis_L", "coefficients"}
+        return
     # ru_maxrss never falls, so the build stages read in the order they ran
     assert peaks["basis_lap"] <= peaks["basis_L"] <= peaks["coefficients"] <= peaks["output"]
     if command == "verify-all":

@@ -20,11 +20,11 @@ from eigenrank.eigensolve import (
     lowest_eigenpairs,
 )
 from eigenrank.products import (
+    chain_bound,
     expansion_coefficients,
     pair_list,
     pair_row,
     product_matrix,
-    quadratic_chain_report,
     quadratic_form_values,
 )
 from conftest import dense_basis
@@ -58,7 +58,17 @@ def test_pair_row_matches_pair_list(n, seed):
     rng = np.random.default_rng(seed)
     i, j = rng.integers(0, n, size=2)
     row = pair_row(i, j, n)
-    assert pairs[row] == (min(i, j), max(i, j))
+    assert tuple(pairs[row]) == (min(i, j), max(i, j))
+
+
+def test_pair_row_reads_index_arrays():
+    # the rows of index arrays are those of each pair alone, either order
+    i, j = pair_list(7).T
+    np.testing.assert_array_equal(pair_row(i, j, 7), np.arange(28))
+    np.testing.assert_array_equal(pair_row(j, i, 7), np.arange(28))
+    np.testing.assert_array_equal(pair_row(i, j, 9), [pair_row(a, b, 9) for a, b in zip(i, j)])
+    with pytest.raises(IndexError):
+        pair_row(np.array([0, 7]), np.array([1, 2]), 7)
 
 
 def test_product_function_basics(flat1d_small):
@@ -136,14 +146,6 @@ def test_quadratic_form_laplacian_is_gradient_energy(flat1d_small, flat2d_small)
             assert energy == pytest.approx(alone, rel=1e-12)
 
 
-def test_quadratic_form_tag_mismatch(flat1d_small):
-    # the traced chain bounds the form of L, not of the Laplacian
-    grid, op_lap, src, lap = flat1d_small
-    f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
-    with pytest.raises(ValueError):
-        quadratic_chain_report(op_lap, src, f, 4)
-
-
 def test_sparse_quadratic_form_matches_the_spectral_sum():
     # on a complete basis Q = <L f, f> equals sum_k lambda_k c_k^2
     g = make_grid(2, (np.pi, np.pi), (10, 10), "dirichlet")
@@ -188,9 +190,10 @@ def test_truncated_form_monotone(flat1d_small):
 def test_chain_bound_flat_1d(flat1d_small):
     grid, _, src, _ = flat1d_small
     f = sample_coefficients(CoefficientSpec(CONSTANT, a0=1.0, v0=0.0), grid)
-    rep = quadratic_chain_report(assemble_schrodinger(f, grid), src, f, 16)
-    assert rep.ok
-    assert np.all(rep.values <= rep.bound)
+    values = quadratic_form_values(assemble_schrodinger(f, grid), product_matrix(src, 16))
+    bound = chain_bound(src, f, 16)
+    assert np.all(values <= bound * (1.0 + 1e-12) + 1e-12)
+    assert np.all(values <= bound)
 
 
 def test_chain_bound_random_2d():
@@ -199,8 +202,8 @@ def test_chain_bound_random_2d():
     f = sample_coefficients(spec, g)
     op = assemble_schrodinger(f, g)
     bL = lowest_eigenpairs(op, 12, 1e-9)
-    rep = quadratic_chain_report(op, bL, f, 12)
-    assert rep.ok
+    values = quadratic_form_values(op, product_matrix(bL, 12))
+    assert np.all(values <= chain_bound(bL, f, 12) * (1.0 + 1e-12) + 1e-12)
 
 
 def test_cluster_rotation_invariance(flat2d_small):
